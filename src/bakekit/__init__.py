@@ -3,11 +3,11 @@
 __version__ = "0.1.0"
 
 from .bake import BakeConfig, affinity_matrix, build_soft_targets
-from .losses import LossConfig, bake_loss, cross_entropy, kl_distillation
+from .losses import LossConfig, cross_entropy, kl_distillation
 from .models import ModelDescriptor, init
 from .numerics import Tensor
 from .sampling import SamplerConfig, epoch_batches
-from .trainer import TrainConfig, evaluate, train
+from .trainer import TrainConfig, batch_loss, evaluate, train
 
 __all__ = [
     "BakeConfig",
@@ -17,7 +17,7 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "affinity_matrix",
-    "bake_loss",
+    "batch_loss",
     "build_soft_targets",
     "cross_entropy",
     "epoch_batches",

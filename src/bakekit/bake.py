@@ -11,8 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Imported by name, not wrapped: perfbench's tracer hooks bakekit.bake.linear_solve.
+from numpy.linalg import solve as linear_solve
+
 from .errors import ConfigError, DegenerateBatchError, ShapeMismatchError
-from .numerics import linear_solve, masked_softmax_data
+from .numerics import masked_softmax_data
 
 PROPAGATION_MODES = ("closed_form", "one_step", "iterate")
 KNOWLEDGE_SOURCES = ("predictions", "ground_truth_onehot")
@@ -23,7 +26,8 @@ class BakeConfig:
     """Knobs for soft-target construction.
 
     omega: mixing weight between a sample's own prediction and propagated
-    in-batch knowledge. tau: softmax temperature for the prediction matrix.
+    in-batch knowledge. tau: the one temperature, shared by the softened
+    predictions propagated here and the KL term of the loss.
     propagation_mode: closed_form (infinite-iteration limit), iterate
     (finite iterations), or one_step. knowledge_source: propagate model
     predictions or one-hot ground-truth labels.
@@ -98,7 +102,9 @@ def propagate_closed_form(a, p, omega):
     """Infinite-iteration limit: (1-omega) * solve(I - omega*A, P).
 
     Requires omega < 1 strictly; at omega = 1 the limit degenerates and
-    one_step mode is the supported configuration.
+    one_step mode is the supported configuration. For omega < 1 the rows of
+    omega*A sum to omega, so I - omega*A is strictly diagonally dominant and
+    never singular.
     """
     if omega >= 1.0:
         raise ConfigError(
@@ -107,7 +113,7 @@ def propagate_closed_form(a, p, omega):
         )
     a, p = _as_data(a), _as_data(p)
     n = a.shape[0]
-    return (1.0 - omega) * linear_solve(np.eye(n) - omega * a, p).data
+    return (1.0 - omega) * linear_solve(np.eye(n) - omega * a, p)
 
 
 def one_hot(labels, k):

@@ -24,7 +24,7 @@ from .bake import BakeConfig, build_soft_targets
 from .errors import ConfigError, DataFormatError
 from .losses import LossConfig
 from .numerics import Tensor
-from .sampling import SamplerConfig
+from .sampling import SamplerConfig, epoch_batches
 
 DEFAULTS = {
     "method": "bake",
@@ -64,7 +64,7 @@ DEFAULTS = {
 def _add_common_flags(p):
     p.add_argument("--method", choices=tr.METHODS, help=f"training method (default {DEFAULTS['method']})")
     p.add_argument("--omega", type=float, help=f"ensembling weight in [0,1] (default {DEFAULTS['omega']})")
-    p.add_argument("--tau", type=float, help=f"distillation temperature (default {DEFAULTS['tau']})")
+    p.add_argument("--tau", type=float, help=f"temperature of the soft targets and the KL term (default {DEFAULTS['tau']})")
     p.add_argument("--lambda", dest="lambda_", type=float, help=f"distillation loss weight (default {DEFAULTS['lambda']})")
     p.add_argument("--epsilon", type=float, help=f"label smoothing epsilon (default {DEFAULTS['epsilon']})")
     p.add_argument("--m", type=int, help=f"same-class companions per anchor (default {DEFAULTS['m']})")
@@ -113,6 +113,23 @@ def build_parser():
     return parser
 
 
+def _flag(key):
+    return "lambda_" if key == "lambda" else key
+
+
+def _check_file_value(key, value, action):
+    """Hold a config-file value to its flag's own ``type`` and ``choices``."""
+    if value is None and DEFAULTS[key] is None:
+        return
+    # a store_const flag (--conv) takes its const's type; other untyped flags take strings
+    kind = action.type or type(action.const if action.const is not None else "")
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+
+
 def resolve_config(args):
     """Defaults, then config file, then explicit flags."""
     cfg = dict(DEFAULTS)
@@ -124,10 +141,14 @@ def resolve_config(args):
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        flags = argparse.ArgumentParser(add_help=False)
+        _add_common_flags(flags)
+        actions = {action.dest: action for action in flags._actions}
+        for key, value in loaded.items():
+            _check_file_value(key, value, actions[_flag(key)])
         cfg.update(loaded)
     for key in DEFAULTS:
-        flag = "lambda_" if key == "lambda" else key
-        value = getattr(args, flag, None)
+        value = getattr(args, _flag(key), None)
         if value is not None:
             cfg[key] = value
     if not 0.0 <= cfg["omega"] <= 1.0:
@@ -177,11 +198,8 @@ def make_train_config(cfg):
         schedule=_parse_schedule(cfg["schedule"], cfg["epochs"]),
         method=cfg["method"],
         bake=bake_cfg,
-        loss=LossConfig(
-            distill_weight=cfg["lambda"], tau=cfg["tau"], smoothing_epsilon=cfg["epsilon"]
-        ),
+        loss=LossConfig(distill_weight=cfg["lambda"], smoothing_epsilon=cfg["epsilon"]),
         sampler=SamplerConfig(n_hat=cfg["n_hat"], m=cfg["m"], seed=cfg["seed"]),
-        seed=cfg["seed"],
     )
 
 
@@ -216,7 +234,7 @@ def load_datasets(cfg):
 
 
 def make_model(cfg, train_set):
-    hidden = tuple(int(w) for w in str(cfg["hidden"]).split(","))
+    hidden = tuple(int(w) for w in cfg["hidden"].split(","))
     stem = None
     if cfg["conv"]:
         dim = train_set.input_dim
@@ -342,31 +360,20 @@ def cmd_targets(args):
         raise DataFormatError(f"checkpoint not found: {args.checkpoint}")
     model = md.load_checkpoint(args.checkpoint)
     train_set, _ = load_datasets(cfg)
-    sampler = SamplerConfig(n_hat=cfg["n_hat"], m=cfg["m"], seed=cfg["seed"])
-    batch = epoch_batches_first(train_set.class_index, sampler)
-    ids = np.asarray(batch)
+    train_cfg = make_train_config(cfg)
+    batches = epoch_batches(train_set.class_index, train_cfg.sampler, epoch=0)
+    if not batches:
+        raise ConfigError("dataset too small for one batch at this n_hat")
+    ids = np.asarray(batches[0])
     x = train_set.inputs[ids].astype(np.float64)
     y = train_set.labels[ids]
     features, logits = model.forward(Tensor(x))
-    mode, iters = _parse_mode(cfg["mode"])
-    bake_cfg = BakeConfig(
-        omega=cfg["omega"], tau=cfg["tau"], propagation_mode=mode, iterations=iters
-    )
-    targets = build_soft_targets(features, logits, labels=y, cfg=bake_cfg)
+    targets = build_soft_targets(features, logits, labels=y, cfg=train_cfg.bake)
     for row in range(min(args.rows, targets.shape[0])):
         top = np.argsort(-targets[row], kind="stable")[:3]
         cells = " ".join(f"{int(c)}:{targets[row, c]:.4f}" for c in top)
         print(f"row {row} gt={int(y[row])} top3: {cells}")
     return 0
-
-
-def epoch_batches_first(class_index, sampler):
-    from .sampling import epoch_batches
-
-    batches = epoch_batches(class_index, sampler, epoch=0)
-    if not batches:
-        raise ConfigError("dataset too small for one batch at this n_hat")
-    return batches[0]
 
 
 def main(argv=None):

@@ -5,10 +5,6 @@ class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class SingularMatrixError(ArithmeticError):
-    """A pivot fell below the singularity threshold during elimination."""
-
-
 class DegenerateBatchError(ValueError):
     """The batch is too small (or otherwise degenerate) for affinity ensembling."""
 

@@ -7,34 +7,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .bake import build_soft_targets, one_hot
+from .bake import one_hot
 from .errors import ConfigError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    """distill_weight scales the KL term; tau is the shared temperature."""
+    """distill_weight scales the KL term; the temperature is ``BakeConfig.tau``."""
 
     distill_weight: float = 1.0
-    tau: float = 4.0
     smoothing_epsilon: float = 0.1
 
     def __post_init__(self):
         if self.distill_weight < 0.0:
             raise ConfigError(f"distill_weight must be >= 0, got {self.distill_weight}")
-        if self.tau <= 0.0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
         if not 0.0 <= self.smoothing_epsilon < 1.0:
             raise ConfigError(
                 f"smoothing_epsilon must be in [0, 1), got {self.smoothing_epsilon}"
             )
-
-
-def temperature_probs(logits, tau):
-    """Temperature-scaled softmax probabilities; differentiable."""
-    if tau <= 0.0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
-    return nm.softmax_rows(logits * (1.0 / tau))
 
 
 def _check_labels(labels, k):
@@ -73,15 +63,6 @@ def kl_distillation(logits, targets, tau):
     log_p = nm.log_softmax_rows(logits * (1.0 / tau))
     cross = (log_p * q).sum() * (1.0 / n)
     return (float(qlogq.sum()) / n - cross) * tau**2
-
-
-def bake_loss(logits, features, labels, bake_cfg, loss_cfg):
-    """Combined objective: cross-entropy plus weighted batch-ensembled KL."""
-    ce = cross_entropy(logits, labels)
-    if loss_cfg.distill_weight == 0.0:
-        return ce
-    targets = build_soft_targets(features, logits, labels=labels, cfg=bake_cfg)
-    return ce + loss_cfg.distill_weight * kl_distillation(logits, targets, loss_cfg.tau)
 
 
 def label_smoothing_loss(logits, labels, epsilon):

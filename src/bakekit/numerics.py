@@ -1,18 +1,16 @@
-"""Dense float64 tensors, reverse-mode autodiff, and a pivoted linear solver.
+"""Dense float64 tensors and reverse-mode autodiff.
 
 Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
-they never mutate their inputs. The solver is deliberately outside the
-autodiff graph (its only consumer is detached target construction).
+they never mutate their inputs. ``masked_softmax_data`` works on plain
+arrays, outside the graph, for detached target construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError, SingularMatrixError
-
-PIVOT_TOL = 1e-12
+from .errors import ShapeMismatchError
 
 
 class Tensor:
@@ -45,10 +43,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -56,10 +50,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeMismatchError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data)
-
-    def detach(self):
-        """A gradient-free leaf copy; contributes no tape edges."""
-        return Tensor(self.data.copy())
 
     def backward(self):
         """Accumulate gradients of this scalar into all requires_grad leaves."""
@@ -95,11 +85,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a supported primitive")
-        return mul(self, 1.0 / float(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -205,14 +190,6 @@ def relu(x):
     return Tensor._op(np.where(keep, x.data, 0.0), (x,), vjp)
 
 
-def log(x):
-    def vjp(g, x=x):
-        if x.requires_grad:
-            x.grad += g / x.data
-
-    return Tensor._op(np.log(x.data), (x,), vjp)
-
-
 def tsum(x):
     def vjp(g, x=x):
         if x.requires_grad:
@@ -273,64 +250,21 @@ def matmul(a, b):
     return Tensor._op(a.data @ b.data, (a, b), vjp)
 
 
-def row_l2_normalize(f):
-    """Scale each row to unit Euclidean norm. Zero rows are an error."""
-    norms = np.sqrt((f.data * f.data).sum(axis=1))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ShapeMismatchError(f"row_l2_normalize: zero feature row at index {zero[0]}")
-    inv = 1.0 / norms
-    out_data = f.data * inv[:, None]
-
-    def vjp(g, f=f):
-        if f.requires_grad:
-            dots = (g * f.data).sum(axis=1)
-            f.grad += g * inv[:, None] - f.data * (dots * inv**3)[:, None]
-
-    return Tensor._op(out_data, (f,), vjp)
-
-
-def _mask_array(mask, shape):
-    """Normalize a mask spec (set of (row, col) or bool array) to a bool array."""
-    if mask is None:
-        return None
-    out = np.zeros(shape, dtype=bool)
-    if isinstance(out, np.ndarray) and isinstance(mask, np.ndarray):
-        if mask.shape != shape:
-            raise ShapeMismatchError(f"mask shape {mask.shape} != data shape {shape}")
-        return mask.astype(bool)
-    for r, c in mask:
-        out[r, c] = True
-    return out
-
-
 def masked_softmax_data(x, masked=None):
     """Row softmax of a plain array with positions in ``masked`` excluded exactly.
 
-    Shared by the autodiff op and detached target construction so both
-    produce bit-identical probabilities.
+    ``masked`` is a bool array of the data's shape, or None. Not part of the
+    autodiff graph: affinities and soft targets never carry gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     keep = np.ones(x.shape, dtype=bool) if masked is None else ~masked
     counts = keep.sum(axis=1)
     if np.any(counts == 0):
         row = int(np.flatnonzero(counts == 0)[0])
-        raise ShapeMismatchError(f"softmax_rows: row {row} is fully masked")
+        raise ShapeMismatchError(f"masked_softmax_data: row {row} is fully masked")
     shifted = x - np.max(np.where(keep, x, -np.inf), axis=1, keepdims=True)
     e = np.where(keep, np.exp(shifted), 0.0)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def softmax_rows(x, mask=None):
-    """Row-wise softmax; masked positions are excluded from the denominator."""
-    masked = _mask_array(mask, x.data.shape)
-    p = masked_softmax_data(x.data, masked)
-
-    def vjp(g, x=x):
-        if x.requires_grad:
-            x.grad += p * (g - (g * p).sum(axis=1, keepdims=True))
-
-    return Tensor._op(p, (x,), vjp)
 
 
 def log_softmax_rows(x):
@@ -409,40 +343,3 @@ def avg_pool2d(x, k=2):
             x.grad += gx
 
     return Tensor._op(out_data, (x,), vjp)
-
-
-# -- direct solver (outside the autodiff graph) --------------------------
-
-
-def linear_solve(a, b):
-    """Solve a X = b by Gaussian elimination with partial pivoting.
-
-    Accepts tensors or arrays; always returns a detached Tensor. Raises
-    SingularMatrixError when a pivot magnitude drops below PIVOT_TOL.
-    """
-    A = np.array(getattr(a, "data", a), dtype=np.float64, copy=True)
-    B = np.array(getattr(b, "data", b), dtype=np.float64, copy=True)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeMismatchError(f"linear_solve: matrix must be square, got {A.shape}")
-    squeeze = B.ndim == 1
-    if squeeze:
-        B = B[:, None]
-    if B.shape[0] != A.shape[0]:
-        raise ShapeMismatchError(
-            f"linear_solve: rhs rows {B.shape[0]} != matrix size {A.shape[0]}"
-        )
-    n = A.shape[0]
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[piv, k]) < PIVOT_TOL:
-            raise SingularMatrixError(f"pivot {A[piv, k]:.3e} below {PIVOT_TOL} at column {k}")
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            B[[k, piv]] = B[[piv, k]]
-        factors = A[k + 1 :, k] / A[k, k]
-        A[k + 1 :, k:] -= factors[:, None] * A[k, k:]
-        B[k + 1 :] -= factors[:, None] * B[k]
-    X = np.empty_like(B)
-    for k in range(n - 1, -1, -1):
-        X[k] = (B[k] - A[k, k + 1 :] @ X[k + 1 :]) / A[k, k]
-    return Tensor(X[:, 0] if squeeze else X)

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import losses as ls
-from . import models as md
 from .bake import BakeConfig, build_soft_targets
 from .errors import ConfigError, ShapeMismatchError
 from .numerics import Tensor
@@ -49,7 +48,6 @@ class TrainConfig:
     bake: BakeConfig = field(default_factory=BakeConfig)
     loss: LossConfig = None
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.base_lr <= 0:
@@ -117,8 +115,12 @@ def evaluate(model, dataset, batch_size=512):
     return hits1 / len(dataset), hits5 / len(dataset)
 
 
-def _batch_loss(model, x, y, cfg):
-    """Forward one batch; returns (loss tensor, ce value, kl value)."""
+def batch_loss(model, x, y, cfg):
+    """Forward one batch under ``cfg.method``; returns (loss tensor, ce value, kl value).
+
+    bake adds ``cfg.loss.distill_weight`` times the KL to detached soft
+    targets, both at the one temperature ``cfg.bake.tau``.
+    """
     features, logits = model.forward(Tensor(x))
     ce = ls.cross_entropy(logits, y)
     if cfg.method == "vanilla":
@@ -127,7 +129,7 @@ def _batch_loss(model, x, y, cfg):
         loss = ls.label_smoothing_loss(logits, y, cfg.loss.smoothing_epsilon)
         return loss, loss.item(), 0.0
     targets = build_soft_targets(features, logits, labels=y, cfg=cfg.bake)
-    kl = ls.kl_distillation(logits, targets, cfg.loss.tau)
+    kl = ls.kl_distillation(logits, targets, cfg.bake.tau)
     loss = ce + cfg.loss.distill_weight * kl
     return loss, ce.item(), kl.item()
 
@@ -149,7 +151,7 @@ def train(model, train_set, test_set, cfg):
             ids = np.asarray(batch)
             x = train_set.inputs[ids].astype(np.float64)
             y = train_set.labels[ids]
-            loss, ce_val, kl_val = _batch_loss(model, x, y, cfg)
+            loss, ce_val, kl_val = batch_loss(model, x, y, cfg)
             loss.backward()
             lr = lr_at(cfg.schedule, epoch + it / max(len(batches), 1), cfg.base_lr)
             sgd_step(

@@ -17,7 +17,7 @@ from bakekit.bake import (
     propagate_closed_form,
     propagate_iterative,
 )
-from bakekit.losses import LossConfig, bake_loss, cross_entropy, kl_distillation
+from bakekit.losses import LossConfig, cross_entropy, kl_distillation
 from bakekit.numerics import Tensor
 from bakekit.sampling import SamplerConfig, epoch_batches
 
@@ -62,8 +62,7 @@ def test_criterion_3_omega_zero_degeneracy():
         model = md.init(md.ModelDescriptor(6, 5, hidden=(12, 8)), seed=int(rng.integers(1e6)))
         x = rng.normal(size=(8, 6))
         y = rng.integers(0, 5, size=8)
-        features, logits = model.forward(Tensor(x))
-        loss = bake_loss(logits, features, y, BakeConfig(omega=0.0), LossConfig())
+        loss, _, _ = tr.batch_loss(model, x, y, tr.TrainConfig(bake=BakeConfig(omega=0.0)))
         loss.backward()
         g_bake = {k: p.grad.copy() for k, p in model.params.items()}
         features, logits = model.forward(Tensor(x))
@@ -87,7 +86,7 @@ def test_criterion_4_gradient_correctness():
         features, logits = model.forward(Tensor(x))
         targets = build_soft_targets(features, logits, labels=y, cfg=bake_cfg)
         loss = cross_entropy(logits, y) + loss_cfg.distill_weight * kl_distillation(
-            logits, targets, loss_cfg.tau
+            logits, targets, bake_cfg.tau
         )
         loss.backward()
 
@@ -96,7 +95,7 @@ def test_criterion_4_gradient_correctness():
             _, z = model.forward(Tensor(x))
             return (
                 cross_entropy(z, y)
-                + loss_cfg.distill_weight * kl_distillation(z, targets, loss_cfg.tau)
+                + loss_cfg.distill_weight * kl_distillation(z, targets, bake_cfg.tau)
             ).item()
 
         for name in ("dense0.w", "dense1.b", "head.w"):
@@ -117,7 +116,7 @@ def test_criterion_4_gradient_correctness():
         assert isinstance(targets, np.ndarray)
         features, logits = model.forward(Tensor(x))
         p_tau = build_soft_targets(features, logits, labels=y, cfg=BakeConfig(omega=0.0))
-        kl_only = kl_distillation(logits, p_tau, loss_cfg.tau)
+        kl_only = kl_distillation(logits, p_tau, bake_cfg.tau)
         kl_only.backward()
         for p in model.params.values():
             assert np.abs(p.grad).max() <= 1e-12
@@ -166,9 +165,8 @@ def _train_arm(method, m, seed, spread, lr, epochs=30):
         base_lr=lr,
         method=method,
         bake=BakeConfig(omega=0.5, tau=4.0),
-        loss=LossConfig(distill_weight=1.0, tau=4.0),
+        loss=LossConfig(distill_weight=1.0),
         sampler=SamplerConfig(n_hat=32, m=m, seed=seed),
-        seed=seed,
     )
     _, metrics = tr.train(model, train_set, test_set, cfg)
     return metrics[-1].test_top1
@@ -217,7 +215,6 @@ def test_criterion_8_optional_cifar():
                 method=method,
                 bake=BakeConfig(omega=0.5, tau=4.0),
                 sampler=SamplerConfig(n_hat=64, m=m, seed=seed),
-                seed=seed,
             )
             _, metrics = tr.train(model, train_set, test_set, cfg)
             out.append(1.0 - metrics[-1].test_top1)

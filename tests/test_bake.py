@@ -10,7 +10,7 @@ from bakekit.bake import (
     propagate_iterative,
     propagate_one_step,
 )
-from bakekit.errors import ConfigError, DegenerateBatchError
+from bakekit.errors import ConfigError, DegenerateBatchError, ShapeMismatchError
 from bakekit.numerics import Tensor
 
 
@@ -48,6 +48,12 @@ class TestAffinityMatrix:
     def test_batch_of_one_rejected(self):
         with pytest.raises(DegenerateBatchError):
             affinity_matrix(np.ones((1, 5)))
+
+    def test_zero_row_reports_index(self):
+        x = np.ones((4, 3))
+        x[2] = 0.0
+        with pytest.raises(ShapeMismatchError, match="index 2"):
+            affinity_matrix(x)
 
     def test_per_row_rescaling_invariance(self):
         rng = np.random.default_rng(2)
@@ -115,6 +121,17 @@ class TestPropagation:
         q_inf = propagate_closed_form(a, p, 0.5)
         q_it = propagate_iterative(a, p, 0.5, 200)
         assert np.abs(q_inf - q_it).max() < 1e-8
+
+    def test_closed_form_solves_its_system(self):
+        # (I - omega*A) Q = (1 - omega) P to rounding, with omega up to 0.99
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            n = int(rng.integers(2, 65))
+            omega = float(rng.uniform(0.0, 0.99))
+            a = affinity_matrix(rng.normal(size=(n, 5)))
+            p = random_prob_rows(rng, n, 3)
+            q = propagate_closed_form(a, p, omega)
+            assert np.abs(q - omega * (a @ q) - (1.0 - omega) * p).max() <= 1e-12
 
     def test_closed_form_rejects_omega_one(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -53,6 +53,19 @@ class TestTrainCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "key,value", [("knowledge", "bogus"), ("dataset", "bogus"), ("epochs", "3")]
+    )
+    def test_bad_config_file_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        no_epochs_flag = SMALL[:8]  # so the file's epochs is the one in force
+        code = cli.main(
+            ["train", *no_epochs_flag, "--config", str(cfg_path), "--out-dir", str(tmp_path / "x")]
+        )
+        assert code == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         _, a = run_train(tmp_path, "a")
         _, b = run_train(tmp_path, "b")
@@ -137,6 +150,20 @@ class TestTargetsCommand:
             assert "gt=" in line and "top3:" in line
             probs = [float(cell.split(":")[1]) for cell in line.split("top3: ")[1].split()]
             assert sum(probs) <= 1.0 + 1e-9
+
+    def test_knowledge_flag_reaches_targets(self, tmp_path, capsys):
+        _, out = run_train(tmp_path, "run")
+        capsys.readouterr()
+        code = cli.main(
+            ["targets", *SMALL, "--checkpoint", str(out / "model.ckpt"),
+             "--knowledge", "onehot", "--omega", "0", "--rows", "8"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 8
+        for line in lines:
+            gt = line.split("gt=")[1].split()[0]
+            assert f"top3: {gt}:1.0000" in line
 
     def test_omega_zero_targets_equal_model_probs(self, tmp_path, capsys):
         _, out = run_train(tmp_path, "run")

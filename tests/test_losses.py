@@ -1,38 +1,44 @@
 import numpy as np
 import pytest
 
-from bakekit.bake import BakeConfig
+from bakekit import models as md
+from bakekit.bake import BakeConfig, build_soft_targets
 from bakekit.errors import ConfigError, ShapeMismatchError
 from bakekit.losses import (
     LossConfig,
-    bake_loss,
     cross_entropy,
     kl_distillation,
     label_smoothing_loss,
-    temperature_probs,
 )
 from bakekit.numerics import Tensor
+from bakekit.trainer import TrainConfig, batch_loss
 
 from test_numerics import finite_diff
 
 
+def tempered_targets(logits, tau):
+    """softmax(logits / tau) as the soft targets apply it: at omega=0 they are
+    the tau-softened predictions themselves."""
+    z = np.repeat(np.asarray(logits, dtype=np.float64), 2, axis=0)  # affinity needs a pair
+    return build_soft_targets(np.ones((2, 1)), Tensor(z), cfg=BakeConfig(omega=0.0, tau=tau))[:1]
+
+
 class TestTemperatureProbs:
     def test_large_tau_flattens(self):
-        z = Tensor(np.array([[3.0, -1.0, 0.5]]))
-        p = temperature_probs(z, 1e6)
-        assert np.abs(p.data - 1 / 3).max() < 1e-5
+        p = tempered_targets([[3.0, -1.0, 0.5]], 1e6)
+        assert np.abs(p - 1 / 3).max() < 1e-5
 
     def test_analytic(self):
-        p = temperature_probs(Tensor([[np.log(4.0), 0.0]]), 1.0)
-        assert np.allclose(p.data, [[0.8, 0.2]], atol=1e-12)
+        p = tempered_targets([[np.log(4.0), 0.0]], 1.0)
+        assert np.allclose(p, [[0.8, 0.2]], atol=1e-12)
 
     def test_tau_scaling_equivalence(self):
-        p = temperature_probs(Tensor([[2 * np.log(4.0), 0.0]]), 2.0)
-        assert np.allclose(p.data, [[0.8, 0.2]], atol=1e-12)
+        p = tempered_targets([[2 * np.log(4.0), 0.0]], 2.0)
+        assert np.allclose(p, [[0.8, 0.2]], atol=1e-12)
 
     def test_nonpositive_tau(self):
         with pytest.raises(ConfigError):
-            temperature_probs(Tensor([[1.0, 2.0]]), 0.0)
+            tempered_targets([[1.0, 2.0]], 0.0)
 
 
 class TestCrossEntropy:
@@ -107,40 +113,37 @@ class TestKlDistillation:
 
 
 class TestBakeLoss:
+    """The bake method's objective, composed once in ``trainer.batch_loss``."""
+
     def _random_batch(self, seed, n=6, k=4, d=3):
         rng = np.random.default_rng(seed)
-        return (
-            Tensor(rng.normal(size=(n, k)), requires_grad=True),
-            Tensor(rng.normal(size=(n, d))),
-            rng.integers(0, k, size=n),
-        )
+        model = md.init(md.ModelDescriptor(d, k, hidden=(8, 5)), seed=seed)
+        return model, rng.normal(size=(n, d)), rng.integers(0, k, size=n)
 
     def test_lambda_zero_equals_cross_entropy(self):
-        z, f, y = self._random_batch(4)
-        loss = bake_loss(z, f, y, BakeConfig(), LossConfig(distill_weight=0.0))
+        model, x, y = self._random_batch(4)
+        loss, _, _ = batch_loss(model, x, y, TrainConfig(loss=LossConfig(distill_weight=0.0)))
+        _, z = model.forward(x)
         assert loss.item() == cross_entropy(z, y).item()
 
     def test_omega_zero_equals_cross_entropy_value_and_grad(self):
-        z, f, y = self._random_batch(5)
-        loss = bake_loss(z, f, y, BakeConfig(omega=0.0), LossConfig())
+        model, x, y = self._random_batch(5)
+        loss, _, _ = batch_loss(model, x, y, TrainConfig(bake=BakeConfig(omega=0.0)))
         loss.backward()
-        g_bake = z.grad.copy()
-        z.grad = None
+        g_bake = {k: p.grad.copy() for k, p in model.params.items()}
+        _, z = model.forward(x)
         ce = cross_entropy(z, y)
         ce.backward()
         assert abs(loss.item() - ce.item()) < 1e-10
-        assert np.abs(g_bake - z.grad).max() < 1e-10
+        for k, p in model.params.items():
+            assert np.abs(g_bake[k] - p.grad).max() < 1e-10
 
     def test_matches_component_recomposition(self):
-        rng = np.random.default_rng(6)
-        z = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
-        f = Tensor(rng.normal(size=(8, 3)))
-        y = rng.integers(0, 5, size=8)
-        bake_cfg, loss_cfg = BakeConfig(omega=0.5, tau=4.0), LossConfig()
-        total = bake_loss(z, f, y, bake_cfg, loss_cfg)
-        from bakekit.bake import build_soft_targets
-
-        q = build_soft_targets(f, z, labels=y, cfg=bake_cfg)
+        model, x, y = self._random_batch(6, n=8, k=5)
+        cfg = TrainConfig(bake=BakeConfig(omega=0.5, tau=4.0))
+        total, _, _ = batch_loss(model, x, y, cfg)
+        f, z = model.forward(x)
+        q = build_soft_targets(f, z, labels=y, cfg=cfg.bake)
         expected = cross_entropy(z, y).item() + kl_distillation(z, q, 4.0).item()
         assert abs(total.item() - expected) < 1e-12
 
@@ -209,7 +212,5 @@ class TestLossProperties:
     def test_loss_config_validation(self):
         with pytest.raises(ConfigError):
             LossConfig(distill_weight=-1.0)
-        with pytest.raises(ConfigError):
-            LossConfig(tau=-2.0)
         with pytest.raises(ConfigError):
             LossConfig(smoothing_epsilon=1.0)

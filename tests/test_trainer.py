@@ -111,7 +111,6 @@ def small_config(method="vanilla", epochs=2, seed=0, **kwargs):
         base_lr=0.05,
         method=method,
         sampler=SamplerConfig(n_hat=16, m=1, seed=seed),
-        seed=seed,
         **kwargs,
     )
 
