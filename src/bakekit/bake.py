@@ -41,7 +41,7 @@ class BakeConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
-            raise ConfigError(f"omega must be in [0, 1], got {self.omega}")
+            raise ConfigError(f"omega must be in [0,1], got {self.omega}")
         if self.tau <= 0.0:
             raise ConfigError(f"tau must be > 0, got {self.tau}")
         if self.propagation_mode not in PROPAGATION_MODES:

@@ -12,7 +12,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,134 +27,129 @@ from .losses import LossConfig
 from .numerics import Tensor
 from .sampling import SamplerConfig, epoch_batches
 
-DEFAULTS = {
-    "method": "bake",
-    "omega": 0.5,
-    "tau": 4.0,
-    "lambda": 1.0,
-    "epsilon": 0.1,
-    "m": 1,
-    "n_hat": 32,
-    "mode": "closed",
-    "knowledge": "pred",
-    "dataset": "synth",
-    "epochs": 30,
-    "lr": 0.1,
-    "momentum": 0.9,
-    "weight_decay": 0.0,
-    "schedule": "cosine:5",
-    "seed": 0,
-    "synth_classes": 10,
-    "synth_per_class": 200,
-    "synth_dim": 32,
-    "synth_spread": 3.0,
-    "hidden": "256,128",
-    "conv": False,
-    "idx_train_images": None,
-    "idx_train_labels": None,
-    "idx_test_images": None,
-    "idx_test_labels": None,
-    "cifar_train": None,
-    "cifar_test": None,
-    "cifar_classes": 100,
-    "cifar_mean": "0.507,0.487,0.441",
-    "cifar_std": "0.267,0.256,0.276",
-}
+
+class Option(NamedTuple):
+    """One config key; its flag, file check, token override and default all come from here."""
+
+    key: str
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
+    token: bool = False  # overridable in a ``compare`` method token
 
 
-def _add_common_flags(p):
-    p.add_argument("--method", choices=tr.METHODS, help=f"training method (default {DEFAULTS['method']})")
-    p.add_argument("--omega", type=float, help=f"ensembling weight in [0,1] (default {DEFAULTS['omega']})")
-    p.add_argument("--tau", type=float, help=f"temperature of the soft targets and the KL term (default {DEFAULTS['tau']})")
-    p.add_argument("--lambda", dest="lambda_", type=float, help=f"distillation loss weight (default {DEFAULTS['lambda']})")
-    p.add_argument("--epsilon", type=float, help=f"label smoothing epsilon (default {DEFAULTS['epsilon']})")
-    p.add_argument("--m", type=int, help=f"same-class companions per anchor (default {DEFAULTS['m']})")
-    p.add_argument("--n-hat", type=int, help=f"anchors per batch (default {DEFAULTS['n_hat']})")
-    p.add_argument("--mode", help=f"propagation mode: closed | iterate:T | one-step (default {DEFAULTS['mode']})")
-    p.add_argument("--knowledge", choices=["pred", "onehot"], help=f"ensembled knowledge source (default {DEFAULTS['knowledge']})")
-    p.add_argument("--dataset", choices=["synth", "idx", "cifar"], help=f"dataset kind (default {DEFAULTS['dataset']})")
-    p.add_argument("--epochs", type=int, help=f"training epochs (default {DEFAULTS['epochs']})")
-    p.add_argument("--lr", type=float, help=f"base learning rate (default {DEFAULTS['lr']})")
-    p.add_argument("--momentum", type=float, help=f"SGD momentum (default {DEFAULTS['momentum']})")
-    p.add_argument("--weight-decay", type=float, help=f"weight decay (default {DEFAULTS['weight_decay']})")
-    p.add_argument("--schedule", help=f"cosine:WARMUP or step:M1,M2:FACTOR (default {DEFAULTS['schedule']})")
-    p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULTS['seed']})")
-    p.add_argument("--hidden", help=f"comma-separated MLP widths (default {DEFAULTS['hidden']})")
-    p.add_argument("--conv", action="store_const", const=True, help="prepend the small conv stem (image datasets)")
-    p.add_argument("--synth-classes", type=int, help=f"synthetic classes (default {DEFAULTS['synth_classes']})")
-    p.add_argument("--synth-per-class", type=int, help=f"synthetic examples per class (default {DEFAULTS['synth_per_class']})")
-    p.add_argument("--synth-dim", type=int, help=f"synthetic input dimension (default {DEFAULTS['synth_dim']})")
-    p.add_argument("--synth-spread", type=float, help=f"synthetic cluster spread (default {DEFAULTS['synth_spread']})")
-    p.add_argument("--idx-train-images", help="IDX train image file")
-    p.add_argument("--idx-train-labels", help="IDX train label file")
-    p.add_argument("--idx-test-images", help="IDX test image file")
-    p.add_argument("--idx-test-labels", help="IDX test label file")
-    p.add_argument("--cifar-train", help="comma-separated CIFAR train binaries")
-    p.add_argument("--cifar-test", help="comma-separated CIFAR test binaries")
-    p.add_argument("--cifar-classes", type=int, help=f"CIFAR class count (default {DEFAULTS['cifar_classes']})")
-    p.add_argument("--cifar-mean", help=f"per-channel mean (default {DEFAULTS['cifar_mean']})")
-    p.add_argument("--cifar-std", help=f"per-channel std (default {DEFAULTS['cifar_std']})")
+OPTIONS = (
+    Option("method", str, tr.TrainConfig.method, "training method", tr.METHODS),
+    Option("omega", float, BakeConfig.omega, "ensembling weight in [0,1]", token=True),
+    Option("tau", float, BakeConfig.tau, "temperature of the soft targets and the KL term", token=True),
+    Option("lambda", float, LossConfig.distill_weight, "distillation loss weight", token=True),
+    Option("epsilon", float, LossConfig.smoothing_epsilon, "label smoothing epsilon", token=True),
+    Option("m", int, SamplerConfig.m, "same-class companions per anchor", token=True),
+    Option("n_hat", int, SamplerConfig.n_hat, "anchors per batch"),
+    Option("mode", str, "closed", "propagation mode: closed | iterate:T | one-step", token=True),
+    Option("knowledge", str, "pred", "ensembled knowledge source", ("pred", "onehot")),
+    Option("dataset", str, "synth", "dataset kind", ("synth", "idx", "cifar")),
+    Option("epochs", int, tr.TrainConfig.epochs, "training epochs"),
+    Option("lr", float, tr.TrainConfig.base_lr, "base learning rate"),
+    Option("momentum", float, tr.TrainConfig.momentum, "SGD momentum"),
+    Option("weight_decay", float, tr.TrainConfig.weight_decay, "weight decay"),
+    Option("schedule", str, f"cosine:{tr.CosineSchedule.warmup_epochs}", "cosine:WARMUP or step:M1,M2:FACTOR"),
+    Option("seed", int, SamplerConfig.seed, "RNG seed"),
+    Option("synth_classes", int, 10, "synthetic classes"),
+    Option("synth_per_class", int, 200, "synthetic examples per class"),
+    Option("synth_dim", int, 32, "synthetic input dimension"),
+    Option("synth_spread", float, 3.0, "synthetic cluster spread"),
+    Option("hidden", str, ",".join(map(str, md.ModelDescriptor.hidden)), "comma-separated MLP widths"),
+    Option("conv", bool, False, "prepend the small conv stem (image datasets)"),
+    Option("idx_train_images", str, None, "IDX train image file"),
+    Option("idx_train_labels", str, None, "IDX train label file"),
+    Option("idx_test_images", str, None, "IDX test image file"),
+    Option("idx_test_labels", str, None, "IDX test label file"),
+    Option("cifar_train", str, None, "comma-separated CIFAR train binaries"),
+    Option("cifar_test", str, None, "comma-separated CIFAR test binaries"),
+    Option("cifar_classes", int, 100, "CIFAR class count"),
+    Option("cifar_mean", str, "0.507,0.487,0.441", "per-channel mean"),
+    Option("cifar_std", str, "0.267,0.256,0.276", "per-channel std"),
+)
+OPTION = {opt.key: opt for opt in OPTIONS}
+DEFAULTS = {opt.key: opt.default for opt in OPTIONS}
+
+
+def _add_options(p):
+    for opt in OPTIONS:
+        flag = "--" + opt.key.replace("_", "-")
+        if opt.type is bool:
+            p.add_argument(flag, dest=opt.key, action="store_const", const=True, help=opt.help)
+        else:
+            shown = "" if opt.default is None else f" (default {opt.default})"
+            p.add_argument(flag, dest=opt.key, type=opt.type, choices=opt.choices, help=opt.help + shown)
     p.add_argument("--config", help="JSON config file (flags override file values)")
     p.add_argument("--out-dir", help="run output directory")
+    return p
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="bakekit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    p_train = sub.add_parser("train", help="train one model and write manifest + metrics")
-    _add_common_flags(p_train)
-    p_cmp = sub.add_parser("compare", help="run several (method, seed) cells and summarize")
-    _add_common_flags(p_cmp)
+    _add_options(sub.add_parser("train", help="train one model and write manifest + metrics"))
+    p_cmp = _add_options(sub.add_parser("compare", help="run several (method, seed) cells and summarize"))
     p_cmp.add_argument("--methods", help="comma-separated method tokens, e.g. vanilla,bake,bake:omega=0.9")
     p_cmp.add_argument("--seeds", type=int, default=3, help="number of seeds per method (default 3)")
-    p_tgt = sub.add_parser("targets", help="print top-3 soft targets for one sampled batch")
-    _add_common_flags(p_tgt)
+    p_tgt = _add_options(sub.add_parser("targets", help="print top-3 soft targets for one sampled batch"))
     p_tgt.add_argument("--checkpoint", help="model checkpoint to load")
     p_tgt.add_argument("--rows", type=int, default=8, help="batch rows to print (default 8)")
     return parser
 
 
-def _flag(key):
-    return "lambda_" if key == "lambda" else key
+def _convert(kind, text, where):
+    """``kind(text)``; a malformed value is a config error naming ``where``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {text!r}") from None
 
 
-def _check_file_value(key, value, action):
-    """Hold a config-file value to its flag's own ``type`` and ``choices``."""
-    if value is None and DEFAULTS[key] is None:
+def _check_file_value(opt, value):
+    """Hold a config-file value to its option's type and choices."""
+    if value is None and opt.default is None:
         return
-    # a store_const flag (--conv) takes its const's type; other untyped flags take strings
-    kind = action.type or type(action.const if action.const is not None else "")
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    accepted = (int, float) if opt.type is float else opt.type
+    if isinstance(value, bool) is not (opt.type is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key {opt.key!r}: expected {opt.type.__name__}, got {value!r}")
+    if opt.choices is not None and value not in opt.choices:
+        raise ConfigError(f"config key {opt.key!r}: {value!r} is not one of {list(opt.choices)}")
+
+
+def _validate(cfg):
+    """Build all of ``cfg`` short of data, so a bad value fails before any work."""
+    make_train_config(cfg)
+    _parse_hidden(cfg["hidden"])
+    return cfg
 
 
 def resolve_config(args):
-    """Defaults, then config file, then explicit flags."""
+    """Defaults, then config file, then explicit flags; validated."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as f:
-            loaded = json.load(f)
-        if "config" in loaded and isinstance(loaded["config"], dict):
+            try:
+                loaded = json.load(f)
+            except ValueError as exc:
+                raise ConfigError(f"config file {args.config}: not valid JSON ({exc})") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config}: expected a JSON object, got {type(loaded).__name__}")
+        if isinstance(loaded.get("config"), dict):
             loaded = loaded["config"]  # accept a manifest as a config source
-        unknown = set(loaded) - set(DEFAULTS)
+        unknown = set(loaded) - set(OPTION)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        flags = argparse.ArgumentParser(add_help=False)
-        _add_common_flags(flags)
-        actions = {action.dest: action for action in flags._actions}
         for key, value in loaded.items():
-            _check_file_value(key, value, actions[_flag(key)])
+            _check_file_value(OPTION[key], value)
         cfg.update(loaded)
-    for key in DEFAULTS:
-        value = getattr(args, _flag(key), None)
-        if value is not None:
-            cfg[key] = value
-    if not 0.0 <= cfg["omega"] <= 1.0:
-        raise ConfigError(f"--omega {cfg['omega']} outside valid range [0,1]")
-    return cfg
+    flags = {key: getattr(args, key, None) for key in DEFAULTS}
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
+    return _validate(cfg)
 
 
 def _parse_mode(mode):
@@ -162,23 +158,27 @@ def _parse_mode(mode):
     if mode == "one-step":
         return "one_step", 1
     if mode.startswith("iterate:"):
-        t = int(mode.split(":", 1)[1])
-        return "iterate", t
+        return "iterate", _convert(int, mode.split(":", 1)[1], f"--mode {mode!r}")
     raise ConfigError(f"unrecognized --mode {mode!r}")
 
 
 def _parse_schedule(spec, epochs):
     kind, _, rest = spec.partition(":")
+    where = f"--schedule {spec!r}"
     if kind == "cosine":
-        warm = int(rest) if rest else 5
+        warm = _convert(int, rest, where) if rest else tr.CosineSchedule.warmup_epochs
         return tr.CosineSchedule(total_epochs=epochs, warmup_epochs=warm)
     if kind == "step":
         milestones, _, factor = rest.partition(":")
         return tr.StepSchedule(
-            milestones=tuple(int(m) for m in milestones.split(",") if m),
-            factor=float(factor) if factor else 0.1,
+            milestones=tuple(_convert(int, m, where) for m in milestones.split(",") if m),
+            factor=_convert(float, factor, where) if factor else tr.StepSchedule.factor,
         )
-    raise ConfigError(f"unrecognized --schedule {spec!r}")
+    raise ConfigError(f"unrecognized {where}")
+
+
+def _parse_hidden(spec):
+    return tuple(_convert(int, w, f"--hidden {spec!r}") for w in spec.split(","))
 
 
 def make_train_config(cfg):
@@ -234,7 +234,7 @@ def load_datasets(cfg):
 
 
 def make_model(cfg, train_set):
-    hidden = tuple(int(w) for w in cfg["hidden"].split(","))
+    hidden = _parse_hidden(cfg["hidden"])
     stem = None
     if cfg["conv"]:
         dim = train_set.input_dim
@@ -298,6 +298,7 @@ def cmd_train(args):
 
 
 def _parse_method_token(token, base_cfg):
+    """The validated cell config for one ``--methods`` token."""
     cfg = dict(base_cfg)
     name, _, overrides = token.partition(":")
     if name not in tr.METHODS:
@@ -305,10 +306,13 @@ def _parse_method_token(token, base_cfg):
     cfg["method"] = name
     for pair in filter(None, overrides.split(",")):
         key, _, value = pair.partition("=")
-        if key not in ("omega", "tau", "lambda", "m", "epsilon", "mode"):
+        if key not in OPTION or not OPTION[key].token:
             raise ConfigError(f"unsupported override {key!r} in method token {token!r}")
-        cfg[key] = type(DEFAULTS[key])(value) if DEFAULTS[key] is not None else value
-    return cfg
+        cfg[key] = _convert(OPTION[key].type, value, f"method token {token!r}")
+    try:
+        return _validate(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"method token {token!r}: {exc}") from None
 
 
 def _compare_cell(job):
@@ -326,11 +330,10 @@ def cmd_compare(args):
         raise ConfigError("--seeds must be >= 1")
     jobs = []
     for token in tokens:
+        cell = _parse_method_token(token, base)
         for seed in range(base["seed"], base["seed"] + args.seeds):
-            cfg = _parse_method_token(token, base)
-            cfg["seed"] = seed
-            jobs.append((token, cfg))
-    workers = int(os.environ.get("BAKE_KIT_THREADS", "1"))
+            jobs.append((token, {**cell, "seed": seed}))
+    workers = _convert(int, os.environ.get("BAKE_KIT_THREADS", "1"), "BAKE_KIT_THREADS")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compare_cell, jobs))

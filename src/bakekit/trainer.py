@@ -46,7 +46,7 @@ class TrainConfig:
     schedule: object = None  # CosineSchedule(epochs) when None
     method: str = "bake"
     bake: BakeConfig = field(default_factory=BakeConfig)
-    loss: LossConfig = None
+    loss: ls.LossConfig = field(default_factory=ls.LossConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
@@ -54,13 +54,8 @@ class TrainConfig:
             raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.loss is None:
-            object.__setattr__(self, "loss", ls.LossConfig())
         if self.schedule is None:
             object.__setattr__(self, "schedule", CosineSchedule(self.epochs))
-
-
-LossConfig = ls.LossConfig  # re-export for TrainConfig callers
 
 
 @dataclass

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from bakekit import cli
+from bakekit.models import ModelDescriptor
+from bakekit.trainer import CosineSchedule, TrainConfig
 
 SMALL = [
     "--dataset", "synth",
@@ -65,6 +67,52 @@ class TestTrainCommand:
         )
         assert code == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,needle",
+        [("{", "not valid JSON"), ("5", "expected a JSON object"), ("[]", "expected a JSON object"),
+         ('"abc"', "expected a JSON object")],
+    )
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text, needle):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code = cli.main(["train", *SMALL, "--config", str(cfg_path), "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(cfg_path) in err and needle in err
+
+    @pytest.mark.parametrize(
+        "extra,needle",
+        [
+            (["--mode", "iterate:x"], "--mode 'iterate:x'"),
+            (["--schedule", "cosine:x"], "--schedule 'cosine:x'"),
+            (["--schedule", "step:a"], "--schedule 'step:a'"),
+            (["--hidden", "256,x"], "--hidden '256,x'"),
+            (["--hidden", ","], "--hidden ','"),
+            ({"mode": "iterate:x"}, "--mode 'iterate:x'"),
+        ],
+    )
+    def test_malformed_value_exits_2_before_data_loads(
+        self, tmp_path, capsys, monkeypatch, extra, needle
+    ):
+        def no_data(cfg):
+            raise AssertionError("data loaded before the config was checked")
+
+        monkeypatch.setattr(cli, "load_datasets", no_data)
+        if isinstance(extra, dict):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(extra))
+            extra = ["--config", str(cfg_path)]
+        code, _ = run_train(tmp_path, "x", extra=extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and needle in err
+
+    def test_default_recipe_is_library_default(self):
+        assert cli.make_train_config(cli.DEFAULTS) == TrainConfig(
+            schedule=CosineSchedule(TrainConfig.epochs)
+        )
+        assert cli._parse_hidden(cli.DEFAULTS["hidden"]) == ModelDescriptor.hidden
 
     def test_byte_identical_reruns(self, tmp_path):
         _, a = run_train(tmp_path, "a")
@@ -134,6 +182,36 @@ class TestCompareCommand:
             ["compare", *SMALL, "--methods", "magic", "--out-dir", str(tmp_path / "x")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("token", ["bake:omega=abc", "bake:m=1.5"])
+    def test_malformed_token_override_exits_2(self, tmp_path, capsys, token):
+        code = cli.main(["compare", *SMALL, "--methods", token, "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"method token {token!r}" in err
+
+    def test_bad_token_trains_no_cell(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_run(cfg):
+            calls.append(cfg)
+            return None, [], None
+
+        monkeypatch.setattr(cli, "run_training", counting_run)
+        out = tmp_path / "x"
+        code = cli.main(
+            ["compare", *SMALL, "--methods", "vanilla,bake:mode=iterate:0", "--seeds", "3",
+             "--out-dir", str(out)]
+        )
+        assert code == 2
+        assert len(calls) == 0
+        assert not (out / "summary.tsv").exists()
+
+    def test_malformed_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BAKE_KIT_THREADS", "x")
+        code = cli.main(["compare", *SMALL, "--methods", "vanilla", "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "BAKE_KIT_THREADS" in capsys.readouterr().err
 
 
 class TestTargetsCommand:
