@@ -17,7 +17,7 @@ from numpy.linalg import solve as linear_solve
 from .errors import ConfigError, DegenerateBatchError, ShapeMismatchError
 from .numerics import masked_softmax_data
 
-PROPAGATION_MODES = ("closed_form", "one_step", "iterate")
+PROPAGATION_MODES = ("closed_form", "iterate")
 KNOWLEDGE_SOURCES = ("predictions", "ground_truth_onehot")
 
 
@@ -28,9 +28,9 @@ class BakeConfig:
     omega: mixing weight between a sample's own prediction and propagated
     in-batch knowledge. tau: the one temperature, shared by the softened
     predictions propagated here and the KL term of the loss.
-    propagation_mode: closed_form (infinite-iteration limit), iterate
-    (finite iterations), or one_step. knowledge_source: propagate model
-    predictions or one-hot ground-truth labels.
+    propagation_mode: closed_form (infinite-iteration limit) or iterate
+    (``iterations`` rounds). knowledge_source: propagate model predictions
+    or one-hot ground-truth labels.
     """
 
     omega: float = 0.5
@@ -81,14 +81,8 @@ def affinity_matrix(features):
     return masked_softmax_data(sims, masked=np.eye(n, dtype=bool))
 
 
-def propagate_one_step(a, p, omega):
-    """One propagation-and-ensembling round: omega*A@P + (1-omega)*P."""
-    a, p = _as_data(a), _as_data(p)
-    return omega * (a @ p) + (1.0 - omega) * p
-
-
 def propagate_iterative(a, p, omega, t):
-    """t rounds of propagation, each re-mixing the original predictions."""
+    """t rounds of Q <- omega*A@Q + (1-omega)*P, starting from Q = P."""
     if t < 1:
         raise ConfigError(f"iteration count must be >= 1, got {t}")
     a, p = _as_data(a), _as_data(p)
@@ -102,14 +96,14 @@ def propagate_closed_form(a, p, omega):
     """Infinite-iteration limit: (1-omega) * solve(I - omega*A, P).
 
     Requires omega < 1 strictly; at omega = 1 the limit degenerates and
-    one_step mode is the supported configuration. For omega < 1 the rows of
+    iterate mode is the supported configuration. For omega < 1 the rows of
     omega*A sum to omega, so I - omega*A is strictly diagonally dominant and
     never singular.
     """
     if omega >= 1.0:
         raise ConfigError(
             f"closed-form propagation requires omega < 1 (got {omega}); "
-            "use one_step mode for omega = 1"
+            "use iterate mode for omega = 1"
         )
     a, p = _as_data(a), _as_data(p)
     n = a.shape[0]
@@ -135,6 +129,4 @@ def build_soft_targets(features, logits, labels=None, cfg=BakeConfig()):
     a = affinity_matrix(features)
     if cfg.propagation_mode == "closed_form":
         return propagate_closed_form(a, p, cfg.omega)
-    if cfg.propagation_mode == "iterate":
-        return propagate_iterative(a, p, cfg.omega, cfg.iterations)
-    return propagate_one_step(a, p, cfg.omega)
+    return propagate_iterative(a, p, cfg.omega, cfg.iterations)

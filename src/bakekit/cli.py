@@ -47,7 +47,7 @@ OPTIONS = (
     Option("epsilon", float, LossConfig.smoothing_epsilon, "label smoothing epsilon", token=True),
     Option("m", int, SamplerConfig.m, "same-class companions per anchor", token=True),
     Option("n_hat", int, SamplerConfig.n_hat, "anchors per batch"),
-    Option("mode", str, "closed", "propagation mode: closed | iterate:T | one-step", token=True),
+    Option("mode", str, "closed", "propagation mode: closed | iterate:T | one-step (= iterate:1)", token=True),
     Option("knowledge", str, "pred", "ensembled knowledge source", ("pred", "onehot")),
     Option("dataset", str, "synth", "dataset kind", ("synth", "idx", "cifar")),
     Option("epochs", int, tr.TrainConfig.epochs, "training epochs"),
@@ -94,7 +94,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     _add_options(sub.add_parser("train", help="train one model and write manifest + metrics"))
     p_cmp = _add_options(sub.add_parser("compare", help="run several (method, seed) cells and summarize"))
-    p_cmp.add_argument("--methods", help="comma-separated method tokens, e.g. vanilla,bake,bake:omega=0.9")
+    p_cmp.add_argument("--methods", help="comma-separated method tokens, e.g. vanilla,bake:omega=0.9,mode=iterate:3")
     p_cmp.add_argument("--seeds", type=int, default=3, help="number of seeds per method (default 3)")
     p_tgt = _add_options(sub.add_parser("targets", help="print top-3 soft targets for one sampled batch"))
     p_tgt.add_argument("--checkpoint", help="model checkpoint to load")
@@ -125,6 +125,8 @@ def _validate(cfg):
     """Build all of ``cfg`` short of data, so a bad value fails before any work."""
     make_train_config(cfg)
     _parse_hidden(cfg["hidden"])
+    _parse_channels(cfg, "cifar_mean")
+    _parse_channels(cfg, "cifar_std")
     return cfg
 
 
@@ -155,8 +157,8 @@ def resolve_config(args):
 def _parse_mode(mode):
     if mode == "closed":
         return "closed_form", 1
-    if mode == "one-step":
-        return "one_step", 1
+    if mode == "one-step":  # still accepted: older manifests and commands use it
+        return "iterate", 1
     if mode.startswith("iterate:"):
         return "iterate", _convert(int, mode.split(":", 1)[1], f"--mode {mode!r}")
     raise ConfigError(f"unrecognized --mode {mode!r}")
@@ -177,8 +179,22 @@ def _parse_schedule(spec, epochs):
     raise ConfigError(f"unrecognized {where}")
 
 
+def _parse_list(kind, spec, flag):
+    """Comma-separated ``kind`` values; a malformed one is a config error naming ``flag``."""
+    return tuple(_convert(kind, v, f"{flag} {spec!r}") for v in spec.split(","))
+
+
 def _parse_hidden(spec):
-    return tuple(_convert(int, w, f"--hidden {spec!r}") for w in spec.split(","))
+    return md.check_hidden(_parse_list(int, spec, "--hidden"))
+
+
+def _parse_channels(cfg, key):
+    """Per-channel CIFAR normalisation: exactly three floats."""
+    flag = "--" + key.replace("_", "-")
+    values = _parse_list(float, cfg[key], flag)
+    if len(values) != 3:
+        raise ConfigError(f"{flag} {cfg[key]!r}: expected 3 comma-separated values, got {len(values)}")
+    return values
 
 
 def make_train_config(cfg):
@@ -222,8 +238,7 @@ def load_datasets(cfg):
         return train, test
     if cfg["cifar_train"] is None or cfg["cifar_test"] is None:
         raise ConfigError("dataset=cifar requires --cifar-train and --cifar-test")
-    mean = [float(v) for v in cfg["cifar_mean"].split(",")]
-    std = [float(v) for v in cfg["cifar_std"].split(",")]
+    mean, std = _parse_channels(cfg, "cifar_mean"), _parse_channels(cfg, "cifar_std")
     train = dt.load_cifar_binary(
         cfg["cifar_train"].split(","), cfg["cifar_classes"], mean, std, split="train"
     )
@@ -321,9 +336,20 @@ def _compare_cell(job):
     return token, cfg["seed"], metrics[-1].test_top1 if metrics else float("nan")
 
 
+def _split_methods(spec):
+    """``--methods`` tokens; only a comma followed by a method name starts a new one."""
+    tokens = []
+    for piece in filter(None, spec.split(",")):
+        if tokens and piece.partition(":")[0] not in tr.METHODS:
+            tokens[-1] += "," + piece
+        else:
+            tokens.append(piece)
+    return tokens
+
+
 def cmd_compare(args):
     base = resolve_config(args)
-    tokens = [t for t in (args.methods or "").split(",") if t]
+    tokens = _split_methods(args.methods or "")
     if not tokens:
         raise ConfigError("--methods must list at least one method")
     if args.seeds < 1:

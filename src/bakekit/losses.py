@@ -1,4 +1,5 @@
-"""Training objectives: cross-entropy, temperature distillation, smoothing."""
+"""Training objectives: one soft-target cross-entropy, and CE, label smoothing
+and temperature distillation built on it."""
 
 from __future__ import annotations
 
@@ -35,11 +36,18 @@ def _check_labels(labels, k):
     return labels
 
 
+def soft_cross_entropy(logits, targets):
+    """Mean over the batch of -sum_k targets[k] * log softmax(logits)[k].
+
+    ``targets`` is a constant array; only the logits receive gradient.
+    """
+    return (nm.log_softmax_rows(logits) * targets).sum() * (-1.0 / logits.shape[0])
+
+
 def cross_entropy(logits, labels):
     """Mean over the batch of -log softmax(logits)[y]; no temperature."""
-    labels = _check_labels(labels, logits.shape[1])
-    log_p = nm.log_softmax_rows(logits)
-    return -nm.pick(log_p, labels).mean()
+    k = logits.shape[1]
+    return soft_cross_entropy(logits, one_hot(_check_labels(labels, k), k))
 
 
 def kl_distillation(logits, targets, tau):
@@ -57,20 +65,16 @@ def kl_distillation(logits, targets, tau):
         raise ShapeMismatchError(
             f"target row {bad} sums to {row_sums[bad]:.8f}, expected 1"
         )
-    n = q.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         qlogq = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-    log_p = nm.log_softmax_rows(logits * (1.0 / tau))
-    cross = (log_p * q).sum() * (1.0 / n)
-    return (float(qlogq.sum()) / n - cross) * tau**2
+    cross = soft_cross_entropy(logits * (1.0 / tau), q)
+    return (cross + float(qlogq.sum()) / q.shape[0]) * tau**2
 
 
 def label_smoothing_loss(logits, labels, epsilon):
     """Cross-entropy against (1-eps)*onehot + eps/K targets."""
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"epsilon must be in [0, 1), got {epsilon}")
-    labels = _check_labels(labels, logits.shape[1])
     k = logits.shape[1]
-    targets = (1.0 - epsilon) * one_hot(labels, k) + epsilon / k
-    log_p = nm.log_softmax_rows(logits)
-    return -(log_p * targets).sum() * (1.0 / logits.shape[0])
+    labels = _check_labels(labels, k)
+    return soft_cross_entropy(logits, (1.0 - epsilon) * one_hot(labels, k) + epsilon / k)

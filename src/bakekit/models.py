@@ -29,6 +29,13 @@ class ConvStem:
     channels: tuple = (8, 16)
 
 
+def check_hidden(hidden):
+    """``hidden`` if it is a nonempty sequence of widths >= 1; else a ConfigError."""
+    if not hidden or min(hidden) < 1:
+        raise ConfigError(f"hidden widths must be a nonempty list of integers >= 1, got {hidden}")
+    return hidden
+
+
 @dataclass(frozen=True)
 class ModelDescriptor:
     input_dim: int
@@ -37,8 +44,9 @@ class ModelDescriptor:
     conv_stem: ConvStem | None = None
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.num_classes < 2 or not self.hidden:
+        if self.input_dim < 1 or self.num_classes < 2:
             raise ConfigError(f"invalid model descriptor: {self}")
+        check_hidden(self.hidden)
         if self.conv_stem is not None:
             stem = self.conv_stem
             expected = stem.in_channels * stem.height * stem.width

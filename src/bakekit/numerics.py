@@ -72,15 +72,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other, dtype=np.float64))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -91,9 +82,6 @@ class Tensor:
 
     def sum(self):
         return tsum(self)
-
-    def mean(self):
-        return tmean(self)
 
     def reshape(self, *shape):
         return reshape(self, *shape)
@@ -198,16 +186,6 @@ def tsum(x):
     return Tensor._op(x.data.sum(), (x,), vjp)
 
 
-def tmean(x):
-    n = x.data.size
-
-    def vjp(g, x=x):
-        if x.requires_grad:
-            x.grad += np.broadcast_to(g / n, x.data.shape)
-
-    return Tensor._op(x.data.mean(), (x,), vjp)
-
-
 def reshape(x, *shape):
     old = x.data.shape
 
@@ -216,20 +194,6 @@ def reshape(x, *shape):
             x.grad += g.reshape(old)
 
     return Tensor._op(x.data.reshape(*shape), (x,), vjp)
-
-
-def pick(x, cols):
-    """Select x[i, cols[i]] per row; used by cross-entropy."""
-    cols = np.asarray(cols)
-    rows = np.arange(x.data.shape[0])
-
-    def vjp(g, x=x):
-        if x.requires_grad:
-            scatter = np.zeros_like(x.data)
-            np.add.at(scatter, (rows, cols), g)
-            x.grad += scatter
-
-    return Tensor._op(x.data[rows, cols], (x,), vjp)
 
 
 # -- linear algebra ------------------------------------------------------
@@ -284,7 +248,7 @@ def log_softmax_rows(x):
 # -- convolution stem support --------------------------------------------
 
 
-def conv2d(x, w, b, stride=1):
+def conv2d(x, w, b):
     """Valid 3x3 convolution over NCHW input, via im2col. Differentiable."""
     xd = x.data
     n, c, h, wdt = xd.shape
@@ -292,7 +256,6 @@ def conv2d(x, w, b, stride=1):
     if ci != c:
         raise ShapeMismatchError(f"conv2d: input channels {c} != kernel channels {ci}")
     windows = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
     ho, wo = windows.shape[2], windows.shape[3]
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
     wmat = w.data.reshape(o, c * kh * kw)
@@ -309,20 +272,19 @@ def conv2d(x, w, b, stride=1):
         if x.requires_grad:
             gcols = gout @ wmat  # N x P x (C*kh*kw)
             gx = np.zeros((n, c * h * wdt))
-            flat = _im2col_indices(c, h, wdt, kh, kw, stride)
+            flat = _im2col_indices(c, h, wdt, kh, kw)
             np.add.at(gx, (np.arange(n)[:, None, None], flat[None]), gcols)
             x.grad += gx.reshape(n, c, h, wdt)
 
     return Tensor._op(out_data, (x, w, b), vjp)
 
 
-def _im2col_indices(c, h, w, kh, kw, stride):
+def _im2col_indices(c, h, w, kh, kw):
     """Flat input indices for each (patch, patch-element) pair."""
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
+    ho, wo = h - kh + 1, w - kw + 1
     ci, ki, kj = np.meshgrid(np.arange(c), np.arange(kh), np.arange(kw), indexing="ij")
     elem = (ci * h * w + ki * w + kj).ravel()  # C*kh*kw
-    pi, pj = np.meshgrid(np.arange(ho) * stride, np.arange(wo) * stride, indexing="ij")
+    pi, pj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
     patch = (pi * w + pj).ravel()  # P
     return patch[:, None] + elem[None, :]
 

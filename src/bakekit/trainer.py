@@ -122,7 +122,7 @@ def batch_loss(model, x, y, cfg):
         return ce, ce.item(), 0.0
     if cfg.method == "label_smoothing":
         loss = ls.label_smoothing_loss(logits, y, cfg.loss.smoothing_epsilon)
-        return loss, loss.item(), 0.0
+        return loss, ce.item(), 0.0
     targets = build_soft_targets(features, logits, labels=y, cfg=cfg.bake)
     kl = ls.kl_distillation(logits, targets, cfg.bake.tau)
     loss = ce + cfg.loss.distill_weight * kl

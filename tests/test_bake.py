@@ -8,7 +8,6 @@ from bakekit.bake import (
     build_soft_targets,
     propagate_closed_form,
     propagate_iterative,
-    propagate_one_step,
 )
 from bakekit.errors import ConfigError, DegenerateBatchError, ShapeMismatchError
 from bakekit.numerics import Tensor
@@ -72,16 +71,16 @@ class TestPropagation:
         rng = np.random.default_rng(4)
         a = affinity_matrix(rng.normal(size=(5, 3)))
         p = random_prob_rows(rng, 5, 4)
-        assert np.array_equal(propagate_one_step(a, p, 0.0), p)
+        assert np.array_equal(propagate_iterative(a, p, 0.0, 1), p)
 
     def test_one_step_pure_swap(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         p = np.eye(2)
-        assert np.array_equal(propagate_one_step(a, p, 1.0), [[0, 1], [1, 0]])
+        assert np.array_equal(propagate_iterative(a, p, 1.0, 1), [[0, 1], [1, 0]])
 
     def test_one_step_half_mix(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        q = propagate_one_step(a, np.eye(2), 0.5)
+        q = propagate_iterative(a, np.eye(2), 0.5, 1)
         assert np.allclose(q, 0.5, atol=1e-15)
 
     def test_iterative_t1_equals_one_step(self):
@@ -89,7 +88,7 @@ class TestPropagation:
         a = affinity_matrix(rng.normal(size=(6, 3)))
         p = random_prob_rows(rng, 6, 5)
         assert np.array_equal(
-            propagate_iterative(a, p, 0.3, 1), propagate_one_step(a, p, 0.3)
+            propagate_iterative(a, p, 0.3, 1), 0.3 * (a @ p) + (1.0 - 0.3) * p
         )
 
     def test_iterative_omega_zero_fixed_point(self):
@@ -135,7 +134,7 @@ class TestPropagation:
 
     def test_closed_form_rejects_omega_one(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ConfigError, match="one_step"):
+        with pytest.raises(ConfigError, match="iterate mode"):
             propagate_closed_form(a, np.eye(2), 1.0)
 
     def test_geometric_contraction(self):
@@ -155,7 +154,7 @@ class TestPropagation:
             a = affinity_matrix(rng.normal(size=(n, 5)))
             p = random_prob_rows(rng, n, k)
             for q in (
-                propagate_one_step(a, p, 0.7),
+                propagate_iterative(a, p, 0.7, 1),
                 propagate_iterative(a, p, 0.7, 5),
                 propagate_closed_form(a, p, 0.7),
             ):

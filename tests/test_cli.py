@@ -90,6 +90,12 @@ class TestTrainCommand:
             (["--hidden", "256,x"], "--hidden '256,x'"),
             (["--hidden", ","], "--hidden ','"),
             ({"mode": "iterate:x"}, "--mode 'iterate:x'"),
+            (["--hidden", "256,0"], "hidden widths must be"),
+            (["--hidden=-3"], "hidden widths must be"),
+            (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-mean", "x"],
+             "--cifar-mean 'x'"),
+            (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-mean", "0.5,0.5"],
+             "--cifar-mean '0.5,0.5': expected 3"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -137,6 +143,9 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 2  # flag wins
         assert manifest["config"]["seed"] == 7  # file beats default
+
+    def test_one_step_is_one_iteration(self):
+        assert cli._parse_mode("one-step") == cli._parse_mode("iterate:1")
 
     def test_iterate_mode_parses(self, tmp_path):
         code, _ = run_train(tmp_path, "it", extra=["--mode", "iterate:5"])
@@ -206,6 +215,26 @@ class TestCompareCommand:
         assert code == 2
         assert len(calls) == 0
         assert not (out / "summary.tsv").exists()
+
+    def test_token_carries_several_overrides(self, tmp_path, monkeypatch):
+        cells = []
+
+        def recording_run(cfg):
+            cells.append(cfg)
+            return None, [], None
+
+        monkeypatch.setattr(cli, "run_training", recording_run)
+        out = tmp_path / "x"
+        code = cli.main(
+            ["compare", *SMALL, "--methods", "bake:omega=0.9,mode=iterate:3,vanilla", "--seeds", "1",
+             "--out-dir", str(out)]
+        )
+        assert code == 0
+        lines = (out / "summary.tsv").read_text().splitlines()
+        assert [line.split("\t")[0] for line in lines[1:]] == ["bake:omega=0.9,mode=iterate:3", "vanilla"]
+        bake, vanilla = cells
+        assert (bake["method"], bake["omega"], bake["mode"]) == ("bake", 0.9, "iterate:3")
+        assert (vanilla["method"], vanilla["omega"], vanilla["mode"]) == ("vanilla", 0.5, "closed")
 
     def test_malformed_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BAKE_KIT_THREADS", "x")

@@ -9,6 +9,7 @@ from bakekit.losses import (
     cross_entropy,
     kl_distillation,
     label_smoothing_loss,
+    soft_cross_entropy,
 )
 from bakekit.numerics import Tensor
 from bakekit.trainer import TrainConfig, batch_loss
@@ -173,8 +174,32 @@ class TestLabelSmoothing:
         expected = -(t * log_p).sum() / 3
         assert abs(label_smoothing_loss(Tensor(z), y, eps).item() - expected) < 1e-12
 
+    def test_batch_loss_reports_plain_cross_entropy(self):
+        # train_ce is the unsmoothed CE; the smoothed loss is what is minimised
+        rng = np.random.default_rng(11)
+        model = md.init(md.ModelDescriptor(3, 4, hidden=(8, 5)), seed=11)
+        x, y = rng.normal(size=(6, 3)), rng.integers(0, 4, size=6)
+        cfg = TrainConfig(method="label_smoothing", loss=LossConfig(smoothing_epsilon=0.2))
+        loss, ce_val, kl_val = batch_loss(model, x, y, cfg)
+        _, z = model.forward(x)
+        assert ce_val == cross_entropy(z, y).item()
+        assert loss.item() == label_smoothing_loss(z, y, 0.2).item()
+        assert ce_val != loss.item() and kl_val == 0.0
+
 
 class TestLossProperties:
+    def test_soft_cross_entropy_gradient(self):
+        # d/dz of -mean_i sum_k q_ik log softmax(z_i)_k is (softmax(z) - q) / n
+        rng = np.random.default_rng(12)
+        z_val = rng.normal(size=(5, 4))
+        q = rng.random((5, 4)) + 0.1
+        q /= q.sum(axis=1, keepdims=True)
+        z = Tensor(z_val, requires_grad=True)
+        soft_cross_entropy(z, q).backward()
+        p = np.exp(z_val - z_val.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        assert np.abs(z.grad - (p - q) / 5).max() < 1e-15
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         y = rng.integers(0, 4, size=5)

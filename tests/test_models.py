@@ -73,6 +73,8 @@ class TestInit:
             md.ModelDescriptor(0, 4)
         with pytest.raises(ConfigError):
             md.ModelDescriptor(10, 1)
+        with pytest.raises(ConfigError, match="hidden widths"):
+            md.ModelDescriptor(10, 4, hidden=(256, 0))
 
 
 class TestConvStem:
