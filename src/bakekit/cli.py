@@ -25,7 +25,7 @@ from .bake import BakeConfig, build_soft_targets
 from .errors import ConfigError, DataFormatError
 from .losses import LossConfig
 from .numerics import Tensor
-from .sampling import SamplerConfig, epoch_batches
+from .sampling import SAMPLER_VERSION, SamplerConfig, epoch_batches
 
 
 class Option(NamedTuple):
@@ -133,6 +133,7 @@ def _validate(cfg):
 def resolve_config(args):
     """Defaults, then config file, then explicit flags; validated."""
     cfg = dict(DEFAULTS)
+    sampler_version = SAMPLER_VERSION  # a plain config file claims no batches
     if getattr(args, "config", None):
         with open(args.config) as f:
             try:
@@ -141,8 +142,9 @@ def resolve_config(args):
                 raise ConfigError(f"config file {args.config}: not valid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object, got {type(loaded).__name__}")
-        if isinstance(loaded.get("config"), dict):
-            loaded = loaded["config"]  # accept a manifest as a config source
+        if isinstance(loaded.get("config"), dict):  # accept a manifest as a config source
+            sampler_version = loaded.get("sampler_version", 1)  # version 1 wrote no field
+            loaded = loaded["config"]
         unknown = set(loaded) - set(OPTION)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -151,6 +153,11 @@ def resolve_config(args):
         cfg.update(loaded)
     flags = {key: getattr(args, key, None) for key in DEFAULTS}
     cfg.update((key, value) for key, value in flags.items() if value is not None)
+    if cfg["m"] >= 2 and sampler_version != SAMPLER_VERSION:
+        raise ConfigError(
+            f"manifest {args.config}: written by sampler version {sampler_version!r}; batches with m >= 2 "
+            f"changed in sampler version {SAMPLER_VERSION}, so this run would not reproduce it"
+        )
     return _validate(cfg)
 
 
@@ -280,6 +287,7 @@ def run_training(cfg):
         "tool_version": __version__,
         "seed": cfg["seed"],
         "dataset_fingerprint": train_set.fingerprint(),
+        "sampler_version": SAMPLER_VERSION,
         "config": cfg,
     }
     return model, metrics, manifest

@@ -8,6 +8,10 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Recorded in run manifests. Version 2 draws companions slot by slot across
+# all anchors; its m <= 1 batches equal version 1's, its m >= 2 batches differ.
+SAMPLER_VERSION = 2
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -36,32 +40,37 @@ def epoch_batches(class_index, cfg, epoch):
     """Batches of example ids for one epoch, deterministic in (cfg, epoch).
 
     Anchors are a fresh shuffle of the whole dataset; each anchor is
-    followed by m companions drawn from its class (anchor excluded when
-    the class has >= 2 examples; with replacement when the class is too
-    small to supply m distinct companions). The trailing group of fewer
-    than n_hat anchors is dropped.
+    followed by m companions drawn from its class, anchor excluded. When
+    the class has >= m + 1 examples the companions are distinct; when it
+    is too small they are drawn with replacement, and a class of one gives
+    the anchor itself. The trailing group of fewer than n_hat anchors is
+    dropped. Example ids are assumed unique across classes.
+
+    The draws are array-wide: one shuffle, then one ``integers`` call per
+    companion slot with a bound per anchor (Floyd's algorithm run across
+    all anchors at once), so an epoch costs O(examples * m) array work.
     """
     if not class_index or any(len(v) == 0 for v in class_index.values()):
         raise ConfigError("class_index must be nonempty with nonempty classes")
     rng = np.random.default_rng(np.uint64(cfg.seed) ^ np.uint64(epoch))
-    id_to_class = {}
-    for c, ids in class_index.items():
-        for i in ids:
-            id_to_class[i] = c
-    anchors = np.array(sorted(id_to_class), dtype=np.int64)
-    rng.shuffle(anchors)
-    n_batches = len(anchors) // cfg.n_hat
-    batches = []
-    for b in range(n_batches):
-        batch = []
-        for anchor in anchors[b * cfg.n_hat : (b + 1) * cfg.n_hat]:
-            batch.append(int(anchor))
-            if cfg.m == 0:
-                continue
-            pool = [i for i in class_index[id_to_class[int(anchor)]] if i != anchor]
-            if not pool:
-                pool = [int(anchor)]
-            replace = len(pool) < cfg.m
-            batch.extend(int(i) for i in rng.choice(pool, size=cfg.m, replace=replace))
-        batches.append(batch)
-    return batches
+    sizes = np.array([len(ids) for ids in class_index.values()])
+    members = np.concatenate([np.asarray(ids, dtype=np.int64) for ids in class_index.values()])
+    class_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    perm = np.arange(len(members))
+    rng.shuffle(perm)
+    n_batches = len(members) // cfg.n_hat
+    # One row per anchor, as a column of positions in ``members``.
+    rows = np.argsort(members, kind="stable")[perm[: n_batches * cfg.n_hat], None]
+    start = class_start[rows]
+    pool = np.repeat(sizes, sizes)[rows] - 1  # the class without the anchor
+    distinct = pool >= cfg.m
+    picks = np.zeros((len(rows), cfg.m), dtype=np.int64)
+    for k in range(cfg.m):
+        # Floyd: draw from [0, pool-m+k]; a value already picked becomes pool-m+k.
+        high = np.where(distinct, pool - cfg.m + k + 1, np.maximum(pool, 1))
+        draw = rng.integers(0, high)
+        taken = distinct & (picks[:, :k] == draw).any(axis=1, keepdims=True)
+        picks[:, k : k + 1] = np.where(taken, high - 1, draw)
+    # Pool slot j skips the anchor at its class position; a class of one yields the anchor.
+    slots = np.where(pool == 0, rows, start + picks + (picks >= rows - start))
+    return members[np.concatenate([rows, slots], axis=1)].reshape(n_batches, cfg.batch_size).tolist()

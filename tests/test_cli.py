@@ -6,6 +6,7 @@ import pytest
 
 from bakekit import cli
 from bakekit.models import ModelDescriptor
+from bakekit.sampling import SAMPLER_VERSION
 from bakekit.trainer import CosineSchedule, TrainConfig
 
 SMALL = [
@@ -133,6 +134,34 @@ class TestTrainCommand:
             ["train", "--config", str(a / "manifest.json"), "--out-dir", str(out_b)]
         )
         assert code == 0
+        assert (a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "manifest_m,flags,version,expected",
+        [(3, [], None, 2), (3, [], 1, 2), (1, ["--m", "3"], None, 2), (1, [], None, 0), (0, [], 1, 0)],
+    )
+    def test_old_manifest_fails_loudly_where_batches_changed(
+        self, tmp_path, capsys, manifest_m, flags, version, expected
+    ):
+        small = dict(synth_classes=4, synth_per_class=40, synth_dim=8, epochs=1, n_hat=8, m=manifest_m)
+        manifest = {"tool_version": "0.1.0", "seed": 0, "dataset_fingerprint": "0" * 64,
+                    "config": dict(cli.DEFAULTS, **small)}
+        if version is not None:
+            manifest["sampler_version"] = version
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = cli.main(["train", "--config", str(path), *flags, "--out-dir", str(tmp_path / "run")])
+        assert code == expected
+        if expected == 2:
+            err = capsys.readouterr().err
+            assert str(path) in err and "m >= 2" in err
+            assert not (tmp_path / "run").exists()
+
+    def test_fresh_manifest_records_sampler_version_and_round_trips(self, tmp_path):
+        _, a = run_train(tmp_path, "a", extra=["--m", "3", "--epochs", "1"])
+        assert json.loads((a / "manifest.json").read_text())["sampler_version"] == SAMPLER_VERSION
+        out_b = tmp_path / "b"
+        assert cli.main(["train", "--config", str(a / "manifest.json"), "--out-dir", str(out_b)]) == 0
         assert (a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
 
     def test_flags_override_config_file(self, tmp_path):
