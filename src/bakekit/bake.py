@@ -15,7 +15,7 @@ import numpy as np
 from numpy.linalg import solve as linear_solve
 
 from .errors import ConfigError, DegenerateBatchError, ShapeMismatchError
-from .numerics import masked_softmax_data
+from .numerics import softmax_data
 
 PROPAGATION_MODES = ("closed_form", "iterate")
 KNOWLEDGE_SOURCES = ("predictions", "ground_truth_onehot")
@@ -64,7 +64,8 @@ def affinity_matrix(features):
     """Row-stochastic, zero-diagonal affinity matrix from batch features.
 
     Rows are l2-normalized, pairwise dot products are softmax-normalized
-    per row with the diagonal excluded exactly from the denominator.
+    per row; the diagonal is set to -inf, so it gets exactly 0 and stays out
+    of the denominator.
     """
     f = _as_data(features)
     n = f.shape[0]
@@ -78,7 +79,8 @@ def affinity_matrix(features):
         raise ShapeMismatchError(f"zero feature row at index {zero[0]}")
     fn = f / norms[:, None]
     sims = fn @ fn.T
-    return masked_softmax_data(sims, masked=np.eye(n, dtype=bool))
+    np.fill_diagonal(sims, -np.inf)
+    return softmax_data(sims)
 
 
 def propagate_iterative(a, p, omega, t):
@@ -125,7 +127,7 @@ def build_soft_targets(features, logits, labels=None, cfg=BakeConfig()):
             raise ConfigError("knowledge_source=ground_truth_onehot requires labels")
         p = one_hot(labels, logits.shape[1])
     else:
-        p = masked_softmax_data(logits / cfg.tau)
+        p = softmax_data(logits / cfg.tau)
     a = affinity_matrix(features)
     if cfg.propagation_mode == "closed_form":
         return propagate_closed_form(a, p, cfg.omega)

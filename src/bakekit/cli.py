@@ -196,11 +196,13 @@ def _parse_hidden(spec):
 
 
 def _parse_channels(cfg, key):
-    """Per-channel CIFAR normalisation: exactly three floats."""
+    """Per-channel CIFAR normalisation: exactly three floats, the stds all > 0."""
     flag = "--" + key.replace("_", "-")
     values = _parse_list(float, cfg[key], flag)
     if len(values) != 3:
         raise ConfigError(f"{flag} {cfg[key]!r}: expected 3 comma-separated values, got {len(values)}")
+    if key == "cifar_std" and not all(v > 0 for v in values):
+        raise ConfigError(f"{flag} {cfg[key]!r}: every std must be > 0")
     return values
 
 
@@ -397,6 +399,12 @@ def cmd_targets(args):
         raise DataFormatError(f"checkpoint not found: {args.checkpoint}")
     model = md.load_checkpoint(args.checkpoint)
     train_set, _ = load_datasets(cfg)
+    d = model.descriptor
+    if (d.input_dim, d.num_classes) != (train_set.input_dim, train_set.num_classes):
+        raise DataFormatError(
+            f"checkpoint {args.checkpoint} has input dim {d.input_dim} and {d.num_classes} classes; "
+            f"the dataset has {train_set.input_dim} and {train_set.num_classes}"
+        )
     train_cfg = make_train_config(cfg)
     batches = epoch_batches(train_set.class_index, train_cfg.sampler, epoch=0)
     if not batches:

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics as nm
 from .bake import one_hot
 from .errors import ConfigError, ShapeMismatchError
+from .numerics import soft_cross_entropy  # one tape node; CE, smoothing and the KL use it
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,6 @@ def _check_labels(labels, k):
         bad = labels[(labels < 0) | (labels >= k)][0]
         raise ShapeMismatchError(f"label {bad} outside [0, {k})")
     return labels
-
-
-def soft_cross_entropy(logits, targets):
-    """Mean over the batch of -sum_k targets[k] * log softmax(logits)[k].
-
-    ``targets`` is a constant array; only the logits receive gradient.
-    """
-    return (nm.log_softmax_rows(logits) * targets).sum() * (-1.0 / logits.shape[0])
 
 
 def cross_entropy(logits, labels):

@@ -170,8 +170,13 @@ def load_checkpoint(path):
         blob = f.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"bad checkpoint magic in {path}")
+    if len(blob) < 12:
+        raise DataFormatError(f"checkpoint truncated in its header: {path}")
     (desc_len,) = struct.unpack("<I", blob[8:12])
-    descriptor = _descriptor_from_dict(json.loads(blob[12 : 12 + desc_len]))
+    try:
+        descriptor = _descriptor_from_dict(json.loads(blob[12 : 12 + desc_len]))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataFormatError(f"bad checkpoint descriptor in {path}: {exc!r}") from None
     model = init(descriptor, seed=0)
     offset = 12 + desc_len
     for name, p in model.params.items():

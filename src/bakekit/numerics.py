@@ -2,8 +2,8 @@
 
 Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
-they never mutate their inputs. ``masked_softmax_data`` works on plain
-arrays, outside the graph, for detached target construction.
+they never mutate their inputs. ``softmax_data`` works on plain arrays,
+outside the graph, for detached target construction.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -79,9 +77,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def sum(self):
-        return tsum(self)
 
     def reshape(self, *shape):
         return reshape(self, *shape)
@@ -125,8 +120,6 @@ def _const(x):
 
 
 def add(a, b):
-    if not isinstance(a, Tensor):
-        a, b = b, a
     if isinstance(b, Tensor):
         out_data = a.data + b.data
 
@@ -146,20 +139,9 @@ def add(a, b):
     return Tensor._op(a.data + c, (a,), vjp)
 
 
-def mul(a, b):
-    if not isinstance(a, Tensor):
-        a, b = b, a
-    if isinstance(b, Tensor):
-        out_data = a.data * b.data
-
-        def vjp(g, a=a, b=b):
-            if a.requires_grad:
-                a.grad += _unbroadcast(g * b.data, a.data.shape)
-            if b.requires_grad:
-                b.grad += _unbroadcast(g * a.data, b.data.shape)
-
-        return Tensor._op(out_data, (a, b), vjp)
-    c = _const(b)
+def mul(a, c):
+    """Tensor ``a`` times the constant ``c``."""
+    c = _const(c)
 
     def vjp(g, a=a):
         if a.requires_grad:
@@ -176,14 +158,6 @@ def relu(x):
             x.grad += g * keep
 
     return Tensor._op(np.where(keep, x.data, 0.0), (x,), vjp)
-
-
-def tsum(x):
-    def vjp(g, x=x):
-        if x.requires_grad:
-            x.grad += np.broadcast_to(g, x.data.shape)
-
-    return Tensor._op(x.data.sum(), (x,), vjp)
 
 
 def reshape(x, *shape):
@@ -214,35 +188,37 @@ def matmul(a, b):
     return Tensor._op(a.data @ b.data, (a, b), vjp)
 
 
-def masked_softmax_data(x, masked=None):
-    """Row softmax of a plain array with positions in ``masked`` excluded exactly.
+# -- softmax -------------------------------------------------------------
 
-    ``masked`` is a bool array of the data's shape, or None. Not part of the
-    autodiff graph: affinities and soft targets never carry gradient.
+
+def softmax_data(x):
+    """Row softmax of a plain array; ``-inf`` entries get exactly 0.
+
+    Not part of the autodiff graph: affinities and soft targets never carry
+    gradient.
     """
     x = np.asarray(x, dtype=np.float64)
-    keep = np.ones(x.shape, dtype=bool) if masked is None else ~masked
-    counts = keep.sum(axis=1)
-    if np.any(counts == 0):
-        row = int(np.flatnonzero(counts == 0)[0])
-        raise ShapeMismatchError(f"masked_softmax_data: row {row} is fully masked")
-    shifted = x - np.max(np.where(keep, x, -np.inf), axis=1, keepdims=True)
-    e = np.where(keep, np.exp(shifted), 0.0)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax_rows(x):
-    """Numerically stable row-wise log-softmax (no masking needed by callers)."""
+def soft_cross_entropy(x, targets):
+    """Mean over the rows of -sum_k targets[k] * log softmax(x)[k].
+
+    ``targets`` is a constant array of x's shape; only ``x`` receives gradient.
+    """
+    t = _const(targets)
+    scale = -1.0 / x.data.shape[0]
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    ls = shifted - np.log(e.sum(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    log_p = shifted - np.log(e.sum(axis=1, keepdims=True))
 
-    def vjp(g, x=x):
+    def vjp(g, x=x):  # not (softmax - t) / n: that moves the last bits of training
         if x.requires_grad:
-            x.grad += g - p * g.sum(axis=1, keepdims=True)
+            gl = (g * scale) * t
+            x.grad += gl - e / e.sum(axis=1, keepdims=True) * gl.sum(axis=1, keepdims=True)
 
-    return Tensor._op(ls, (x,), vjp)
+    return Tensor._op((log_p * t).sum() * scale, (x,), vjp)
 
 
 # -- convolution stem support --------------------------------------------

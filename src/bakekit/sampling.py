@@ -30,6 +30,8 @@ class SamplerConfig:
             raise ConfigError(f"n_hat must be >= 1, got {self.n_hat}")
         if self.m < 0:
             raise ConfigError(f"m must be >= 0, got {self.m}")
+        if not 0 <= self.seed < 2**64:  # epoch_batches mixes it into a uint64
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def batch_size(self):

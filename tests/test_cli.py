@@ -1,11 +1,12 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from bakekit import cli
-from bakekit.models import ModelDescriptor
+from bakekit.models import CHECKPOINT_MAGIC, ModelDescriptor, init, save_checkpoint
 from bakekit.sampling import SAMPLER_VERSION
 from bakekit.trainer import CosineSchedule, TrainConfig
 
@@ -97,6 +98,10 @@ class TestTrainCommand:
              "--cifar-mean 'x'"),
             (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-mean", "0.5,0.5"],
              "--cifar-mean '0.5,0.5': expected 3"),
+            (["--seed=-1"], "seed must be in [0, 2**64), got -1"),
+            (["--seed", str(2**64)], "seed must be in [0, 2**64)"),
+            (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-std", "0,1,1"],
+             "--cifar-std '0,1,1': every std must be > 0"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -311,7 +316,7 @@ class TestTargetsCommand:
         # recompute the same batch's probabilities directly
         import bakekit.data as dt
         import bakekit.models as md
-        from bakekit.numerics import Tensor, masked_softmax_data
+        from bakekit.numerics import Tensor, softmax_data
         from bakekit.sampling import SamplerConfig, epoch_batches
 
         train_set, _ = dt.synth_clusters(4, 40, 8, 3.0, seed=0)
@@ -319,7 +324,7 @@ class TestTargetsCommand:
         batch = epoch_batches(train_set.class_index, SamplerConfig(8, 1, 0), 0)[0]
         x = train_set.inputs[np.asarray(batch)].astype(np.float64)
         _, logits = model.forward(Tensor(x))
-        probs = masked_softmax_data(logits.data)
+        probs = softmax_data(logits.data)
         top = np.argsort(-probs[0], kind="stable")[:3]
         for c in top:
             assert f"{c}:{probs[0, c]:.4f}" in printed
@@ -328,12 +333,37 @@ class TestTargetsCommand:
         code = cli.main(["targets", *SMALL, "--checkpoint", str(tmp_path / "no.ckpt")])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "body,needle",
+        [
+            (b"\x01\x00", "truncated in its header"),
+            (struct.pack("<I", 5) + b"{nope", "bad checkpoint descriptor"),
+            (struct.pack("<I", 33) + b'{"num_classes": 4, "hidden": [8]}', "'input_dim'"),
+        ],
+        ids=["short-header", "not-json", "missing-key"],
+    )
+    def test_corrupt_checkpoint_exits_3(self, tmp_path, capsys, body, needle):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + body)
+        assert cli.main(["targets", *SMALL, "--checkpoint", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and needle in err
+
+    @pytest.mark.parametrize("input_dim,classes", [(16, 4), (8, 5)])
+    def test_checkpoint_for_other_data_exits_3(self, tmp_path, capsys, input_dim, classes):
+        path = tmp_path / "other.ckpt"
+        save_checkpoint(init(ModelDescriptor(input_dim, classes, hidden=(6,)), seed=0), path)
+        assert cli.main(["targets", *SMALL, "--checkpoint", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error")
+        assert f"input dim {input_dim} and {classes} classes; the dataset has 8 and 4" in err
+
     def test_duplicate_pair_mixes_mass(self, tmp_path, capsys):
         # two near-duplicate same-class inputs: each row's target mixes the other's class mass
         _, out = run_train(tmp_path, "run")
         import bakekit.models as md
         from bakekit.bake import BakeConfig, build_soft_targets
-        from bakekit.numerics import Tensor, masked_softmax_data
+        from bakekit.numerics import Tensor, softmax_data
 
         model = md.load_checkpoint(out / "model.ckpt")
         rng = np.random.default_rng(0)
@@ -341,6 +371,6 @@ class TestTargetsCommand:
         x = np.stack([base, base + 1e-9 * rng.normal(size=8)])
         features, logits = model.forward(Tensor(x))
         q = build_soft_targets(features, logits, cfg=BakeConfig(omega=0.5, tau=1.0))
-        p = masked_softmax_data(logits.data)
+        p = softmax_data(logits.data)
         other_top = int(np.argmax(p[1]))
         assert q[0, other_top] >= 0.45 * p[1, other_top]

@@ -4,6 +4,7 @@ import pytest
 from bakekit import models as md
 from bakekit.bake import build_soft_targets
 from bakekit.errors import ConfigError, DataFormatError, ShapeMismatchError
+from bakekit.losses import cross_entropy
 from bakekit.numerics import Tensor
 
 
@@ -85,7 +86,7 @@ class TestConvStem:
         features, logits = model.forward(x)
         assert features.shape == (2, 10)
         assert logits.shape == (2, 3)
-        logits.sum().backward()
+        cross_entropy(logits, np.array([0, 2])).backward()
         assert np.abs(model.params["conv0.w"].grad).sum() > 0
 
     def test_stem_input_dim_must_match(self):
