@@ -1,5 +1,6 @@
 """Microbenchmarks of BAKE's per-batch work: affinity, closed-form propagation,
-the soft-target cross-entropy, and one bake step against one vanilla step.
+the soft-target cross-entropy, one bake step against one vanilla step, and
+one SGD step on the parameter vector.
 
 Run from a checkout root with ``python3 -m pytest -q microbench --benchmark-only``
 (needs ``pytest-benchmark``). It is not part of the test suite, whose
@@ -17,7 +18,7 @@ from bakekit.bake import affinity_matrix, propagate_closed_form
 from bakekit.losses import kl_distillation, soft_cross_entropy
 from bakekit.numerics import Tensor
 from bakekit.sampling import SamplerConfig, epoch_batches
-from bakekit.trainer import TrainConfig, batch_loss
+from bakekit.trainer import TrainConfig, batch_loss, sgd_step
 
 SIZES = [64, 256, 1024]
 
@@ -69,3 +70,14 @@ def test_step(benchmark, method):
         return loss
 
     assert np.isfinite(benchmark(step).item())
+
+
+@pytest.mark.parametrize("k", [10, 100], ids=["desk", "bake_wide"])
+def test_sgd_step(benchmark, k):
+    """One momentum SGD step on MLP 256,128 over 32 inputs: 42,634 parameters
+    at desk size (K=10), 54,244 at bake_wide's K=100."""
+    model = md.init(md.ModelDescriptor(32, k), seed=0)
+    model.grad[:] = np.random.default_rng(3).normal(size=model.grad.size) * 1e-3
+    velocity = np.zeros_like(model.flat)
+    benchmark(sgd_step, model.flat, model.grad, velocity, 0.01, 0.9, 0.0)
+    assert np.isfinite(model.flat).all()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,15 +69,49 @@ def _stem_output_dim(stem):
     return stem.channels[-1] * h * w
 
 
-class Model:
-    """Parameter container; ``params`` is an ordered name -> Tensor dict."""
+def _layout(descriptor):
+    """(name, shape, fan_in) of every parameter, in storage order."""
+    out = []
+    mlp_in = descriptor.input_dim
+    stem = descriptor.conv_stem
+    if stem is not None:
+        c_in = stem.in_channels
+        for i, c_out in enumerate(stem.channels):
+            fan = c_in * 9
+            out += [(f"conv{i}.w", (c_out, c_in, 3, 3), fan), (f"conv{i}.b", (c_out,), fan)]
+            c_in = c_out
+        mlp_in = _stem_output_dim(stem)
+    for i, width in enumerate(descriptor.hidden):
+        out += [(f"dense{i}.w", (mlp_in, width), mlp_in), (f"dense{i}.b", (width,), mlp_in)]
+        mlp_in = width
+    k = descriptor.num_classes
+    return out + [("head.w", (mlp_in, k), mlp_in), ("head.b", (k,), mlp_in)]
 
-    def __init__(self, descriptor, params):
+
+class Model:
+    """All parameters in one float64 vector ``flat``, their gradients in ``grad``.
+
+    ``params`` is an ordered name -> Tensor dict whose ``.data`` and ``.grad``
+    are views into ``flat`` and ``grad``.
+    """
+
+    def __init__(self, descriptor, flat):
+        flat = np.asarray(flat, dtype=np.float64)
+        layout = _layout(descriptor)
+        sizes = [int(np.prod(shape)) for _, shape, _ in layout]
+        if flat.shape != (sum(sizes),):
+            raise ShapeMismatchError(f"parameter vector {flat.shape}, descriptor needs ({sum(sizes)},)")
         self.descriptor = descriptor
-        self.params = params
+        self.flat = flat
+        self.grad = np.zeros_like(flat)
+        self.params = {}
+        cuts = np.cumsum(sizes)[:-1]
+        for (name, shape, _), data, grad in zip(layout, np.split(flat, cuts), np.split(self.grad, cuts)):
+            self.params[name] = p = Tensor(data.reshape(shape), requires_grad=True)
+            p.grad = grad.reshape(shape)
 
     def parameter_count(self):
-        return sum(p.size for p in self.params.values())
+        return self.flat.size
 
     def forward(self, inputs):
         """Map an N x input_dim batch to (features N x D, logits N x K)."""
@@ -108,29 +142,11 @@ class Model:
 def init(descriptor, seed):
     """Seeded scaled-uniform fan-in initialization."""
     rng = np.random.default_rng(seed)
-    params = {}
-
-    def uniform(shape, fan_in):
+    arrays = []
+    for _, shape, fan_in in _layout(descriptor):
         lim = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-lim, lim, size=shape), requires_grad=True)
-
-    mlp_in = descriptor.input_dim
-    if descriptor.conv_stem is not None:
-        stem = descriptor.conv_stem
-        c_in = stem.in_channels
-        for i, c_out in enumerate(stem.channels):
-            fan = c_in * 9
-            params[f"conv{i}.w"] = uniform((c_out, c_in, 3, 3), fan)
-            params[f"conv{i}.b"] = uniform((c_out,), fan)
-            c_in = c_out
-        mlp_in = _stem_output_dim(stem)
-    for i, width in enumerate(descriptor.hidden):
-        params[f"dense{i}.w"] = uniform((mlp_in, width), mlp_in)
-        params[f"dense{i}.b"] = uniform((width,), mlp_in)
-        mlp_in = width
-    params["head.w"] = uniform((mlp_in, descriptor.num_classes), mlp_in)
-    params["head.b"] = uniform((descriptor.num_classes,), mlp_in)
-    return Model(descriptor, params)
+        arrays.append(rng.uniform(-lim, lim, size=shape).ravel())
+    return Model(descriptor, np.concatenate(arrays))
 
 
 def _descriptor_to_dict(d):
@@ -161,8 +177,7 @@ def save_checkpoint(model, path):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(desc)))
         f.write(desc)
-        for p in model.params.values():
-            f.write(p.data.astype("<f4").tobytes())
+        f.write(model.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path):
@@ -177,16 +192,8 @@ def load_checkpoint(path):
         descriptor = _descriptor_from_dict(json.loads(blob[12 : 12 + desc_len]))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"bad checkpoint descriptor in {path}: {exc!r}") from None
-    model = init(descriptor, seed=0)
-    offset = 12 + desc_len
-    for name, p in model.params.items():
-        nbytes = p.size * 4
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise DataFormatError(f"checkpoint truncated while reading {name}")
-        values = np.frombuffer(chunk, dtype="<f4").astype(np.float64)
-        model.params[name] = Tensor(values.reshape(p.shape), requires_grad=True)
-        offset += nbytes
-    if offset != len(blob):
-        raise DataFormatError(f"checkpoint has {len(blob) - offset} trailing bytes")
-    return model
+    payload = blob[12 + desc_len :]
+    expected = 4 * sum(int(np.prod(shape)) for _, shape, _ in _layout(descriptor))
+    if len(payload) != expected:
+        raise DataFormatError(f"checkpoint truncated or padded: {len(payload)} parameter bytes, not {expected}")
+    return Model(descriptor, np.frombuffer(payload, dtype="<f4").astype(np.float64))

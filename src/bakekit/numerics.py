@@ -17,7 +17,7 @@ class Tensor:
     """A dense array node in the computation graph.
 
     Leaves are created directly; interior nodes carry a vjp closure and
-    references to their parents. ``grad`` is populated by ``backward``.
+    references to their parents. ``grad`` is written by ``backward``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
@@ -52,14 +52,20 @@ class Tensor:
         return float(self.data)
 
     def backward(self):
-        """Accumulate gradients of this scalar into all requires_grad leaves."""
+        """Write gradients of this scalar into all requires_grad leaves.
+
+        An existing ``grad`` array is zeroed and refilled in place, so a model's
+        leaf gradients land in ``model.grad``: copy one to keep it past the next call."""
         if self.data.ndim != 0:
             raise ShapeMismatchError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
         order = _toposort(self)
         for node in order:
-            node.grad = np.zeros_like(node.data)
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            else:
+                node.grad.fill(0.0)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._vjp is not None:

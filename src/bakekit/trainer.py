@@ -10,7 +10,7 @@ import numpy as np
 
 from . import losses as ls
 from .bake import BakeConfig, build_soft_targets
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError
 from .numerics import Tensor
 from .sampling import SamplerConfig, epoch_batches
 
@@ -81,16 +81,11 @@ def lr_at(schedule, epoch, base_lr):
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * (epoch - warm) / span))
 
 
-def sgd_step(params, grads, velocities, lr, momentum, weight_decay):
-    """In-place SGD with momentum: v <- m*v + g + wd*p; p <- p - lr*v."""
-    for p, g, v in zip(params, grads, velocities):
-        if p.shape != g.shape or p.shape != v.shape:
-            raise ShapeMismatchError(
-                f"sgd_step: mismatched shapes {p.shape}, {g.shape}, {v.shape}"
-            )
-        v *= momentum
-        v += g + weight_decay * p
-        p -= lr * v
+def sgd_step(p, g, v, lr, momentum, weight_decay):
+    """In-place SGD with momentum on parameter vectors: v <- m*v + g + wd*p; p <- p - lr*v."""
+    v *= momentum
+    v += g + weight_decay * p
+    p -= lr * v
 
 
 def evaluate(model, dataset, batch_size=512):
@@ -135,8 +130,7 @@ def train(model, train_set, test_set, cfg):
     if cfg.method != "bake":
         # random batching: the per-class mechanism only serves affinity quality
         sampler = replace(sampler, m=0)
-    param_list = list(model.params.values())
-    velocities = [np.zeros_like(p.data) for p in param_list]
+    velocity = np.zeros_like(model.flat)
     metrics = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -149,14 +143,7 @@ def train(model, train_set, test_set, cfg):
             loss, ce_val, kl_val = batch_loss(model, x, y, cfg)
             loss.backward()
             lr = lr_at(cfg.schedule, epoch + it / max(len(batches), 1), cfg.base_lr)
-            sgd_step(
-                [p.data for p in param_list],
-                [p.grad for p in param_list],
-                velocities,
-                lr,
-                cfg.momentum,
-                cfg.weight_decay,
-            )
+            sgd_step(model.flat, model.grad, velocity, lr, cfg.momentum, cfg.weight_decay)
             sum_loss += loss.item()
             sum_ce += ce_val
             sum_kl += kl_val

@@ -136,6 +136,12 @@ class TestLoadCifarBinary:
         )
         assert np.abs(norm.inputs - (raw.inputs - 0.5) / 0.25).max() < 1e-6
 
+    def test_label_out_of_range(self, tmp_path):
+        path = tmp_path / "batch.bin"
+        self._write_records(path, [3, 10])
+        with pytest.raises(DataFormatError, match=r"label 10 outside \[0, 10\)"):
+            dt.load_cifar_binary([path], k_classes=10)
+
     def test_wrong_record_stride(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 3000)

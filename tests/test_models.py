@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,32 @@ class TestInit:
             md.ModelDescriptor(10, 4, hidden=(256, 0))
 
 
+class TestFlatParameters:
+    def test_wrong_length_rejected(self):
+        descriptor = md.ModelDescriptor(6, 4, hidden=(8, 5))
+        n = mlp().parameter_count()
+        for length in (n - 1, n + 1):
+            with pytest.raises(ShapeMismatchError, match=f"needs \\({n},\\)"):
+                md.Model(descriptor, np.zeros(length))
+
+    def test_backward_writes_into_model_grad(self):
+        model = mlp(seed=5)
+        _, logits = model.forward(np.random.default_rng(1).normal(size=(3, 6)))
+        cross_entropy(logits, np.array([0, 1, 3])).backward()
+        joined = np.concatenate([p.grad.ravel() for p in model.params.values()])
+        assert np.abs(model.grad).sum() > 0
+        assert np.array_equal(joined, model.grad)
+
+    def test_second_backward_overwrites_not_accumulates(self):
+        model = mlp(seed=6)
+        _, logits = model.forward(np.random.default_rng(2).normal(size=(3, 6)))
+        loss = cross_entropy(logits, np.array([2, 0, 1]))
+        loss.backward()
+        first = model.grad.copy()
+        loss.backward()
+        assert np.array_equal(model.grad, first)
+
+
 class TestConvStem:
     def test_forward_shapes_and_grad(self):
         stem = md.ConvStem(1, 12, 12, channels=(4, 6))
@@ -111,6 +140,40 @@ class TestCheckpoint:
         path = tmp_path / "conv.ckpt"
         md.save_checkpoint(model, path)
         assert md.load_checkpoint(path).descriptor == model.descriptor
+
+    @pytest.mark.parametrize(
+        "descriptor, fields",
+        [
+            (
+                md.ModelDescriptor(6, 4, hidden=(8, 5)),
+                {"input_dim": 6, "num_classes": 4, "hidden": [8, 5]},
+            ),
+            (
+                md.ModelDescriptor(100, 3, hidden=(6,), conv_stem=md.ConvStem(1, 10, 10)),
+                {
+                    "input_dim": 100,
+                    "num_classes": 3,
+                    "hidden": [6],
+                    "conv_stem": {"in_channels": 1, "height": 10, "width": 10, "channels": [8, 16]},
+                },
+            ),
+        ],
+    )
+    def test_byte_layout(self, tmp_path, descriptor, fields):
+        """Magic, descriptor length, JSON descriptor, float32 params in ``params`` order."""
+        model = md.init(descriptor, seed=4)
+        path = tmp_path / "m.ckpt"
+        md.save_checkpoint(model, path)
+        desc = json.dumps(fields).encode()
+        weights = b"".join(p.data.astype("<f4").tobytes() for p in model.params.values())
+        assert path.read_bytes() == b"BAKECKP1" + struct.pack("<I", len(desc)) + desc + weights
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        md.save_checkpoint(mlp(seed=13), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(DataFormatError, match="padded"):
+            md.load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

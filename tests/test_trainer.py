@@ -6,42 +6,46 @@ import pytest
 from bakekit import data as dt
 from bakekit import models as md
 from bakekit import trainer as tr
-from bakekit.errors import ConfigError, ShapeMismatchError
+from bakekit.errors import ConfigError
 from bakekit.numerics import Tensor
 from bakekit.sampling import SamplerConfig
 
 
 class TestSgdStep:
     def test_plain_gradient_descent(self):
-        p = [np.array([1.0, 2.0])]
-        g = [np.array([0.5, -0.5])]
-        v = [np.zeros(2)]
+        p = np.array([1.0, 2.0])
+        g = np.array([0.5, -0.5])
+        v = np.zeros(2)
         tr.sgd_step(p, g, v, lr=0.1, momentum=0.0, weight_decay=0.0)
-        assert np.allclose(p[0], [0.95, 2.05], atol=1e-15)
+        assert np.allclose(p, [0.95, 2.05], atol=1e-15)
 
     def test_zero_grad_zero_velocity_no_change(self):
-        p = [np.array([3.0])]
-        tr.sgd_step(p, [np.zeros(1)], [np.zeros(1)], 0.1, 0.9, 0.0)
-        assert p[0][0] == 3.0
+        p = np.array([3.0])
+        tr.sgd_step(p, np.zeros(1), np.zeros(1), 0.1, 0.9, 0.0)
+        assert p[0] == 3.0
 
     def test_two_momentum_steps_unrolled(self):
-        p = [np.zeros(1)]
-        g = [np.array([2.0])]
-        v = [np.zeros(1)]
+        p = np.zeros(1)
+        g = np.array([2.0])
+        v = np.zeros(1)
         tr.sgd_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.0)
         tr.sgd_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.0)
         # displacement = lr * (g + 1.9 g)
-        assert abs(p[0][0] + 0.1 * (2.0 + 1.9 * 2.0)) < 1e-12
+        assert abs(p[0] + 0.1 * (2.0 + 1.9 * 2.0)) < 1e-12
 
     def test_weight_decay(self):
-        p = [np.array([10.0])]
-        v = [np.zeros(1)]
-        tr.sgd_step(p, [np.zeros(1)], v, lr=0.1, momentum=0.0, weight_decay=0.01)
-        assert abs(p[0][0] - (10.0 - 0.1 * 0.1)) < 1e-12
+        p = np.array([10.0])
+        v = np.zeros(1)
+        tr.sgd_step(p, np.zeros(1), v, lr=0.1, momentum=0.0, weight_decay=0.01)
+        assert abs(p[0] - (10.0 - 0.1 * 0.1)) < 1e-12
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            tr.sgd_step([np.zeros(2)], [np.zeros(3)], [np.zeros(2)], 0.1, 0.9, 0.0)
+    def test_step_on_flat_vector_moves_named_params(self):
+        model = md.init(md.ModelDescriptor(4, 3, hidden=(5,)), seed=0)
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        model.grad[:] = 1.0
+        tr.sgd_step(model.flat, model.grad, np.zeros_like(model.flat), 0.5, 0.0, 0.0)
+        for k, p in model.params.items():
+            assert np.array_equal(p.data, before[k] - 0.5)
 
 
 class TestLrAt:
