@@ -6,7 +6,7 @@ Run from a checkout root with ``python3 -m pytest -q microbench --benchmark-only
 (needs ``pytest-benchmark``). It is not part of the test suite, whose
 ``testpaths`` is ``tests``. ``test_step`` at equal batch size gives BAKE's
 overhead over plain cross-entropy: the ratio of its ``bake`` and ``vanilla``
-medians.
+medians, at desk size and at bake_wide's.
 """
 
 import numpy as np
@@ -56,12 +56,16 @@ def test_soft_cross_entropy(benchmark, n, k):
 
 
 @pytest.mark.parametrize("method", ["vanilla", "bake"])
-def test_step(benchmark, method):
-    """``batch_loss`` + ``backward`` on one desk-scale batch of N=64 (32 anchors, M=1)."""
-    train_set, _ = dt.synth_clusters(10, 200, 32, 3.0, seed=0)
-    ids = np.asarray(epoch_batches(train_set.class_index, SamplerConfig(32, 1, 0), 0)[0])
+@pytest.mark.parametrize(
+    "classes,per_class,n_hat", [(10, 200, 32), (100, 500, 128)], ids=["desk", "bake_wide"]
+)
+def test_step(benchmark, method, classes, per_class, n_hat):
+    """``batch_loss`` + ``backward`` on one batch of 2 * n_hat examples (M=1):
+    N=64, K=10 at desk size and N=256, K=100 at bake_wide's."""
+    train_set, _ = dt.synth_clusters(classes, per_class, 32, 3.0, seed=0)
+    ids = np.asarray(epoch_batches(train_set.class_index, SamplerConfig(n_hat, 1, 0), 0)[0])
     x, y = train_set.inputs[ids].astype(np.float64), train_set.labels[ids]
-    model = md.init(md.ModelDescriptor(32, 10), seed=0)
+    model = md.init(md.ModelDescriptor(32, classes), seed=0)
     cfg = TrainConfig(method=method)
 
     def step():

@@ -108,8 +108,9 @@ def propagate_closed_form(a, p, omega):
             "use iterate mode for omega = 1"
         )
     a, p = _as_data(a), _as_data(p)
-    n = a.shape[0]
-    return (1.0 - omega) * linear_solve(np.eye(n) - omega * a, p)
+    system = a * -omega
+    system.flat[:: a.shape[0] + 1] += 1.0  # I - omega*A
+    return (1.0 - omega) * linear_solve(system, p)
 
 
 def one_hot(labels, k):

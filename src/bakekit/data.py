@@ -25,9 +25,8 @@ class Dataset:
         self.inputs = np.asarray(self.inputs, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise DataFormatError(
-                f"label {int(self.labels.max())} outside [0, {self.num_classes})"
-            )
+            bad = self.labels[(self.labels < 0) | (self.labels >= self.num_classes)][0]
+            raise DataFormatError(f"label {bad} outside [0, {self.num_classes})")
         if self.class_index is None:
             self.class_index = build_class_index(self.labels)
 

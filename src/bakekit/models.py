@@ -130,12 +130,12 @@ class Model:
             x = x.reshape(x.shape[0], -1)
         last = len(self.descriptor.hidden) - 1
         for i in range(len(self.descriptor.hidden)):
-            x = x @ self.params[f"dense{i}.w"] + self.params[f"dense{i}.b"]
+            x = nm.linear(x, self.params[f"dense{i}.w"], self.params[f"dense{i}.b"])
             if i < last:
                 x = nm.relu(x)  # the final hidden layer stays linear: its output
                 # is the feature vector, and l2 normalization needs nonzero rows
         features = x
-        logits = features @ self.params["head.w"] + self.params["head.b"]
+        logits = nm.linear(features, self.params["head.w"], self.params["head.b"])
         return features, logits
 
 

@@ -2,8 +2,10 @@
 
 Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
-they never mutate their inputs. ``softmax_data`` works on plain arrays,
-outside the graph, for detached target construction.
+they never mutate their inputs. A closure hands each contribution to
+``_accumulate``: an interior node's first contribution becomes its gradient,
+later ones are added to it. ``softmax_data`` works on plain arrays, outside
+the graph, for detached target construction.
 """
 
 from __future__ import annotations
@@ -54,15 +56,18 @@ class Tensor:
     def backward(self):
         """Write gradients of this scalar into all requires_grad leaves.
 
-        An existing ``grad`` array is zeroed and refilled in place, so a model's
-        leaf gradients land in ``model.grad``: copy one to keep it past the next call."""
+        A leaf's existing ``grad`` array is zeroed and refilled in place, so a
+        model's leaf gradients land in ``model.grad``: copy one to keep it past
+        the next call. Interior nodes get fresh arrays, never zero-filled."""
         if self.data.ndim != 0:
             raise ShapeMismatchError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
         order = _toposort(self)
         for node in order:
-            if node.grad is None:
+            if node._vjp is not None:
+                node.grad = None
+            elif node.grad is None:
                 node.grad = np.zeros_like(node.data)
             else:
                 node.grad.fill(0.0)
@@ -80,9 +85,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, *shape):
         return reshape(self, *shape)
@@ -108,6 +110,17 @@ def _toposort(root):
     return order
 
 
+def _accumulate(node, g, upstream=None):
+    """Add contribution ``g`` to ``node.grad``, storing the first one.
+
+    ``upstream`` is the consumer's own gradient: a first contribution that may
+    be a view of it is copied, so no two nodes share a gradient array."""
+    if node.grad is None:
+        node.grad = g.copy() if upstream is not None and np.may_share_memory(g, upstream) else g
+    else:
+        node.grad += g
+
+
 def _unbroadcast(grad, shape):
     """Sum ``grad`` down to ``shape`` after numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -131,16 +144,16 @@ def add(a, b):
 
         def vjp(g, a=a, b=b):
             if a.requires_grad:
-                a.grad += _unbroadcast(g, a.data.shape)
+                _accumulate(a, _unbroadcast(g, a.data.shape), g)
             if b.requires_grad:
-                b.grad += _unbroadcast(g, b.data.shape)
+                _accumulate(b, _unbroadcast(g, b.data.shape), g)
 
         return Tensor._op(out_data, (a, b), vjp)
     c = _const(b)
 
     def vjp(g, a=a):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape), g)
 
     return Tensor._op(a.data + c, (a,), vjp)
 
@@ -151,19 +164,17 @@ def mul(a, c):
 
     def vjp(g, a=a):
         if a.requires_grad:
-            a.grad += _unbroadcast(g * c, a.data.shape)
+            _accumulate(a, _unbroadcast(g * c, a.data.shape))
 
     return Tensor._op(a.data * c, (a,), vjp)
 
 
 def relu(x):
-    keep = x.data > 0
-
     def vjp(g, x=x):
         if x.requires_grad:
-            x.grad += g * keep
+            _accumulate(x, g * (x.data > 0))
 
-    return Tensor._op(np.where(keep, x.data, 0.0), (x,), vjp)
+    return Tensor._op(np.maximum(x.data, 0.0), (x,), vjp)
 
 
 def reshape(x, *shape):
@@ -171,7 +182,7 @@ def reshape(x, *shape):
 
     def vjp(g, x=x):
         if x.requires_grad:
-            x.grad += g.reshape(old)
+            _accumulate(x, g.reshape(old), g)
 
     return Tensor._op(x.data.reshape(*shape), (x,), vjp)
 
@@ -179,19 +190,24 @@ def reshape(x, *shape):
 # -- linear algebra ------------------------------------------------------
 
 
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+def linear(x, w, b):
+    """``x @ w + b`` for an N x D batch, D x K weights and K biases, as one node."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeMismatchError(
-            f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
+            f"linear: incompatible shapes {x.data.shape} and {w.data.shape}"
         )
+    if b.data.shape != w.data.shape[1:]:
+        raise ShapeMismatchError(f"linear: bias {b.data.shape} for weights {w.data.shape}")
 
-    def vjp(g, a=a, b=b):
-        if a.requires_grad:
-            a.grad += g @ b.data.T
+    def vjp(g, x=x, w=w, b=b):
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
         if b.requires_grad:
-            b.grad += a.data.T @ g
+            _accumulate(b, g.sum(axis=0))
 
-    return Tensor._op(a.data @ b.data, (a, b), vjp)
+    return Tensor._op(x.data @ w.data + b.data, (x, w, b), vjp)
 
 
 # -- softmax -------------------------------------------------------------
@@ -204,8 +220,10 @@ def softmax_data(x):
     gradient.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def soft_cross_entropy(x, targets):
@@ -222,7 +240,7 @@ def soft_cross_entropy(x, targets):
     def vjp(g, x=x):  # not (softmax - t) / n: that moves the last bits of training
         if x.requires_grad:
             gl = (g * scale) * t
-            x.grad += gl - e / e.sum(axis=1, keepdims=True) * gl.sum(axis=1, keepdims=True)
+            _accumulate(x, gl - e / e.sum(axis=1, keepdims=True) * gl.sum(axis=1, keepdims=True))
 
     return Tensor._op((log_p * t).sum() * scale, (x,), vjp)
 
@@ -247,16 +265,16 @@ def conv2d(x, w, b):
     def vjp(g, x=x, w=w, b=b):
         gout = g.reshape(n, o, ho * wo).transpose(0, 2, 1)  # N x P x O
         if b.requires_grad:
-            b.grad += gout.sum(axis=(0, 1))
+            _accumulate(b, gout.sum(axis=(0, 1)))
         if w.requires_grad:
             gw = np.einsum("npo,npk->ok", gout, cols)
-            w.grad += gw.reshape(o, c, kh, kw)
+            _accumulate(w, gw.reshape(o, c, kh, kw))
         if x.requires_grad:
             gcols = gout @ wmat  # N x P x (C*kh*kw)
             gx = np.zeros((n, c * h * wdt))
             flat = _im2col_indices(c, h, wdt, kh, kw)
             np.add.at(gx, (np.arange(n)[:, None, None], flat[None]), gcols)
-            x.grad += gx.reshape(n, c, h, wdt)
+            _accumulate(x, gx.reshape(n, c, h, wdt))
 
     return Tensor._op(out_data, (x, w, b), vjp)
 
@@ -284,6 +302,6 @@ def avg_pool2d(x, k=2):
             gx[:, :, : ho * k, : wo * k] = np.repeat(
                 np.repeat(g, k, axis=2), k, axis=3
             ) / (k * k)
-            x.grad += gx
+            _accumulate(x, gx)
 
     return Tensor._op(out_data, (x,), vjp)

@@ -82,9 +82,11 @@ def lr_at(schedule, epoch, base_lr):
 
 
 def sgd_step(p, g, v, lr, momentum, weight_decay):
-    """In-place SGD with momentum on parameter vectors: v <- m*v + g + wd*p; p <- p - lr*v."""
+    """In-place SGD with momentum on parameter vectors: v <- m*v + g + wd*p; p <- p - lr*v.
+
+    ``g`` is read, never written; at weight_decay 0 the ``wd*p`` term is skipped."""
     v *= momentum
-    v += g + weight_decay * p
+    v += g + weight_decay * p if weight_decay else g
     p -= lr * v
 
 

@@ -158,3 +158,5 @@ class TestDatasetInvariants:
     def test_out_of_range_label_rejected(self):
         with pytest.raises(DataFormatError):
             dt.Dataset(np.zeros((2, 3)), np.array([0, 5]), num_classes=3)
+        with pytest.raises(DataFormatError, match=r"label -1 outside \[0, 3\)"):
+            dt.Dataset(np.zeros((2, 3)), np.array([-1, 2]), num_classes=3)

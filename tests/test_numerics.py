@@ -19,14 +19,21 @@ def finite_diff(f, x, h=1e-5):
     return g
 
 
+def zero_bias(w):
+    return Tensor(np.zeros(np.shape(w)[1]))
+
+
 class TestMatmul:
+    """``x @ w`` through ``linear`` with a zero bias."""
+
     def test_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal((a @ b).data, [[1, 2], [3, 4]])
+        assert np.array_equal(nm.linear(a, b, zero_bias(b)).data, [[1, 2], [3, 4]])
 
     def test_unit_selector(self):
-        out = Tensor([[1.0, 0.0]]) @ Tensor([[5.0], [7.0]])
+        w = Tensor([[5.0], [7.0]])
+        out = nm.linear(Tensor([[1.0, 0.0]]), w, zero_bias(w))
         assert np.array_equal(out.data, [[5.0]])
 
     def test_matches_triple_loop(self):
@@ -37,12 +44,44 @@ class TestMatmul:
             for j in range(2):
                 for k in range(4):
                     expected[i, j] += a[i, k] * b[k, j]
-        out = Tensor(a) @ Tensor(b)
+        out = nm.linear(Tensor(a), Tensor(b), zero_bias(b))
         assert np.abs(out.data - expected).max() < 1e-12
 
     def test_shape_mismatch(self):
+        w = Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
-            Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
+            nm.linear(Tensor(np.zeros((2, 3))), w, zero_bias(w))
+
+
+class TestLinear:
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(11)
+        vals = {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 5)), "b": rng.normal(size=5)}
+        targets = rng.dirichlet(np.ones(5), size=3)
+
+        def loss_at(**given):
+            t = {k: Tensor(given.get(k, v), requires_grad=True) for k, v in vals.items()}
+            return t, nm.soft_cross_entropy(nm.linear(t["x"], t["w"], t["b"]), targets)
+
+        tensors, loss = loss_at()
+        loss.backward()
+        for name, val in vals.items():
+            fd = finite_diff(lambda a: loss_at(**{name: a})[1].item(), val)
+            assert np.abs(tensors[name].grad - fd).max() < 1e-8, name
+
+    def test_bias_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match=r"bias \(1, 3\)"):
+            nm.linear(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))))
+
+
+class TestRelu:
+    def test_infinities_and_signed_zeros(self):
+        x = np.array([-np.inf, -0.0, 0.0, 2.0, np.inf])
+        assert np.array_equal(nm.relu(Tensor(x)).data, np.maximum(x, 0.0))
+        for v in x:  # one scalar graph per entry: the upstream gradient is 1
+            leaf = Tensor(v, requires_grad=True)
+            nm.relu(leaf).backward()
+            assert leaf.grad == (1.0 if v > 0 else 0.0), v
 
 
 class TestSoftmaxRows:
@@ -60,6 +99,12 @@ class TestSoftmaxRows:
         out = nm.softmax_data([[-np.inf, 1.0, 1.0]])
         assert out[0, 0] == 0.0
         assert np.allclose(out, [[0.0, 0.5, 0.5]], atol=1e-12)
+
+    def test_input_is_not_written(self):
+        x = np.random.default_rng(3).normal(size=(4, 5))
+        before = x.copy()
+        nm.softmax_data(x)
+        assert np.array_equal(x, before)
 
     def test_rows_sum_to_one_with_overflow_safety(self):
         rng = np.random.default_rng(2)
@@ -86,7 +131,7 @@ class TestBackward:
 
         def run(w_arr):
             w = Tensor(w_arr, requires_grad=True)
-            h = nm.relu(Tensor(x_val) @ w)
+            h = nm.relu(nm.linear(Tensor(x_val), w, zero_bias(w_arr)))
             z = h + h * 0.5 + -0.3  # two branches of one node meet again
             return w, nm.soft_cross_entropy(z, onehot)
 
@@ -95,6 +140,31 @@ class TestBackward:
         fd = finite_diff(lambda a: run(a)[1].item(), w_val)
         denom = np.maximum(np.abs(fd), 1e-6)
         assert (np.abs(w.grad - fd) / denom).max() < 1e-4
+
+    def test_shared_interior_node_through_views(self):
+        # h feeds a reshape and both sides of h + h, whose vjps pass views of
+        # their own gradient; every node must still own its gradient array
+        rng = np.random.default_rng(12)
+        x_val, w_val, b_val = rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        onehot = np.eye(5)[rng.integers(0, 5, size=3)]
+
+        def run(w_arr):
+            w = Tensor(w_arr, requires_grad=True)
+            h = nm.linear(Tensor(x_val), w, Tensor(b_val))
+            flat = h.reshape(15)
+            doubled = h + h
+            mixed = doubled + flat.reshape(3, 5)
+            z = mixed + -0.3
+            loss = nm.soft_cross_entropy(z, onehot)
+            return (w, h, flat, doubled, mixed, z, loss), loss
+
+        nodes, loss = run(w_val)
+        loss.backward()
+        fd = finite_diff(lambda a: run(a)[1].item(), w_val)
+        assert np.abs(nodes[0].grad - fd).max() < 1e-8
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1 :]:
+                assert not np.shares_memory(a.grad, b.grad)
 
     def test_detached_upstream_gradient_is_zero(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -39,6 +39,12 @@ class TestSgdStep:
         tr.sgd_step(p, np.zeros(1), v, lr=0.1, momentum=0.0, weight_decay=0.01)
         assert abs(p[0] - (10.0 - 0.1 * 0.1)) < 1e-12
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_gradient_is_not_written(self, weight_decay):
+        g = np.array([0.5, -2.0])
+        tr.sgd_step(np.array([1.0, 3.0]), g, np.array([0.1, 0.2]), 0.1, 0.9, weight_decay)
+        assert np.array_equal(g, [0.5, -2.0])
+
     def test_step_on_flat_vector_moves_named_params(self):
         model = md.init(md.ModelDescriptor(4, 3, hidden=(5,)), seed=0)
         before = {k: p.data.copy() for k, p in model.params.items()}
