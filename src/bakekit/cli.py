@@ -171,12 +171,11 @@ def _parse_mode(mode):
     raise ConfigError(f"unrecognized --mode {mode!r}")
 
 
-def _parse_schedule(spec, epochs):
+def _parse_schedule(spec):
     kind, _, rest = spec.partition(":")
     where = f"--schedule {spec!r}"
     if kind == "cosine":
-        warm = _convert(int, rest, where) if rest else tr.CosineSchedule.warmup_epochs
-        return tr.CosineSchedule(total_epochs=epochs, warmup_epochs=warm)
+        return tr.CosineSchedule(_convert(int, rest, where)) if rest else tr.CosineSchedule()
     if kind == "step":
         milestones, _, factor = rest.partition(":")
         return tr.StepSchedule(
@@ -220,7 +219,7 @@ def make_train_config(cfg):
         base_lr=cfg["lr"],
         momentum=cfg["momentum"],
         weight_decay=cfg["weight_decay"],
-        schedule=_parse_schedule(cfg["schedule"], cfg["epochs"]),
+        schedule=_parse_schedule(cfg["schedule"]),
         method=cfg["method"],
         bake=bake_cfg,
         loss=LossConfig(distill_weight=cfg["lambda"], smoothing_epsilon=cfg["epsilon"]),
@@ -242,18 +241,14 @@ def load_datasets(cfg):
         needed = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
         if any(cfg[k] is None for k in needed):
             raise ConfigError(f"dataset=idx requires {needed}")
-        train = dt.load_idx(cfg["idx_train_images"], cfg["idx_train_labels"], split="train")
-        test = dt.load_idx(cfg["idx_test_images"], cfg["idx_test_labels"], split="test")
+        train = dt.load_idx(cfg["idx_train_images"], cfg["idx_train_labels"])
+        test = dt.load_idx(cfg["idx_test_images"], cfg["idx_test_labels"])
         return train, test
     if cfg["cifar_train"] is None or cfg["cifar_test"] is None:
         raise ConfigError("dataset=cifar requires --cifar-train and --cifar-test")
     mean, std = _parse_channels(cfg, "cifar_mean"), _parse_channels(cfg, "cifar_std")
-    train = dt.load_cifar_binary(
-        cfg["cifar_train"].split(","), cfg["cifar_classes"], mean, std, split="train"
-    )
-    test = dt.load_cifar_binary(
-        cfg["cifar_test"].split(","), cfg["cifar_classes"], mean, std, split="test"
-    )
+    train = dt.load_cifar_binary(cfg["cifar_train"].split(","), cfg["cifar_classes"], mean, std)
+    test = dt.load_cifar_binary(cfg["cifar_test"].split(","), cfg["cifar_classes"], mean, std)
     return train, test
 
 
@@ -406,12 +401,8 @@ def cmd_targets(args):
             f"the dataset has {train_set.input_dim} and {train_set.num_classes}"
         )
     train_cfg = make_train_config(cfg)
-    batches = epoch_batches(train_set.class_index, train_cfg.sampler, epoch=0)
-    if not batches:
-        raise ConfigError("dataset too small for one batch at this n_hat")
-    ids = np.asarray(batches[0])
-    x = train_set.inputs[ids].astype(np.float64)
-    y = train_set.labels[ids]
+    ids = epoch_batches(train_set.class_index, train_cfg.sampler, epoch=0)[0]
+    x, y = train_set.inputs[ids].astype(np.float64), train_set.labels[ids]
     features, logits = model.forward(Tensor(x))
     targets = build_soft_targets(features, logits, labels=y, cfg=train_cfg.bake)
     for row in range(min(args.rows, targets.shape[0])):

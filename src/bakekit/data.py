@@ -18,8 +18,7 @@ class Dataset:
     inputs: np.ndarray  # E x input_dim, float32
     labels: np.ndarray  # E ints in [0, num_classes)
     num_classes: int
-    split: str = "train"
-    class_index: dict = field(default=None)
+    class_index: dict = field(init=False)  # {class: int64 ids}, built from labels
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float32)
@@ -27,8 +26,7 @@ class Dataset:
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             bad = self.labels[(self.labels < 0) | (self.labels >= self.num_classes)][0]
             raise DataFormatError(f"label {bad} outside [0, {self.num_classes})")
-        if self.class_index is None:
-            self.class_index = build_class_index(self.labels)
+        self.class_index = build_class_index(self.labels)
 
     def __len__(self):
         return self.inputs.shape[0]
@@ -47,10 +45,10 @@ class Dataset:
 
 
 def build_class_index(labels):
-    index = {}
-    for i, y in enumerate(np.asarray(labels).tolist()):
-        index.setdefault(int(y), []).append(i)
-    return index
+    """{class: int64 array of its example ids, ascending}, for each class present."""
+    order = np.argsort(labels, kind="stable")
+    classes, starts = np.unique(np.asarray(labels)[order], return_index=True)
+    return dict(zip(classes.tolist(), np.split(order, starts[1:])))
 
 
 def synth_clusters(k_classes, per_class, dim, spread, seed, test_per_class=None):
@@ -69,14 +67,14 @@ def synth_clusters(k_classes, per_class, dim, spread, seed, test_per_class=None)
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(k_classes, dim))
 
-    def draw(count, split):
+    def draw(count):
         inputs = np.concatenate(
             [centers[c] + spread * rng.normal(size=(count, dim)) for c in range(k_classes)]
         )
         labels = np.repeat(np.arange(k_classes), count)
-        return Dataset(inputs, labels, k_classes, split=split)
+        return Dataset(inputs, labels, k_classes)
 
-    return draw(per_class, "train"), draw(test_per_class, "test")
+    return draw(per_class), draw(test_per_class)
 
 
 def _read_idx_header(blob, path, expected_magic, n_dims):
@@ -91,7 +89,7 @@ def _read_idx_header(blob, path, expected_magic, n_dims):
     return dims, blob[4 + 4 * n_dims :]
 
 
-def load_idx(images_path, labels_path, k_classes=10, split="train"):
+def load_idx(images_path, labels_path, k_classes=10):
     """Load an IDX image/label file pair (big-endian headers, byte pixels)."""
     with open(images_path, "rb") as f:
         img_blob = f.read()
@@ -114,10 +112,10 @@ def load_idx(images_path, labels_path, k_classes=10, split="train"):
         )
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     inputs = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
-    return Dataset(inputs.astype(np.float32) / 255.0, labels, k_classes, split=split)
+    return Dataset(inputs.astype(np.float32) / 255.0, labels, k_classes)
 
 
-def load_cifar_binary(paths, k_classes, channel_mean=None, channel_std=None, split="train"):
+def load_cifar_binary(paths, k_classes, channel_mean=None, channel_std=None):
     """Load CIFAR-style binary records: label byte(s) then 3x32x32 pixels.
 
     The 100-class layout carries a coarse label byte ahead of the fine
@@ -143,4 +141,4 @@ def load_cifar_binary(paths, k_classes, channel_mean=None, channel_std=None, spl
         mean = np.repeat(np.asarray(channel_mean, dtype=np.float32), 1024)
         std = np.repeat(np.asarray(channel_std, dtype=np.float32), 1024)
         inputs = (inputs - mean) / std
-    return Dataset(inputs, labels, k_classes, split=split)
+    return Dataset(inputs, labels, k_classes)

@@ -39,14 +39,16 @@ class SamplerConfig:
 
 
 def epoch_batches(class_index, cfg, epoch):
-    """Batches of example ids for one epoch, deterministic in (cfg, epoch).
+    """One epoch's batches, deterministic in (cfg, epoch): an int64 array of
+    example ids with one row of n_hat * (m + 1) per batch.
 
     Anchors are a fresh shuffle of the whole dataset; each anchor is
     followed by m companions drawn from its class, anchor excluded. When
     the class has >= m + 1 examples the companions are distinct; when it
     is too small they are drawn with replacement, and a class of one gives
     the anchor itself. The trailing group of fewer than n_hat anchors is
-    dropped. Example ids are assumed unique across classes.
+    dropped; fewer than n_hat examples in all is a ConfigError. Example ids
+    are assumed unique across classes.
 
     The draws are array-wide: one shuffle, then one ``integers`` call per
     companion slot with a bound per anchor (Floyd's algorithm run across
@@ -54,13 +56,15 @@ def epoch_batches(class_index, cfg, epoch):
     """
     if not class_index or any(len(v) == 0 for v in class_index.values()):
         raise ConfigError("class_index must be nonempty with nonempty classes")
+    members = np.concatenate(list(class_index.values()), dtype=np.int64)
+    n_batches = len(members) // cfg.n_hat
+    if n_batches == 0:
+        raise ConfigError(f"dataset too small for one batch: {len(members)} examples, fewer than n_hat={cfg.n_hat}")
     rng = np.random.default_rng(np.uint64(cfg.seed) ^ np.uint64(epoch))
     sizes = np.array([len(ids) for ids in class_index.values()])
-    members = np.concatenate([np.asarray(ids, dtype=np.int64) for ids in class_index.values()])
     class_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
     perm = np.arange(len(members))
     rng.shuffle(perm)
-    n_batches = len(members) // cfg.n_hat
     # One row per anchor, as a column of positions in ``members``.
     rows = np.argsort(members, kind="stable")[perm[: n_batches * cfg.n_hat], None]
     start = class_start[rows]
@@ -75,4 +79,4 @@ def epoch_batches(class_index, cfg, epoch):
         picks[:, k : k + 1] = np.where(taken, high - 1, draw)
     # Pool slot j skips the anchor at its class position; a class of one yields the anchor.
     slots = np.where(pool == 0, rows, start + picks + (picks >= rows - start))
-    return members[np.concatenate([rows, slots], axis=1)].reshape(n_batches, cfg.batch_size).tolist()
+    return members[np.concatenate([rows, slots], axis=1)].reshape(n_batches, cfg.batch_size)

@@ -19,10 +19,13 @@ METHODS = ("vanilla", "label_smoothing", "bake")
 
 @dataclass(frozen=True)
 class CosineSchedule:
-    """Linear warm-up to base_lr, then half-cosine decay to zero."""
+    """Linear warm-up to base_lr, then half-cosine decay to zero at the last epoch."""
 
-    total_epochs: int
     warmup_epochs: int = 5
+
+    def __post_init__(self):
+        if self.warmup_epochs < 0:
+            raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,8 @@ class StepSchedule:
     def __post_init__(self):
         if list(self.milestones) != sorted(set(self.milestones)):
             raise ConfigError(f"milestones must be strictly increasing: {self.milestones}")
+        if not self.factor > 0:  # NaN included
+            raise ConfigError(f"factor must be > 0, got {self.factor}")
 
 
 @dataclass(frozen=True)
@@ -43,19 +48,23 @@ class TrainConfig:
     base_lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 0.0
-    schedule: object = None  # CosineSchedule(epochs) when None
+    schedule: object = field(default_factory=CosineSchedule)
     method: str = "bake"
     bake: BakeConfig = field(default_factory=BakeConfig)
     loss: ls.LossConfig = field(default_factory=ls.LossConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.base_lr <= 0:
             raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:  # NaN included
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.schedule is None:
-            object.__setattr__(self, "schedule", CosineSchedule(self.epochs))
 
 
 @dataclass
@@ -69,15 +78,15 @@ class EpochMetrics:
     wall_seconds: float
 
 
-def lr_at(schedule, epoch, base_lr):
-    """Learning rate at a (possibly fractional) epoch."""
+def lr_at(schedule, epoch, base_lr, epochs):
+    """Learning rate at a (possibly fractional) epoch of an ``epochs``-long run."""
     if isinstance(schedule, StepSchedule):
         passed = sum(1 for m in schedule.milestones if epoch >= m)
         return base_lr * schedule.factor**passed
-    warm, total = schedule.warmup_epochs, schedule.total_epochs
+    warm = schedule.warmup_epochs
     if epoch < warm:
         return base_lr * epoch / warm
-    span = max(total - warm, 1)
+    span = max(epochs - warm, 1)
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * (epoch - warm) / span))
 
 
@@ -128,28 +137,24 @@ def batch_loss(model, x, y, cfg):
 
 def train(model, train_set, test_set, cfg):
     """Run the configured number of epochs; returns (model, metrics list)."""
-    sampler = cfg.sampler
-    if cfg.method != "bake":
-        # random batching: the per-class mechanism only serves affinity quality
-        sampler = replace(sampler, m=0)
+    # random batching unless bake: the per-class mechanism only serves affinity quality
+    sampler = cfg.sampler if cfg.method == "bake" else replace(cfg.sampler, m=0)
     velocity = np.zeros_like(model.flat)
     metrics = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         batches = epoch_batches(train_set.class_index, sampler, epoch)
+        n = len(batches)
         sum_loss = sum_ce = sum_kl = 0.0
-        for it, batch in enumerate(batches):
-            ids = np.asarray(batch)
-            x = train_set.inputs[ids].astype(np.float64)
-            y = train_set.labels[ids]
+        for it, ids in enumerate(batches):
+            x, y = train_set.inputs[ids].astype(np.float64), train_set.labels[ids]
             loss, ce_val, kl_val = batch_loss(model, x, y, cfg)
             loss.backward()
-            lr = lr_at(cfg.schedule, epoch + it / max(len(batches), 1), cfg.base_lr)
+            lr = lr_at(cfg.schedule, epoch + it / n, cfg.base_lr, cfg.epochs)
             sgd_step(model.flat, model.grad, velocity, lr, cfg.momentum, cfg.weight_decay)
             sum_loss += loss.item()
             sum_ce += ce_val
             sum_kl += kl_val
-        n = max(len(batches), 1)
         top1, top5 = evaluate(model, test_set)
         metrics.append(
             EpochMetrics(

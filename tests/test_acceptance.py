@@ -153,7 +153,7 @@ def test_criterion_6_sampler_contract():
             assert labels[companion] == labels[anchor]
             assert companion != anchor
     assert sorted(anchors) == list(range(1024))
-    assert epoch_batches(index, cfg, epoch=0) == batches
+    assert np.array_equal(epoch_batches(index, cfg, epoch=0), batches)
     print("PASS criterion 6: batch size 512, same-class companions, anchor coverage, determinism")
 
 
@@ -197,8 +197,8 @@ def test_criterion_8_optional_cifar():
     train_path = os.path.join(cifar, "train.bin")
     test_path = os.path.join(cifar, "test.bin")
     mean, std = [0.507, 0.487, 0.441], [0.267, 0.256, 0.276]
-    train_set = dt.load_cifar_binary([train_path], 100, mean, std, split="train")
-    test_set = dt.load_cifar_binary([test_path], 100, mean, std, split="test")
+    train_set = dt.load_cifar_binary([train_path], 100, mean, std)
+    test_set = dt.load_cifar_binary([test_path], 100, mean, std)
     vanilla, bake = [], []
     for seed in range(3):
         for method, m, out in (("vanilla", 0, vanilla), ("bake", 1, bake)):

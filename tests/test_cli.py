@@ -8,7 +8,7 @@ import pytest
 from bakekit import cli
 from bakekit.models import CHECKPOINT_MAGIC, ModelDescriptor, init, save_checkpoint
 from bakekit.sampling import SAMPLER_VERSION
-from bakekit.trainer import CosineSchedule, TrainConfig
+from bakekit.trainer import TrainConfig
 
 SMALL = [
     "--dataset", "synth",
@@ -46,6 +46,12 @@ class TestTrainCommand:
         code = cli.main(["train", "--omega", "1.5", "--out-dir", str(tmp_path / "x")])
         assert code == 2
         assert "[0,1]" in capsys.readouterr().err
+
+    def test_epoch_without_a_batch_exits_2(self, tmp_path, capsys):
+        code, out = run_train(tmp_path, "x", extra=["--synth-per-class", "3", "--n-hat", "64"])
+        assert code == 2
+        assert "12 examples, fewer than n_hat=64" in capsys.readouterr().err
+        assert not (out / "metrics.jsonl").exists()
 
     def test_missing_idx_files_exit_config_error(self, tmp_path):
         code = cli.main(["train", "--dataset", "idx", "--out-dir", str(tmp_path / "x")])
@@ -102,6 +108,14 @@ class TestTrainCommand:
             (["--seed", str(2**64)], "seed must be in [0, 2**64)"),
             (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-std", "0,1,1"],
              "--cifar-std '0,1,1': every std must be > 0"),
+            (["--epochs=-1"], "epochs must be >= 0, got -1"),
+            (["--momentum=-1"], "momentum must be in [0, 1), got -1.0"),
+            (["--momentum", "1"], "momentum must be in [0, 1), got 1.0"),
+            (["--weight-decay=-1"], "weight_decay must be >= 0, got -1.0"),
+            (["--schedule", "step:1:-1"], "factor must be > 0, got -1.0"),
+            (["--schedule", "cosine:-2"], "warmup_epochs must be >= 0, got -2"),
+            ({"momentum": 1}, "momentum must be in [0, 1), got 1"),
+            (["--weight-decay", "nan"], "weight_decay must be >= 0, got nan"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -121,9 +135,7 @@ class TestTrainCommand:
         assert err.startswith("config error") and needle in err
 
     def test_default_recipe_is_library_default(self):
-        assert cli.make_train_config(cli.DEFAULTS) == TrainConfig(
-            schedule=CosineSchedule(TrainConfig.epochs)
-        )
+        assert cli.make_train_config(cli.DEFAULTS) == TrainConfig()
         assert cli._parse_hidden(cli.DEFAULTS["hidden"]) == ModelDescriptor.hidden
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -328,6 +340,13 @@ class TestTargetsCommand:
         top = np.argsort(-probs[0], kind="stable")[:3]
         for c in top:
             assert f"{c}:{probs[0, c]:.4f}" in printed
+
+    def test_dataset_too_small_for_one_batch_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init(ModelDescriptor(8, 4, hidden=(6,)), seed=0), path)
+        assert cli.main(["targets", *SMALL, "--n-hat", "100000", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "too small for one batch: 160 examples" in err
 
     def test_missing_checkpoint_exits_3(self, tmp_path):
         code = cli.main(["targets", *SMALL, "--checkpoint", str(tmp_path / "no.ckpt")])

@@ -153,7 +153,9 @@ class TestDatasetInvariants:
     def test_class_index_round_trip(self):
         train, _ = dt.synth_clusters(5, 12, 4, 1.0, seed=3)
         rebuilt = dt.build_class_index(train.labels)
-        assert rebuilt == train.class_index
+        assert {c: ids.tolist() for c, ids in rebuilt.items()} == {
+            c: ids.tolist() for c, ids in train.class_index.items()
+        }
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(DataFormatError):

@@ -91,7 +91,7 @@ class TestEpochBatches:
         index = {0: [0], 1: [1, 2]}
         cfg = SamplerConfig(n_hat=3, m=1, seed=4)
         (batch,) = epoch_batches(index, cfg, epoch=0)
-        pos = batch.index(0)
+        pos = batch.tolist().index(0)
         assert batch[pos + 1] == 0  # no other member of class 0 exists
 
     def test_anchor_coverage_once_per_epoch(self):
@@ -109,8 +109,8 @@ class TestEpochBatches:
     def test_determinism_and_epoch_variation(self):
         index, _ = make_index([8, 8])
         cfg = SamplerConfig(n_hat=4, m=1, seed=7)
-        assert epoch_batches(index, cfg, 2) == epoch_batches(index, cfg, 2)
-        assert epoch_batches(index, cfg, 2) != epoch_batches(index, cfg, 3)
+        assert np.array_equal(epoch_batches(index, cfg, 2), epoch_batches(index, cfg, 2))
+        assert not np.array_equal(epoch_batches(index, cfg, 2), epoch_batches(index, cfg, 3))
 
     @pytest.mark.parametrize("m", [0, 1])
     @pytest.mark.parametrize(
@@ -126,7 +126,7 @@ class TestEpochBatches:
         for seed in range(10):
             cfg = SamplerConfig(n_hat=n_hat, m=m, seed=seed)
             for epoch in range(4):
-                assert epoch_batches(index, cfg, epoch) == _reference_epoch_batches(index, cfg, epoch)
+                assert epoch_batches(index, cfg, epoch).tolist() == _reference_epoch_batches(index, cfg, epoch)
 
     @pytest.mark.parametrize("m", [0, 1, 3])
     @pytest.mark.parametrize("examples", [64, 6400])
@@ -173,6 +173,8 @@ class TestEpochBatches:
             epoch_batches({}, SamplerConfig(n_hat=2, m=0, seed=0), 0)
         with pytest.raises(ConfigError):
             epoch_batches({0: []}, SamplerConfig(n_hat=2, m=0, seed=0), 0)
+        with pytest.raises(ConfigError, match="too small for one batch: 2 examples, fewer than n_hat=3"):
+            epoch_batches({0: [0], 1: [1]}, SamplerConfig(n_hat=3, m=0, seed=0), 0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

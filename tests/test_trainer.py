@@ -56,22 +56,22 @@ class TestSgdStep:
 
 class TestLrAt:
     def test_cosine_warmup_endpoint(self):
-        sched = tr.CosineSchedule(total_epochs=100, warmup_epochs=5)
-        assert tr.lr_at(sched, 5, 0.4) == 0.4
+        sched = tr.CosineSchedule(warmup_epochs=5)
+        assert tr.lr_at(sched, 5, 0.4, 100) == 0.4
 
     def test_cosine_warmup_is_linear(self):
-        sched = tr.CosineSchedule(total_epochs=100, warmup_epochs=5)
-        assert abs(tr.lr_at(sched, 2.5, 0.4) - 0.2) < 1e-12
+        sched = tr.CosineSchedule(warmup_epochs=5)
+        assert abs(tr.lr_at(sched, 2.5, 0.4, 100) - 0.2) < 1e-12
 
     def test_cosine_final_epoch_near_zero(self):
-        sched = tr.CosineSchedule(total_epochs=100, warmup_epochs=5)
-        assert tr.lr_at(sched, 99, 1.0) <= 0.02
+        sched = tr.CosineSchedule(warmup_epochs=5)
+        assert tr.lr_at(sched, 99, 1.0, 100) <= 0.02
 
     def test_step_schedule_late_milestones(self):
         sched = tr.StepSchedule(milestones=(100, 150), factor=0.1)
-        assert tr.lr_at(sched, 50, 0.1) == 0.1
-        assert abs(tr.lr_at(sched, 120, 0.1) - 0.01) < 1e-15
-        assert abs(tr.lr_at(sched, 180, 0.1) - 0.001) < 1e-15
+        assert tr.lr_at(sched, 50, 0.1, 200) == 0.1
+        assert abs(tr.lr_at(sched, 120, 0.1, 200) - 0.01) < 1e-15
+        assert abs(tr.lr_at(sched, 180, 0.1, 200) - 0.001) < 1e-15
 
     def test_milestones_must_increase(self):
         with pytest.raises(ConfigError):
@@ -165,8 +165,38 @@ class TestTrain:
         _, metrics = tr.train(model, train, test, small_config("label_smoothing", epochs=1, seed=4))
         assert metrics[0].train_kl == 0.0
 
+    def test_epoch_without_a_batch_raises(self):
+        train, test = dt.synth_clusters(3, 3, 4, 1.0, seed=0)
+        model = md.init(md.ModelDescriptor(4, 3), seed=0)
+        cfg = tr.TrainConfig(epochs=1, sampler=SamplerConfig(n_hat=64))
+        with pytest.raises(ConfigError, match="9 examples, fewer than n_hat=64"):
+            tr.train(model, train, test, cfg)
+
+    def test_replaced_epochs_move_the_cosine_horizon(self, monkeypatch):
+        train, test = dt.synth_clusters(3, 20, 4, 1.0, seed=0)
+        model = md.init(md.ModelDescriptor(4, 3), seed=0)
+        cfg = small_config(epochs=2, schedule=tr.CosineSchedule(warmup_epochs=0))
+        lrs = []
+        monkeypatch.setattr(tr, "sgd_step", lambda p, g, v, lr, momentum, weight_decay: lrs.append(lr))
+        tr.train(model, train, test, dataclasses.replace(cfg, epochs=4))
+        assert lrs[0] == 0.05 and lrs[-1] > 0.0
+        assert all(a > b for a, b in zip(lrs, lrs[1:]))  # one decay over all 4 epochs, no restart
+
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             tr.TrainConfig(base_lr=0.0)
         with pytest.raises(ConfigError):
             tr.TrainConfig(method="magic")
+        with pytest.raises(ConfigError, match="epochs must be >= 0, got -1"):
+            tr.TrainConfig(epochs=-1)
+        for momentum in (-1.0, 1.0, float("nan")):
+            with pytest.raises(ConfigError, match=r"momentum must be in \[0, 1\)"):
+                tr.TrainConfig(momentum=momentum)
+        for weight_decay in (-1.0, float("nan")):
+            with pytest.raises(ConfigError, match="weight_decay must be >= 0"):
+                tr.TrainConfig(weight_decay=weight_decay)
+        for factor in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigError, match="factor must be > 0"):
+                tr.StepSchedule(milestones=(1,), factor=factor)
+        with pytest.raises(ConfigError, match="warmup_epochs must be >= 0, got -2"):
+            tr.CosineSchedule(warmup_epochs=-2)
