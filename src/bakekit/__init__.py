@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .bake import BakeConfig, affinity_matrix, build_soft_targets
-from .losses import LossConfig, cross_entropy, kl_distillation
+from .losses import cross_entropy, kl_distillation
 from .models import ModelDescriptor, init
 from .numerics import Tensor
 from .sampling import SamplerConfig, epoch_batches
@@ -11,7 +11,6 @@ from .trainer import TrainConfig, batch_loss, evaluate, train
 
 __all__ = [
     "BakeConfig",
-    "LossConfig",
     "ModelDescriptor",
     "SamplerConfig",
     "Tensor",

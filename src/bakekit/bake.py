@@ -7,6 +7,7 @@ accepted anywhere an array is (their data is read, never their tape).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +24,20 @@ KNOWLEDGE_SOURCES = ("predictions", "ground_truth_onehot")
 
 @dataclass(frozen=True)
 class BakeConfig:
-    """Knobs for soft-target construction.
+    """Knobs for soft-target construction and the distillation term.
 
     omega: mixing weight between a sample's own prediction and propagated
     in-batch knowledge. tau: the one temperature, shared by the softened
     predictions propagated here and the KL term of the loss.
-    propagation_mode: closed_form (infinite-iteration limit) or iterate
-    (``iterations`` rounds). knowledge_source: propagate model predictions
-    or one-hot ground-truth labels.
+    distill_weight: lambda, the weight of that KL term in bake's loss.
+    propagation_mode: closed_form (infinite-iteration limit, omega < 1) or
+    iterate (``iterations`` rounds). knowledge_source: propagate model
+    predictions or one-hot ground-truth labels.
     """
 
     omega: float = 0.5
     tau: float = 4.0
+    distill_weight: float = 1.0
     propagation_mode: str = "closed_form"
     iterations: int = 1
     knowledge_source: str = "predictions"
@@ -42,11 +45,18 @@ class BakeConfig:
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
             raise ConfigError(f"omega must be in [0,1], got {self.omega}")
-        if self.tau <= 0.0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        if not 0.0 <= self.distill_weight < math.inf:
+            raise ConfigError(f"distill_weight must be finite and >= 0, got {self.distill_weight}")
         if self.propagation_mode not in PROPAGATION_MODES:
             raise ConfigError(
                 f"propagation_mode must be one of {PROPAGATION_MODES}, got {self.propagation_mode!r}"
+            )
+        if self.propagation_mode == "closed_form" and self.omega >= 1.0:
+            raise ConfigError(
+                f"closed-form propagation requires omega < 1 (got {self.omega}); "
+                "use iterate mode for omega = 1"
             )
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")

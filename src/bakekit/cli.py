@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,6 @@ from . import models as md
 from . import trainer as tr
 from .bake import BakeConfig, build_soft_targets
 from .errors import ConfigError, DataFormatError
-from .losses import LossConfig
 from .numerics import Tensor
 from .sampling import SAMPLER_VERSION, SamplerConfig, epoch_batches
 
@@ -43,8 +43,8 @@ OPTIONS = (
     Option("method", str, tr.TrainConfig.method, "training method", tr.METHODS),
     Option("omega", float, BakeConfig.omega, "ensembling weight in [0,1]", token=True),
     Option("tau", float, BakeConfig.tau, "temperature of the soft targets and the KL term", token=True),
-    Option("lambda", float, LossConfig.distill_weight, "distillation loss weight", token=True),
-    Option("epsilon", float, LossConfig.smoothing_epsilon, "label smoothing epsilon", token=True),
+    Option("lambda", float, BakeConfig.distill_weight, "distillation loss weight", token=True),
+    Option("epsilon", float, tr.TrainConfig.smoothing_epsilon, "label smoothing epsilon", token=True),
     Option("m", int, SamplerConfig.m, "same-class companions per anchor", token=True),
     Option("n_hat", int, SamplerConfig.n_hat, "anchors per batch"),
     Option("mode", str, "closed", "propagation mode: closed | iterate:T | one-step (= iterate:1)", token=True),
@@ -195,11 +195,13 @@ def _parse_hidden(spec):
 
 
 def _parse_channels(cfg, key):
-    """Per-channel CIFAR normalisation: exactly three floats, the stds all > 0."""
+    """Per-channel CIFAR normalisation: exactly three finite floats, the stds all > 0."""
     flag = "--" + key.replace("_", "-")
     values = _parse_list(float, cfg[key], flag)
     if len(values) != 3:
         raise ConfigError(f"{flag} {cfg[key]!r}: expected 3 comma-separated values, got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{flag} {cfg[key]!r}: every value must be finite")
     if key == "cifar_std" and not all(v > 0 for v in values):
         raise ConfigError(f"{flag} {cfg[key]!r}: every std must be > 0")
     return values
@@ -210,6 +212,7 @@ def make_train_config(cfg):
     bake_cfg = BakeConfig(
         omega=cfg["omega"],
         tau=cfg["tau"],
+        distill_weight=cfg["lambda"],
         propagation_mode=mode,
         iterations=iters,
         knowledge_source="predictions" if cfg["knowledge"] == "pred" else "ground_truth_onehot",
@@ -221,8 +224,8 @@ def make_train_config(cfg):
         weight_decay=cfg["weight_decay"],
         schedule=_parse_schedule(cfg["schedule"]),
         method=cfg["method"],
+        smoothing_epsilon=cfg["epsilon"],
         bake=bake_cfg,
-        loss=LossConfig(distill_weight=cfg["lambda"], smoothing_epsilon=cfg["epsilon"]),
         sampler=SamplerConfig(n_hat=cfg["n_hat"], m=cfg["m"], seed=cfg["seed"]),
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -55,9 +56,9 @@ def synth_clusters(k_classes, per_class, dim, spread, seed, test_per_class=None)
     """Isotropic Gaussian clusters around seeded random centers.
 
     Returns disjoint (train, test) datasets; test_per_class defaults to
-    per_class // 5 (at least 1).
+    per_class // 5 (at least 1). ``spread`` must be finite and > 0.
     """
-    if k_classes < 1 or per_class < 1 or dim < 1 or spread <= 0:
+    if k_classes < 1 or per_class < 1 or dim < 1 or not 0 < spread < math.inf:
         raise ConfigError(
             f"invalid synth parameters: k={k_classes} per_class={per_class} "
             f"dim={dim} spread={spread}"

@@ -3,29 +3,13 @@ and temperature distillation built on it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .bake import one_hot
 from .errors import ConfigError, ShapeMismatchError
 from .numerics import soft_cross_entropy  # one tape node; CE, smoothing and the KL use it
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """distill_weight scales the KL term; the temperature is ``BakeConfig.tau``."""
-
-    distill_weight: float = 1.0
-    smoothing_epsilon: float = 0.1
-
-    def __post_init__(self):
-        if self.distill_weight < 0.0:
-            raise ConfigError(f"distill_weight must be >= 0, got {self.distill_weight}")
-        if not 0.0 <= self.smoothing_epsilon < 1.0:
-            raise ConfigError(
-                f"smoothing_epsilon must be in [0, 1), got {self.smoothing_epsilon}"
-            )
 
 
 def _check_labels(labels, k):
@@ -48,8 +32,8 @@ def kl_distillation(logits, targets, tau):
     ``targets`` is a constant array (detached by construction); only the
     logits receive gradient. 0*log 0 is taken as 0.
     """
-    if tau <= 0.0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ConfigError(f"tau must be finite and > 0, got {tau}")
     q = np.asarray(getattr(targets, "data", targets), dtype=np.float64)
     row_sums = q.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-6):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class ModelDescriptor:
                 raise ConfigError(
                     f"conv stem expects input_dim {expected}, descriptor says {self.input_dim}"
                 )
-
-    @property
-    def feature_dim(self):
-        return self.hidden[-1]
 
 
 def _stem_output_dim(stem):
@@ -149,30 +145,12 @@ def init(descriptor, seed):
     return Model(descriptor, np.concatenate(arrays))
 
 
-def _descriptor_to_dict(d):
-    out = {"input_dim": d.input_dim, "num_classes": d.num_classes, "hidden": list(d.hidden)}
-    if d.conv_stem is not None:
-        s = d.conv_stem
-        out["conv_stem"] = {
-            "in_channels": s.in_channels,
-            "height": s.height,
-            "width": s.width,
-            "channels": list(s.channels),
-        }
-    return out
-
-
-def _descriptor_from_dict(d):
-    stem = None
-    if d.get("conv_stem"):
-        s = d["conv_stem"]
-        stem = ConvStem(s["in_channels"], s["height"], s["width"], tuple(s["channels"]))
-    return ModelDescriptor(d["input_dim"], d["num_classes"], tuple(d["hidden"]), stem)
-
-
 def save_checkpoint(model, path):
     """Flat binary layout: magic, JSON descriptor, little-endian float32 params."""
-    desc = json.dumps(_descriptor_to_dict(model.descriptor)).encode()
+    fields = asdict(model.descriptor)
+    if fields["conv_stem"] is None:
+        del fields["conv_stem"]
+    desc = json.dumps(fields).encode()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(desc)))
@@ -189,7 +167,12 @@ def load_checkpoint(path):
         raise DataFormatError(f"checkpoint truncated in its header: {path}")
     (desc_len,) = struct.unpack("<I", blob[8:12])
     try:
-        descriptor = _descriptor_from_dict(json.loads(blob[12 : 12 + desc_len]))
+        fields = json.loads(blob[12 : 12 + desc_len])
+        stem = fields.pop("conv_stem", None)
+        if stem is not None:
+            stem = ConvStem(**{**stem, "channels": tuple(stem["channels"])})
+        fields["hidden"] = tuple(fields["hidden"])
+        descriptor = ModelDescriptor(**fields, conv_stem=stem)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"bad checkpoint descriptor in {path}: {exc!r}") from None
     payload = blob[12 + desc_len :]

@@ -44,10 +44,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise ShapeMismatchError(f"item() on tensor of shape {self.data.shape}")
@@ -121,50 +117,47 @@ def _accumulate(node, g, upstream=None):
         node.grad += g
 
 
-def _unbroadcast(grad, shape):
-    """Sum ``grad`` down to ``shape`` after numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
 def _const(x):
     return np.asarray(x, dtype=np.float64)
+
+
+def _scalar(c, op):
+    """``c`` as a 0-d float64 array; anything but a scalar is a ShapeMismatchError."""
+    c = _const(c)
+    if c.ndim != 0:
+        raise ShapeMismatchError(f"{op}: expected a scalar constant, got shape {c.shape}")
+    return c
 
 
 # -- elementwise / structural primitives ---------------------------------
 
 
 def add(a, b):
+    """Tensor ``a`` plus a tensor of its own shape, or plus a scalar constant."""
     if isinstance(b, Tensor):
+        if b.data.shape != a.data.shape:
+            raise ShapeMismatchError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+        parents = (a, b)
         out_data = a.data + b.data
+    else:
+        parents = (a,)
+        out_data = a.data + _scalar(b, "add")
 
-        def vjp(g, a=a, b=b):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g, a.data.shape), g)
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(g, b.data.shape), g)
+    def vjp(g, parents=parents):
+        for p in parents:
+            if p.requires_grad:
+                _accumulate(p, g, g)
 
-        return Tensor._op(out_data, (a, b), vjp)
-    c = _const(b)
-
-    def vjp(g, a=a):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape), g)
-
-    return Tensor._op(a.data + c, (a,), vjp)
+    return Tensor._op(out_data, parents, vjp)
 
 
 def mul(a, c):
-    """Tensor ``a`` times the constant ``c``."""
-    c = _const(c)
+    """Tensor ``a`` times the scalar constant ``c``."""
+    c = _scalar(c, "mul")
 
     def vjp(g, a=a):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * c, a.data.shape))
+            _accumulate(a, g * c)
 
     return Tensor._op(a.data * c, (a,), vjp)
 
@@ -251,7 +244,7 @@ def soft_cross_entropy(x, targets):
 def conv2d(x, w, b):
     """Valid 3x3 convolution over NCHW input, via im2col. Differentiable."""
     xd = x.data
-    n, c, h, wdt = xd.shape
+    n, c = xd.shape[:2]
     o, ci, kh, kw = w.data.shape
     if ci != c:
         raise ShapeMismatchError(f"conv2d: input channels {c} != kernel channels {ci}")
@@ -270,23 +263,17 @@ def conv2d(x, w, b):
             gw = np.einsum("npo,npk->ok", gout, cols)
             _accumulate(w, gw.reshape(o, c, kh, kw))
         if x.requires_grad:
-            gcols = gout @ wmat  # N x P x (C*kh*kw)
-            gx = np.zeros((n, c * h * wdt))
-            flat = _im2col_indices(c, h, wdt, kh, kw)
-            np.add.at(gx, (np.arange(n)[:, None, None], flat[None]), gcols)
-            _accumulate(x, gx.reshape(n, c, h, wdt))
+            # (N, Ho, Wo, C, kh, kw): each window's gradient, in the forward's layout
+            gwin = (gout @ wmat).reshape(n, ho, wo, c, kh, kw)
+            gx = np.zeros_like(xd)
+            # reversed offsets: each input pixel sums its windows in ascending
+            # window order, as a scatter over the windows in order would
+            for i in reversed(range(kh)):
+                for j in reversed(range(kw)):
+                    gx[:, :, i : i + ho, j : j + wo] += gwin[..., i, j].transpose(0, 3, 1, 2)
+            _accumulate(x, gx)
 
     return Tensor._op(out_data, (x, w, b), vjp)
-
-
-def _im2col_indices(c, h, w, kh, kw):
-    """Flat input indices for each (patch, patch-element) pair."""
-    ho, wo = h - kh + 1, w - kw + 1
-    ci, ki, kj = np.meshgrid(np.arange(c), np.arange(kh), np.arange(kw), indexing="ij")
-    elem = (ci * h * w + ki * w + kj).ravel()  # C*kh*kw
-    pi, pj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-    patch = (pi * w + pj).ravel()  # P
-    return patch[:, None] + elem[None, :]
 
 
 def avg_pool2d(x, k=2):

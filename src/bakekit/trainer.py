@@ -50,21 +50,23 @@ class TrainConfig:
     weight_decay: float = 0.0
     schedule: object = field(default_factory=CosineSchedule)
     method: str = "bake"
+    smoothing_epsilon: float = 0.1  # label_smoothing's epsilon
     bake: BakeConfig = field(default_factory=BakeConfig)
-    loss: ls.LossConfig = field(default_factory=ls.LossConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not self.weight_decay >= 0:  # NaN included
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if not 0.0 <= self.smoothing_epsilon < 1.0:
+            raise ConfigError(f"smoothing_epsilon must be in [0, 1), got {self.smoothing_epsilon}")
 
 
 @dataclass
@@ -119,7 +121,7 @@ def evaluate(model, dataset, batch_size=512):
 def batch_loss(model, x, y, cfg):
     """Forward one batch under ``cfg.method``; returns (loss tensor, ce value, kl value).
 
-    bake adds ``cfg.loss.distill_weight`` times the KL to detached soft
+    bake adds ``cfg.bake.distill_weight`` times the KL to detached soft
     targets, both at the one temperature ``cfg.bake.tau``.
     """
     features, logits = model.forward(Tensor(x))
@@ -127,11 +129,11 @@ def batch_loss(model, x, y, cfg):
     if cfg.method == "vanilla":
         return ce, ce.item(), 0.0
     if cfg.method == "label_smoothing":
-        loss = ls.label_smoothing_loss(logits, y, cfg.loss.smoothing_epsilon)
+        loss = ls.label_smoothing_loss(logits, y, cfg.smoothing_epsilon)
         return loss, ce.item(), 0.0
     targets = build_soft_targets(features, logits, labels=y, cfg=cfg.bake)
     kl = ls.kl_distillation(logits, targets, cfg.bake.tau)
-    loss = ce + cfg.loss.distill_weight * kl
+    loss = ce + cfg.bake.distill_weight * kl
     return loss, ce.item(), kl.item()
 
 

@@ -17,7 +17,7 @@ from bakekit.bake import (
     propagate_closed_form,
     propagate_iterative,
 )
-from bakekit.losses import LossConfig, cross_entropy, kl_distillation
+from bakekit.losses import cross_entropy, kl_distillation
 from bakekit.numerics import Tensor
 from bakekit.sampling import SamplerConfig, epoch_batches
 
@@ -81,11 +81,11 @@ def test_criterion_4_gradient_correctness():
         model = md.init(md.ModelDescriptor(5, 4, hidden=(10, 6)), seed=case)
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 4, size=6)
-        bake_cfg, loss_cfg = BakeConfig(omega=0.5, tau=4.0), LossConfig()
+        bake_cfg = BakeConfig(omega=0.5, tau=4.0)
 
         features, logits = model.forward(Tensor(x))
         targets = build_soft_targets(features, logits, labels=y, cfg=bake_cfg)
-        loss = cross_entropy(logits, y) + loss_cfg.distill_weight * kl_distillation(
+        loss = cross_entropy(logits, y) + bake_cfg.distill_weight * kl_distillation(
             logits, targets, bake_cfg.tau
         )
         loss.backward()
@@ -95,7 +95,7 @@ def test_criterion_4_gradient_correctness():
             _, z = model.forward(Tensor(x))
             return (
                 cross_entropy(z, y)
-                + loss_cfg.distill_weight * kl_distillation(z, targets, bake_cfg.tau)
+                + bake_cfg.distill_weight * kl_distillation(z, targets, bake_cfg.tau)
             ).item()
 
         for name in ("dense0.w", "dense1.b", "head.w"):
@@ -164,8 +164,7 @@ def _train_arm(method, m, seed, spread, lr, epochs=30):
         epochs=epochs,
         base_lr=lr,
         method=method,
-        bake=BakeConfig(omega=0.5, tau=4.0),
-        loss=LossConfig(distill_weight=1.0),
+        bake=BakeConfig(omega=0.5, tau=4.0, distill_weight=1.0),
         sampler=SamplerConfig(n_hat=32, m=m, seed=seed),
     )
     _, metrics = tr.train(model, train_set, test_set, cfg)

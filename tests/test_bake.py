@@ -217,6 +217,15 @@ class TestBuildSoftTargets:
             BakeConfig(omega=-0.1)
         with pytest.raises(ConfigError):
             BakeConfig(tau=0.0)
+        for tau in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="tau must be finite and > 0"):
+                BakeConfig(tau=tau)
+        for weight in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="distill_weight must be finite and >= 0"):
+                BakeConfig(distill_weight=weight)
+        with pytest.raises(ConfigError, match="closed-form propagation requires omega < 1"):
+            BakeConfig(omega=1.0)
+        assert BakeConfig(omega=1.0, propagation_mode="iterate").omega == 1.0
         with pytest.raises(ConfigError):
             BakeConfig(propagation_mode="magic")
         with pytest.raises(ConfigError):

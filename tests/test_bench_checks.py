@@ -1,10 +1,12 @@
-"""The sampler's output passes the benchmark's correctness checks.
+"""The sampler's output and the benchmark's configs pass the benchmark's checks.
 
 ``perfbench/checks.py`` runs outside the timed window of every benchmark
 run, and a failed check there counts as a failed operation. This test runs
-the same checks on ``epoch_batches`` output, so a change that breaks them
-fails here instead of only in a benchmark run. It loads the checks module
-by file path and changes nothing under ``perfbench/``.
+the same checks on ``epoch_batches`` output, and trains each workload of
+``perfbench/specs.py`` at its smoke-test size, so a change that breaks them,
+or breaks how the benchmark builds its configs, fails here instead of only
+in a benchmark run. It loads both modules by file path and changes nothing
+under ``perfbench/``.
 """
 
 import importlib.util
@@ -13,15 +15,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bakekit import cli
 from bakekit import data as dt
 from bakekit import models as md
 from bakekit.bake import BakeConfig
 from bakekit.sampling import SamplerConfig, epoch_batches
 
-CHECKS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-_spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS_PATH)
-checks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checks)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _load("checks")
+specs = _load("specs")
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +61,18 @@ def test_soft_targets(train_set):
     x, y = train_set.inputs[ids].astype(np.float64), train_set.labels[ids]
     passed, detail = checks.soft_targets(model, x, y, BakeConfig())
     assert passed, detail
+
+
+@pytest.mark.parametrize("name", sorted(specs.WORKLOADS))
+def test_workload_config_trains(name):
+    """Each workload's smoke-test config trains every epoch; bake's soft targets pass."""
+    cfg = specs.config(name, 1, tiny=True)
+    model, metrics, _ = cli.run_training(cfg)
+    assert len(metrics) == cfg["epochs"]
+    if cfg["method"] == "bake":
+        train_cfg = cli.make_train_config(cfg)
+        train_set, _ = cli.load_datasets(cfg)
+        ids = epoch_batches(train_set.class_index, train_cfg.sampler, 0)[0]
+        x, y = train_set.inputs[ids].astype(np.float64), train_set.labels[ids]
+        passed, detail = checks.soft_targets(model, x, y, train_cfg.bake)
+        assert passed, detail

@@ -47,6 +47,13 @@ class TestTrainCommand:
         assert code == 2
         assert "[0,1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spread", ["nan", "inf"])
+    def test_nonfinite_synth_spread_exits_2(self, tmp_path, capsys, spread):
+        code, out = run_train(tmp_path, "x", extra=["--synth-spread", spread])
+        assert code == 2
+        assert f"spread={spread}" in capsys.readouterr().err
+        assert not (out / "metrics.jsonl").exists()
+
     def test_epoch_without_a_batch_exits_2(self, tmp_path, capsys):
         code, out = run_train(tmp_path, "x", extra=["--synth-per-class", "3", "--n-hat", "64"])
         assert code == 2
@@ -116,6 +123,13 @@ class TestTrainCommand:
             (["--schedule", "cosine:-2"], "warmup_epochs must be >= 0, got -2"),
             ({"momentum": 1}, "momentum must be in [0, 1), got 1"),
             (["--weight-decay", "nan"], "weight_decay must be >= 0, got nan"),
+            (["--tau", "nan"], "tau must be finite and > 0, got nan"),
+            (["--lambda", "nan"], "distill_weight must be finite and >= 0, got nan"),
+            (["--lr", "nan"], "base_lr must be finite and > 0, got nan"),
+            ({"lr": float("nan")}, "base_lr must be finite and > 0, got nan"),
+            (["--omega", "1"], "closed-form propagation requires omega < 1"),
+            (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-mean", "nan,0.5,0.5"],
+             "--cifar-mean 'nan,0.5,0.5': every value must be finite"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -253,14 +267,15 @@ class TestCompareCommand:
             return None, [], None
 
         monkeypatch.setattr(cli, "run_training", counting_run)
-        out = tmp_path / "x"
-        code = cli.main(
-            ["compare", *SMALL, "--methods", "vanilla,bake:mode=iterate:0", "--seeds", "3",
-             "--out-dir", str(out)]
-        )
-        assert code == 2
-        assert len(calls) == 0
-        assert not (out / "summary.tsv").exists()
+        for methods in ("vanilla,bake:mode=iterate:0", "vanilla,bake:omega=1"):
+            out = tmp_path / "x"
+            code = cli.main(
+                ["compare", *SMALL, "--methods", methods, "--seeds", "3",
+                 "--out-dir", str(out)]
+            )
+            assert code == 2, methods
+            assert len(calls) == 0, methods
+            assert not (out / "summary.tsv").exists(), methods
 
     def test_token_carries_several_overrides(self, tmp_path, monkeypatch):
         cells = []

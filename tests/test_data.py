@@ -50,6 +50,9 @@ class TestSynthClusters:
             dt.synth_clusters(0, 10, 3, 1.0, seed=0)
         with pytest.raises(ConfigError):
             dt.synth_clusters(2, 10, 3, -1.0, seed=0)
+        for spread in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"spread={spread}"):
+                dt.synth_clusters(2, 10, 3, spread, seed=0)
 
 
 class TestLoadIdx:

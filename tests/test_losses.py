@@ -5,7 +5,6 @@ from bakekit import models as md
 from bakekit.bake import BakeConfig, build_soft_targets
 from bakekit.errors import ConfigError, ShapeMismatchError
 from bakekit.losses import (
-    LossConfig,
     cross_entropy,
     kl_distillation,
     label_smoothing_loss,
@@ -112,6 +111,11 @@ class TestKlDistillation:
         with pytest.raises(ShapeMismatchError, match="sums to"):
             kl_distillation(Tensor(np.zeros((1, 2))), np.array([[0.6, 0.6]]), 1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_tau(self, tau):
+        with pytest.raises(ConfigError, match="tau must be finite and > 0"):
+            kl_distillation(Tensor(np.zeros((1, 2))), np.array([[0.5, 0.5]]), tau)
+
 
 class TestBakeLoss:
     """The bake method's objective, composed once in ``trainer.batch_loss``."""
@@ -123,7 +127,7 @@ class TestBakeLoss:
 
     def test_lambda_zero_equals_cross_entropy(self):
         model, x, y = self._random_batch(4)
-        loss, _, _ = batch_loss(model, x, y, TrainConfig(loss=LossConfig(distill_weight=0.0)))
+        loss, _, _ = batch_loss(model, x, y, TrainConfig(bake=BakeConfig(distill_weight=0.0)))
         _, z = model.forward(x)
         assert loss.item() == cross_entropy(z, y).item()
 
@@ -179,7 +183,7 @@ class TestLabelSmoothing:
         rng = np.random.default_rng(11)
         model = md.init(md.ModelDescriptor(3, 4, hidden=(8, 5)), seed=11)
         x, y = rng.normal(size=(6, 3)), rng.integers(0, 4, size=6)
-        cfg = TrainConfig(method="label_smoothing", loss=LossConfig(smoothing_epsilon=0.2))
+        cfg = TrainConfig(method="label_smoothing", smoothing_epsilon=0.2)
         loss, ce_val, kl_val = batch_loss(model, x, y, cfg)
         _, z = model.forward(x)
         assert ce_val == cross_entropy(z, y).item()
@@ -236,6 +240,6 @@ class TestLossProperties:
 
     def test_loss_config_validation(self):
         with pytest.raises(ConfigError):
-            LossConfig(distill_weight=-1.0)
+            BakeConfig(distill_weight=-1.0)
         with pytest.raises(ConfigError):
-            LossConfig(smoothing_epsilon=1.0)
+            TrainConfig(smoothing_epsilon=1.0)

@@ -74,6 +74,20 @@ class TestLinear:
             nm.linear(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))))
 
 
+class TestElementwise:
+    def test_add_rejects_another_shape(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 3\) and \(3,\)"):
+            Tensor(np.zeros((2, 3))) + Tensor(np.zeros(3))
+
+    def test_add_rejects_non_scalar_constant(self):
+        with pytest.raises(ShapeMismatchError, match="scalar"):
+            Tensor(np.zeros((2, 3))) + np.zeros(3)
+
+    def test_mul_rejects_non_scalar_constant(self):
+        with pytest.raises(ShapeMismatchError, match="scalar"):
+            Tensor(np.zeros((2, 3))) * np.ones((2, 3))
+
+
 class TestRelu:
     def test_infinities_and_signed_zeros(self):
         x = np.array([-np.inf, -0.0, 0.0, 2.0, np.inf])
@@ -211,6 +225,32 @@ class TestConvOps:
         loss.backward()
         fd_w = finite_diff(lambda a: f(a)[1].item(), w_val)
         assert np.abs(w.grad - fd_w).max() < 1e-6
+
+    @pytest.mark.parametrize("x_shape,out_channels", [((2, 1, 6, 6), 3), ((3, 4, 7, 9), 5)])
+    def test_conv2d_gradients_match_scatter_reference(self, x_shape, out_channels):
+        """Exact gradients, against explicit im2col indices scattered with ``np.add.at``."""
+        rng = np.random.default_rng(9)
+        n, c, h, w = x_shape
+        ho, wo = h - 2, w - 2
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        k = Tensor(rng.normal(size=(out_channels, c, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=out_channels), requires_grad=True)
+        targets = rng.dirichlet(np.ones(out_channels * ho * wo), size=n)
+        out = nm.conv2d(x, k, b)
+        nm.soft_cross_entropy(out.reshape(n, -1), targets).backward()
+        gout = out.grad.reshape(n, out_channels, ho * wo).transpose(0, 2, 1)  # N x P x O
+
+        ci, ki, kj = np.meshgrid(np.arange(c), np.arange(3), np.arange(3), indexing="ij")
+        pi, pj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
+        flat = (pi * w + pj).reshape(-1, 1) + (ci * h * w + ki * w + kj).reshape(1, -1)  # P x C*9
+        # N x P x C*9, C-ordered as in the forward: einsum's summation order follows the layout
+        cols = np.ascontiguousarray(x.data.reshape(n, -1)[:, flat])
+        gx = np.zeros((n, c * h * w))
+        np.add.at(gx, (np.arange(n)[:, None, None], flat[None]), gout @ k.data.reshape(out_channels, -1))
+        assert np.array_equal(x.grad, gx.reshape(x_shape))
+        gk = np.einsum("npo,npk->ok", gout, cols).reshape(k.data.shape)
+        assert np.array_equal(k.grad, gk)
+        assert np.array_equal(b.grad, gout.sum(axis=(0, 1)))
 
     def test_conv2d_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError, match="channels"):

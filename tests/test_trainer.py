@@ -185,6 +185,9 @@ class TestTrain:
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             tr.TrainConfig(base_lr=0.0)
+        for base_lr in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="base_lr must be finite and > 0"):
+                tr.TrainConfig(base_lr=base_lr)
         with pytest.raises(ConfigError):
             tr.TrainConfig(method="magic")
         with pytest.raises(ConfigError, match="epochs must be >= 0, got -1"):
