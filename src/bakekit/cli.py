@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,6 @@ from . import models as md
 from . import trainer as tr
 from .bake import BakeConfig, build_soft_targets
 from .errors import ConfigError, DataFormatError
-from .numerics import Tensor
 from .sampling import SAMPLER_VERSION, SamplerConfig, epoch_batches
 
 
@@ -288,6 +288,7 @@ def run_training(cfg):
         "seed": cfg["seed"],
         "dataset_fingerprint": train_set.fingerprint(),
         "sampler_version": SAMPLER_VERSION,
+        "dtype": model.flat.dtype.name,
         "config": cfg,
     }
     return model, metrics, manifest
@@ -338,6 +339,30 @@ def _parse_method_token(token, base_cfg):
         raise ConfigError(f"method token {token!r}: {exc}") from None
 
 
+# BLAS thread counts for compare's workers: BAKE_KIT_THREADS processes with a
+# multi-threaded BLAS each oversubscribe the cores and run slower than one.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _map_pinned(fn, jobs, workers):
+    """``map(fn, jobs)`` over ``workers`` spawned processes, each with one BLAS thread.
+
+    The variables are read when a process loads its BLAS, so they are set while
+    the workers start; ``spawn`` starts them fresh, with the variables."""
+    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            return list(pool.map(fn, jobs))
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 def _compare_cell(job):
     token, cfg = job
     _, metrics, _ = run_training(cfg)
@@ -369,8 +394,7 @@ def cmd_compare(args):
             jobs.append((token, {**cell, "seed": seed}))
     workers = _convert(int, os.environ.get("BAKE_KIT_THREADS", "1"), "BAKE_KIT_THREADS")
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_compare_cell, jobs))
+        results = _map_pinned(_compare_cell, jobs, workers)
     else:
         results = [_compare_cell(job) for job in jobs]
     by_token = {}
@@ -405,8 +429,8 @@ def cmd_targets(args):
         )
     train_cfg = make_train_config(cfg)
     ids = epoch_batches(train_set.class_index, train_cfg.sampler, epoch=0)[0]
-    x, y = train_set.inputs[ids].astype(np.float64), train_set.labels[ids]
-    features, logits = model.forward(Tensor(x))
+    x, y = train_set.inputs[ids], train_set.labels[ids]
+    features, logits = model.forward(x)
     targets = build_soft_targets(features, logits, labels=y, cfg=train_cfg.bake)
     for row in range(min(args.rows, targets.shape[0])):
         top = np.argsort(-targets[row], kind="stable")[:3]

@@ -29,8 +29,9 @@ def cross_entropy(logits, labels):
 def kl_distillation(logits, targets, tau):
     """Mean tau^2-scaled KL(targets || softmax(logits/tau)).
 
-    ``targets`` is a constant array (detached by construction); only the
-    logits receive gradient. 0*log 0 is taken as 0.
+    ``targets`` is a constant array (detached by construction), checked in
+    float64 and cast to the logits' dtype by the loss node; only the logits
+    receive gradient. 0*log 0 is taken as 0.
     """
     if not 0.0 < tau < math.inf:
         raise ConfigError(f"tau must be finite and > 0, got {tau}")

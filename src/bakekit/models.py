@@ -54,6 +54,7 @@ class ModelDescriptor:
                 raise ConfigError(
                     f"conv stem expects input_dim {expected}, descriptor says {self.input_dim}"
                 )
+            _stem_output_dim(stem)
 
 
 def _stem_output_dim(stem):
@@ -85,14 +86,15 @@ def _layout(descriptor):
 
 
 class Model:
-    """All parameters in one float64 vector ``flat``, their gradients in ``grad``.
+    """All parameters in one vector ``flat``, their gradients in ``grad``.
 
     ``params`` is an ordered name -> Tensor dict whose ``.data`` and ``.grad``
-    are views into ``flat`` and ``grad``.
+    are views into ``flat`` and ``grad``. The model computes in the dtype of
+    ``flat`` (a non-floating vector becomes float64).
     """
 
     def __init__(self, descriptor, flat):
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = nm.as_float(flat)
         layout = _layout(descriptor)
         sizes = [int(np.prod(shape)) for _, shape, _ in layout]
         if flat.shape != (sum(sizes),):
@@ -110,8 +112,13 @@ class Model:
         return self.flat.size
 
     def forward(self, inputs):
-        """Map an N x input_dim batch to (features N x D, logits N x K)."""
-        x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
+        """Map an N x input_dim batch to (features N x D, logits N x K).
+
+        A batch of another dtype, array or Tensor, is cast to the model's, as a
+        new leaf."""
+        x = inputs
+        if not isinstance(x, Tensor) or x.data.dtype != self.flat.dtype:
+            x = Tensor(np.asarray(getattr(x, "data", x), dtype=self.flat.dtype))
         if x.shape[1] != self.descriptor.input_dim:
             raise ShapeMismatchError(
                 f"input dim {x.shape[1]} != model input dim {self.descriptor.input_dim}"
@@ -135,14 +142,16 @@ class Model:
         return features, logits
 
 
-def init(descriptor, seed):
-    """Seeded scaled-uniform fan-in initialization."""
+def init(descriptor, seed, dtype=np.float32):
+    """Seeded scaled-uniform fan-in initialization of a ``dtype`` model.
+
+    The draws are float64 whatever the dtype, and are cast once."""
     rng = np.random.default_rng(seed)
     arrays = []
     for _, shape, fan_in in _layout(descriptor):
         lim = 1.0 / np.sqrt(fan_in)
         arrays.append(rng.uniform(-lim, lim, size=shape).ravel())
-    return Model(descriptor, np.concatenate(arrays))
+    return Model(descriptor, np.concatenate(arrays).astype(dtype, copy=False))
 
 
 def save_checkpoint(model, path):
@@ -159,6 +168,7 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
+    """The float32 model a checkpoint stores, holding exactly its values."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -173,10 +183,10 @@ def load_checkpoint(path):
             stem = ConvStem(**{**stem, "channels": tuple(stem["channels"])})
         fields["hidden"] = tuple(fields["hidden"])
         descriptor = ModelDescriptor(**fields, conv_stem=stem)
+        expected = 4 * sum(int(np.prod(shape)) for _, shape, _ in _layout(descriptor))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"bad checkpoint descriptor in {path}: {exc!r}") from None
     payload = blob[12 + desc_len :]
-    expected = 4 * sum(int(np.prod(shape)) for _, shape, _ in _layout(descriptor))
     if len(payload) != expected:
         raise DataFormatError(f"checkpoint truncated or padded: {len(payload)} parameter bytes, not {expected}")
-    return Model(descriptor, np.frombuffer(payload, dtype="<f4").astype(np.float64))
+    return Model(descriptor, np.frombuffer(payload, dtype="<f4").astype(np.float32))

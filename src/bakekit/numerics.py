@@ -1,4 +1,8 @@
-"""Dense float64 tensors and reverse-mode autodiff.
+"""Dense floating-point tensors and reverse-mode autodiff.
+
+A tensor keeps the dtype of a floating input (anything else becomes
+float64), and every op computes in the dtype of the tensors it is given:
+constants are cast to it, so a float32 graph stays float32.
 
 Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
@@ -15,6 +19,12 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 
+def as_float(x):
+    """``x`` as an array that keeps a floating dtype; anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
+
+
 class Tensor:
     """A dense array node in the computation graph.
 
@@ -25,7 +35,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_float(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -117,13 +127,11 @@ def _accumulate(node, g, upstream=None):
         node.grad += g
 
 
-def _const(x):
-    return np.asarray(x, dtype=np.float64)
+def _scalar(c, op, dtype):
+    """``c`` as a 0-d array of ``dtype``; anything but a scalar is a ShapeMismatchError.
 
-
-def _scalar(c, op):
-    """``c`` as a 0-d float64 array; anything but a scalar is a ShapeMismatchError."""
-    c = _const(c)
+    A 0-d float64 array would promote a float32 operand to float64."""
+    c = np.asarray(c, dtype=dtype)
     if c.ndim != 0:
         raise ShapeMismatchError(f"{op}: expected a scalar constant, got shape {c.shape}")
     return c
@@ -141,7 +149,7 @@ def add(a, b):
         out_data = a.data + b.data
     else:
         parents = (a,)
-        out_data = a.data + _scalar(b, "add")
+        out_data = a.data + _scalar(b, "add", a.data.dtype)
 
     def vjp(g, parents=parents):
         for p in parents:
@@ -153,7 +161,7 @@ def add(a, b):
 
 def mul(a, c):
     """Tensor ``a`` times the scalar constant ``c``."""
-    c = _scalar(c, "mul")
+    c = _scalar(c, "mul", a.data.dtype)
 
     def vjp(g, a=a):
         if a.requires_grad:
@@ -222,9 +230,10 @@ def softmax_data(x):
 def soft_cross_entropy(x, targets):
     """Mean over the rows of -sum_k targets[k] * log softmax(x)[k].
 
-    ``targets`` is a constant array of x's shape; only ``x`` receives gradient.
+    ``targets`` is a constant array of x's shape, cast to x's dtype; only ``x``
+    receives gradient.
     """
-    t = _const(targets)
+    t = np.asarray(targets, dtype=x.data.dtype)
     scale = -1.0 / x.data.shape[0]
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)

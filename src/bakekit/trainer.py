@@ -11,7 +11,6 @@ import numpy as np
 from . import losses as ls
 from .bake import BakeConfig, build_soft_targets
 from .errors import ConfigError
-from .numerics import Tensor
 from .sampling import SamplerConfig, epoch_batches
 
 METHODS = ("vanilla", "label_smoothing", "bake")
@@ -38,8 +37,8 @@ class StepSchedule:
     def __post_init__(self):
         if list(self.milestones) != sorted(set(self.milestones)):
             raise ConfigError(f"milestones must be strictly increasing: {self.milestones}")
-        if not self.factor > 0:  # NaN included
-            raise ConfigError(f"factor must be > 0, got {self.factor}")
+        if not 0 < self.factor < math.inf:
+            raise ConfigError(f"factor must be finite and > 0, got {self.factor}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ class TrainConfig:
             raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0:  # NaN included
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 <= self.smoothing_epsilon < 1.0:
@@ -109,9 +108,9 @@ def evaluate(model, dataset, batch_size=512):
     top_k = min(5, k)
     hits1 = hits5 = 0
     for start in range(0, len(dataset), batch_size):
-        x = dataset.inputs[start : start + batch_size].astype(np.float64)
+        x = dataset.inputs[start : start + batch_size]
         y = dataset.labels[start : start + batch_size]
-        _, logits = model.forward(Tensor(x))
+        _, logits = model.forward(x)
         order = np.argsort(-logits.data, axis=1, kind="stable")
         hits1 += int((order[:, 0] == y).sum())
         hits5 += int((order[:, :top_k] == y[:, None]).any(axis=1).sum())
@@ -121,10 +120,12 @@ def evaluate(model, dataset, batch_size=512):
 def batch_loss(model, x, y, cfg):
     """Forward one batch under ``cfg.method``; returns (loss tensor, ce value, kl value).
 
+    The loss is in the model's dtype; bake's soft targets are float64.
+
     bake adds ``cfg.bake.distill_weight`` times the KL to detached soft
     targets, both at the one temperature ``cfg.bake.tau``.
     """
-    features, logits = model.forward(Tensor(x))
+    features, logits = model.forward(x)
     ce = ls.cross_entropy(logits, y)
     if cfg.method == "vanilla":
         return ce, ce.item(), 0.0
@@ -149,7 +150,7 @@ def train(model, train_set, test_set, cfg):
         n = len(batches)
         sum_loss = sum_ce = sum_kl = 0.0
         for it, ids in enumerate(batches):
-            x, y = train_set.inputs[ids].astype(np.float64), train_set.labels[ids]
+            x, y = train_set.inputs[ids], train_set.labels[ids]
             loss, ce_val, kl_val = batch_loss(model, x, y, cfg)
             loss.backward()
             lr = lr_at(cfg.schedule, epoch + it / n, cfg.base_lr, cfg.epochs)

@@ -20,6 +20,13 @@ SMALL = [
 ]
 
 
+# a 3x3 image that the first conv + pool block shrinks to 0x0
+STEM_BELOW_1X1 = json.dumps({
+    "input_dim": 9, "num_classes": 4, "hidden": [6],
+    "conv_stem": {"in_channels": 1, "height": 3, "width": 3, "channels": [8, 16]},
+}).encode()
+
+
 def run_train(tmp_path, name, extra=()):
     out = tmp_path / name
     code = cli.main(["train", *SMALL, *extra, "--out-dir", str(out)])
@@ -118,11 +125,11 @@ class TestTrainCommand:
             (["--epochs=-1"], "epochs must be >= 0, got -1"),
             (["--momentum=-1"], "momentum must be in [0, 1), got -1.0"),
             (["--momentum", "1"], "momentum must be in [0, 1), got 1.0"),
-            (["--weight-decay=-1"], "weight_decay must be >= 0, got -1.0"),
-            (["--schedule", "step:1:-1"], "factor must be > 0, got -1.0"),
+            (["--weight-decay=-1"], "weight_decay must be finite and >= 0, got -1.0"),
+            (["--schedule", "step:1:-1"], "factor must be finite and > 0, got -1.0"),
             (["--schedule", "cosine:-2"], "warmup_epochs must be >= 0, got -2"),
             ({"momentum": 1}, "momentum must be in [0, 1), got 1"),
-            (["--weight-decay", "nan"], "weight_decay must be >= 0, got nan"),
+            (["--weight-decay", "nan"], "weight_decay must be finite and >= 0, got nan"),
             (["--tau", "nan"], "tau must be finite and > 0, got nan"),
             (["--lambda", "nan"], "distill_weight must be finite and >= 0, got nan"),
             (["--lr", "nan"], "base_lr must be finite and > 0, got nan"),
@@ -130,6 +137,8 @@ class TestTrainCommand:
             (["--omega", "1"], "closed-form propagation requires omega < 1"),
             (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-mean", "nan,0.5,0.5"],
              "--cifar-mean 'nan,0.5,0.5': every value must be finite"),
+            (["--weight-decay", "inf"], "weight_decay must be finite and >= 0, got inf"),
+            (["--schedule", "step:1:inf"], "factor must be finite and > 0, got inf"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -297,6 +306,23 @@ class TestCompareCommand:
         assert (bake["method"], bake["omega"], bake["mode"]) == ("bake", 0.9, "iterate:3")
         assert (vanilla["method"], vanilla["omega"], vanilla["mode"]) == ("vanilla", 0.5, "closed")
 
+    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
+        tables = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BAKE_KIT_THREADS", threads)
+            out = tmp_path / threads
+            argv = ["compare", *SMALL, "--methods", "vanilla,bake", "--seeds", "2", "--out-dir", str(out)]
+            assert cli.main(argv) == 0
+            tables[threads] = (out / "summary.tsv").read_text()
+        assert tables["2"] == tables["1"]
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        seen = cli._map_pinned(os.getenv, list(cli.BLAS_THREAD_VARS), 2)
+        assert seen == ["1"] * len(cli.BLAS_THREAD_VARS)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4" and "OMP_NUM_THREADS" not in os.environ
+
     def test_malformed_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BAKE_KIT_THREADS", "x")
         code = cli.main(["compare", *SMALL, "--methods", "vanilla", "--out-dir", str(tmp_path / "x")])
@@ -356,6 +382,37 @@ class TestTargetsCommand:
         for c in top:
             assert f"{c}:{probs[0, c]:.4f}" in printed
 
+    def test_checkpoint_targets_are_the_trained_models(self, tmp_path, capsys, monkeypatch):
+        import bakekit.data as dt
+        import bakekit.models as md
+        from bakekit.bake import BakeConfig, build_soft_targets
+        from bakekit.sampling import SamplerConfig, epoch_batches
+
+        trained = []
+        real_run = cli.run_training
+
+        def recording_run(cfg):
+            trained.append(real_run(cfg))
+            return trained[-1]
+
+        monkeypatch.setattr(cli, "run_training", recording_run)
+        _, out = run_train(tmp_path, "run")
+        model = trained[0][0]
+        assert np.array_equal(md.load_checkpoint(out / "model.ckpt").flat, model.flat)
+        capsys.readouterr()
+        assert cli.main(["targets", *SMALL, "--checkpoint", str(out / "model.ckpt"), "--rows", "8"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        train_set, _ = dt.synth_clusters(4, 40, 8, 3.0, seed=0)
+        ids = epoch_batches(train_set.class_index, SamplerConfig(8, 1, 0), 0)[0]
+        y = train_set.labels[ids]
+        features, logits = model.forward(train_set.inputs[ids])
+        q = build_soft_targets(features, logits, labels=y, cfg=BakeConfig())
+        for row, line in enumerate(printed):
+            top = np.argsort(-q[row], kind="stable")[:3]
+            cells = " ".join(f"{int(c)}:{q[row, c]:.4f}" for c in top)
+            assert line == f"row {row} gt={int(y[row])} top3: {cells}"
+        assert len(printed) == 8
+
     def test_dataset_too_small_for_one_batch_exits_2(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init(ModelDescriptor(8, 4, hidden=(6,)), seed=0), path)
@@ -373,8 +430,9 @@ class TestTargetsCommand:
             (b"\x01\x00", "truncated in its header"),
             (struct.pack("<I", 5) + b"{nope", "bad checkpoint descriptor"),
             (struct.pack("<I", 33) + b'{"num_classes": 4, "hidden": [8]}', "'input_dim'"),
+            (struct.pack("<I", len(STEM_BELOW_1X1)) + STEM_BELOW_1X1, "below 1x1"),
         ],
-        ids=["short-header", "not-json", "missing-key"],
+        ids=["short-header", "not-json", "missing-key", "stem-below-1x1"],
     )
     def test_corrupt_checkpoint_exits_3(self, tmp_path, capsys, body, needle):
         path = tmp_path / "bad.ckpt"

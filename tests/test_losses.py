@@ -120,9 +120,9 @@ class TestKlDistillation:
 class TestBakeLoss:
     """The bake method's objective, composed once in ``trainer.batch_loss``."""
 
-    def _random_batch(self, seed, n=6, k=4, d=3):
+    def _random_batch(self, seed, n=6, k=4, d=3, dtype=np.float32):
         rng = np.random.default_rng(seed)
-        model = md.init(md.ModelDescriptor(d, k, hidden=(8, 5)), seed=seed)
+        model = md.init(md.ModelDescriptor(d, k, hidden=(8, 5)), seed=seed, dtype=dtype)
         return model, rng.normal(size=(n, d)), rng.integers(0, k, size=n)
 
     def test_lambda_zero_equals_cross_entropy(self):
@@ -132,7 +132,7 @@ class TestBakeLoss:
         assert loss.item() == cross_entropy(z, y).item()
 
     def test_omega_zero_equals_cross_entropy_value_and_grad(self):
-        model, x, y = self._random_batch(5)
+        model, x, y = self._random_batch(5, dtype=np.float64)
         loss, _, _ = batch_loss(model, x, y, TrainConfig(bake=BakeConfig(omega=0.0)))
         loss.backward()
         g_bake = {k: p.grad.copy() for k, p in model.params.items()}

@@ -24,7 +24,7 @@ class TestForward:
         assert np.array_equal(logits.data, np.zeros((3, 4)))
 
     def test_layers_match_hand_matmul(self):
-        model = md.init(md.ModelDescriptor(3, 2, hidden=(4, 3)), seed=1)
+        model = md.init(md.ModelDescriptor(3, 2, hidden=(4, 3)), seed=1, dtype=np.float64)
         x = np.eye(3)
         features, logits = model.forward(x)
         p = {k: v.data for k, v in model.params.items()}
@@ -39,6 +39,17 @@ class TestForward:
         features, logits = model.forward(np.vstack([row, row]))
         assert np.array_equal(features.data[0], features.data[1])
         assert np.array_equal(logits.data[0], logits.data[1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_is_cast_to_model_dtype(self, dtype):
+        model = md.init(md.ModelDescriptor(6, 4, hidden=(8, 5)), seed=2, dtype=dtype)
+        x = np.random.default_rng(3).normal(size=(3, 6))
+        for values in (x, x.astype(np.float32)):
+            cast = model.forward(values.astype(dtype))[1].data
+            for batch in (values, Tensor(values)):
+                features, logits = model.forward(batch)
+                assert features.data.dtype == logits.data.dtype == dtype
+                assert np.array_equal(logits.data, cast)
 
     def test_input_dim_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -56,6 +67,13 @@ class TestInit:
         a, b = mlp(seed=9), mlp(seed=9)
         for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
+
+    def test_float32_is_the_float64_draw_cast_once(self):
+        descriptor = md.ModelDescriptor(6, 4, hidden=(8, 5))
+        single, double = md.init(descriptor, 9), md.init(descriptor, 9, dtype=np.float64)
+        assert single.flat.dtype == single.grad.dtype == np.float32
+        assert double.flat.dtype == double.grad.dtype == np.float64
+        assert np.array_equal(single.flat, double.flat.astype(np.float32))
 
     def test_different_seeds_differ(self):
         a, b = mlp(seed=1), mlp(seed=2)
@@ -118,6 +136,10 @@ class TestConvStem:
         cross_entropy(logits, np.array([0, 2])).backward()
         assert np.abs(model.params["conv0.w"].grad).sum() > 0
 
+    def test_stem_below_one_pixel_rejected_when_built(self):
+        with pytest.raises(ConfigError, match="below 1x1"):
+            md.ModelDescriptor(9, 4, conv_stem=md.ConvStem(1, 3, 3))
+
     def test_stem_input_dim_must_match(self):
         with pytest.raises(ConfigError):
             md.ModelDescriptor(100, 3, conv_stem=md.ConvStem(1, 12, 12))
@@ -131,8 +153,15 @@ class TestCheckpoint:
         loaded = md.load_checkpoint(path)
         assert loaded.descriptor == model.descriptor
         for name in model.params:
-            # float32 storage quantizes the float64 weights
-            assert np.abs(loaded.params[name].data - model.params[name].data).max() < 1e-6
+            assert np.array_equal(loaded.params[name].data, model.params[name].data)
+
+    def test_float64_model_loads_as_its_float32_rounding(self, tmp_path):
+        model = md.init(md.ModelDescriptor(6, 4, hidden=(8, 5)), seed=11, dtype=np.float64)
+        path = tmp_path / "m.ckpt"
+        md.save_checkpoint(model, path)
+        loaded = md.load_checkpoint(path)
+        assert loaded.flat.dtype == np.float32
+        assert np.array_equal(loaded.flat, model.flat.astype(np.float32))
 
     def test_conv_round_trip(self, tmp_path):
         stem = md.ConvStem(1, 10, 10)

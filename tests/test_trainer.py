@@ -7,7 +7,7 @@ from bakekit import data as dt
 from bakekit import models as md
 from bakekit import trainer as tr
 from bakekit.errors import ConfigError
-from bakekit.numerics import Tensor
+from bakekit.numerics import Tensor, _toposort
 from bakekit.sampling import SamplerConfig
 
 
@@ -52,6 +52,40 @@ class TestSgdStep:
         tr.sgd_step(model.flat, model.grad, np.zeros_like(model.flat), 0.5, 0.0, 0.0)
         for k, p in model.params.items():
             assert np.array_equal(p.data, before[k] - 0.5)
+
+
+class TestDtype:
+    """A training step computes in the model's dtype: every tape node's data and
+    gradient, the model's gradient and the velocity. A 0-d float64 constant
+    would silently promote a float32 tape to float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("method", tr.METHODS)
+    def test_training_step_stays_in_model_dtype(self, monkeypatch, method, dtype):
+        losses, vectors = [], []
+        real_loss, real_step = tr.batch_loss, tr.sgd_step
+
+        def recording_loss(*args):
+            losses.append(real_loss(*args))
+            return losses[-1]
+
+        def recording_step(p, g, v, *rest):
+            vectors.append((p.dtype, g.dtype, v.dtype))
+            real_step(p, g, v, *rest)
+
+        monkeypatch.setattr(tr, "batch_loss", recording_loss)
+        monkeypatch.setattr(tr, "sgd_step", recording_step)
+        train_set, test_set = dt.synth_clusters(4, 20, 6, 3.0, seed=0)
+        model = md.init(md.ModelDescriptor(6, 4, hidden=(8, 5)), seed=0, dtype=dtype)
+        cfg = tr.TrainConfig(epochs=1, method=method, weight_decay=1e-4, sampler=SamplerConfig(8, 1, 0))
+        tr.train(model, train_set, test_set, cfg)
+        assert losses and len(vectors) == len(losses)
+        for loss, _, _ in losses:
+            nodes = _toposort(loss)
+            assert len(nodes) > 10
+            for node in nodes:
+                assert (node.data.dtype, node.grad.dtype) == (dtype, dtype), node
+        assert set(vectors) == {(np.dtype(dtype),) * 3}
 
 
 class TestLrAt:
@@ -195,11 +229,11 @@ class TestTrain:
         for momentum in (-1.0, 1.0, float("nan")):
             with pytest.raises(ConfigError, match=r"momentum must be in \[0, 1\)"):
                 tr.TrainConfig(momentum=momentum)
-        for weight_decay in (-1.0, float("nan")):
-            with pytest.raises(ConfigError, match="weight_decay must be >= 0"):
+        for weight_decay in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="weight_decay must be finite and >= 0"):
                 tr.TrainConfig(weight_decay=weight_decay)
-        for factor in (0.0, -1.0, float("nan")):
-            with pytest.raises(ConfigError, match="factor must be > 0"):
+        for factor in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="factor must be finite and > 0"):
                 tr.StepSchedule(milestones=(1,), factor=factor)
         with pytest.raises(ConfigError, match="warmup_epochs must be >= 0, got -2"):
             tr.CosineSchedule(warmup_epochs=-2)
