@@ -2,9 +2,9 @@
 
 All functions here operate on plain float64 arrays and are deliberately
 outside the autodiff graph: soft targets never carry gradient. Tensors are
-accepted anywhere an array is (their data is read, never their tape), and a
-float32 model's features and logits are upcast, so targets are float64 for
-every model dtype.
+accepted anywhere an array is (their data is read, never their tape), and
+features and logits computed in float32 are upcast, so targets are float64
+whatever a model computes in.
 """
 
 from __future__ import annotations

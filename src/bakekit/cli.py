@@ -144,6 +144,13 @@ def resolve_config(args):
             raise ConfigError(f"config file {args.config}: expected a JSON object, got {type(loaded).__name__}")
         if isinstance(loaded.get("config"), dict):  # accept a manifest as a config source
             sampler_version = loaded.get("sampler_version", 1)  # version 1 wrote no field
+            dtype = loaded.get("dtype", "float64")  # float64 runs wrote no field
+            if dtype != md.COMPUTE_DTYPE.name:
+                print(
+                    f"note: manifest {args.config} was trained in {dtype}; this run computes in "
+                    f"{md.COMPUTE_DTYPE.name}, so its metrics will not match the original's",
+                    file=sys.stderr,
+                )
             loaded = loaded["config"]
         unknown = set(loaded) - set(OPTION)
         if unknown:
@@ -288,7 +295,7 @@ def run_training(cfg):
         "seed": cfg["seed"],
         "dataset_fingerprint": train_set.fingerprint(),
         "sampler_version": SAMPLER_VERSION,
-        "dtype": model.flat.dtype.name,
+        "dtype": model.dtype.name,
         "config": cfg,
     }
     return model, metrics, manifest
@@ -339,28 +346,28 @@ def _parse_method_token(token, base_cfg):
         raise ConfigError(f"method token {token!r}: {exc}") from None
 
 
-# BLAS thread counts for compare's workers: BAKE_KIT_THREADS processes with a
-# multi-threaded BLAS each oversubscribe the cores and run slower than one.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# NumPy's wheels link OpenBLAS, which reads its thread count from this variable
+# when it loads. BAKE_KIT_THREADS processes with a multi-threaded BLAS each
+# oversubscribe the cores and run slower than one.
+BLAS_THREADS_VAR = "OPENBLAS_NUM_THREADS"
 
 
 def _map_pinned(fn, jobs, workers):
     """``map(fn, jobs)`` over ``workers`` spawned processes, each with one BLAS thread.
 
-    The variables are read when a process loads its BLAS, so they are set while
-    the workers start; ``spawn`` starts them fresh, with the variables."""
-    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    The variable is set while the workers start; ``spawn`` starts them fresh,
+    so each loads its BLAS with it."""
+    saved = os.environ.get(BLAS_THREADS_VAR)
+    os.environ[BLAS_THREADS_VAR] = "1"
     try:
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             return list(pool.map(fn, jobs))
     finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+        if saved is None:
+            del os.environ[BLAS_THREADS_VAR]
+        else:
+            os.environ[BLAS_THREADS_VAR] = saved
 
 
 def _compare_cell(job):

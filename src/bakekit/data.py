@@ -69,9 +69,11 @@ def synth_clusters(k_classes, per_class, dim, spread, seed, test_per_class=None)
     centers = rng.normal(size=(k_classes, dim))
 
     def draw(count):
-        inputs = np.concatenate(
-            [centers[c] + spread * rng.normal(size=(count, dim)) for c in range(k_classes)]
-        )
+        # each class's float64 draw is rounded into the float32 inputs as it is
+        # made, so no full-size float64 copy of the data exists
+        inputs = np.empty((k_classes * count, dim), dtype=np.float32)
+        for c in range(k_classes):
+            inputs[c * count : (c + 1) * count] = centers[c] + spread * rng.normal(size=(count, dim))
         labels = np.repeat(np.arange(k_classes), count)
         return Dataset(inputs, labels, k_classes)
 

@@ -17,6 +17,7 @@ from .errors import ConfigError, DataFormatError, ShapeMismatchError
 from .numerics import Tensor
 
 CHECKPOINT_MAGIC = b"BAKECKP1"
+COMPUTE_DTYPE = np.dtype(np.float32)  # what a model computes in unless asked otherwise
 
 
 @dataclass(frozen=True)
@@ -86,20 +87,23 @@ def _layout(descriptor):
 
 
 class Model:
-    """All parameters in one vector ``flat``, their gradients in ``grad``.
+    """All parameters in one float64 vector ``flat``, their gradients in ``grad``.
 
     ``params`` is an ordered name -> Tensor dict whose ``.data`` and ``.grad``
-    are views into ``flat`` and ``grad``. The model computes in the dtype of
-    ``flat`` (a non-floating vector becomes float64).
+    are views into ``flat`` and ``grad``. ``forward`` computes in ``dtype``
+    (float32 unless asked otherwise): below float64 it casts every parameter
+    on the tape, so the gradients still land in ``grad`` in float64, and SGD
+    accumulates its updates in the float64 ``flat``.
     """
 
-    def __init__(self, descriptor, flat):
-        flat = nm.as_float(flat)
+    def __init__(self, descriptor, flat, dtype=COMPUTE_DTYPE):
+        flat = np.asarray(flat, dtype=np.float64)
         layout = _layout(descriptor)
         sizes = [int(np.prod(shape)) for _, shape, _ in layout]
         if flat.shape != (sum(sizes),):
             raise ShapeMismatchError(f"parameter vector {flat.shape}, descriptor needs ({sum(sizes)},)")
         self.descriptor = descriptor
+        self.dtype = np.dtype(dtype)
         self.flat = flat
         self.grad = np.zeros_like(flat)
         self.params = {}
@@ -114,44 +118,45 @@ class Model:
     def forward(self, inputs):
         """Map an N x input_dim batch to (features N x D, logits N x K).
 
-        A batch of another dtype, array or Tensor, is cast to the model's, as a
+        A batch of another dtype, array or Tensor, is cast to ``dtype``, as a
         new leaf."""
         x = inputs
-        if not isinstance(x, Tensor) or x.data.dtype != self.flat.dtype:
-            x = Tensor(np.asarray(getattr(x, "data", x), dtype=self.flat.dtype))
+        if not isinstance(x, Tensor) or x.data.dtype != self.dtype:
+            x = Tensor(np.asarray(getattr(x, "data", x), dtype=self.dtype))
         if x.shape[1] != self.descriptor.input_dim:
             raise ShapeMismatchError(
                 f"input dim {x.shape[1]} != model input dim {self.descriptor.input_dim}"
             )
+        p = self.params
+        if self.dtype != self.flat.dtype:
+            p = {name: nm.cast(t, self.dtype) for name, t in p.items()}
         stem = self.descriptor.conv_stem
         if stem is not None:
             x = x.reshape(x.shape[0], stem.in_channels, stem.height, stem.width)
             for i in range(len(stem.channels)):
-                x = nm.conv2d(x, self.params[f"conv{i}.w"], self.params[f"conv{i}.b"])
+                x = nm.conv2d(x, p[f"conv{i}.w"], p[f"conv{i}.b"])
                 x = nm.relu(x)
                 x = nm.avg_pool2d(x, 2)
             x = x.reshape(x.shape[0], -1)
         last = len(self.descriptor.hidden) - 1
         for i in range(len(self.descriptor.hidden)):
-            x = nm.linear(x, self.params[f"dense{i}.w"], self.params[f"dense{i}.b"])
+            x = nm.linear(x, p[f"dense{i}.w"], p[f"dense{i}.b"])
             if i < last:
                 x = nm.relu(x)  # the final hidden layer stays linear: its output
                 # is the feature vector, and l2 normalization needs nonzero rows
         features = x
-        logits = nm.linear(features, self.params["head.w"], self.params["head.b"])
+        logits = nm.linear(features, p["head.w"], p["head.b"])
         return features, logits
 
 
-def init(descriptor, seed, dtype=np.float32):
-    """Seeded scaled-uniform fan-in initialization of a ``dtype`` model.
-
-    The draws are float64 whatever the dtype, and are cast once."""
+def init(descriptor, seed):
+    """Seeded scaled-uniform fan-in initialization."""
     rng = np.random.default_rng(seed)
     arrays = []
     for _, shape, fan_in in _layout(descriptor):
         lim = 1.0 / np.sqrt(fan_in)
         arrays.append(rng.uniform(-lim, lim, size=shape).ravel())
-    return Model(descriptor, np.concatenate(arrays).astype(dtype, copy=False))
+    return Model(descriptor, np.concatenate(arrays))
 
 
 def save_checkpoint(model, path):
@@ -168,7 +173,8 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """The float32 model a checkpoint stores, holding exactly its values."""
+    """The model a checkpoint stores; its float32 forward computes with exactly
+    the stored values, as the saved model's did."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -189,4 +195,4 @@ def load_checkpoint(path):
     payload = blob[12 + desc_len :]
     if len(payload) != expected:
         raise DataFormatError(f"checkpoint truncated or padded: {len(payload)} parameter bytes, not {expected}")
-    return Model(descriptor, np.frombuffer(payload, dtype="<f4").astype(np.float32))
+    return Model(descriptor, np.frombuffer(payload, dtype="<f4"))

@@ -2,7 +2,8 @@
 
 A tensor keeps the dtype of a floating input (anything else becomes
 float64), and every op computes in the dtype of the tensors it is given:
-constants are cast to it, so a float32 graph stays float32.
+constants are cast to it, so a float32 graph stays float32. ``cast`` is the
+one op that changes dtype; its gradient flows back in the source's dtype.
 
 Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
@@ -19,12 +20,6 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 
-def as_float(x):
-    """``x`` as an array that keeps a floating dtype; anything else becomes float64."""
-    x = np.asarray(x)
-    return x if x.dtype.kind == "f" else x.astype(np.float64)
-
-
 class Tensor:
     """A dense array node in the computation graph.
 
@@ -35,7 +30,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False):
-        self.data = as_float(data)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -168,6 +164,16 @@ def mul(a, c):
             _accumulate(a, g * c)
 
     return Tensor._op(a.data * c, (a,), vjp)
+
+
+def cast(x, dtype):
+    """``x`` in ``dtype``; the gradient is cast back to ``x``'s dtype."""
+
+    def vjp(g, x=x):
+        if x.requires_grad:
+            _accumulate(x, g.astype(x.data.dtype))
+
+    return Tensor._op(x.data.astype(dtype), (x,), vjp)
 
 
 def relu(x):

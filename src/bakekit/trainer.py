@@ -120,7 +120,8 @@ def evaluate(model, dataset, batch_size=512):
 def batch_loss(model, x, y, cfg):
     """Forward one batch under ``cfg.method``; returns (loss tensor, ce value, kl value).
 
-    The loss is in the model's dtype; bake's soft targets are float64.
+    The loss is in the dtype the model computes in; bake's soft targets are
+    float64.
 
     bake adds ``cfg.bake.distill_weight`` times the KL to detached soft
     targets, both at the one temperature ``cfg.bake.tau``.

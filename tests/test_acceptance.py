@@ -59,7 +59,8 @@ def test_criterion_2_row_stochastic_without_renormalization():
 def test_criterion_3_omega_zero_degeneracy():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        model = md.init(md.ModelDescriptor(6, 5, hidden=(12, 8)), seed=int(rng.integers(1e6)), dtype=np.float64)
+        descriptor = md.ModelDescriptor(6, 5, hidden=(12, 8))
+        model = md.Model(descriptor, md.init(descriptor, seed=int(rng.integers(1e6))).flat, np.float64)
         x = rng.normal(size=(8, 6))
         y = rng.integers(0, 5, size=8)
         loss, _, _ = tr.batch_loss(model, x, y, tr.TrainConfig(bake=BakeConfig(omega=0.0)))
@@ -78,7 +79,8 @@ def test_criterion_4_gradient_correctness():
     h = 1e-5
     rng = np.random.default_rng(11)
     for case in range(20):
-        model = md.init(md.ModelDescriptor(5, 4, hidden=(10, 6)), seed=case, dtype=np.float64)
+        descriptor = md.ModelDescriptor(5, 4, hidden=(10, 6))
+        model = md.Model(descriptor, md.init(descriptor, seed=case).flat, np.float64)
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 4, size=6)
         bake_cfg = BakeConfig(omega=0.5, tau=4.0)

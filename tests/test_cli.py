@@ -204,6 +204,25 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(a / "manifest.json"), "--out-dir", str(out_b)]) == 0
         assert (a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64", None])
+    def test_manifest_of_another_dtype_reruns_with_a_note(self, tmp_path, capsys, dtype):
+        _, a = run_train(tmp_path, "a", extra=["--epochs", "1"])
+        manifest = json.loads((a / "manifest.json").read_text())
+        assert manifest["dtype"] == "float32"
+        if dtype is None:
+            del manifest["dtype"]  # runs before float32 compute wrote no field
+        else:
+            manifest["dtype"] = dtype
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(path), "--out-dir", str(tmp_path / "b")]) == 0
+        err = capsys.readouterr().err
+        if dtype == "float32":
+            assert err == ""
+        else:
+            assert f"note: manifest {path} was trained in float64" in err
+
     def test_flags_override_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "seed": 7}))
@@ -316,12 +335,14 @@ class TestCompareCommand:
             tables[threads] = (out / "summary.tsv").read_text()
         assert tables["2"] == tables["1"]
 
-    def test_workers_run_one_blas_thread(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        seen = cli._map_pinned(os.getenv, list(cli.BLAS_THREAD_VARS), 2)
-        assert seen == ["1"] * len(cli.BLAS_THREAD_VARS)
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "4" and "OMP_NUM_THREADS" not in os.environ
+    @pytest.mark.parametrize("before", ["4", None])
+    def test_workers_run_one_blas_thread(self, monkeypatch, before):
+        if before is None:
+            monkeypatch.delenv(cli.BLAS_THREADS_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.BLAS_THREADS_VAR, before)
+        assert cli._map_pinned(os.getenv, [cli.BLAS_THREADS_VAR] * 2, 2) == ["1", "1"]
+        assert os.environ.get(cli.BLAS_THREADS_VAR) == before
 
     def test_malformed_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BAKE_KIT_THREADS", "x")
@@ -398,7 +419,7 @@ class TestTargetsCommand:
         monkeypatch.setattr(cli, "run_training", recording_run)
         _, out = run_train(tmp_path, "run")
         model = trained[0][0]
-        assert np.array_equal(md.load_checkpoint(out / "model.ckpt").flat, model.flat)
+        assert np.array_equal(md.load_checkpoint(out / "model.ckpt").flat, model.flat.astype(np.float32))
         capsys.readouterr()
         assert cli.main(["targets", *SMALL, "--checkpoint", str(out / "model.ckpt"), "--rows", "8"]) == 0
         printed = capsys.readouterr().out.splitlines()

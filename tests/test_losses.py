@@ -122,7 +122,8 @@ class TestBakeLoss:
 
     def _random_batch(self, seed, n=6, k=4, d=3, dtype=np.float32):
         rng = np.random.default_rng(seed)
-        model = md.init(md.ModelDescriptor(d, k, hidden=(8, 5)), seed=seed, dtype=dtype)
+        descriptor = md.ModelDescriptor(d, k, hidden=(8, 5))
+        model = md.Model(descriptor, md.init(descriptor, seed=seed).flat, dtype)
         return model, rng.normal(size=(n, d)), rng.integers(0, k, size=n)
 
     def test_lambda_zero_equals_cross_entropy(self):

@@ -24,7 +24,8 @@ class TestForward:
         assert np.array_equal(logits.data, np.zeros((3, 4)))
 
     def test_layers_match_hand_matmul(self):
-        model = md.init(md.ModelDescriptor(3, 2, hidden=(4, 3)), seed=1, dtype=np.float64)
+        descriptor = md.ModelDescriptor(3, 2, hidden=(4, 3))
+        model = md.Model(descriptor, md.init(descriptor, seed=1).flat, np.float64)
         x = np.eye(3)
         features, logits = model.forward(x)
         p = {k: v.data for k, v in model.params.items()}
@@ -42,7 +43,8 @@ class TestForward:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batch_is_cast_to_model_dtype(self, dtype):
-        model = md.init(md.ModelDescriptor(6, 4, hidden=(8, 5)), seed=2, dtype=dtype)
+        descriptor = md.ModelDescriptor(6, 4, hidden=(8, 5))
+        model = md.Model(descriptor, md.init(descriptor, seed=2).flat, dtype)
         x = np.random.default_rng(3).normal(size=(3, 6))
         for values in (x, x.astype(np.float32)):
             cast = model.forward(values.astype(dtype))[1].data
@@ -68,12 +70,16 @@ class TestInit:
         for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
 
-    def test_float32_is_the_float64_draw_cast_once(self):
-        descriptor = md.ModelDescriptor(6, 4, hidden=(8, 5))
-        single, double = md.init(descriptor, 9), md.init(descriptor, 9, dtype=np.float64)
-        assert single.flat.dtype == single.grad.dtype == np.float32
-        assert double.flat.dtype == double.grad.dtype == np.float64
-        assert np.array_equal(single.flat, double.flat.astype(np.float32))
+    def test_float32_forward_uses_the_rounded_float64_parameters(self):
+        model = mlp(seed=9)
+        assert model.dtype == np.float32
+        assert model.flat.dtype == model.grad.dtype == np.float64
+        x = np.random.default_rng(1).normal(size=(3, 6)).astype(np.float32)
+        p = {k: v.data.astype(np.float32) for k, v in model.params.items()}
+        expected = np.maximum(x @ p["dense0.w"] + p["dense0.b"], 0.0) @ p["dense1.w"] + p["dense1.b"]
+        features, logits = model.forward(x)
+        assert np.array_equal(features.data, expected)
+        assert np.array_equal(logits.data, expected @ p["head.w"] + p["head.b"])
 
     def test_different_seeds_differ(self):
         a, b = mlp(seed=1), mlp(seed=2)
@@ -152,16 +158,10 @@ class TestCheckpoint:
         md.save_checkpoint(model, path)
         loaded = md.load_checkpoint(path)
         assert loaded.descriptor == model.descriptor
-        for name in model.params:
-            assert np.array_equal(loaded.params[name].data, model.params[name].data)
-
-    def test_float64_model_loads_as_its_float32_rounding(self, tmp_path):
-        model = md.init(md.ModelDescriptor(6, 4, hidden=(8, 5)), seed=11, dtype=np.float64)
-        path = tmp_path / "m.ckpt"
-        md.save_checkpoint(model, path)
-        loaded = md.load_checkpoint(path)
-        assert loaded.flat.dtype == np.float32
+        # float32 storage holds exactly the parameters a float32 forward computes with
         assert np.array_equal(loaded.flat, model.flat.astype(np.float32))
+        x = np.random.default_rng(0).normal(size=(3, 6))
+        assert np.array_equal(loaded.forward(x)[1].data, model.forward(x)[1].data)
 
     def test_conv_round_trip(self, tmp_path):
         stem = md.ConvStem(1, 10, 10)

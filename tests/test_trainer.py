@@ -56,8 +56,9 @@ class TestSgdStep:
 
 class TestDtype:
     """A training step computes in the model's dtype: every tape node's data and
-    gradient, the model's gradient and the velocity. A 0-d float64 constant
-    would silently promote a float32 tape to float64."""
+    gradient, except the parameter leaves. Those stay float64, and so do
+    ``model.grad`` and the velocity that SGD updates them with. A 0-d float64
+    constant would silently promote a float32 tape to float64."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("method", tr.METHODS)
@@ -76,16 +77,19 @@ class TestDtype:
         monkeypatch.setattr(tr, "batch_loss", recording_loss)
         monkeypatch.setattr(tr, "sgd_step", recording_step)
         train_set, test_set = dt.synth_clusters(4, 20, 6, 3.0, seed=0)
-        model = md.init(md.ModelDescriptor(6, 4, hidden=(8, 5)), seed=0, dtype=dtype)
+        descriptor = md.ModelDescriptor(6, 4, hidden=(8, 5))
+        model = md.Model(descriptor, md.init(descriptor, seed=0).flat, dtype)
         cfg = tr.TrainConfig(epochs=1, method=method, weight_decay=1e-4, sampler=SamplerConfig(8, 1, 0))
         tr.train(model, train_set, test_set, cfg)
         assert losses and len(vectors) == len(losses)
+        leaves = {id(p) for p in model.params.values()}
         for loss, _, _ in losses:
             nodes = _toposort(loss)
-            assert len(nodes) > 10
+            assert len(nodes) > 10 and leaves <= {id(node) for node in nodes}
             for node in nodes:
-                assert (node.data.dtype, node.grad.dtype) == (dtype, dtype), node
-        assert set(vectors) == {(np.dtype(dtype),) * 3}
+                want = np.float64 if id(node) in leaves else dtype
+                assert (node.data.dtype, node.grad.dtype) == (want, want), node
+        assert set(vectors) == {(np.dtype(np.float64),) * 3}
 
 
 class TestLrAt:
