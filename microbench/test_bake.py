@@ -8,8 +8,9 @@ Run from a checkout root with ``python3 -m pytest -q microbench --benchmark-only
 overhead over plain cross-entropy: the ratio of its ``bake`` and ``vanilla``
 medians, at desk size and at bake_wide's. ``test_step`` runs models that
 compute in float32 (the training default) and in float64, so the ratio of
-their medians is what float32 saves per step. The SGD step updates float64
-parameters whatever a model computes in.
+their medians is what float32 saves per step. The SGD step adds a gradient
+in the dtype a model computes in to a float64 velocity, and updates the
+float64 parameters, as training does.
 """
 
 import numpy as np
@@ -84,11 +85,14 @@ def test_step(benchmark, method, classes, per_class, n_hat, dtype):
     assert np.isfinite(benchmark(step).item())
 
 
+@DTYPES
 @pytest.mark.parametrize("k", [10, 100], ids=["desk", "bake_wide"])
-def test_sgd_step(benchmark, k):
+def test_sgd_step(benchmark, k, dtype):
     """One momentum SGD step on MLP 256,128 over 32 inputs: 42,634 parameters
-    at desk size (K=10), 54,244 at bake_wide's K=100."""
-    model = md.init(md.ModelDescriptor(32, k), seed=0)
+    at desk size (K=10), 54,244 at bake_wide's K=100; ``model.grad`` is in
+    ``dtype``."""
+    descriptor = md.ModelDescriptor(32, k)
+    model = md.Model(descriptor, md.init(descriptor, seed=0).flat, dtype)
     model.grad[:] = np.random.default_rng(3).normal(size=model.grad.size) * 1e-3
     velocity = np.zeros_like(model.flat)
     benchmark(sgd_step, model.flat, model.grad, velocity, 0.01, 0.9, 0.0)

@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from typing import NamedTuple
 
@@ -357,6 +355,9 @@ def _map_pinned(fn, jobs, workers):
 
     The variable is set while the workers start; ``spawn`` starts them fresh,
     so each loads its BLAS with it."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = os.environ.get(BLAS_THREADS_VAR)
     os.environ[BLAS_THREADS_VAR] = "1"
     try:

@@ -40,8 +40,8 @@ class Dataset:
         import hashlib
 
         h = hashlib.sha256()
-        h.update(self.inputs.tobytes())
-        h.update(self.labels.tobytes())
+        h.update(np.ascontiguousarray(self.inputs))  # hashed in place, not copied
+        h.update(np.ascontiguousarray(self.labels))
         return h.hexdigest()
 
 

@@ -87,13 +87,15 @@ def _layout(descriptor):
 
 
 class Model:
-    """All parameters in one float64 vector ``flat``, their gradients in ``grad``.
+    """All parameters in one float64 master vector ``flat``, and one copy of it
+    in ``dtype`` (float32 unless asked otherwise), ``weights``, to compute with.
 
     ``params`` is an ordered name -> Tensor dict whose ``.data`` and ``.grad``
-    are views into ``flat`` and ``grad``. ``forward`` computes in ``dtype``
-    (float32 unless asked otherwise): below float64 it casts every parameter
-    on the tape, so the gradients still land in ``grad`` in float64, and SGD
-    accumulates its updates in the float64 ``flat``.
+    are views into ``weights`` and ``grad``, both in ``dtype``. ``forward``
+    first refreshes ``weights`` from ``flat``; for a float64 model they are one
+    array. SGD adds the gradients into float64 and updates ``flat``, which is
+    where parameters are written: below float64 the ``params`` views are
+    read-only, as a write to them would be lost at the next ``forward``.
     """
 
     def __init__(self, descriptor, flat, dtype=COMPUTE_DTYPE):
@@ -105,11 +107,15 @@ class Model:
         self.descriptor = descriptor
         self.dtype = np.dtype(dtype)
         self.flat = flat
-        self.grad = np.zeros_like(flat)
+        self.weights = flat if self.dtype == flat.dtype else flat.astype(self.dtype)
+        self.grad = np.zeros_like(self.weights)
         self.params = {}
         cuts = np.cumsum(sizes)[:-1]
-        for (name, shape, _), data, grad in zip(layout, np.split(flat, cuts), np.split(self.grad, cuts)):
-            self.params[name] = p = Tensor(data.reshape(shape), requires_grad=True)
+        for (name, shape, _), data, grad in zip(layout, np.split(self.weights, cuts), np.split(self.grad, cuts)):
+            data = data.reshape(shape)
+            if self.weights is not flat:
+                data.flags.writeable = False
+            self.params[name] = p = Tensor(data, requires_grad=True)
             p.grad = grad.reshape(shape)
 
     def parameter_count(self):
@@ -127,9 +133,9 @@ class Model:
             raise ShapeMismatchError(
                 f"input dim {x.shape[1]} != model input dim {self.descriptor.input_dim}"
             )
+        if self.weights is not self.flat:
+            np.copyto(self.weights, self.flat)
         p = self.params
-        if self.dtype != self.flat.dtype:
-            p = {name: nm.cast(t, self.dtype) for name, t in p.items()}
         stem = self.descriptor.conv_stem
         if stem is not None:
             x = x.reshape(x.shape[0], stem.in_channels, stem.height, stem.width)

@@ -2,8 +2,8 @@
 
 A tensor keeps the dtype of a floating input (anything else becomes
 float64), and every op computes in the dtype of the tensors it is given:
-constants are cast to it, so a float32 graph stays float32. ``cast`` is the
-one op that changes dtype; its gradient flows back in the source's dtype.
+constants are cast to it, so a float32 graph stays float32. No op changes
+dtype: a graph's leaves enter it in the dtype it computes in.
 
 Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
@@ -164,16 +164,6 @@ def mul(a, c):
             _accumulate(a, g * c)
 
     return Tensor._op(a.data * c, (a,), vjp)
-
-
-def cast(x, dtype):
-    """``x`` in ``dtype``; the gradient is cast back to ``x``'s dtype."""
-
-    def vjp(g, x=x):
-        if x.requires_grad:
-            _accumulate(x, g.astype(x.data.dtype))
-
-    return Tensor._op(x.data.astype(dtype), (x,), vjp)
 
 
 def relu(x):

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -165,3 +166,12 @@ class TestDatasetInvariants:
             dt.Dataset(np.zeros((2, 3)), np.array([0, 5]), num_classes=3)
         with pytest.raises(DataFormatError, match=r"label -1 outside \[0, 3\)"):
             dt.Dataset(np.zeros((2, 3)), np.array([-1, 2]), num_classes=3)
+
+    def test_fingerprint_of_a_strided_view_hashes_its_bytes(self):
+        rng = np.random.default_rng(4)
+        inputs = rng.normal(size=(6, 10)).astype(np.float32)[::2, ::3]
+        labels = (np.arange(12, dtype=np.int64) % 3)[::4]
+        assert not inputs.flags.c_contiguous and not labels.flags.c_contiguous
+        dataset = dt.Dataset(inputs, labels, num_classes=3)
+        expected = hashlib.sha256(inputs.tobytes() + labels.tobytes()).hexdigest()
+        assert dataset.fingerprint() == expected

@@ -18,8 +18,7 @@ def mlp(input_dim=6, k=4, hidden=(8, 5), seed=0):
 class TestForward:
     def test_zero_head_gives_zero_logits(self):
         model = mlp()
-        model.params["head.w"].data[:] = 0.0
-        model.params["head.b"].data[:] = 0.0
+        model.flat[-(5 * 4 + 4) :] = 0.0  # head.w and head.b, stored last
         _, logits = model.forward(np.random.default_rng(0).normal(size=(3, 6)))
         assert np.array_equal(logits.data, np.zeros((3, 4)))
 
@@ -73,7 +72,8 @@ class TestInit:
     def test_float32_forward_uses_the_rounded_float64_parameters(self):
         model = mlp(seed=9)
         assert model.dtype == np.float32
-        assert model.flat.dtype == model.grad.dtype == np.float64
+        assert model.flat.dtype == np.float64
+        assert model.grad.dtype == np.float32
         x = np.random.default_rng(1).normal(size=(3, 6)).astype(np.float32)
         p = {k: v.data.astype(np.float32) for k, v in model.params.items()}
         expected = np.maximum(x @ p["dense0.w"] + p["dense0.b"], 0.0) @ p["dense1.w"] + p["dense1.b"]
@@ -120,6 +120,21 @@ class TestFlatParameters:
         joined = np.concatenate([p.grad.ravel() for p in model.params.values()])
         assert np.abs(model.grad).sum() > 0
         assert np.array_equal(joined, model.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_sees_in_place_changes_to_flat(self, dtype):
+        descriptor = md.ModelDescriptor(6, 4, hidden=(8, 5))
+        model = md.Model(descriptor, md.init(descriptor, seed=7).flat, dtype)
+        x = np.random.default_rng(8).normal(size=(3, 6))
+        model.forward(x)
+        model.flat *= 1.5
+        fresh = md.Model(descriptor, model.flat.copy(), dtype)
+        assert np.array_equal(model.forward(x)[1].data, fresh.forward(x)[1].data)
+
+    def test_float32_parameters_are_written_through_flat(self):
+        model = mlp(seed=3)
+        with pytest.raises(ValueError, match="read-only"):
+            model.params["head.w"].data[:] = 0.0
 
     def test_second_backward_overwrites_not_accumulates(self):
         model = mlp(seed=6)

@@ -46,19 +46,26 @@ class TestSgdStep:
         assert np.array_equal(g, [0.5, -2.0])
 
     def test_step_on_flat_vector_moves_named_params(self):
-        model = md.init(md.ModelDescriptor(4, 3, hidden=(5,)), seed=0)
-        before = {k: p.data.copy() for k, p in model.params.items()}
-        model.grad[:] = 1.0
-        tr.sgd_step(model.flat, model.grad, np.zeros_like(model.flat), 0.5, 0.0, 0.0)
-        for k, p in model.params.items():
-            assert np.array_equal(p.data, before[k] - 0.5)
+        """A float64 model's params move with ``flat``; a float32 model's
+        weights catch up at its next forward."""
+        descriptor = md.ModelDescriptor(4, 3, hidden=(5,))
+        flat = md.init(descriptor, seed=0).flat
+        before = {k: p.data.copy() for k, p in md.Model(descriptor, flat, np.float64).params.items()}
+        for dtype in (np.float64, np.float32):
+            model = md.Model(descriptor, flat.copy(), dtype)
+            model.grad[:] = 1.0
+            tr.sgd_step(model.flat, model.grad, np.zeros_like(model.flat), 0.5, 0.0, 0.0)
+            if dtype == np.float32:
+                model.forward(np.zeros((1, 4)))
+            for k, p in model.params.items():
+                assert np.array_equal(p.data, (before[k] - 0.5).astype(dtype))
 
 
 class TestDtype:
     """A training step computes in the model's dtype: every tape node's data and
-    gradient, except the parameter leaves. Those stay float64, and so do
-    ``model.grad`` and the velocity that SGD updates them with. A 0-d float64
-    constant would silently promote a float32 tape to float64."""
+    gradient, the parameter leaves and so ``model.grad`` included. SGD adds
+    that gradient into a float64 velocity and updates the float64 ``flat``. A
+    0-d float64 constant would silently promote a float32 tape to float64."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("method", tr.METHODS)
@@ -87,9 +94,20 @@ class TestDtype:
             nodes = _toposort(loss)
             assert len(nodes) > 10 and leaves <= {id(node) for node in nodes}
             for node in nodes:
-                want = np.float64 if id(node) in leaves else dtype
-                assert (node.data.dtype, node.grad.dtype) == (want, want), node
-        assert set(vectors) == {(np.dtype(np.float64),) * 3}
+                assert (node.data.dtype, node.grad.dtype) == (dtype, dtype), node
+        f64 = np.dtype(np.float64)
+        assert set(vectors) == {(f64, np.dtype(dtype), f64)}
+
+    @pytest.mark.parametrize("method, count", [("vanilla", 11), ("label_smoothing", 11), ("bake", 17)])
+    def test_tape_nodes_per_step(self, method, count):
+        """Six parameter leaves, three dense layers, one ReLU and the loss;
+        bake adds its KL term and the weighted sum. No node casts."""
+        descriptor = md.ModelDescriptor(6, 4, hidden=(8, 5))
+        model = md.init(descriptor, seed=0)
+        x = np.random.default_rng(1).normal(size=(8, 6))
+        y = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+        loss, _, _ = tr.batch_loss(model, x, y, tr.TrainConfig(method=method))
+        assert len(_toposort(loss)) == count
 
 
 class TestLrAt:
