@@ -26,6 +26,10 @@ from .errors import ConfigError, DataFormatError
 from .sampling import SAMPLER_VERSION, SamplerConfig, epoch_batches
 
 
+SUBCOMMANDS = ("train", "compare", "targets")
+TRAINING = ("train", "compare")  # settings that only a training run reads
+
+
 class Option(NamedTuple):
     """One config key; its flag, file check, token override and default all come from here."""
 
@@ -35,31 +39,40 @@ class Option(NamedTuple):
     help: str
     choices: tuple | None = None
     token: bool = False  # overridable in a ``compare`` method token
+    commands: tuple = SUBCOMMANDS  # the subcommands that read it, and so take its flag
 
 
 OPTIONS = (
-    Option("method", str, tr.TrainConfig.method, "training method", tr.METHODS),
+    Option("method", str, tr.TrainConfig.method, "training method", tr.METHODS, commands=("train",)),
     Option("omega", float, BakeConfig.omega, "ensembling weight in [0,1]", token=True),
     Option("tau", float, BakeConfig.tau, "temperature of the soft targets and the KL term", token=True),
-    Option("lambda", float, BakeConfig.distill_weight, "distillation loss weight", token=True),
-    Option("epsilon", float, tr.TrainConfig.smoothing_epsilon, "label smoothing epsilon", token=True),
+    Option("lambda", float, BakeConfig.distill_weight, "distillation loss weight", token=True, commands=TRAINING),
+    Option(
+        "epsilon", float, tr.TrainConfig.smoothing_epsilon, "label smoothing epsilon", token=True, commands=TRAINING
+    ),
     Option("m", int, SamplerConfig.m, "same-class companions per anchor", token=True),
     Option("n_hat", int, SamplerConfig.n_hat, "anchors per batch"),
     Option("mode", str, "closed", "propagation mode: closed | iterate:T | one-step (= iterate:1)", token=True),
     Option("knowledge", str, "pred", "ensembled knowledge source", ("pred", "onehot")),
     Option("dataset", str, "synth", "dataset kind", ("synth", "idx", "cifar")),
-    Option("epochs", int, tr.TrainConfig.epochs, "training epochs"),
-    Option("lr", float, tr.TrainConfig.base_lr, "base learning rate"),
-    Option("momentum", float, tr.TrainConfig.momentum, "SGD momentum"),
-    Option("weight_decay", float, tr.TrainConfig.weight_decay, "weight decay"),
-    Option("schedule", str, f"cosine:{tr.CosineSchedule.warmup_epochs}", "cosine:WARMUP or step:M1,M2:FACTOR"),
+    Option("epochs", int, tr.TrainConfig.epochs, "training epochs", commands=TRAINING),
+    Option("lr", float, tr.TrainConfig.base_lr, "base learning rate", commands=TRAINING),
+    Option("momentum", float, tr.TrainConfig.momentum, "SGD momentum", commands=TRAINING),
+    Option("weight_decay", float, tr.TrainConfig.weight_decay, "weight decay", commands=TRAINING),
+    Option(
+        "schedule", str, f"cosine:{tr.CosineSchedule.warmup_epochs}", "cosine:WARMUP or step:M1,M2:FACTOR",
+        commands=TRAINING,
+    ),
     Option("seed", int, SamplerConfig.seed, "RNG seed"),
     Option("synth_classes", int, 10, "synthetic classes"),
     Option("synth_per_class", int, 200, "synthetic examples per class"),
     Option("synth_dim", int, 32, "synthetic input dimension"),
     Option("synth_spread", float, 3.0, "synthetic cluster spread"),
-    Option("hidden", str, ",".join(map(str, md.ModelDescriptor.hidden)), "comma-separated MLP widths"),
-    Option("conv", bool, False, "prepend the small conv stem (image datasets)"),
+    Option(
+        "hidden", str, ",".join(map(str, md.ModelDescriptor.hidden)), "comma-separated MLP widths",
+        commands=TRAINING,
+    ),
+    Option("conv", bool, False, "prepend the small conv stem (image datasets)", commands=TRAINING),
     Option("idx_train_images", str, None, "IDX train image file"),
     Option("idx_train_labels", str, None, "IDX train label file"),
     Option("idx_test_images", str, None, "IDX test image file"),
@@ -74,29 +87,39 @@ OPTION = {opt.key: opt for opt in OPTIONS}
 DEFAULTS = {opt.key: opt.default for opt in OPTIONS}
 
 
-def _add_options(p):
+def _add_options(p, command):
+    """The flags of the settings ``command`` reads, and ``--config``."""
     for opt in OPTIONS:
+        if command not in opt.commands:
+            continue
         flag = "--" + opt.key.replace("_", "-")
         if opt.type is bool:
             p.add_argument(flag, dest=opt.key, action="store_const", const=True, help=opt.help)
         else:
             shown = "" if opt.default is None else f" (default {opt.default})"
             p.add_argument(flag, dest=opt.key, type=opt.type, choices=opt.choices, help=opt.help + shown)
-    p.add_argument("--config", help="JSON config file (flags override file values)")
-    p.add_argument("--out-dir", help="run output directory")
+    p.add_argument(
+        "--config", help="JSON config file (flags override file values; keys this subcommand does not read are ignored)"
+    )
     return p
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="bakekit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    _add_options(sub.add_parser("train", help="train one model and write manifest + metrics"))
-    p_cmp = _add_options(sub.add_parser("compare", help="run several (method, seed) cells and summarize"))
-    p_cmp.add_argument("--methods", help="comma-separated method tokens, e.g. vanilla,bake:omega=0.9,mode=iterate:3")
-    p_cmp.add_argument("--seeds", type=int, default=3, help="number of seeds per method (default 3)")
-    p_tgt = _add_options(sub.add_parser("targets", help="print top-3 soft targets for one sampled batch"))
-    p_tgt.add_argument("--checkpoint", help="model checkpoint to load")
-    p_tgt.add_argument("--rows", type=int, default=8, help="batch rows to print (default 8)")
+    about = {
+        "train": "train one model and write manifest + metrics",
+        "compare": "run several (method, seed) cells and summarize",
+        "targets": "print top-3 soft targets for one sampled batch",
+    }
+    # no abbreviations: ``compare --method`` would otherwise be taken for ``--methods``
+    p = {c: _add_options(sub.add_parser(c, help=about[c], allow_abbrev=False), c) for c in SUBCOMMANDS}
+    for command in TRAINING:
+        p[command].add_argument("--out-dir", help="run output directory")
+    p["compare"].add_argument("--methods", help="comma-separated method tokens, e.g. vanilla,bake:omega=0.9,mode=iterate:3")
+    p["compare"].add_argument("--seeds", type=int, default=3, help="number of seeds per method (default 3)")
+    p["targets"].add_argument("--checkpoint", help="model checkpoint to load")
+    p["targets"].add_argument("--rows", type=int, default=8, help="batch rows to print (default 8)")
     return parser
 
 
@@ -249,8 +272,11 @@ def load_datasets(cfg):
         needed = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
         if any(cfg[k] is None for k in needed):
             raise ConfigError(f"dataset=idx requires {needed}")
-        train = dt.load_idx(cfg["idx_train_images"], cfg["idx_train_labels"])
-        test = dt.load_idx(cfg["idx_test_images"], cfg["idx_test_labels"])
+        # byte labels are all < 256; the class count is then 1 + the largest
+        # label of either split, so MNIST gets 10
+        train = dt.load_idx(cfg["idx_train_images"], cfg["idx_train_labels"], k_classes=256)
+        test = dt.load_idx(cfg["idx_test_images"], cfg["idx_test_labels"], k_classes=256)
+        train.num_classes = test.num_classes = 1 + int(max(train.labels.max(initial=0), test.labels.max(initial=0)))
         return train, test
     if cfg["cifar_train"] is None or cfg["cifar_test"] is None:
         raise ConfigError("dataset=cifar requires --cifar-train and --cifar-test")

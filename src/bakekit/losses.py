@@ -42,8 +42,7 @@ def kl_distillation(logits, targets, tau):
         raise ShapeMismatchError(
             f"target row {bad} sums to {row_sums[bad]:.8f}, expected 1"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qlogq = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
+    qlogq = q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
     cross = soft_cross_entropy(logits * (1.0 / tau), q)
     return (cross + float(qlogq.sum()) / q.shape[0]) * tau**2
 

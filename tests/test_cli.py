@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 from bakekit import cli
-from bakekit.models import CHECKPOINT_MAGIC, ModelDescriptor, init, save_checkpoint
+from bakekit.models import CHECKPOINT_MAGIC, ConvStem, ModelDescriptor, init, load_checkpoint, save_checkpoint
 from bakekit.sampling import SAMPLER_VERSION
 from bakekit.trainer import TrainConfig
 
-SMALL = [
+SYNTH = [
     "--dataset", "synth",
     "--synth-classes", "4",
     "--synth-per-class", "40",
     "--synth-dim", "8",
-    "--epochs", "2",
-    "--n-hat", "8",
 ]
+SMALL = [*SYNTH, "--epochs", "2", "--n-hat", "8"]
+BATCH = [*SYNTH, "--n-hat", "8"]  # SMALL without the settings that only training reads
 
 
 # a 3x3 image that the first conv + pool block shrinks to 0x0
@@ -25,6 +25,23 @@ STEM_BELOW_1X1 = json.dumps({
     "input_dim": 9, "num_classes": 4, "hidden": [6],
     "conv_stem": {"in_channels": 1, "height": 3, "width": 3, "channels": [8, 16]},
 }).encode()
+
+
+# settings that a subcommand does not read: at most a config-file key there
+DROPPED = [("targets", flag) for flag in (
+    ["--method", "vanilla"], ["--lambda", "2"], ["--epsilon", "0.2"], ["--epochs", "3"], ["--lr", "5"],
+    ["--momentum", "0.5"], ["--weight-decay", "0.1"], ["--schedule", "step:1:0.1"], ["--hidden", "3"], ["--conv"],
+    ["--out-dir", "nowhere"],
+)] + [("compare", ["--method", "vanilla"])]
+
+
+def write_idx(tmp_path, name, images, labels):
+    """uint8 images (N, rows, cols) and labels (N,) as an IDX file pair; returns their paths."""
+    images, labels = np.asarray(images, dtype=np.uint8), np.asarray(labels, dtype=np.uint8)
+    img, lbl = tmp_path / f"{name}-images.idx", tmp_path / f"{name}-labels.idx"
+    img.write_bytes(struct.pack(">IIII", 0x00000803, *images.shape) + images.tobytes())
+    lbl.write_bytes(struct.pack(">II", 0x00000801, labels.size) + labels.tobytes())
+    return str(img), str(lbl)
 
 
 def run_train(tmp_path, name, extra=()):
@@ -157,6 +174,32 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error") and needle in err
 
+    def test_idx_class_count_comes_from_labels(self, tmp_path):
+        rng = np.random.default_rng(0)
+        train_img, train_lbl = write_idx(
+            tmp_path, "train", rng.integers(0, 256, size=(48, 4, 4)), np.repeat(np.arange(12), 4)
+        )
+        test_img, test_lbl = write_idx(tmp_path, "test", rng.integers(0, 256, size=(12, 4, 4)), np.arange(12))
+        out = tmp_path / "run"
+        code = cli.main(
+            ["train", "--dataset", "idx", "--idx-train-images", train_img, "--idx-train-labels", train_lbl,
+             "--idx-test-images", test_img, "--idx-test-labels", test_lbl, "--n-hat", "8", "--epochs", "1",
+             "--out-dir", str(out)]
+        )
+        assert code == 0
+        assert load_checkpoint(out / "model.ckpt").descriptor.num_classes == 12
+
+    def test_conv_infers_a_square_image(self, tmp_path):
+        code, out = run_train(tmp_path, "run", extra=["--synth-dim", "196", "--conv", "--epochs", "1"])
+        assert code == 0
+        assert load_checkpoint(out / "model.ckpt").descriptor.conv_stem == ConvStem(1, 14, 14)
+
+    def test_conv_without_an_image_shape_exits_2(self, tmp_path, capsys):
+        code, out = run_train(tmp_path, "run", extra=["--synth-dim", "10", "--conv"])
+        assert code == 2
+        assert "cannot infer image shape from input dim 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_recipe_is_library_default(self):
         assert cli.make_train_config(cli.DEFAULTS) == TrainConfig()
         assert cli._parse_hidden(cli.DEFAULTS["hidden"]) == ModelDescriptor.hidden
@@ -245,6 +288,34 @@ class TestTrainCommand:
         text = capsys.readouterr().out
         for needle in ("default 0.5", "default 4.0", "default 1.0", "default 1)"):
             assert needle in text
+
+
+class TestSubcommandFlags:
+    @staticmethod
+    def flags(command):
+        parser = cli.build_parser()._subparsers._group_actions[0].choices[command]
+        return {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+
+    def test_train_takes_every_setting(self):
+        settings = {"--" + key.replace("_", "-") for key in cli.DEFAULTS}
+        assert self.flags("train") == settings | {"--config", "--out-dir"}
+
+    @pytest.mark.parametrize("command,count", [("train", 33), ("compare", 34), ("targets", 24)])
+    def test_flag_count(self, command, count):
+        assert len(self.flags(command)) == count
+
+    @pytest.mark.parametrize("command,flag", DROPPED, ids=[f"{c}{f[0]}" for c, f in DROPPED])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init(ModelDescriptor(8, 4, hidden=(6,)), seed=0), path)
+        extra = {
+            "targets": ["--checkpoint", str(path)],
+            "compare": ["--epochs", "1", "--methods", "bake", "--seeds", "1", "--out-dir", str(tmp_path / "cmp")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *BATCH, *flag, *extra])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -356,7 +427,7 @@ class TestTargetsCommand:
         _, out = run_train(tmp_path, "run")
         capsys.readouterr()  # drop the train run's stdout
         code = cli.main(
-            ["targets", *SMALL, "--checkpoint", str(out / "model.ckpt"), "--rows", "4"]
+            ["targets", *BATCH, "--checkpoint", str(out / "model.ckpt"), "--rows", "4"]
         )
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -370,7 +441,7 @@ class TestTargetsCommand:
         _, out = run_train(tmp_path, "run")
         capsys.readouterr()
         code = cli.main(
-            ["targets", *SMALL, "--checkpoint", str(out / "model.ckpt"),
+            ["targets", *BATCH, "--checkpoint", str(out / "model.ckpt"),
              "--knowledge", "onehot", "--omega", "0", "--rows", "8"]
         )
         assert code == 0
@@ -383,7 +454,7 @@ class TestTargetsCommand:
     def test_omega_zero_targets_equal_model_probs(self, tmp_path, capsys):
         _, out = run_train(tmp_path, "run")
         cli.main(
-            ["targets", *SMALL, "--checkpoint", str(out / "model.ckpt"),
+            ["targets", *BATCH, "--checkpoint", str(out / "model.ckpt"),
              "--omega", "0.0", "--tau", "1.0", "--rows", "2"]
         )
         printed = capsys.readouterr().out
@@ -421,7 +492,7 @@ class TestTargetsCommand:
         model = trained[0][0]
         assert np.array_equal(md.load_checkpoint(out / "model.ckpt").flat, model.flat.astype(np.float32))
         capsys.readouterr()
-        assert cli.main(["targets", *SMALL, "--checkpoint", str(out / "model.ckpt"), "--rows", "8"]) == 0
+        assert cli.main(["targets", *BATCH, "--checkpoint", str(out / "model.ckpt"), "--rows", "8"]) == 0
         printed = capsys.readouterr().out.splitlines()
         train_set, _ = dt.synth_clusters(4, 40, 8, 3.0, seed=0)
         ids = epoch_batches(train_set.class_index, SamplerConfig(8, 1, 0), 0)[0]
@@ -434,15 +505,26 @@ class TestTargetsCommand:
             assert line == f"row {row} gt={int(y[row])} top3: {cells}"
         assert len(printed) == 8
 
+    def test_train_manifest_configures_targets(self, tmp_path, capsys):
+        # the manifest's training-only keys are type-checked and ignored
+        _, out = run_train(tmp_path, "run")
+        argv = ["targets", "--checkpoint", str(out / "model.ckpt"), "--rows", "8"]
+        capsys.readouterr()
+        assert cli.main([*argv, *BATCH]) == 0
+        by_flags = capsys.readouterr().out
+        assert cli.main([*argv, "--config", str(out / "manifest.json")]) == 0
+        assert capsys.readouterr().out == by_flags
+        assert len(by_flags.splitlines()) == 8
+
     def test_dataset_too_small_for_one_batch_exits_2(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init(ModelDescriptor(8, 4, hidden=(6,)), seed=0), path)
-        assert cli.main(["targets", *SMALL, "--n-hat", "100000", "--checkpoint", str(path)]) == 2
+        assert cli.main(["targets", *BATCH, "--n-hat", "100000", "--checkpoint", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "too small for one batch: 160 examples" in err
 
     def test_missing_checkpoint_exits_3(self, tmp_path):
-        code = cli.main(["targets", *SMALL, "--checkpoint", str(tmp_path / "no.ckpt")])
+        code = cli.main(["targets", *BATCH, "--checkpoint", str(tmp_path / "no.ckpt")])
         assert code == 3
 
     @pytest.mark.parametrize(
@@ -458,7 +540,7 @@ class TestTargetsCommand:
     def test_corrupt_checkpoint_exits_3(self, tmp_path, capsys, body, needle):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + body)
-        assert cli.main(["targets", *SMALL, "--checkpoint", str(path)]) == 3
+        assert cli.main(["targets", *BATCH, "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error") and needle in err
 
@@ -466,7 +548,7 @@ class TestTargetsCommand:
     def test_checkpoint_for_other_data_exits_3(self, tmp_path, capsys, input_dim, classes):
         path = tmp_path / "other.ckpt"
         save_checkpoint(init(ModelDescriptor(input_dim, classes, hidden=(6,)), seed=0), path)
-        assert cli.main(["targets", *SMALL, "--checkpoint", str(path)]) == 3
+        assert cli.main(["targets", *BATCH, "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error")
         assert f"input dim {input_dim} and {classes} classes; the dataset has 8 and 4" in err
