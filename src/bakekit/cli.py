@@ -166,7 +166,7 @@ def resolve_config(args):
         if isinstance(loaded.get("config"), dict):  # accept a manifest as a config source
             sampler_version = loaded.get("sampler_version", 1)  # version 1 wrote no field
             dtype = loaded.get("dtype", "float64")  # float64 runs wrote no field
-            if dtype != md.COMPUTE_DTYPE.name:
+            if dtype != md.COMPUTE_DTYPE.name and args.subcommand in TRAINING:
                 print(
                     f"note: manifest {args.config} was trained in {dtype}; this run computes in "
                     f"{md.COMPUTE_DTYPE.name}, so its metrics will not match the original's",
@@ -449,6 +449,8 @@ def cmd_compare(args):
 
 def cmd_targets(args):
     cfg = resolve_config(args)
+    if args.rows < 1:
+        raise ConfigError("--rows must be >= 1")
     if not args.checkpoint:
         raise DataFormatError("targets requires --checkpoint")
     if not os.path.exists(args.checkpoint):

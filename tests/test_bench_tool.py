@@ -1,8 +1,10 @@
-"""``tools/bench.py`` aggregates benchmark result lines; it runs no benchmark here."""
+"""``tools/bench.py`` aggregates benchmark result lines and micro timings; it times nothing here."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,3 +35,24 @@ def test_two_result_lines_aggregate():
     assert summary["attempted"] == [124, 124] and summary["failed"] == [0, 3]
     assert summary["correct"] == [True, True]
     assert summary["env"] == [env, env]
+
+
+def test_summary_and_step_ratio_on_made_up_timings():
+    assert bench.summary([5.0, 1.0, 4.0, 2.0, 3.0]) == {"values": [5.0, 1.0, 4.0, 2.0, 3.0], "median": 3.0, "iqr": 2.0}
+    timed = {}
+    for size, vanilla in (("desk", 1.0), ("bake_wide", 4.0)):
+        for dtype, bake_factor in (("float32", 2.0), ("float64", 1.5)):
+            timed[f"step[{size}-vanilla-{dtype}]"] = bench.summary([vanilla] * 5)
+            timed[f"step[{size}-bake-{dtype}]"] = bench.summary([vanilla * bake_factor * f for f in (0.5, 1, 1, 1, 2)])
+    assert bench.step_ratios(timed) == {
+        "desk-float32": 2.0, "desk-float64": 1.5, "bake_wide-float32": 2.0, "bake_wide-float64": 1.5
+    }
+
+
+def test_failed_micro_check_raises_and_writes_no_file(tmp_path, monkeypatch):
+    env = {"blas_threads": 2, "numpy": "2.0.0", "cores": 2}
+    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: SimpleNamespace(stdout=stdout(env, 1.0, 0.5, 0)))
+    monkeypatch.setattr(bench, "cases", lambda: [("broken", lambda: float("nan"), math.isfinite)])
+    with pytest.raises(SystemExit, match="micro check failed: broken"):
+        bench.main(tmp_path / "BENCH.json")
+    assert list(tmp_path.iterdir()) == []

@@ -516,6 +516,23 @@ class TestTargetsCommand:
         assert capsys.readouterr().out == by_flags
         assert len(by_flags.splitlines()) == 8
 
+    def test_manifest_of_another_dtype_configures_targets_without_a_note(self, tmp_path, capsys):
+        # targets trains nothing, so the dtype a manifest was trained in does not matter to it
+        _, out = run_train(tmp_path, "run")
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["dtype"]  # runs before float32 compute wrote no field
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["targets", "--config", str(path), "--checkpoint", str(out / "model.ckpt")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("rows", ["0", "-3"])
+    def test_rows_below_one_exits_2_before_the_checkpoint_loads(self, tmp_path, capsys, rows):
+        code = cli.main(["targets", *BATCH, "--checkpoint", str(tmp_path / "no.ckpt"), "--rows", rows])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: --rows must be >= 1\n"
+
     def test_dataset_too_small_for_one_batch_exits_2(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init(ModelDescriptor(8, 4, hidden=(6,)), seed=0), path)

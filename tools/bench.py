@@ -9,6 +9,14 @@ metric's per-seed values with their median and interquartile range, the
 attempted and failed operations of each run, and each run's ``env`` line
 (BLAS threads, numpy version, cores). A run that exits non-zero stops here,
 and no file is written.
+
+The file's ``micro`` section is timed last, in this interpreter. Each case of
+``cases()`` runs once for its check, which stops here too if it fails, and
+once more to size its loops; then REPEATS loops of about LOOP_S seconds each,
+timed with ``time.perf_counter``, give its seconds per call. ``step_ratio`` is
+a bake step's median over a vanilla step's at equal N, BAKE's overhead per
+step, at desk size (N=64, K=10) and bake_wide's (N=256, K=100), in float32 and
+float64 compute. The section also holds the ``env`` line.
 """
 
 from __future__ import annotations
@@ -17,10 +25,120 @@ import json
 import statistics
 import subprocess
 import sys
+import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 4, 5)
+REPEATS = 5
+LOOP_S = 0.2
+STEPS = {"desk": (10, 200, 32), "bake_wide": (100, 500, 128)}  # classes K, per class, n_hat at M=1
+DTYPES = ("float32", "float64")
+
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+
+
+def summary(values):
+    """``values`` with their median and interquartile range."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": statistics.median(values), "iqr": q3 - q1}
+
+
+def cases():
+    """The micro cases as (name, call, check); ``check`` reads one ``call()``'s result.
+
+    numpy and bakekit are imported here, after the workload runs: a child
+    process reports its parent's peak RSS when that is the larger, so the
+    runs start from an interpreter that has loaded neither.
+    """
+    import numpy as np
+
+    from bakekit import bake, losses, sampling
+    from bakekit import data as dt
+    from bakekit import models as md
+    from bakekit.numerics import Tensor
+    from bakekit.trainer import TrainConfig, batch_loss, sgd_step
+
+    def backward(loss, *args):
+        value = loss(*args)
+        value.backward()
+        return value.item()
+
+    def soft_terms(z, onehot, q):
+        return losses.soft_cross_entropy(z, onehot) + losses.kl_distillation(z, q, 4.0)
+
+    def step_loss(model, x, y, cfg):
+        return batch_loss(model, x, y, cfg)[0]
+
+    def sgd(model, velocity):
+        sgd_step(model.flat, model.grad, velocity, 0.01, 0.9, 0.0)
+        return model.flat
+
+    def stochastic(a):
+        return np.allclose(a.sum(axis=1), 1.0)
+
+    table = []
+    for n in (64, 256, 1024):
+        features = np.random.default_rng(0).normal(size=(n, 128))
+        table.append((f"affinity_matrix[{n}]", partial(bake.affinity_matrix, features),
+                      lambda a: stochastic(a) and not a.diagonal().any()))
+        rng = np.random.default_rng(1)
+        a, p = bake.affinity_matrix(rng.normal(size=(n, 128))), rng.dirichlet(np.ones(100), size=n)
+        table.append((f"propagate_closed_form[{n}]", partial(bake.propagate_closed_form, a, p, 0.5), stochastic))
+    for size, (k, per_class, n_hat) in STEPS.items():
+        n, rng = 2 * n_hat, np.random.default_rng(2)
+        z = Tensor(rng.normal(size=(n, k)), requires_grad=True)
+        onehot, q = np.eye(k)[rng.integers(0, k, size=n)], rng.dirichlet(np.ones(k), size=n)
+        table.append((f"soft_cross_entropy[{n}-{k}]", partial(backward, soft_terms, z, onehot, q), np.isfinite))
+        train_set, _ = dt.synth_clusters(k, per_class, 32, 3.0, seed=0)
+        ids = sampling.epoch_batches(train_set.class_index, sampling.SamplerConfig(n_hat, 1, 0), 0)[0]
+        descriptor = md.ModelDescriptor(32, k)
+        for dtype in DTYPES:
+            for method in ("vanilla", "bake"):
+                model = md.Model(descriptor, md.init(descriptor, seed=0).flat, dtype)
+                x, y, cfg = train_set.inputs[ids], train_set.labels[ids], TrainConfig(method=method)
+                call = partial(backward, step_loss, model, x, y, cfg)
+                table.append((f"step[{size}-{method}-{dtype}]", call, np.isfinite))
+            model = md.Model(descriptor, md.init(descriptor, seed=0).flat, dtype)
+            model.grad[:] = np.random.default_rng(3).normal(size=model.grad.size) * 1e-3
+            table.append((f"sgd_step[{size}-{dtype}]", partial(sgd, model, np.zeros_like(model.flat)),
+                          lambda flat: np.isfinite(flat).all()))
+    for examples in (2_000, 20_000, 60_000):
+        index = dt.build_class_index(np.repeat(np.arange(100), examples // 100))  # CIFAR-100's shape
+        for m in (0, 1):
+            cfg = sampling.SamplerConfig(n_hat=256, m=m, seed=0)
+            table.append((f"epoch_batches[{examples}-{m}]", partial(sampling.epoch_batches, index, cfg, 0),
+                          lambda b, shape=(examples // 256, cfg.batch_size): np.shape(b) == shape))
+    return table
+
+
+def micro(table):
+    """Time each (name, call, check) of ``table``; a failed check exits here."""
+    from workload import environment
+
+    timed = {}
+    for name, call, check in table:
+        if not check(call()):
+            raise SystemExit(f"bench: micro check failed: {name}")
+        start = time.perf_counter()
+        call()  # a warm call sizes the loops; the checked one ran cold
+        loops = max(1, round(LOOP_S / (time.perf_counter() - start)))
+        values = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            for _ in range(loops):
+                call()
+            values.append((time.perf_counter() - start) / loops)
+        timed[name] = summary(values)
+    return {"unit": "s/call", "env": environment(), "cases": timed, "step_ratio": step_ratios(timed)}
+
+
+def step_ratios(timed):
+    """A bake step's median over a vanilla step's, per size and compute dtype."""
+    median = {name: case["median"] for name, case in timed.items()}
+    return {f"{size}-{dtype}": median[f"step[{size}-bake-{dtype}]"] / median[f"step[{size}-vanilla-{dtype}]"]
+            for size in STEPS for dtype in DTYPES}
 
 
 def parse(stdout):
@@ -35,8 +153,7 @@ def aggregate(seeds, runs):
     metrics = {}
     for name, first in runs[0][1]["metrics"].items():
         values = [result["metrics"][name]["value"] for _, result in runs]
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        metrics[name] = {"unit": first["unit"], "values": values, "median": statistics.median(values), "iqr": q3 - q1}
+        metrics[name] = {"unit": first["unit"], **summary(values)}
     return {
         "seeds": list(seeds),
         "metrics": metrics,
@@ -58,7 +175,9 @@ def main(out):
             print(f"bench: {name} seed {seed}", file=sys.stderr, flush=True)
             done = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
             runs[name].append(parse(done.stdout))
+    print("bench: micro", file=sys.stderr, flush=True)
     report = {
+        "micro": micro(cases()),
         "command": spec["command"],
         "run_seconds": spec["run_seconds"],
         "trace": 0,
