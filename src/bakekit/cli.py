@@ -154,7 +154,6 @@ def _validate(cfg):
 def resolve_config(args):
     """Defaults, then config file, then explicit flags; validated."""
     cfg = dict(DEFAULTS)
-    sampler_version = SAMPLER_VERSION  # a plain config file claims no batches
     if getattr(args, "config", None):
         with open(args.config) as f:
             try:
@@ -164,14 +163,15 @@ def resolve_config(args):
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object, got {type(loaded).__name__}")
         if isinstance(loaded.get("config"), dict):  # accept a manifest as a config source
-            sampler_version = loaded.get("sampler_version", 1)  # version 1 wrote no field
-            dtype = loaded.get("dtype", "float64")  # float64 runs wrote no field
-            if dtype != md.COMPUTE_DTYPE.name and args.subcommand in TRAINING:
-                print(
-                    f"note: manifest {args.config} was trained in {dtype}; this run computes in "
-                    f"{md.COMPUTE_DTYPE.name}, so its metrics will not match the original's",
-                    file=sys.stderr,
-                )
+            # it reproduces its run or is refused; sampler version 1 and float64 runs wrote no field
+            stamps = (("sampler_version", 1, SAMPLER_VERSION), ("dtype", "float64", md.COMPUTE_DTYPE.name))
+            for field, missing, current in stamps:
+                if (value := loaded.get(field, missing)) != current:
+                    raise ConfigError(
+                        f"manifest {args.config}: {field} {value!r} is not this version's {current!r}, so this "
+                        f"run would not reproduce it; to use its settings anyway, pass the manifest's \"config\" "
+                        f"object as a plain config file"
+                    )
             loaded = loaded["config"]
         unknown = set(loaded) - set(OPTION)
         if unknown:
@@ -181,11 +181,6 @@ def resolve_config(args):
         cfg.update(loaded)
     flags = {key: getattr(args, key, None) for key in DEFAULTS}
     cfg.update((key, value) for key, value in flags.items() if value is not None)
-    if cfg["m"] >= 2 and sampler_version != SAMPLER_VERSION:
-        raise ConfigError(
-            f"manifest {args.config}: written by sampler version {sampler_version!r}; batches with m >= 2 "
-            f"changed in sampler version {SAMPLER_VERSION}, so this run would not reproduce it"
-        )
     return _validate(cfg)
 
 
@@ -371,9 +366,14 @@ def _parse_method_token(token, base_cfg):
 
 
 # NumPy's wheels link OpenBLAS, which reads its thread count from this variable
-# when it loads. BAKE_KIT_THREADS processes with a multi-threaded BLAS each
+# when it loads. Several processes each with a multi-threaded BLAS
 # oversubscribe the cores and run slower than one.
 BLAS_THREADS_VAR = "OPENBLAS_NUM_THREADS"
+
+
+def _usable_cores():
+    """The cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _map_pinned(fn, jobs, workers):
@@ -421,16 +421,14 @@ def cmd_compare(args):
         raise ConfigError("--methods must list at least one method")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
-    jobs = []
     for token in tokens:
-        cell = _parse_method_token(token, base)
-        for seed in range(base["seed"], base["seed"] + args.seeds):
-            jobs.append((token, {**cell, "seed": seed}))
-    workers = _convert(int, os.environ.get("BAKE_KIT_THREADS", "1"), "BAKE_KIT_THREADS")
-    if workers > 1:
-        results = _map_pinned(_compare_cell, jobs, workers)
-    else:
-        results = [_compare_cell(job) for job in jobs]
+        if tokens.count(token) > 1:
+            raise ConfigError(f"method token {token!r} is repeated in --methods")
+    # every cell is validated before the first one trains
+    seeds = range(base["seed"], base["seed"] + args.seeds)
+    jobs = [(token, _parse_method_token(token, {**base, "seed": seed})) for token in tokens for seed in seeds]
+    workers = min(len(jobs), _usable_cores())  # with one worker the cells run in-process
+    results = _map_pinned(_compare_cell, jobs, workers) if workers > 1 else [_compare_cell(job) for job in jobs]
     by_token = {}
     for token, _, top1 in results:
         by_token.setdefault(token, []).append(top1)

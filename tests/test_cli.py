@@ -210,24 +210,28 @@ class TestTrainCommand:
         assert (a / "metrics.jsonl").read_bytes() == (b / "metrics.jsonl").read_bytes()
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
 
-    def test_rerun_from_manifest_reproduces_metrics(self, tmp_path):
+    def test_rerun_from_manifest_reproduces_metrics(self, tmp_path, capsys):
         _, a = run_train(tmp_path, "a")
         out_b = tmp_path / "b"
+        capsys.readouterr()
         code = cli.main(
             ["train", "--config", str(a / "manifest.json"), "--out-dir", str(out_b)]
         )
         assert code == 0
+        assert capsys.readouterr().err == ""
         assert (a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
 
     @pytest.mark.parametrize(
         "manifest_m,flags,version,expected",
-        [(3, [], None, 2), (3, [], 1, 2), (1, ["--m", "3"], None, 2), (1, [], None, 0), (0, [], 1, 0)],
+        [(3, [], None, 2), (3, [], 1, 2), (1, ["--m", "3"], None, 2), (1, [], None, 2), (0, [], 1, 2),
+         (3, [], SAMPLER_VERSION, 0)],
     )
     def test_old_manifest_fails_loudly_where_batches_changed(
         self, tmp_path, capsys, manifest_m, flags, version, expected
     ):
+        # refused for every m, though sampler version 2 changed only the batches with m >= 2
         small = dict(synth_classes=4, synth_per_class=40, synth_dim=8, epochs=1, n_hat=8, m=manifest_m)
-        manifest = {"tool_version": "0.1.0", "seed": 0, "dataset_fingerprint": "0" * 64,
+        manifest = {"tool_version": "0.1.0", "seed": 0, "dataset_fingerprint": "0" * 64, "dtype": "float32",
                     "config": dict(cli.DEFAULTS, **small)}
         if version is not None:
             manifest["sampler_version"] = version
@@ -237,7 +241,7 @@ class TestTrainCommand:
         assert code == expected
         if expected == 2:
             err = capsys.readouterr().err
-            assert str(path) in err and "m >= 2" in err
+            assert str(path) in err and "sampler_version" in err
             assert not (tmp_path / "run").exists()
 
     def test_fresh_manifest_records_sampler_version_and_round_trips(self, tmp_path):
@@ -247,24 +251,18 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(a / "manifest.json"), "--out-dir", str(out_b)]) == 0
         assert (a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64", None])
+    @pytest.mark.parametrize("dtype", ["float32"])
     def test_manifest_of_another_dtype_reruns_with_a_note(self, tmp_path, capsys, dtype):
+        # only a float32 manifest reruns; the other dtypes are refused in test_stale_manifest_is_refused
         _, a = run_train(tmp_path, "a", extra=["--epochs", "1"])
         manifest = json.loads((a / "manifest.json").read_text())
         assert manifest["dtype"] == "float32"
-        if dtype is None:
-            del manifest["dtype"]  # runs before float32 compute wrote no field
-        else:
-            manifest["dtype"] = dtype
+        manifest["dtype"] = dtype
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
         assert cli.main(["train", "--config", str(path), "--out-dir", str(tmp_path / "b")]) == 0
-        err = capsys.readouterr().err
-        if dtype == "float32":
-            assert err == ""
-        else:
-            assert f"note: manifest {path} was trained in float64" in err
+        assert capsys.readouterr().err == ""
 
     def test_flags_override_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -383,6 +381,7 @@ class TestCompareCommand:
             cells.append(cfg)
             return None, [], None
 
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # the patch reaches no worker process
         monkeypatch.setattr(cli, "run_training", recording_run)
         out = tmp_path / "x"
         code = cli.main(
@@ -397,14 +396,54 @@ class TestCompareCommand:
         assert (vanilla["method"], vanilla["omega"], vanilla["mode"]) == ("vanilla", 0.5, "closed")
 
     def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
-        tables = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("BAKE_KIT_THREADS", threads)
-            out = tmp_path / threads
-            argv = ["compare", *SMALL, "--methods", "vanilla,bake", "--seeds", "2", "--out-dir", str(out)]
+        # the (token, seed, final top-1) of every cell, at full precision
+        cells = {}
+        run_cell, map_pinned = cli._compare_cell, cli._map_pinned
+
+        def in_process(job):
+            cells.setdefault("in-process", []).append(run_cell(job))
+            return cells["in-process"][-1]
+
+        def pooled(fn, jobs, workers):
+            cells["pool"] = map_pinned(fn, jobs, workers)
+            return cells["pool"]
+
+        monkeypatch.setattr(cli, "_map_pinned", pooled)
+        argv = ["compare", *SMALL, "--methods", "vanilla,bake", "--seeds", "2", "--out-dir", str(tmp_path)]
+        with monkeypatch.context() as one_core:
+            one_core.setattr(cli, "_usable_cores", lambda: 1)
+            one_core.setattr(cli, "_compare_cell", in_process)
             assert cli.main(argv) == 0
-            tables[threads] = (out / "summary.tsv").read_text()
-        assert tables["2"] == tables["1"]
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        assert cli.main(argv) == 0
+        assert len(cells["in-process"]) == 4
+        assert cells["pool"] == cells["in-process"]
+
+    def test_single_cell_spawns_no_process(self, tmp_path, monkeypatch):
+        def no_pool(*_):
+            raise AssertionError("a single cell started worker processes")
+
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "_map_pinned", no_pool)
+        argv = ["compare", *SMALL, "--methods", "bake", "--seeds", "1", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+
+    def test_repeated_method_token_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert cli.main(["compare", *SMALL, "--methods", "bake,bake", "--seeds", "1", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: method token 'bake' is repeated in --methods\n"
+        assert not out.exists()
+
+    def test_every_cell_is_checked_before_the_first_trains(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(cli, "run_training", calls.append)
+        # the first seed is the largest a seed can be; the second is out of range
+        argv = ["compare", *SMALL, "--methods", "bake", "--seed", str(2**64 - 1), "--seeds", "2",
+                "--out-dir", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert f"seed must be in [0, 2**64), got {2**64}" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("before", ["4", None])
     def test_workers_run_one_blas_thread(self, monkeypatch, before):
@@ -414,12 +453,6 @@ class TestCompareCommand:
             monkeypatch.setenv(cli.BLAS_THREADS_VAR, before)
         assert cli._map_pinned(os.getenv, [cli.BLAS_THREADS_VAR] * 2, 2) == ["1", "1"]
         assert os.environ.get(cli.BLAS_THREADS_VAR) == before
-
-    def test_malformed_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BAKE_KIT_THREADS", "x")
-        code = cli.main(["compare", *SMALL, "--methods", "vanilla", "--out-dir", str(tmp_path / "x")])
-        assert code == 2
-        assert "BAKE_KIT_THREADS" in capsys.readouterr().err
 
 
 class TestTargetsCommand:
@@ -516,17 +549,6 @@ class TestTargetsCommand:
         assert capsys.readouterr().out == by_flags
         assert len(by_flags.splitlines()) == 8
 
-    def test_manifest_of_another_dtype_configures_targets_without_a_note(self, tmp_path, capsys):
-        # targets trains nothing, so the dtype a manifest was trained in does not matter to it
-        _, out = run_train(tmp_path, "run")
-        manifest = json.loads((out / "manifest.json").read_text())
-        del manifest["dtype"]  # runs before float32 compute wrote no field
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert cli.main(["targets", "--config", str(path), "--checkpoint", str(out / "model.ckpt")]) == 0
-        assert capsys.readouterr().err == ""
-
     @pytest.mark.parametrize("rows", ["0", "-3"])
     def test_rows_below_one_exits_2_before_the_checkpoint_loads(self, tmp_path, capsys, rows):
         code = cli.main(["targets", *BATCH, "--checkpoint", str(tmp_path / "no.ckpt"), "--rows", rows])
@@ -586,3 +608,29 @@ class TestTargetsCommand:
         p = softmax_data(logits.data)
         other_top = int(np.argmax(p[1]))
         assert q[0, other_top] >= 0.45 * p[1, other_top]
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "targets"])
+@pytest.mark.parametrize(
+    "field,value", [("sampler_version", None), ("sampler_version", 1), ("dtype", None), ("dtype", "float64")]
+)
+def test_stale_manifest_is_refused(tmp_path, capsys, command, field, value):
+    small = dict(synth_classes=4, synth_per_class=40, synth_dim=8, epochs=1, n_hat=8)
+    manifest = {"sampler_version": SAMPLER_VERSION, "dtype": "float32", "config": dict(cli.DEFAULTS, **small)}
+    if value is None:
+        del manifest[field]  # sampler version 1 and float64 runs wrote no such field
+    else:
+        manifest[field] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    extra = {
+        "train": ["--out-dir", str(out)],
+        "compare": ["--methods", "bake", "--out-dir", str(out)],
+        "targets": ["--checkpoint", str(tmp_path / "no.ckpt")],
+    }[command]
+    assert cli.main([command, "--config", str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: manifest {path}: {field} ")
+    assert "pass the manifest's \"config\" object as a plain config file" in err
+    assert not out.exists()
