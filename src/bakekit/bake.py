@@ -21,7 +21,7 @@ from .errors import ConfigError, DegenerateBatchError, ShapeMismatchError
 from .numerics import softmax_data
 
 PROPAGATION_MODES = ("closed_form", "iterate")
-KNOWLEDGE_SOURCES = ("predictions", "ground_truth_onehot")
+KNOWLEDGE_SOURCES = ("pred", "onehot")
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class BakeConfig:
     distill_weight: lambda, the weight of that KL term in bake's loss.
     propagation_mode: closed_form (infinite-iteration limit, omega < 1) or
     iterate (``iterations`` rounds). knowledge_source: propagate model
-    predictions or one-hot ground-truth labels.
+    predictions (``pred``) or one-hot ground-truth labels (``onehot``).
     """
 
     omega: float = 0.5
@@ -42,7 +42,7 @@ class BakeConfig:
     distill_weight: float = 1.0
     propagation_mode: str = "closed_form"
     iterations: int = 1
-    knowledge_source: str = "predictions"
+    knowledge_source: str = "pred"
 
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
@@ -135,9 +135,9 @@ def one_hot(labels, k):
 def build_soft_targets(features, logits, labels=None, cfg=BakeConfig()):
     """Refined soft targets for one batch; always detached from gradients."""
     logits = _as_data(logits)
-    if cfg.knowledge_source == "ground_truth_onehot":
+    if cfg.knowledge_source == "onehot":
         if labels is None:
-            raise ConfigError("knowledge_source=ground_truth_onehot requires labels")
+            raise ConfigError("knowledge_source=onehot requires labels")
         p = one_hot(labels, logits.shape[1])
     else:
         p = softmax_data(logits / cfg.tau)

@@ -21,7 +21,7 @@ from . import __version__
 from . import data as dt
 from . import models as md
 from . import trainer as tr
-from .bake import BakeConfig, build_soft_targets
+from .bake import KNOWLEDGE_SOURCES, BakeConfig, build_soft_targets
 from .errors import ConfigError, DataFormatError
 from .sampling import SAMPLER_VERSION, SamplerConfig, epoch_batches
 
@@ -52,8 +52,8 @@ OPTIONS = (
     ),
     Option("m", int, SamplerConfig.m, "same-class companions per anchor", token=True),
     Option("n_hat", int, SamplerConfig.n_hat, "anchors per batch"),
-    Option("mode", str, "closed", "propagation mode: closed | iterate:T | one-step (= iterate:1)", token=True),
-    Option("knowledge", str, "pred", "ensembled knowledge source", ("pred", "onehot")),
+    Option("mode", str, "closed", "propagation mode: closed | iterate:T", token=True),
+    Option("knowledge", str, BakeConfig.knowledge_source, "ensembled knowledge source", KNOWLEDGE_SOURCES),
     Option("dataset", str, "synth", "dataset kind", ("synth", "idx", "cifar")),
     Option("epochs", int, tr.TrainConfig.epochs, "training epochs", commands=TRAINING),
     Option("lr", float, tr.TrainConfig.base_lr, "base learning rate", commands=TRAINING),
@@ -79,7 +79,7 @@ OPTIONS = (
     Option("idx_test_labels", str, None, "IDX test label file"),
     Option("cifar_train", str, None, "comma-separated CIFAR train binaries"),
     Option("cifar_test", str, None, "comma-separated CIFAR test binaries"),
-    Option("cifar_classes", int, 100, "CIFAR class count"),
+    Option("cifar_classes", int, 100, "CIFAR class count", (10, 100)),
     Option("cifar_mean", str, "0.507,0.487,0.441", "per-channel mean"),
     Option("cifar_std", str, "0.267,0.256,0.276", "per-channel std"),
 )
@@ -187,8 +187,6 @@ def resolve_config(args):
 def _parse_mode(mode):
     if mode == "closed":
         return "closed_form", 1
-    if mode == "one-step":  # still accepted: older manifests and commands use it
-        return "iterate", 1
     if mode.startswith("iterate:"):
         return "iterate", _convert(int, mode.split(":", 1)[1], f"--mode {mode!r}")
     raise ConfigError(f"unrecognized --mode {mode!r}")
@@ -238,7 +236,7 @@ def make_train_config(cfg):
         distill_weight=cfg["lambda"],
         propagation_mode=mode,
         iterations=iters,
-        knowledge_source="predictions" if cfg["knowledge"] == "pred" else "ground_truth_onehot",
+        knowledge_source=cfg["knowledge"],
     )
     return tr.TrainConfig(
         epochs=cfg["epochs"],
@@ -397,10 +395,9 @@ def _map_pinned(fn, jobs, workers):
             os.environ[BLAS_THREADS_VAR] = saved
 
 
-def _compare_cell(job):
-    token, cfg = job
+def _compare_cell(cfg):
     _, metrics, _ = run_training(cfg)
-    return token, cfg["seed"], metrics[-1].test_top1 if metrics else float("nan")
+    return metrics[-1].test_top1 if metrics else float("nan")
 
 
 def _split_methods(spec):
@@ -421,21 +418,21 @@ def cmd_compare(args):
         raise ConfigError("--methods must list at least one method")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
-    for token in tokens:
-        if tokens.count(token) > 1:
-            raise ConfigError(f"method token {token!r} is repeated in --methods")
     # every cell is validated before the first one trains
     seeds = range(base["seed"], base["seed"] + args.seeds)
-    jobs = [(token, _parse_method_token(token, {**base, "seed": seed})) for token in tokens for seed in seeds]
+    jobs = [_parse_method_token(token, {**base, "seed": seed}) for token in tokens for seed in seeds]
+    # tokens are told apart by the config their cells train: two spellings of one config would train it twice
+    first_token = {}
+    for token, cfg in zip(tokens, jobs[:: args.seeds]):
+        config = make_train_config(cfg)
+        if config in first_token:
+            raise ConfigError(f"method tokens {first_token[config]!r} and {token!r} train the same config")
+        first_token[config] = token
     workers = min(len(jobs), _usable_cores())  # with one worker the cells run in-process
-    results = _map_pinned(_compare_cell, jobs, workers) if workers > 1 else [_compare_cell(job) for job in jobs]
-    by_token = {}
-    for token, _, top1 in results:
-        by_token.setdefault(token, []).append(top1)
+    results = _map_pinned(_compare_cell, jobs, workers) if workers > 1 else [_compare_cell(cfg) for cfg in jobs]
     lines = ["method\tmean_top1\tstd_top1\tseeds"]
-    for token in tokens:
-        vals = np.array(by_token[token])
-        lines.append(f"{token}\t{vals.mean():.4f}\t{vals.std():.4f}\t{len(vals)}")
+    for token, top1 in zip(tokens, np.reshape(results, (len(tokens), args.seeds))):
+        lines.append(f"{token}\t{top1.mean():.4f}\t{top1.std():.4f}\t{top1.size}")
     table = "\n".join(lines) + "\n"
     out_dir = args.out_dir or "run"
     os.makedirs(out_dir, exist_ok=True)

@@ -192,12 +192,12 @@ class TestBuildSoftTargets:
     def test_ground_truth_knowledge_source(self):
         f = np.array([[1.0, 0.0], [0.0, 1.0]])
         z = np.zeros((2, 2))
-        cfg = BakeConfig(omega=0.5, knowledge_source="ground_truth_onehot")
+        cfg = BakeConfig(omega=0.5, knowledge_source="onehot")
         q = build_soft_targets(f, z, labels=np.array([0, 1]), cfg=cfg)
         assert np.abs(q - [[2 / 3, 1 / 3], [1 / 3, 2 / 3]]).max() < 1e-12
 
     def test_ground_truth_requires_labels(self):
-        cfg = BakeConfig(knowledge_source="ground_truth_onehot")
+        cfg = BakeConfig(knowledge_source="onehot")
         with pytest.raises(ConfigError, match="labels"):
             build_soft_targets(np.ones((2, 3)), np.ones((2, 2)), cfg=cfg)
 
@@ -228,5 +228,6 @@ class TestBuildSoftTargets:
         assert BakeConfig(omega=1.0, propagation_mode="iterate").omega == 1.0
         with pytest.raises(ConfigError):
             BakeConfig(propagation_mode="magic")
-        with pytest.raises(ConfigError):
-            BakeConfig(knowledge_source="oracle")
+        for source in ("oracle", "predictions", "ground_truth_onehot"):  # one spelling each: pred, onehot
+            with pytest.raises(ConfigError, match="knowledge_source must be one of"):
+                BakeConfig(knowledge_source=source)

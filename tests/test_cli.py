@@ -95,7 +95,7 @@ class TestTrainCommand:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "key,value", [("knowledge", "bogus"), ("dataset", "bogus"), ("epochs", "3")]
+        "key,value", [("knowledge", "bogus"), ("dataset", "bogus"), ("epochs", "3"), ("cifar_classes", 20)]
     )
     def test_bad_config_file_value_exits_2(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -156,6 +156,8 @@ class TestTrainCommand:
              "--cifar-mean 'nan,0.5,0.5': every value must be finite"),
             (["--weight-decay", "inf"], "weight_decay must be finite and >= 0, got inf"),
             (["--schedule", "step:1:inf"], "factor must be finite and > 0, got inf"),
+            (["--mode", "one-step"], "unrecognized --mode 'one-step'"),
+            ({"mode": "one-step"}, "unrecognized --mode 'one-step'"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -189,6 +191,15 @@ class TestTrainCommand:
         assert code == 0
         assert load_checkpoint(out / "model.ckpt").descriptor.num_classes == 12
 
+    def test_cifar_classes_takes_only_the_loaders_layouts(self, tmp_path, capsys):
+        # a 10-class file read as 20 classes would train a 20-way head on 10 labels
+        with pytest.raises(SystemExit) as exc:
+            run_train(tmp_path, "x", extra=["--dataset", "cifar", "--cifar-classes", "20"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--cifar-classes" in err and "invalid choice: 20" in err
+        assert not (tmp_path / "x").exists()
+
     def test_conv_infers_a_square_image(self, tmp_path):
         code, out = run_train(tmp_path, "run", extra=["--synth-dim", "196", "--conv", "--epochs", "1"])
         assert code == 0
@@ -221,48 +232,13 @@ class TestTrainCommand:
         assert capsys.readouterr().err == ""
         assert (a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
 
-    @pytest.mark.parametrize(
-        "manifest_m,flags,version,expected",
-        [(3, [], None, 2), (3, [], 1, 2), (1, ["--m", "3"], None, 2), (1, [], None, 2), (0, [], 1, 2),
-         (3, [], SAMPLER_VERSION, 0)],
-    )
-    def test_old_manifest_fails_loudly_where_batches_changed(
-        self, tmp_path, capsys, manifest_m, flags, version, expected
-    ):
-        # refused for every m, though sampler version 2 changed only the batches with m >= 2
-        small = dict(synth_classes=4, synth_per_class=40, synth_dim=8, epochs=1, n_hat=8, m=manifest_m)
-        manifest = {"tool_version": "0.1.0", "seed": 0, "dataset_fingerprint": "0" * 64, "dtype": "float32",
-                    "config": dict(cli.DEFAULTS, **small)}
-        if version is not None:
-            manifest["sampler_version"] = version
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        code = cli.main(["train", "--config", str(path), *flags, "--out-dir", str(tmp_path / "run")])
-        assert code == expected
-        if expected == 2:
-            err = capsys.readouterr().err
-            assert str(path) in err and "sampler_version" in err
-            assert not (tmp_path / "run").exists()
-
     def test_fresh_manifest_records_sampler_version_and_round_trips(self, tmp_path):
         _, a = run_train(tmp_path, "a", extra=["--m", "3", "--epochs", "1"])
-        assert json.loads((a / "manifest.json").read_text())["sampler_version"] == SAMPLER_VERSION
+        manifest = json.loads((a / "manifest.json").read_text())
+        assert (manifest["sampler_version"], manifest["dtype"]) == (SAMPLER_VERSION, "float32")
         out_b = tmp_path / "b"
         assert cli.main(["train", "--config", str(a / "manifest.json"), "--out-dir", str(out_b)]) == 0
         assert (a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
-
-    @pytest.mark.parametrize("dtype", ["float32"])
-    def test_manifest_of_another_dtype_reruns_with_a_note(self, tmp_path, capsys, dtype):
-        # only a float32 manifest reruns; the other dtypes are refused in test_stale_manifest_is_refused
-        _, a = run_train(tmp_path, "a", extra=["--epochs", "1"])
-        manifest = json.loads((a / "manifest.json").read_text())
-        assert manifest["dtype"] == "float32"
-        manifest["dtype"] = dtype
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert cli.main(["train", "--config", str(path), "--out-dir", str(tmp_path / "b")]) == 0
-        assert capsys.readouterr().err == ""
 
     def test_flags_override_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -272,9 +248,6 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 2  # flag wins
         assert manifest["config"]["seed"] == 7  # file beats default
-
-    def test_one_step_is_one_iteration(self):
-        assert cli._parse_mode("one-step") == cli._parse_mode("iterate:1")
 
     def test_iterate_mode_parses(self, tmp_path):
         code, _ = run_train(tmp_path, "it", extra=["--mode", "iterate:5"])
@@ -396,7 +369,7 @@ class TestCompareCommand:
         assert (vanilla["method"], vanilla["omega"], vanilla["mode"]) == ("vanilla", 0.5, "closed")
 
     def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
-        # the (token, seed, final top-1) of every cell, at full precision
+        # the final top-1 of every cell, at full precision, in job order
         cells = {}
         run_cell, map_pinned = cli._compare_cell, cli._map_pinned
 
@@ -431,8 +404,40 @@ class TestCompareCommand:
     def test_repeated_method_token_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert cli.main(["compare", *SMALL, "--methods", "bake,bake", "--seeds", "1", "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == "config error: method token 'bake' is repeated in --methods\n"
+        assert capsys.readouterr().err == "config error: method tokens 'bake' and 'bake' train the same config\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [("bake", "bake:omega=0.5"), ("bake", "bake:tau=4"), ("bake:mode=iterate:1", "bake:mode=iterate:01")],
+    )
+    def test_two_spellings_of_one_config_exit_2(self, tmp_path, capsys, monkeypatch, first, second):
+        calls = []
+        monkeypatch.setattr(cli, "run_training", calls.append)
+        out = tmp_path / "x"
+        argv = ["compare", *SMALL, "--methods", f"{first},{second}", "--seeds", "2", "--out-dir", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: method tokens {first!r} and {second!r} train the same config\n"
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", ["bake,bake:omega=0.9", "vanilla,vanilla:omega=0.9"])
+    def test_configs_that_differ_train_a_row_each(self, tmp_path, monkeypatch, methods):
+        # vanilla ignores omega, yet its cells still count as different configs
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(cli, "run_training", lambda cfg: (None, [], None))
+        out = tmp_path / "x"
+        assert cli.main(["compare", *SMALL, "--methods", methods, "--seeds", "2", "--out-dir", str(out)]) == 0
+        rows = (out / "summary.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == methods.split(",")
+
+    @pytest.mark.parametrize("key", [opt.key for opt in cli.OPTIONS if opt.token])
+    def test_every_token_key_reaches_the_train_config(self, key):
+        # so comparing train configs tells apart every pair of tokens that set a key differently
+        other = {"omega": 0.25, "tau": 2.0, "lambda": 0.5, "epsilon": 0.2, "m": 3, "mode": "iterate:2"}[key]
+        assert other != cli.DEFAULTS[key]
+        assert cli.make_train_config({**cli.DEFAULTS, key: other}) != cli.make_train_config(cli.DEFAULTS)
 
     def test_every_cell_is_checked_before_the_first_trains(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -610,6 +615,20 @@ class TestTargetsCommand:
         assert q[0, other_top] >= 0.45 * p[1, other_top]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--mode", "one-step"], ["targets", "--mode", "one-step"], ["compare", "--methods", "bake:mode=one-step"]],
+    ids=["train", "targets", "compare"],
+)
+def test_one_step_is_not_a_mode(tmp_path, capsys, argv):
+    # iterate:1 is the one spelling of a single round
+    out = tmp_path / "run"
+    extra = ["--checkpoint", str(tmp_path / "no.ckpt")] if argv[0] == "targets" else ["--out-dir", str(out)]
+    assert cli.main([*argv, *BATCH, *extra]) == 2
+    assert "unrecognized --mode 'one-step'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "compare", "targets"])
 @pytest.mark.parametrize(
     "field,value", [("sampler_version", None), ("sampler_version", 1), ("dtype", None), ("dtype", "float64")]
@@ -629,8 +648,9 @@ def test_stale_manifest_is_refused(tmp_path, capsys, command, field, value):
         "compare": ["--methods", "bake", "--out-dir", str(out)],
         "targets": ["--checkpoint", str(tmp_path / "no.ckpt")],
     }[command]
-    assert cli.main([command, "--config", str(path), *extra]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: manifest {path}: {field} ")
-    assert "pass the manifest's \"config\" object as a plain config file" in err
-    assert not out.exists()
+    for flags in ([], ["--m", "3"]):  # a flag does not rescue a stale manifest
+        assert cli.main([command, "--config", str(path), *flags, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: manifest {path}: {field} ")
+        assert "pass the manifest's \"config\" object as a plain config file" in err
+        assert not out.exists()

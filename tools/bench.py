@@ -15,8 +15,9 @@ The file's ``micro`` section is timed last, in this interpreter. Each case of
 once more to size its loops; then REPEATS loops of about LOOP_S seconds each,
 timed with ``time.perf_counter``, give its seconds per call. ``step_ratio`` is
 a bake step's median over a vanilla step's at equal N, BAKE's overhead per
-step, at desk size (N=64, K=10) and bake_wide's (N=256, K=100), in float32 and
-float64 compute. The section also holds the ``env`` line.
+step, at desk size (N=64, K=10) and bake_wide's (N=256, K=100), on models that
+compute in float32, as every run does. The section also holds the ``env``
+line.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ SEEDS = (1, 2, 3, 4, 5)
 REPEATS = 5
 LOOP_S = 0.2
 STEPS = {"desk": (10, 200, 32), "bake_wide": (100, 500, 128)}  # classes K, per class, n_hat at M=1
-DTYPES = ("float32", "float64")
+DTYPE = "float32"  # what a model computes in; the case names and step_ratio keys carry it, as in BENCH_16.json
 
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
@@ -94,16 +95,15 @@ def cases():
         train_set, _ = dt.synth_clusters(k, per_class, 32, 3.0, seed=0)
         ids = sampling.epoch_batches(train_set.class_index, sampling.SamplerConfig(n_hat, 1, 0), 0)[0]
         descriptor = md.ModelDescriptor(32, k)
-        for dtype in DTYPES:
-            for method in ("vanilla", "bake"):
-                model = md.Model(descriptor, md.init(descriptor, seed=0).flat, dtype)
-                x, y, cfg = train_set.inputs[ids], train_set.labels[ids], TrainConfig(method=method)
-                call = partial(backward, step_loss, model, x, y, cfg)
-                table.append((f"step[{size}-{method}-{dtype}]", call, np.isfinite))
-            model = md.Model(descriptor, md.init(descriptor, seed=0).flat, dtype)
-            model.grad[:] = np.random.default_rng(3).normal(size=model.grad.size) * 1e-3
-            table.append((f"sgd_step[{size}-{dtype}]", partial(sgd, model, np.zeros_like(model.flat)),
-                          lambda flat: np.isfinite(flat).all()))
+        for method in ("vanilla", "bake"):
+            model = md.init(descriptor, seed=0)
+            x, y, cfg = train_set.inputs[ids], train_set.labels[ids], TrainConfig(method=method)
+            call = partial(backward, step_loss, model, x, y, cfg)
+            table.append((f"step[{size}-{method}-{DTYPE}]", call, np.isfinite))
+        model = md.init(descriptor, seed=0)
+        model.grad[:] = np.random.default_rng(3).normal(size=model.grad.size) * 1e-3
+        table.append((f"sgd_step[{size}-{DTYPE}]", partial(sgd, model, np.zeros_like(model.flat)),
+                      lambda flat: np.isfinite(flat).all()))
     for examples in (2_000, 20_000, 60_000):
         index = dt.build_class_index(np.repeat(np.arange(100), examples // 100))  # CIFAR-100's shape
         for m in (0, 1):
@@ -135,10 +135,10 @@ def micro(table):
 
 
 def step_ratios(timed):
-    """A bake step's median over a vanilla step's, per size and compute dtype."""
+    """A bake step's median over a vanilla step's, per size."""
     median = {name: case["median"] for name, case in timed.items()}
-    return {f"{size}-{dtype}": median[f"step[{size}-bake-{dtype}]"] / median[f"step[{size}-vanilla-{dtype}]"]
-            for size in STEPS for dtype in DTYPES}
+    return {f"{size}-{DTYPE}": median[f"step[{size}-bake-{DTYPE}]"] / median[f"step[{size}-vanilla-{DTYPE}]"]
+            for size in STEPS}
 
 
 def parse(stdout):
