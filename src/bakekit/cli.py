@@ -38,22 +38,22 @@ class Option(NamedTuple):
     default: object
     help: str
     choices: tuple | None = None
-    token: bool = False  # overridable in a ``compare`` method token
+    token: tuple = ()  # the methods that read it, and so may override it in a ``compare`` token; () is all, no token
     commands: tuple = SUBCOMMANDS  # the subcommands that read it, and so take its flag
 
 
 OPTIONS = (
     Option("method", str, tr.TrainConfig.method, "training method", tr.METHODS, commands=("train",)),
-    Option("omega", float, BakeConfig.omega, "ensembling weight in [0,1]", token=True),
-    Option("tau", float, BakeConfig.tau, "temperature of the soft targets and the KL term", token=True),
-    Option("lambda", float, BakeConfig.distill_weight, "distillation loss weight", token=True, commands=TRAINING),
+    Option("omega", float, BakeConfig.omega, "ensembling weight in [0,1]", token=("bake",)),
+    Option("tau", float, BakeConfig.tau, "temperature of the soft targets and the KL term", token=("bake",)),
+    Option("lambda", float, BakeConfig.distill_weight, "distillation loss weight", token=("bake",), commands=TRAINING),
     Option(
-        "epsilon", float, tr.TrainConfig.smoothing_epsilon, "label smoothing epsilon", token=True, commands=TRAINING
+        "epsilon", float, tr.TrainConfig.smoothing_epsilon, "label smoothing epsilon", None, ("label_smoothing",), TRAINING
     ),
-    Option("m", int, SamplerConfig.m, "same-class companions per anchor", token=True),
+    Option("m", int, SamplerConfig.m, "same-class companions per anchor", token=("bake",)),
     Option("n_hat", int, SamplerConfig.n_hat, "anchors per batch"),
-    Option("mode", str, "closed", "propagation mode: closed | iterate:T", token=True),
-    Option("knowledge", str, BakeConfig.knowledge_source, "ensembled knowledge source", KNOWLEDGE_SOURCES),
+    Option("mode", str, "closed", "propagation mode: closed | iterate:T", token=("bake",)),
+    Option("knowledge", str, BakeConfig.knowledge_source, "ensembled knowledge source", KNOWLEDGE_SOURCES, ("bake",)),
     Option("dataset", str, "synth", "dataset kind", ("synth", "idx", "cifar")),
     Option("epochs", int, tr.TrainConfig.epochs, "training epochs", commands=TRAINING),
     Option("lr", float, tr.TrainConfig.base_lr, "base learning rate", commands=TRAINING),
@@ -79,7 +79,7 @@ OPTIONS = (
     Option("idx_test_labels", str, None, "IDX test label file"),
     Option("cifar_train", str, None, "comma-separated CIFAR train binaries"),
     Option("cifar_test", str, None, "comma-separated CIFAR test binaries"),
-    Option("cifar_classes", int, 100, "CIFAR class count", (10, 100)),
+    Option("cifar_classes", int, 100, "CIFAR class count", tuple(dt.CIFAR_LABEL_BYTES)),
     Option("cifar_mean", str, "0.507,0.487,0.441", "per-channel mean"),
     Option("cifar_std", str, "0.267,0.256,0.276", "per-channel std"),
 )
@@ -123,6 +123,14 @@ def build_parser():
     return parser
 
 
+def _refuse_unread(keys, methods):
+    """Refuse a flag or token key that none of ``methods`` reads (config files serve every method)."""
+    for key in keys:
+        readers = OPTION[key].token or tr.METHODS
+        if not set(methods) & set(readers):
+            raise ConfigError(f"setting {key!r} is read only by {', '.join(readers)}, not by {', '.join(methods)}")
+
+
 def _convert(kind, text, where):
     """``kind(text)``; a malformed value is a config error naming ``where``."""
     try:
@@ -152,7 +160,7 @@ def _validate(cfg):
 
 
 def resolve_config(args):
-    """Defaults, then config file, then explicit flags; validated."""
+    """Defaults, then config file, then explicit flags; validated. Returns it and the flags given."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as f:
@@ -179,9 +187,9 @@ def resolve_config(args):
         for key, value in loaded.items():
             _check_file_value(OPTION[key], value)
         cfg.update(loaded)
-    flags = {key: getattr(args, key, None) for key in DEFAULTS}
-    cfg.update((key, value) for key, value in flags.items() if value is not None)
-    return _validate(cfg)
+    flags = {key: value for key in DEFAULTS if (value := getattr(args, key, None)) is not None}
+    cfg.update(flags)
+    return _validate(cfg), flags
 
 
 def _parse_mode(mode):
@@ -335,7 +343,8 @@ def _write_run(out_dir, model, metrics, manifest):
 
 
 def cmd_train(args):
-    cfg = resolve_config(args)
+    cfg, flags = resolve_config(args)
+    _refuse_unread(flags, [cfg["method"]])
     out_dir = args.out_dir or "run"
     model, metrics, manifest = run_training(cfg)
     _write_run(out_dir, model, metrics, manifest)
@@ -348,19 +357,21 @@ def cmd_train(args):
 def _parse_method_token(token, base_cfg):
     """The validated cell config for one ``--methods`` token."""
     cfg = dict(base_cfg)
-    name, _, overrides = token.partition(":")
+    name, _, spec = token.partition(":")
     if name not in tr.METHODS:
         raise ConfigError(f"unknown method {name!r} in --methods")
     cfg["method"] = name
-    for pair in filter(None, overrides.split(",")):
-        key, _, value = pair.partition("=")
+    overrides = dict(pair.partition("=")[::2] for pair in filter(None, spec.split(",")))
+    for key, value in overrides.items():
         if key not in OPTION or not OPTION[key].token:
             raise ConfigError(f"unsupported override {key!r} in method token {token!r}")
         cfg[key] = _convert(OPTION[key].type, value, f"method token {token!r}")
     try:
-        return _validate(cfg)
+        _validate(cfg)
+        _refuse_unread(overrides, [name])
     except ConfigError as exc:
         raise ConfigError(f"method token {token!r}: {exc}") from None
+    return cfg
 
 
 # NumPy's wheels link OpenBLAS, which reads its thread count from this variable
@@ -412,7 +423,7 @@ def _split_methods(spec):
 
 
 def cmd_compare(args):
-    base = resolve_config(args)
+    base, flags = resolve_config(args)
     tokens = _split_methods(args.methods or "")
     if not tokens:
         raise ConfigError("--methods must list at least one method")
@@ -421,7 +432,8 @@ def cmd_compare(args):
     # every cell is validated before the first one trains
     seeds = range(base["seed"], base["seed"] + args.seeds)
     jobs = [_parse_method_token(token, {**base, "seed": seed}) for token in tokens for seed in seeds]
-    # tokens are told apart by the config their cells train: two spellings of one config would train it twice
+    _refuse_unread(flags, dict.fromkeys(cfg["method"] for cfg in jobs))
+    # a token overrides only what its method reads, so two tokens differ in what they train iff their configs do
     first_token = {}
     for token, cfg in zip(tokens, jobs[:: args.seeds]):
         config = make_train_config(cfg)
@@ -443,7 +455,7 @@ def cmd_compare(args):
 
 
 def cmd_targets(args):
-    cfg = resolve_config(args)
+    cfg, _ = resolve_config(args)
     if args.rows < 1:
         raise ConfigError("--rows must be >= 1")
     if not args.checkpoint:

@@ -12,6 +12,7 @@ from .errors import ConfigError, DataFormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+CIFAR_LABEL_BYTES = {10: 1, 100: 2}  # the two CIFAR record layouts, by class count: label bytes per record
 
 
 @dataclass
@@ -52,19 +53,16 @@ def build_class_index(labels):
     return dict(zip(classes.tolist(), np.split(order, starts[1:])))
 
 
-def synth_clusters(k_classes, per_class, dim, spread, seed, test_per_class=None):
+def synth_clusters(k_classes, per_class, dim, spread, seed):
     """Isotropic Gaussian clusters around seeded random centers.
 
-    Returns disjoint (train, test) datasets; test_per_class defaults to
-    per_class // 5 (at least 1). ``spread`` must be finite and > 0.
-    """
+    Returns disjoint (train, test) datasets of per_class and per_class // 5
+    (at least 1) examples per class. ``spread`` must be finite and > 0."""
     if k_classes < 1 or per_class < 1 or dim < 1 or not 0 < spread < math.inf:
         raise ConfigError(
             f"invalid synth parameters: k={k_classes} per_class={per_class} "
             f"dim={dim} spread={spread}"
         )
-    if test_per_class is None:
-        test_per_class = max(1, per_class // 5)
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(k_classes, dim))
 
@@ -77,7 +75,7 @@ def synth_clusters(k_classes, per_class, dim, spread, seed, test_per_class=None)
         labels = np.repeat(np.arange(k_classes), count)
         return Dataset(inputs, labels, k_classes)
 
-    return draw(per_class), draw(test_per_class)
+    return draw(per_class), draw(max(1, per_class // 5))
 
 
 def _read_idx_header(blob, path, expected_magic, n_dims):
@@ -125,7 +123,8 @@ def load_cifar_binary(paths, k_classes, channel_mean=None, channel_std=None):
     label; the fine label is used. Channels are scaled to [0, 1], then
     normalized with the supplied per-channel constants when given.
     """
-    label_bytes = 2 if k_classes == 100 else 1
+    if (label_bytes := CIFAR_LABEL_BYTES.get(k_classes)) is None:
+        raise ConfigError(f"k_classes must be 10 or 100, the CIFAR record layouts; got {k_classes}")
     record = label_bytes + 3072
     all_inputs, all_labels = [], []
     for path in paths:

@@ -118,9 +118,6 @@ class Model:
             self.params[name] = p = Tensor(data, requires_grad=True)
             p.grad = grad.reshape(shape)
 
-    def parameter_count(self):
-        return self.flat.size
-
     def forward(self, inputs):
         """Map an N x input_dim batch to (features N x D, logits N x K).
 

@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .sampling import SamplerConfig, epoch_batches
 
 METHODS = ("vanilla", "label_smoothing", "bake")
+EVAL_BATCH = 512  # test examples per forward in ``evaluate``
 
 
 @dataclass(frozen=True)
@@ -100,16 +101,16 @@ def sgd_step(p, g, v, lr, momentum, weight_decay):
     p -= lr * v
 
 
-def evaluate(model, dataset, batch_size=512):
+def evaluate(model, dataset):
     """(top-1, top-5) accuracy; ties broken toward the lowest class index."""
     if len(dataset) == 0:
         raise ConfigError("evaluate requires a nonempty dataset")
     k = dataset.num_classes
     top_k = min(5, k)
     hits1 = hits5 = 0
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.inputs[start : start + batch_size]
-        y = dataset.labels[start : start + batch_size]
+    for start in range(0, len(dataset), EVAL_BATCH):
+        x = dataset.inputs[start : start + EVAL_BATCH]
+        y = dataset.labels[start : start + EVAL_BATCH]
         _, logits = model.forward(x)
         order = np.argsort(-logits.data, axis=1, kind="stable")
         hits1 += int((order[:, 0] == y).sum())

@@ -44,6 +44,15 @@ def write_idx(tmp_path, name, images, labels):
     return str(img), str(lbl)
 
 
+def write_cifar(path, classes, records=16):
+    """``records`` random CIFAR binary records in the layout of ``classes`` (10 or 100); returns the path."""
+    labels = np.arange(records) % 4  # 4 examples in each of 4 classes
+    label_bytes = [labels] if classes == 10 else [labels // 2, labels * 7]  # CIFAR-100: coarse, then fine
+    pixels = np.random.default_rng(classes).integers(0, 256, size=(records, 3072))
+    path.write_bytes(np.column_stack([*label_bytes, pixels]).astype(np.uint8).tobytes())
+    return str(path)
+
+
 def run_train(tmp_path, name, extra=()):
     out = tmp_path / name
     code = cli.main(["train", *SMALL, *extra, "--out-dir", str(out)])
@@ -158,6 +167,8 @@ class TestTrainCommand:
             (["--schedule", "step:1:inf"], "factor must be finite and > 0, got inf"),
             (["--mode", "one-step"], "unrecognized --mode 'one-step'"),
             ({"mode": "one-step"}, "unrecognized --mode 'one-step'"),
+            ({"bogus": 1}, "unknown config keys: ['bogus']"),
+            (["--schedule", "linear:3"], "unrecognized --schedule 'linear:3'"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -199,6 +210,34 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "--cifar-classes" in err and "invalid choice: 20" in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("classes,conv", [(10, []), (100, ["--conv"])])
+    def test_cifar_records_train(self, tmp_path, classes, conv):
+        records = write_cifar(tmp_path / "records.bin", classes)
+        code, out = run_train(
+            tmp_path, "run",
+            extra=["--dataset", "cifar", "--cifar-train", records, "--cifar-test", records,
+                   "--cifar-classes", str(classes), "--n-hat", "4", "--hidden", "6", "--epochs", "1", *conv],
+        )
+        assert code == 0
+        descriptor = load_checkpoint(out / "model.ckpt").descriptor
+        assert descriptor.num_classes == classes
+        assert descriptor.conv_stem == (ConvStem(3, 32, 32) if conv else None)
+
+    def test_cifar_without_its_files_exits_2(self, tmp_path, capsys):
+        code, out = run_train(tmp_path, "run", extra=["--dataset", "cifar", "--cifar-test", "test.bin"])
+        assert code == 2
+        assert "dataset=cifar requires --cifar-train and --cifar-test" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_of_another_method_configures_train(self, tmp_path):
+        # one config file serves every method, so its bake settings are not refused under vanilla
+        _, bake = run_train(tmp_path, "bake", extra=["--omega", "0.3", "--epochs", "1"])
+        out = tmp_path / "vanilla"
+        argv = ["train", "--method", "vanilla", "--config", str(bake / "manifest.json"), "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["method"], config["omega"]) == ("vanilla", 0.3)
 
     def test_conv_infers_a_square_image(self, tmp_path):
         code, out = run_train(tmp_path, "run", extra=["--synth-dim", "196", "--conv", "--epochs", "1"])
@@ -316,6 +355,12 @@ class TestCompareCommand:
     def test_empty_methods_exits_2(self, tmp_path):
         assert cli.main(["compare", *SMALL, "--methods", "", "--out-dir", str(tmp_path)]) == 2
 
+    def test_zero_seeds_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert cli.main(["compare", *SMALL, "--methods", "bake", "--seeds", "0", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: --seeds must be >= 1\n"
+        assert not out.exists()
+
     def test_unknown_method_exits_2(self, tmp_path):
         code = cli.main(
             ["compare", *SMALL, "--methods", "magic", "--out-dir", str(tmp_path / "x")]
@@ -422,9 +467,8 @@ class TestCompareCommand:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("methods", ["bake,bake:omega=0.9", "vanilla,vanilla:omega=0.9"])
+    @pytest.mark.parametrize("methods", ["bake,bake:omega=0.9"])
     def test_configs_that_differ_train_a_row_each(self, tmp_path, monkeypatch, methods):
-        # vanilla ignores omega, yet its cells still count as different configs
         monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
         monkeypatch.setattr(cli, "run_training", lambda cfg: (None, [], None))
         out = tmp_path / "x"
@@ -435,7 +479,9 @@ class TestCompareCommand:
     @pytest.mark.parametrize("key", [opt.key for opt in cli.OPTIONS if opt.token])
     def test_every_token_key_reaches_the_train_config(self, key):
         # so comparing train configs tells apart every pair of tokens that set a key differently
-        other = {"omega": 0.25, "tau": 2.0, "lambda": 0.5, "epsilon": 0.2, "m": 3, "mode": "iterate:2"}[key]
+        other = {
+            "omega": 0.25, "tau": 2.0, "lambda": 0.5, "epsilon": 0.2, "m": 3, "mode": "iterate:2", "knowledge": "onehot"
+        }[key]
         assert other != cli.DEFAULTS[key]
         assert cli.make_train_config({**cli.DEFAULTS, key: other}) != cli.make_train_config(cli.DEFAULTS)
 
@@ -567,6 +613,10 @@ class TestTargetsCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "too small for one batch: 160 examples" in err
 
+    def test_no_checkpoint_flag_exits_3(self, capsys):
+        assert cli.main(["targets", *BATCH]) == 3
+        assert capsys.readouterr().err == "data error: targets requires --checkpoint\n"
+
     def test_missing_checkpoint_exits_3(self, tmp_path):
         code = cli.main(["targets", *BATCH, "--checkpoint", str(tmp_path / "no.ckpt")])
         assert code == 3
@@ -654,3 +704,57 @@ def test_stale_manifest_is_refused(tmp_path, capsys, command, field, value):
         assert err.startswith(f"config error: manifest {path}: {field} ")
         assert "pass the manifest's \"config\" object as a plain config file" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["compare", "--methods", "vanilla,vanilla:omega=0.9"],
+         "method token 'vanilla:omega=0.9': setting 'omega' is read only by bake, not by vanilla"),
+        (["compare", "--methods", "vanilla:m=3"],
+         "method token 'vanilla:m=3': setting 'm' is read only by bake, not by vanilla"),
+        (["compare", "--methods", "label_smoothing:tau=2"],
+         "method token 'label_smoothing:tau=2': setting 'tau' is read only by bake, not by label_smoothing"),
+        (["compare", "--methods", "bake:epsilon=0.2"],
+         "method token 'bake:epsilon=0.2': setting 'epsilon' is read only by label_smoothing, not by bake"),
+        (["train", "--method", "vanilla", "--omega", "0.3"], "setting 'omega' is read only by bake, not by vanilla"),
+        (["train", "--method", "vanilla", "--m", "3"], "setting 'm' is read only by bake, not by vanilla"),
+        (["train", "--method", "vanilla", "--knowledge", "onehot"],
+         "setting 'knowledge' is read only by bake, not by vanilla"),
+        (["train", "--epsilon", "0.3"], "setting 'epsilon' is read only by label_smoothing, not by bake"),
+        (["compare", "--epsilon", "0.2", "--methods", "vanilla,bake"],
+         "setting 'epsilon' is read only by label_smoothing, not by vanilla, bake"),
+    ],
+    ids=[
+        "compare-vanilla:omega", "compare-vanilla:m", "compare-label_smoothing:tau", "compare-bake:epsilon",
+        "train-vanilla--omega", "train-vanilla--m", "train-vanilla--knowledge", "train-bake--epsilon",
+        "compare--epsilon",
+    ],
+)
+def test_setting_no_method_reads_exits_2(tmp_path, capsys, monkeypatch, argv, error):
+    # it would change nothing that trains, and two tokens that differ only there would train one config twice
+    calls = []
+    monkeypatch.setattr(cli, "load_datasets", calls.append)
+    monkeypatch.setattr(cli, "run_training", calls.append)
+    out = tmp_path / "run"
+    assert cli.main([*argv, *SMALL, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,read",
+    [
+        (["compare", "--omega", "0.3", "--methods", "vanilla,bake", "--seeds", "1"], {"omega": [0.3, 0.3]}),
+        (["compare", "--methods", "bake,bake:knowledge=onehot", "--seeds", "1"], {"knowledge": ["pred", "onehot"]}),
+        (["train", "--method", "label_smoothing", "--epsilon", "0.2"], {"epsilon": [0.2]}),
+    ],
+    ids=["compare--omega", "compare-bake:knowledge", "train-label_smoothing--epsilon"],
+)
+def test_setting_a_method_reads_is_accepted(tmp_path, monkeypatch, argv, read):
+    cells, run = [], cli.run_training
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # the patch reaches no worker process
+    monkeypatch.setattr(cli, "run_training", lambda cfg: cells.append(cfg) or run(cfg))
+    assert cli.main([*argv, *SMALL, "--epochs", "1", "--out-dir", str(tmp_path / "run")]) == 0
+    assert {key: [cell[key] for cell in cells] for key in read} == read

@@ -82,6 +82,20 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match="7 bytes.*implies 12"):
             dt.load_idx(img, lbl)
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_truncated_header(self, tmp_path, which):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+        path = {"images": img, "labels": lbl}[which]
+        path.write_bytes(path.read_bytes()[:7])
+        with pytest.raises(DataFormatError, match=f"{path.name}: truncated IDX header"):
+            dt.load_idx(img, lbl)
+
+    def test_short_label_payload_reports_counts(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((3, 2, 2)), [0, 1, 2])
+        lbl.write_bytes(lbl.read_bytes()[:-1])
+        with pytest.raises(DataFormatError, match=f"{lbl.name}: payload has 2 bytes, header implies 3"):
+            dt.load_idx(img, lbl)
+
     def test_count_mismatch(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -145,6 +159,14 @@ class TestLoadCifarBinary:
         self._write_records(path, [3, 10])
         with pytest.raises(DataFormatError, match=r"label 10 outside \[0, 10\)"):
             dt.load_cifar_binary([path], k_classes=10)
+
+    @pytest.mark.parametrize("k_classes", [7, 20])
+    def test_only_the_two_record_layouts(self, tmp_path, k_classes):
+        # a 10-class file read as 20 classes would give a 20-way dataset with labels 0-9
+        path = tmp_path / "batch.bin"
+        self._write_records(path, [3, 9])
+        with pytest.raises(ConfigError, match=f"must be 10 or 100, the CIFAR record layouts; got {k_classes}"):
+            dt.load_cifar_binary([path], k_classes=k_classes)
 
     def test_wrong_record_stride(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -94,7 +94,7 @@ class TestInit:
     def test_parameter_count_is_descriptor_function(self):
         model = mlp(input_dim=6, k=4, hidden=(8, 5))
         expected = 6 * 8 + 8 + 8 * 5 + 5 + 5 * 4 + 4
-        assert model.parameter_count() == expected
+        assert model.flat.size == expected
 
     def test_invalid_descriptor(self):
         with pytest.raises(ConfigError):
@@ -108,7 +108,7 @@ class TestInit:
 class TestFlatParameters:
     def test_wrong_length_rejected(self):
         descriptor = md.ModelDescriptor(6, 4, hidden=(8, 5))
-        n = mlp().parameter_count()
+        n = mlp().flat.size
         for length in (n - 1, n + 1):
             with pytest.raises(ShapeMismatchError, match=f"needs \\({n},\\)"):
                 md.Model(descriptor, np.zeros(length))
