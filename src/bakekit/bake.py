@@ -1,10 +1,12 @@
 """Batch knowledge ensembling: refined soft targets from in-batch affinities.
 
 All functions here operate on plain float64 arrays and are deliberately
-outside the autodiff graph: soft targets never carry gradient. Tensors are
-accepted anywhere an array is (their data is read, never their tape), and
-features and logits computed in float32 are upcast, so targets are float64
-whatever a model computes in.
+outside the autodiff graph: soft targets never carry gradient. Only
+``build_soft_targets`` takes the model's output tensors: it reads their data,
+never their tape, and upcasts features and logits to float64 once, so targets
+are float64 whatever a model computes in. ``one_hot`` checks its labels, so
+every loss and knowledge source that turns labels into targets refuses a label
+outside [0, K) alike.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from numpy.linalg import solve as linear_solve
 
 from .errors import ConfigError, DegenerateBatchError, ShapeMismatchError
-from .numerics import softmax_data
+from .numerics import Tensor, softmax_data
 
 PROPAGATION_MODES = ("closed_form", "iterate")
 KNOWLEDGE_SOURCES = ("pred", "onehot")
@@ -68,10 +70,6 @@ class BakeConfig:
             )
 
 
-def _as_data(x):
-    return np.asarray(getattr(x, "data", x), dtype=np.float64)
-
-
 def affinity_matrix(features):
     """Row-stochastic, zero-diagonal affinity matrix from batch features.
 
@@ -79,17 +77,16 @@ def affinity_matrix(features):
     per row; the diagonal is set to -inf, so it gets exactly 0 and stays out
     of the denominator.
     """
-    f = _as_data(features)
-    n = f.shape[0]
+    n = features.shape[0]
     if n < 2:
         raise DegenerateBatchError(
             f"affinity requires a batch of at least 2 samples, got {n}"
         )
-    norms = np.sqrt((f * f).sum(axis=1))
+    norms = np.sqrt((features * features).sum(axis=1))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ShapeMismatchError(f"zero feature row at index {zero[0]}")
-    fn = f / norms[:, None]
+    fn = features / norms[:, None]
     sims = fn @ fn.T
     np.fill_diagonal(sims, -np.inf)
     return softmax_data(sims)
@@ -99,7 +96,6 @@ def propagate_iterative(a, p, omega, t):
     """t rounds of Q <- omega*A@Q + (1-omega)*P, starting from Q = P."""
     if t < 1:
         raise ConfigError(f"iteration count must be >= 1, got {t}")
-    a, p = _as_data(a), _as_data(p)
     q = p
     for _ in range(t):
         q = omega * (a @ q) + (1.0 - omega) * p
@@ -119,22 +115,29 @@ def propagate_closed_form(a, p, omega):
             f"closed-form propagation requires omega < 1 (got {omega}); "
             "use iterate mode for omega = 1"
         )
-    a, p = _as_data(a), _as_data(p)
     system = a * -omega
     system.flat[:: a.shape[0] + 1] += 1.0  # I - omega*A
     return (1.0 - omega) * linear_solve(system, p)
 
 
 def one_hot(labels, k):
+    """Rows of the K-class identity; a label outside [0, K) is refused."""
     labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        bad = labels[(labels < 0) | (labels >= k)][0]
+        raise ShapeMismatchError(f"label {bad} outside [0, {k})")
     out = np.zeros((labels.shape[0], k), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
 
 def build_soft_targets(features, logits, labels=None, cfg=BakeConfig()):
-    """Refined soft targets for one batch; always detached from gradients."""
-    logits = _as_data(logits)
+    """Refined soft targets for one batch; always detached from gradients.
+
+    ``features`` and ``logits`` are arrays or tensors; either way only their
+    data is read, as float64.
+    """
+    features, logits = (np.asarray(x.data if isinstance(x, Tensor) else x, np.float64) for x in (features, logits))
     if cfg.knowledge_source == "onehot":
         if labels is None:
             raise ConfigError("knowledge_source=onehot requires labels")

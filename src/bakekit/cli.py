@@ -361,10 +361,13 @@ def _parse_method_token(token, base_cfg):
     if name not in tr.METHODS:
         raise ConfigError(f"unknown method {name!r} in --methods")
     cfg["method"] = name
-    overrides = dict(pair.partition("=")[::2] for pair in filter(None, spec.split(",")))
-    for key, value in overrides.items():
+    overrides = set()
+    for key, value in (pair.partition("=")[::2] for pair in filter(None, spec.split(","))):
         if key not in OPTION or not OPTION[key].token:
             raise ConfigError(f"unsupported override {key!r} in method token {token!r}")
+        if key in overrides:
+            raise ConfigError(f"method token {token!r} sets {key!r} twice")
+        overrides.add(key)
         cfg[key] = _convert(OPTION[key].type, value, f"method token {token!r}")
     try:
         _validate(cfg)

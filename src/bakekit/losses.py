@@ -12,18 +12,9 @@ from .errors import ConfigError, ShapeMismatchError
 from .numerics import soft_cross_entropy  # one tape node; CE, smoothing and the KL use it
 
 
-def _check_labels(labels, k):
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        bad = labels[(labels < 0) | (labels >= k)][0]
-        raise ShapeMismatchError(f"label {bad} outside [0, {k})")
-    return labels
-
-
 def cross_entropy(logits, labels):
-    """Mean over the batch of -log softmax(logits)[y]; no temperature."""
-    k = logits.shape[1]
-    return soft_cross_entropy(logits, one_hot(_check_labels(labels, k), k))
+    """Mean over the batch of -log softmax(logits)[y]; no temperature; ``one_hot`` checks the labels."""
+    return soft_cross_entropy(logits, one_hot(labels, logits.shape[1]))
 
 
 def kl_distillation(logits, targets, tau):
@@ -35,7 +26,7 @@ def kl_distillation(logits, targets, tau):
     """
     if not 0.0 < tau < math.inf:
         raise ConfigError(f"tau must be finite and > 0, got {tau}")
-    q = np.asarray(getattr(targets, "data", targets), dtype=np.float64)
+    q = np.asarray(targets, dtype=np.float64)
     row_sums = q.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-6):
         bad = int(np.argmax(np.abs(row_sums - 1.0)))
@@ -52,5 +43,4 @@ def label_smoothing_loss(logits, labels, epsilon):
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"epsilon must be in [0, 1), got {epsilon}")
     k = logits.shape[1]
-    labels = _check_labels(labels, k)
     return soft_cross_entropy(logits, (1.0 - epsilon) * one_hot(labels, k) + epsilon / k)

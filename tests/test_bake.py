@@ -60,11 +60,6 @@ class TestAffinityMatrix:
         scales = rng.uniform(0.1, 10.0, size=5)
         assert np.abs(affinity_matrix(f * scales[:, None]) - affinity_matrix(f)).max() < 1e-10
 
-    def test_detached_from_feature_gradients(self):
-        f = Tensor(np.random.default_rng(3).normal(size=(3, 4)), requires_grad=True)
-        a = affinity_matrix(f)
-        assert isinstance(a, np.ndarray)
-
 
 class TestPropagation:
     def test_one_step_omega_zero_is_identity(self):
@@ -195,6 +190,20 @@ class TestBuildSoftTargets:
         cfg = BakeConfig(omega=0.5, knowledge_source="onehot")
         q = build_soft_targets(f, z, labels=np.array([0, 1]), cfg=cfg)
         assert np.abs(q - [[2 / 3, 1 / 3], [1 / 3, 2 / 3]]).max() < 1e-12
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_ground_truth_label_outside_range(self, label):
+        cfg = BakeConfig(omega=0.5, knowledge_source="onehot")
+        with pytest.raises(ShapeMismatchError, match=rf"label {label} outside \[0, 2\)"):
+            build_soft_targets(np.eye(2), np.zeros((2, 2)), labels=np.array([0, label]), cfg=cfg)
+
+    def test_detached_from_feature_gradients(self):
+        rng = np.random.default_rng(3)
+        f = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+        z = Tensor(rng.normal(size=(3, 5)).astype(np.float32), requires_grad=True)
+        q = build_soft_targets(f, z)
+        assert type(q) is np.ndarray and q.dtype == np.float64
+        assert np.array_equal(q, build_soft_targets(f.data.astype(np.float64), z.data.astype(np.float64)))
 
     def test_ground_truth_requires_labels(self):
         cfg = BakeConfig(knowledge_source="onehot")

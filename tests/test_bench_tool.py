@@ -37,13 +37,20 @@ def test_two_result_lines_aggregate():
     assert summary["env"] == [env, env]
 
 
-def test_summary_and_step_ratio_on_made_up_timings():
+def test_summary_and_overhead_share_on_made_up_timings():
     assert bench.summary([5.0, 1.0, 4.0, 2.0, 3.0]) == {"values": [5.0, 1.0, 4.0, 2.0, 3.0], "median": 3.0, "iqr": 2.0}
     timed = {}
-    for size, vanilla, bake_factor in (("desk", 1.0, 2.0), ("bake_wide", 4.0, 1.5)):
+    for size, vanilla, share in (("desk", 1.0, 0.5), ("bake_wide", 4.0, 1.5), ("cifar_conv", 40.0, 0.025)):
         timed[f"step[{size}-vanilla-float32]"] = bench.summary([vanilla] * 5)
-        timed[f"step[{size}-bake-float32]"] = bench.summary([vanilla * bake_factor * f for f in (0.5, 1, 1, 1, 2)])
-    assert bench.step_ratios(timed) == {"desk-float32": 2.0, "bake_wide-float32": 1.5}
+        timed[f"overhead[{size}-float32]"] = bench.summary([vanilla * share * f for f in (0.5, 1, 1, 1, 2)])
+    assert bench.overhead_shares(timed) == {"desk-float32": 0.5, "bake_wide-float32": 1.5, "cifar_conv-float32": 0.025}
+
+
+def test_every_shape_has_a_vanilla_step_and_an_overhead_case():
+    names = [name for name, _, _ in bench.cases()]
+    assert len(names) == len(set(names))
+    for size in ("desk", "bake_wide", "cifar_conv"):
+        assert f"step[{size}-vanilla-float32]" in names and f"overhead[{size}-float32]" in names
 
 
 def test_failed_micro_check_raises_and_writes_no_file(tmp_path, monkeypatch):

@@ -292,12 +292,14 @@ class TestTrainCommand:
         code, _ = run_train(tmp_path, "it", extra=["--mode", "iterate:5"])
         assert code == 0
 
-    def test_help_documents_defaults(self, capsys):
+    def test_help_documents_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")  # one line per option, however long its help grows
         with pytest.raises(SystemExit):
             cli.main(["train", "--help"])
-        text = capsys.readouterr().out
-        for needle in ("default 0.5", "default 4.0", "default 1.0", "default 1)"):
-            assert needle in text
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        for flag, default in (("--omega", "0.5"), ("--tau", "4.0"), ("--lambda", "1.0"), ("--m", "1")):
+            line = next(line for line in lines if line.startswith(flag + " "))
+            assert line.endswith(f"(default {default})"), line
 
 
 class TestSubcommandFlags:
@@ -367,7 +369,7 @@ class TestCompareCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("token", ["bake:omega=abc", "bake:m=1.5"])
+    @pytest.mark.parametrize("token", ["bake:omega=abc", "bake:m=1.5", "bake:omega=0.1,omega=0.9"])
     def test_malformed_token_override_exits_2(self, tmp_path, capsys, token):
         code = cli.main(["compare", *SMALL, "--methods", token, "--out-dir", str(tmp_path / "x")])
         assert code == 2

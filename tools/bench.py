@@ -13,11 +13,13 @@ and no file is written.
 The file's ``micro`` section is timed last, in this interpreter. Each case of
 ``cases()`` runs once for its check, which stops here too if it fails, and
 once more to size its loops; then REPEATS loops of about LOOP_S seconds each,
-timed with ``time.perf_counter``, give its seconds per call. ``step_ratio`` is
-a bake step's median over a vanilla step's at equal N, BAKE's overhead per
-step, at desk size (N=64, K=10) and bake_wide's (N=256, K=100), on models that
-compute in float32, as every run does. The section also holds the ``env``
-line.
+timed with ``time.perf_counter``, give its seconds per call. ``overhead_share``
+is BAKE's overhead as the paper states it: the median of an ``overhead`` case,
+which builds one batch's soft targets and runs the KL node forward and
+backward, over the median of the vanilla step at the same shape. The shapes are
+desk (N=64, K=10), bake_wide's (N=256, K=100) and a CIFAR-100 encoder with the
+conv stem (3x32x32, N=64, K=100), all with MLP 256,128 on models that compute
+in float32, as every run does. The section also holds the ``env`` line.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 4, 5)
 REPEATS = 5
 LOOP_S = 0.2
-STEPS = {"desk": (10, 200, 32), "bake_wide": (100, 500, 128)}  # classes K, per class, n_hat at M=1
-DTYPE = "float32"  # what a model computes in; the case names and step_ratio keys carry it, as in BENCH_16.json
+# classes K, examples per class, input (an MLP's dim, or C, H, W through the conv stem), n_hat at M=1
+SHAPES = {"desk": (10, 200, 32, 32), "bake_wide": (100, 500, 32, 128), "cifar_conv": (100, 2, (3, 32, 32), 32)}
+DTYPE = "float32"  # what a model computes in; the case names and overhead_share keys carry it
 
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
@@ -72,6 +75,13 @@ def cases():
     def step_loss(model, x, y, cfg):
         return batch_loss(model, x, y, cfg)[0]
 
+    def overhead(features, logits, y, cfg):
+        """BAKE's own work in a step: soft targets, then the KL node forward and backward into ``logits``."""
+        targets = bake.build_soft_targets(features, logits, labels=y, cfg=cfg)
+        kl = losses.kl_distillation(logits, targets, cfg.tau)
+        kl.backward()
+        return targets, kl.item()
+
     def sgd(model, velocity):
         sgd_step(model.flat, model.grad, velocity, 0.01, 0.9, 0.0)
         return model.flat
@@ -87,19 +97,22 @@ def cases():
         rng = np.random.default_rng(1)
         a, p = bake.affinity_matrix(rng.normal(size=(n, 128))), rng.dirichlet(np.ones(100), size=n)
         table.append((f"propagate_closed_form[{n}]", partial(bake.propagate_closed_form, a, p, 0.5), stochastic))
-    for size, (k, per_class, n_hat) in STEPS.items():
+    for size, (k, per_class, shape, n_hat) in SHAPES.items():
         n, rng = 2 * n_hat, np.random.default_rng(2)
         z = Tensor(rng.normal(size=(n, k)), requires_grad=True)
         onehot, q = np.eye(k)[rng.integers(0, k, size=n)], rng.dirichlet(np.ones(k), size=n)
         table.append((f"soft_cross_entropy[{n}-{k}]", partial(backward, soft_terms, z, onehot, q), np.isfinite))
-        train_set, _ = dt.synth_clusters(k, per_class, 32, 3.0, seed=0)
+        train_set, _ = dt.synth_clusters(k, per_class, int(np.prod(shape)), 3.0, seed=0)
         ids = sampling.epoch_batches(train_set.class_index, sampling.SamplerConfig(n_hat, 1, 0), 0)[0]
-        descriptor = md.ModelDescriptor(32, k)
-        for method in ("vanilla", "bake"):
-            model = md.init(descriptor, seed=0)
-            x, y, cfg = train_set.inputs[ids], train_set.labels[ids], TrainConfig(method=method)
-            call = partial(backward, step_loss, model, x, y, cfg)
-            table.append((f"step[{size}-{method}-{DTYPE}]", call, np.isfinite))
+        stem = md.ConvStem(*shape) if isinstance(shape, tuple) else None
+        descriptor = md.ModelDescriptor(train_set.input_dim, k, conv_stem=stem)
+        model = md.init(descriptor, seed=0)
+        x, y, cfg = train_set.inputs[ids], train_set.labels[ids], TrainConfig(method="vanilla")
+        table.append((f"step[{size}-vanilla-{DTYPE}]", partial(backward, step_loss, model, x, y, cfg), np.isfinite))
+        features, logits = model.forward(x)
+        logits = Tensor(logits.data, requires_grad=True)  # a leaf: the KL's backward stops at the logits
+        table.append((f"overhead[{size}-{DTYPE}]", partial(overhead, features, logits, y, cfg.bake),
+                      lambda out: stochastic(out[0]) and np.isfinite(out[1])))
         model = md.init(descriptor, seed=0)
         model.grad[:] = np.random.default_rng(3).normal(size=model.grad.size) * 1e-3
         table.append((f"sgd_step[{size}-{DTYPE}]", partial(sgd, model, np.zeros_like(model.flat)),
@@ -131,14 +144,14 @@ def micro(table):
                 call()
             values.append((time.perf_counter() - start) / loops)
         timed[name] = summary(values)
-    return {"unit": "s/call", "env": environment(), "cases": timed, "step_ratio": step_ratios(timed)}
+    return {"unit": "s/call", "env": environment(), "cases": timed, "overhead_share": overhead_shares(timed)}
 
 
-def step_ratios(timed):
-    """A bake step's median over a vanilla step's, per size."""
+def overhead_shares(timed):
+    """BAKE's overhead median over the vanilla step's, per shape."""
     median = {name: case["median"] for name, case in timed.items()}
-    return {f"{size}-{DTYPE}": median[f"step[{size}-bake-{DTYPE}]"] / median[f"step[{size}-vanilla-{DTYPE}]"]
-            for size in STEPS}
+    return {f"{size}-{DTYPE}": median[f"overhead[{size}-{DTYPE}]"] / median[f"step[{size}-vanilla-{DTYPE}]"]
+            for size in SHAPES}
 
 
 def parse(stdout):
