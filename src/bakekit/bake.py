@@ -20,7 +20,7 @@ import numpy as np
 from numpy.linalg import solve as linear_solve
 
 from .errors import ConfigError, DegenerateBatchError, ShapeMismatchError
-from .numerics import Tensor, softmax_data
+from .numerics import Tensor
 
 PROPAGATION_MODES = ("closed_form", "iterate")
 KNOWLEDGE_SOURCES = ("pred", "onehot")
@@ -70,6 +70,16 @@ class BakeConfig:
             )
 
 
+def _softmax_rows(x):
+    """Row softmax of ``x`` as float64 (``-inf`` gives exactly 0), in place when ``x`` is float64.
+    Only for arrays made here, so no caller's input is written."""
+    x = np.asarray(x, np.float64)
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
+
+
 def affinity_matrix(features):
     """Row-stochastic, zero-diagonal affinity matrix from batch features.
 
@@ -89,7 +99,7 @@ def affinity_matrix(features):
     fn = features / norms[:, None]
     sims = fn @ fn.T
     np.fill_diagonal(sims, -np.inf)
-    return softmax_data(sims)
+    return _softmax_rows(sims)
 
 
 def propagate_iterative(a, p, omega, t):
@@ -143,7 +153,7 @@ def build_soft_targets(features, logits, labels=None, cfg=BakeConfig()):
             raise ConfigError("knowledge_source=onehot requires labels")
         p = one_hot(labels, logits.shape[1])
     else:
-        p = softmax_data(logits / cfg.tau)
+        p = _softmax_rows(logits / cfg.tau)
     a = affinity_matrix(features)
     if cfg.propagation_mode == "closed_form":
         return propagate_closed_form(a, p, cfg.omega)

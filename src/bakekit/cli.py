@@ -335,7 +335,8 @@ def _write_run(out_dir, model, metrics, manifest):
         for m in metrics:
             record = asdict(m)
             record.pop("wall_seconds")  # timings live apart: metrics stay reproducible
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+            record = {k: v if math.isfinite(v) else None for k, v in record.items()}  # strict JSON has no NaN
+            f.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     with open(os.path.join(out_dir, "timings.txt"), "w") as f:
         for m in metrics:
             f.write(f"{m.epoch}\t{m.wall_seconds:.3f}\n")

@@ -9,8 +9,7 @@ Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
 they never mutate their inputs. A closure hands each contribution to
 ``_accumulate``: an interior node's first contribution becomes its gradient,
-later ones are added to it. ``softmax_data`` works on plain arrays, outside
-the graph, for detached target construction.
+later ones are added to it.
 """
 
 from __future__ import annotations
@@ -207,20 +206,7 @@ def linear(x, w, b):
     return Tensor._op(x.data @ w.data + b.data, (x, w, b), vjp)
 
 
-# -- softmax -------------------------------------------------------------
-
-
-def softmax_data(x):
-    """Row softmax of a plain array; ``-inf`` entries get exactly 0.
-
-    Not part of the autodiff graph: affinities and soft targets never carry
-    gradient.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    e = x - x.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+# -- loss ----------------------------------------------------------------
 
 
 def soft_cross_entropy(x, targets):

@@ -67,6 +67,8 @@ class TrainConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 <= self.smoothing_epsilon < 1.0:
             raise ConfigError(f"smoothing_epsilon must be in [0, 1), got {self.smoothing_epsilon}")
+        if self.method == "bake" and self.sampler.batch_size < 2:  # its affinities need another example
+            raise ConfigError(f"bake needs a batch of at least 2, got n_hat * (m + 1) = {self.sampler.batch_size}")
 
 
 @dataclass

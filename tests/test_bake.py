@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bakekit import numerics as nm
 from bakekit.bake import (
     BakeConfig,
+    _softmax_rows,
     affinity_matrix,
     build_soft_targets,
     propagate_closed_form,
@@ -16,6 +16,30 @@ from bakekit.numerics import Tensor
 def random_prob_rows(rng, n, k):
     p = rng.random((n, k)) + 1e-3
     return p / p.sum(axis=1, keepdims=True)
+
+
+class TestSoftmaxRows:
+    """``_softmax_rows``, the row softmax of affinities and softened predictions."""
+
+    def test_uniform_on_equal_logits(self):
+        out = _softmax_rows(np.zeros((1, 3)))
+        assert np.allclose(out, [[1 / 3] * 3], atol=1e-12)
+
+    def test_analytic_exponentials(self):
+        out = _softmax_rows(np.array([[np.log(2.0), 0.0]]))
+        assert np.allclose(out, [[2 / 3, 1 / 3]], atol=1e-12)
+
+    def test_mask_removes_entry(self):
+        out = _softmax_rows(np.array([[-np.inf, 1.0, 1.0]]))
+        assert out[0, 0] == 0.0
+        assert np.allclose(out, [[0.0, 0.5, 0.5]], atol=1e-12)
+
+    def test_rows_sum_to_one_with_overflow_safety(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(6, 9)) * 500  # would overflow a naive exp
+        out = _softmax_rows(x)
+        assert np.isfinite(out).all()
+        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-9
 
 
 class TestAffinityMatrix:
@@ -165,6 +189,24 @@ class TestPropagation:
         perm = rng.permutation(8)
         q_perm = build_soft_targets(f[perm], logits[perm], cfg=cfg)
         assert np.abs(q_perm - q[perm]).max() < 1e-12
+
+
+@pytest.mark.parametrize("wrap", [np.asarray, Tensor], ids=["array", "tensor"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_target_path_never_writes_its_inputs(dtype, wrap):
+    # a float64 array reaches the row softmax uncopied, so only this guards the in-place helper
+    rng = np.random.default_rng(14)
+    features, logits = rng.normal(size=(6, 4)).astype(dtype), rng.normal(size=(6, 5)).astype(dtype)
+    a, p = affinity_matrix(features.astype(np.float64)).astype(dtype), random_prob_rows(rng, 6, 5).astype(dtype)
+    inputs = (features, logits, a, p)
+    before = [x.copy() for x in inputs]
+    affinity_matrix(features)
+    propagate_closed_form(a, p, 0.5)
+    for mode, source in (("closed_form", "pred"), ("iterate", "pred"), ("closed_form", "onehot")):
+        cfg = BakeConfig(propagation_mode=mode, iterations=2, knowledge_source=source)
+        build_soft_targets(wrap(features), wrap(logits), labels=np.arange(6) % 5, cfg=cfg)
+    for x, old in zip(inputs, before):
+        assert x.dtype == dtype and x.tobytes() == old.tobytes()
 
 
 class TestBuildSoftTargets:

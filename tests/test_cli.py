@@ -75,6 +75,17 @@ class TestTrainCommand:
         assert (out / "model.ckpt").exists()
         assert (out / "timings.txt").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_epoch_writes_strict_json(self, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"metrics.jsonl holds {constant}")
+
+        code, out = run_train(tmp_path, "run", extra=["--lr", "1e30"])
+        assert code == 0
+        records = [json.loads(line, parse_constant=refuse) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert records and all(r["train_loss"] is None for r in records)  # a non-finite value is null
+        assert all(r["test_top1"] is not None for r in records)
+
     def test_invalid_omega_exits_2(self, tmp_path, capsys):
         code = cli.main(["train", "--omega", "1.5", "--out-dir", str(tmp_path / "x")])
         assert code == 2
@@ -169,6 +180,7 @@ class TestTrainCommand:
             ({"mode": "one-step"}, "unrecognized --mode 'one-step'"),
             ({"bogus": 1}, "unknown config keys: ['bogus']"),
             (["--schedule", "linear:3"], "unrecognized --schedule 'linear:3'"),
+            (["--n-hat", "1", "--m", "0"], "bake needs a batch of at least 2, got n_hat * (m + 1) = 1"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -384,10 +396,13 @@ class TestCompareCommand:
             return None, [], None
 
         monkeypatch.setattr(cli, "run_training", counting_run)
-        for methods in ("vanilla,bake:mode=iterate:0", "vanilla,bake:omega=1"):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # the patch reaches no worker process
+        for methods, extra in (
+            ("vanilla,bake:mode=iterate:0", []), ("vanilla,bake:omega=1", []), ("vanilla,bake:m=0", ["--n-hat", "1"])
+        ):
             out = tmp_path / "x"
             code = cli.main(
-                ["compare", *SMALL, "--methods", methods, "--seeds", "3",
+                ["compare", *SMALL, *extra, "--methods", methods, "--seeds", "3",
                  "--out-dir", str(out)]
             )
             assert code == 2, methods
@@ -547,7 +562,8 @@ class TestTargetsCommand:
         # recompute the same batch's probabilities directly
         import bakekit.data as dt
         import bakekit.models as md
-        from bakekit.numerics import Tensor, softmax_data
+        from bakekit.bake import _softmax_rows
+        from bakekit.numerics import Tensor
         from bakekit.sampling import SamplerConfig, epoch_batches
 
         train_set, _ = dt.synth_clusters(4, 40, 8, 3.0, seed=0)
@@ -555,7 +571,7 @@ class TestTargetsCommand:
         batch = epoch_batches(train_set.class_index, SamplerConfig(8, 1, 0), 0)[0]
         x = train_set.inputs[np.asarray(batch)].astype(np.float64)
         _, logits = model.forward(Tensor(x))
-        probs = softmax_data(logits.data)
+        probs = _softmax_rows(logits.data.astype(np.float64))
         top = np.argsort(-probs[0], kind="stable")[:3]
         for c in top:
             assert f"{c}:{probs[0, c]:.4f}" in printed
@@ -653,8 +669,8 @@ class TestTargetsCommand:
         # two near-duplicate same-class inputs: each row's target mixes the other's class mass
         _, out = run_train(tmp_path, "run")
         import bakekit.models as md
-        from bakekit.bake import BakeConfig, build_soft_targets
-        from bakekit.numerics import Tensor, softmax_data
+        from bakekit.bake import BakeConfig, _softmax_rows, build_soft_targets
+        from bakekit.numerics import Tensor
 
         model = md.load_checkpoint(out / "model.ckpt")
         rng = np.random.default_rng(0)
@@ -662,7 +678,7 @@ class TestTargetsCommand:
         x = np.stack([base, base + 1e-9 * rng.normal(size=8)])
         features, logits = model.forward(Tensor(x))
         q = build_soft_targets(features, logits, cfg=BakeConfig(omega=0.5, tau=1.0))
-        p = softmax_data(logits.data)
+        p = _softmax_rows(logits.data.astype(np.float64))
         other_top = int(np.argmax(p[1]))
         assert q[0, other_top] >= 0.45 * p[1, other_top]
 

@@ -98,36 +98,6 @@ class TestRelu:
             assert leaf.grad == (1.0 if v > 0 else 0.0), v
 
 
-class TestSoftmaxRows:
-    """Row softmax on plain arrays: ``softmax_data``."""
-
-    def test_uniform_on_equal_logits(self):
-        out = nm.softmax_data([[0.0, 0.0, 0.0]])
-        assert np.allclose(out, [[1 / 3] * 3], atol=1e-12)
-
-    def test_analytic_exponentials(self):
-        out = nm.softmax_data([[np.log(2.0), 0.0]])
-        assert np.allclose(out, [[2 / 3, 1 / 3]], atol=1e-12)
-
-    def test_mask_removes_entry(self):
-        out = nm.softmax_data([[-np.inf, 1.0, 1.0]])
-        assert out[0, 0] == 0.0
-        assert np.allclose(out, [[0.0, 0.5, 0.5]], atol=1e-12)
-
-    def test_input_is_not_written(self):
-        x = np.random.default_rng(3).normal(size=(4, 5))
-        before = x.copy()
-        nm.softmax_data(x)
-        assert np.array_equal(x, before)
-
-    def test_rows_sum_to_one_with_overflow_safety(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(6, 9)) * 500  # would overflow a naive exp
-        out = nm.softmax_data(x)
-        assert np.isfinite(out).all()
-        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-9
-
-
 class TestBackward:
     def test_non_scalar_loss_errors(self):
         x = Tensor(np.ones(3), requires_grad=True)

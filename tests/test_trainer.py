@@ -248,6 +248,9 @@ class TestTrain:
             tr.TrainConfig(method="magic")
         with pytest.raises(ConfigError, match="epochs must be >= 0, got -1"):
             tr.TrainConfig(epochs=-1)
+        with pytest.raises(ConfigError, match=r"bake needs a batch of at least 2, got n_hat \* \(m \+ 1\) = 1"):
+            tr.TrainConfig(sampler=SamplerConfig(n_hat=1, m=0))
+        assert tr.TrainConfig(method="vanilla", sampler=SamplerConfig(n_hat=1, m=0)).sampler.batch_size == 1
         for momentum in (-1.0, 1.0, float("nan")):
             with pytest.raises(ConfigError, match=r"momentum must be in \[0, 1\)"):
                 tr.TrainConfig(momentum=momentum)

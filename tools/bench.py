@@ -10,6 +10,14 @@ attempted and failed operations of each run, and each run's ``env`` line
 (BLAS threads, numpy version, cores). A run that exits non-zero stops here,
 and no file is written.
 
+The file's ``first_cell`` section gives the cost of a fresh process's first cell,
+which ``examples_per_s`` cannot see because it keeps the fastest epoch. Each
+of REPEATS fresh interpreters trains two cells of ``specs.config("bake_wide",
+1)`` through ``cli.run_training``, and each cell's wall seconds, minor page
+faults and system seconds come from ``getrusage`` deltas around it. Both cells
+train the same config, so unless both end at the same finite top-1 this stops
+here too.
+
 The file's ``micro`` section is timed last, in this interpreter. Each case of
 ``cases()`` runs once for its check, which stops here too if it fails, and
 once more to size its loops; then REPEATS loops of about LOOP_S seconds each,
@@ -25,6 +33,8 @@ in float32, as every run does. The section also holds the ``env`` line.
 from __future__ import annotations
 
 import json
+import math
+import resource
 import statistics
 import subprocess
 import sys
@@ -154,6 +164,40 @@ def overhead_shares(timed):
             for size in SHAPES}
 
 
+def cell_costs():
+    """Train two bake_wide cells in this interpreter; print their costs and top-1 as one JSON line."""
+    import specs
+    from bakekit.cli import run_training
+
+    cells = []
+    for _ in range(2):
+        before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+        _, metrics, _ = run_training(specs.config("bake_wide", 1))
+        wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
+        cells.append({"wall_s": wall, "minor_faults": after.ru_minflt - before.ru_minflt,
+                      "system_s": after.ru_stime - before.ru_stime, "top1": metrics[-1].test_top1})
+    print(json.dumps(cells))
+
+
+def first_cell():
+    """``cell_costs`` in REPEATS fresh interpreters; each cell's costs summarised; a top-1 mismatch exits here."""
+    runs = []
+    for _ in range(REPEATS):
+        argv = [sys.executable, "-c", "import bench; bench.cell_costs()"]
+        done = subprocess.run(argv, cwd=ROOT / "tools", stdout=subprocess.PIPE, text=True, check=True)
+        cells = json.loads(done.stdout.splitlines()[-1])
+        top1 = [cell["top1"] for cell in cells]
+        if not (math.isfinite(top1[0]) and top1[0] == top1[1]):
+            raise SystemExit(f"bench: first-cell check failed: the two cells end at top-1 {top1}")
+        runs.append(cells)
+    return {
+        "config": ["bake_wide", 1],
+        "top1": [cells[0]["top1"] for cells in runs],
+        "cells": [{key: summary([cells[i][key] for cells in runs]) for key in ("wall_s", "minor_faults", "system_s")}
+                  for i in range(2)],
+    }
+
+
 def parse(stdout):
     """(env, result) from one benchmark run's standard output."""
     lines = stdout.splitlines()
@@ -188,8 +232,11 @@ def main(out):
             print(f"bench: {name} seed {seed}", file=sys.stderr, flush=True)
             done = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
             runs[name].append(parse(done.stdout))
+    print("bench: first cell", file=sys.stderr, flush=True)
+    first = first_cell()
     print("bench: micro", file=sys.stderr, flush=True)
     report = {
+        "first_cell": first,
         "micro": micro(cases()),
         "command": spec["command"],
         "run_seconds": spec["run_seconds"],
