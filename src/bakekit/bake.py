@@ -49,8 +49,7 @@ class BakeConfig:
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
             raise ConfigError(f"omega must be in [0,1], got {self.omega}")
-        if not 0.0 < self.tau < math.inf:
-            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        temperature_factors(self.tau, np.float32)  # the narrowest dtype a model computes in
         if not 0.0 <= self.distill_weight < math.inf:
             raise ConfigError(f"distill_weight must be finite and >= 0, got {self.distill_weight}")
         if self.propagation_mode not in PROPAGATION_MODES:
@@ -68,6 +67,17 @@ class BakeConfig:
             raise ConfigError(
                 f"knowledge_source must be one of {KNOWLEDGE_SOURCES}, got {self.knowledge_source!r}"
             )
+
+
+def temperature_factors(tau, dtype):
+    """The KL term's factors ``1/tau`` and ``tau**2`` as 0-d ``dtype`` arrays; either one inf or 0 is refused."""
+    if not 0.0 < tau < math.inf:
+        raise ConfigError(f"tau must be finite and > 0, got {tau}")
+    with np.errstate(over="ignore"):  # float64 ** 2 is the C pow of Python's tau**2, less its OverflowError
+        factors = np.asarray(1.0 / tau, dtype), np.asarray(np.float64(tau) ** 2, dtype)
+    if not all(np.isfinite(f) and f != 0 for f in factors):
+        raise ConfigError(f"tau={tau} puts 1/tau or tau^2 outside the finite, nonzero {np.dtype(dtype).name} range")
+    return factors
 
 
 def _softmax_rows(x):

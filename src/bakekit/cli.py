@@ -150,17 +150,19 @@ def _check_file_value(opt, value):
         raise ConfigError(f"config key {opt.key!r}: {value!r} is not one of {list(opt.choices)}")
 
 
-def _validate(cfg):
-    """Build all of ``cfg`` short of data, so a bad value fails before any work."""
-    make_train_config(cfg)
+def _validate(cfg, methods):
+    """Build all of ``cfg`` short of data, as each of ``methods`` reads it, so a bad value fails before any work."""
+    for method in methods:
+        make_train_config({**cfg, "method": method})
     _parse_hidden(cfg["hidden"])
     _parse_channels(cfg, "cifar_mean")
     _parse_channels(cfg, "cifar_std")
     return cfg
 
 
-def resolve_config(args):
-    """Defaults, then config file, then explicit flags; validated. Returns it and the flags given."""
+def resolve_config(args, methods=None):
+    """Defaults, then config file, then explicit flags; validated as ``methods`` (default: its own) read it.
+    Returns it and the flags given."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as f:
@@ -189,7 +191,7 @@ def resolve_config(args):
         cfg.update(loaded)
     flags = {key: value for key in DEFAULTS if (value := getattr(args, key, None)) is not None}
     cfg.update(flags)
-    return _validate(cfg), flags
+    return _validate(cfg, methods or [cfg["method"]]), flags
 
 
 def _parse_mode(mode):
@@ -237,6 +239,8 @@ def _parse_channels(cfg, key):
 
 
 def make_train_config(cfg):
+    """``cfg``'s TrainConfig; a setting its method does not read takes its default, so only what it reads is checked."""
+    cfg = {**cfg, **{opt.key: opt.default for opt in OPTIONS if opt.token and cfg["method"] not in opt.token}}
     mode, iters = _parse_mode(cfg["mode"])
     bake_cfg = BakeConfig(
         omega=cfg["omega"],
@@ -371,7 +375,7 @@ def _parse_method_token(token, base_cfg):
         overrides.add(key)
         cfg[key] = _convert(OPTION[key].type, value, f"method token {token!r}")
     try:
-        _validate(cfg)
+        _validate(cfg, [name])
         _refuse_unread(overrides, [name])
     except ConfigError as exc:
         raise ConfigError(f"method token {token!r}: {exc}") from None
@@ -427,8 +431,9 @@ def _split_methods(spec):
 
 
 def cmd_compare(args):
-    base, flags = resolve_config(args)
     tokens = _split_methods(args.methods or "")
+    names = {token.partition(":")[0] for token in tokens}
+    base, flags = resolve_config(args, [m for m in tr.METHODS if m in names])  # as the tokens' methods read it
     if not tokens:
         raise ConfigError("--methods must list at least one method")
     if args.seeds < 1:
@@ -459,7 +464,7 @@ def cmd_compare(args):
 
 
 def cmd_targets(args):
-    cfg, _ = resolve_config(args)
+    cfg, _ = resolve_config(args, ["bake"])  # soft targets read the bake settings, whatever the method
     if args.rows < 1:
         raise ConfigError("--rows must be >= 1")
     if not args.checkpoint:
@@ -474,7 +479,7 @@ def cmd_targets(args):
             f"checkpoint {args.checkpoint} has input dim {d.input_dim} and {d.num_classes} classes; "
             f"the dataset has {train_set.input_dim} and {train_set.num_classes}"
         )
-    train_cfg = make_train_config(cfg)
+    train_cfg = make_train_config({**cfg, "method": "bake"})
     ids = epoch_batches(train_set.class_index, train_cfg.sampler, epoch=0)[0]
     x, y = train_set.inputs[ids], train_set.labels[ids]
     features, logits = model.forward(x)

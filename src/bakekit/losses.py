@@ -1,15 +1,13 @@
-"""Training objectives: one soft-target cross-entropy, and CE, label smoothing
-and temperature distillation built on it."""
+"""Training objectives, each one tape node: a soft-target cross-entropy, and on it
+CE, label smoothing, temperature distillation and BAKE's CE + lambda * KL."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .bake import one_hot
+from .bake import one_hot, temperature_factors
 from .errors import ConfigError, ShapeMismatchError
-from .numerics import soft_cross_entropy  # one tape node; CE, smoothing and the KL use it
+from .numerics import loss_node, soft_cross_entropy, soft_xent
 
 
 def cross_entropy(logits, labels):
@@ -17,25 +15,45 @@ def cross_entropy(logits, labels):
     return soft_cross_entropy(logits, one_hot(labels, logits.shape[1]))
 
 
-def kl_distillation(logits, targets, tau):
-    """Mean tau^2-scaled KL(targets || softmax(logits/tau)).
-
-    ``targets`` is a constant array (detached by construction), checked in
-    float64 and cast to the logits' dtype by the loss node; only the logits
-    receive gradient. 0*log 0 is taken as 0.
-    """
-    if not 0.0 < tau < math.inf:
-        raise ConfigError(f"tau must be finite and > 0, got {tau}")
+def _kl(logits, targets, tau):
+    """The value of ``kl_distillation`` and its gradient function, on the logits' data."""
+    dtype = logits.data.dtype
+    inv_tau, tau_sq = temperature_factors(tau, dtype)
     q = np.asarray(targets, dtype=np.float64)
     row_sums = q.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-6):
         bad = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise ShapeMismatchError(
-            f"target row {bad} sums to {row_sums[bad]:.8f}, expected 1"
-        )
+        raise ShapeMismatchError(f"target row {bad} sums to {row_sums[bad]:.8f}, expected 1")
     qlogq = q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
-    cross = soft_cross_entropy(logits * (1.0 / tau), q)
-    return (cross + float(qlogq.sum()) / q.shape[0]) * tau**2
+    neg_entropy = np.asarray(float(qlogq.sum()) / q.shape[0], dtype=dtype)
+    cross, grad = soft_xent(logits.data * inv_tau, q.astype(dtype))
+    return (cross + neg_entropy) * tau_sq, lambda g: grad(g * tau_sq) * inv_tau
+
+
+def kl_distillation(logits, targets, tau):
+    """Mean tau^2-scaled KL(targets || softmax(logits/tau)), as one node.
+
+    ``targets`` is a constant array (detached by construction), checked in
+    float64 and cast to the logits' dtype; only the logits receive gradient.
+    0*log 0 is taken as 0. A tau whose 1/tau or tau^2 is not a finite,
+    nonzero value of the logits' dtype is refused.
+    """
+    return loss_node(logits, *_kl(logits, targets, tau))
+
+
+def bake_loss(logits, labels, targets, tau, weight):
+    """``cross_entropy + weight * kl_distillation`` as one node; returns it with the CE and KL values.
+
+    It runs the float operations that separate CE, KL and weighted-sum nodes
+    would, in their order, so it gives their bits: the upstream gradient is
+    scaled by ``weight`` and then by tau^2.
+    """
+    dtype = logits.data.dtype
+    kl, kl_grad = _kl(logits, targets, tau)
+    ce, ce_grad = soft_xent(logits.data, one_hot(labels, logits.shape[1]).astype(dtype))
+    weight = np.asarray(weight, dtype=dtype)
+    loss = loss_node(logits, ce + kl * weight, lambda g: ce_grad(g) + kl_grad(g * weight))
+    return loss, float(ce), float(kl)
 
 
 def label_smoothing_loss(logits, labels, epsilon):

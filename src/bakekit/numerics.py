@@ -2,8 +2,8 @@
 
 A tensor keeps the dtype of a floating input (anything else becomes
 float64), and every op computes in the dtype of the tensors it is given:
-constants are cast to it, so a float32 graph stays float32. No op changes
-dtype: a graph's leaves enter it in the dtype it computes in.
+constant targets are cast to it, so a float32 graph stays float32. No op
+changes dtype: a graph's leaves enter it in the dtype it computes in.
 
 Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
@@ -77,16 +77,6 @@ class Tensor:
             if node._vjp is not None:
                 node._vjp(node.grad)
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
     def reshape(self, *shape):
         return reshape(self, *shape)
 
@@ -122,47 +112,7 @@ def _accumulate(node, g, upstream=None):
         node.grad += g
 
 
-def _scalar(c, op, dtype):
-    """``c`` as a 0-d array of ``dtype``; anything but a scalar is a ShapeMismatchError.
-
-    A 0-d float64 array would promote a float32 operand to float64."""
-    c = np.asarray(c, dtype=dtype)
-    if c.ndim != 0:
-        raise ShapeMismatchError(f"{op}: expected a scalar constant, got shape {c.shape}")
-    return c
-
-
 # -- elementwise / structural primitives ---------------------------------
-
-
-def add(a, b):
-    """Tensor ``a`` plus a tensor of its own shape, or plus a scalar constant."""
-    if isinstance(b, Tensor):
-        if b.data.shape != a.data.shape:
-            raise ShapeMismatchError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-        parents = (a, b)
-        out_data = a.data + b.data
-    else:
-        parents = (a,)
-        out_data = a.data + _scalar(b, "add", a.data.dtype)
-
-    def vjp(g, parents=parents):
-        for p in parents:
-            if p.requires_grad:
-                _accumulate(p, g, g)
-
-    return Tensor._op(out_data, parents, vjp)
-
-
-def mul(a, c):
-    """Tensor ``a`` times the scalar constant ``c``."""
-    c = _scalar(c, "mul", a.data.dtype)
-
-    def vjp(g, a=a):
-        if a.requires_grad:
-            _accumulate(a, g * c)
-
-    return Tensor._op(a.data * c, (a,), vjp)
 
 
 def relu(x):
@@ -209,24 +159,36 @@ def linear(x, w, b):
 # -- loss ----------------------------------------------------------------
 
 
-def soft_cross_entropy(x, targets):
-    """Mean over the rows of -sum_k targets[k] * log softmax(x)[k].
+def soft_xent(x, t):
+    """Mean over the rows of -sum_k t[k] * log softmax(x)[k], on arrays of one dtype.
 
-    ``targets`` is a constant array of x's shape, cast to x's dtype; only ``x``
-    receives gradient.
-    """
-    t = np.asarray(targets, dtype=x.data.dtype)
-    scale = -1.0 / x.data.shape[0]
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    Returns the value and ``grad``, which maps an upstream gradient ``g`` to the
+    gradient of ``g`` times the value with respect to ``x``."""
+    scale = -1.0 / x.shape[0]
+    shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     log_p = shifted - np.log(e.sum(axis=1, keepdims=True))
 
-    def vjp(g, x=x):  # not (softmax - t) / n: that moves the last bits of training
-        if x.requires_grad:
-            gl = (g * scale) * t
-            _accumulate(x, gl - e / e.sum(axis=1, keepdims=True) * gl.sum(axis=1, keepdims=True))
+    def grad(g):  # not (softmax - t) / n: that moves the last bits of training
+        gl = (g * scale) * t
+        return gl - e / e.sum(axis=1, keepdims=True) * gl.sum(axis=1, keepdims=True)
 
-    return Tensor._op((log_p * t).sum() * scale, (x,), vjp)
+    return (log_p * t).sum() * scale, grad
+
+
+def loss_node(x, value, grad):
+    """A node over ``x`` that holds ``value`` and hands ``grad(g)`` back to ``x``."""
+
+    def vjp(g, x=x):
+        if x.requires_grad:
+            _accumulate(x, grad(g))
+
+    return Tensor._op(value, (x,), vjp)
+
+
+def soft_cross_entropy(x, targets):
+    """``soft_xent`` of tensor ``x`` as one node; ``targets``, a constant array of x's shape, is cast to x's dtype."""
+    return loss_node(x, *soft_xent(x.data, np.asarray(targets, dtype=x.data.dtype)))
 
 
 # -- convolution stem support --------------------------------------------

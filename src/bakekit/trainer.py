@@ -123,23 +123,19 @@ def evaluate(model, dataset):
 def batch_loss(model, x, y, cfg):
     """Forward one batch under ``cfg.method``; returns (loss tensor, ce value, kl value).
 
-    The loss is in the dtype the model computes in; bake's soft targets are
-    float64.
+    The loss is one tape node in the dtype the model computes in; bake's soft
+    targets are float64.
 
     bake adds ``cfg.bake.distill_weight`` times the KL to detached soft
     targets, both at the one temperature ``cfg.bake.tau``.
     """
     features, logits = model.forward(x)
+    if cfg.method == "bake":
+        targets = build_soft_targets(features, logits, labels=y, cfg=cfg.bake)
+        return ls.bake_loss(logits, y, targets, cfg.bake.tau, cfg.bake.distill_weight)
     ce = ls.cross_entropy(logits, y)
-    if cfg.method == "vanilla":
-        return ce, ce.item(), 0.0
-    if cfg.method == "label_smoothing":
-        loss = ls.label_smoothing_loss(logits, y, cfg.smoothing_epsilon)
-        return loss, ce.item(), 0.0
-    targets = build_soft_targets(features, logits, labels=y, cfg=cfg.bake)
-    kl = ls.kl_distillation(logits, targets, cfg.bake.tau)
-    loss = ce + cfg.bake.distill_weight * kl
-    return loss, ce.item(), kl.item()
+    loss = ce if cfg.method == "vanilla" else ls.label_smoothing_loss(logits, y, cfg.smoothing_epsilon)
+    return loss, ce.item(), 0.0
 
 
 def train(model, train_set, test_set, cfg):

@@ -17,7 +17,7 @@ from bakekit.bake import (
     propagate_closed_form,
     propagate_iterative,
 )
-from bakekit.losses import cross_entropy, kl_distillation
+from bakekit.losses import bake_loss, cross_entropy, kl_distillation
 from bakekit.numerics import Tensor
 from bakekit.sampling import SamplerConfig, epoch_batches
 
@@ -87,18 +87,13 @@ def test_criterion_4_gradient_correctness():
 
         features, logits = model.forward(Tensor(x))
         targets = build_soft_targets(features, logits, labels=y, cfg=bake_cfg)
-        loss = cross_entropy(logits, y) + bake_cfg.distill_weight * kl_distillation(
-            logits, targets, bake_cfg.tau
-        )
+        loss, _, _ = bake_loss(logits, y, targets, bake_cfg.tau, bake_cfg.distill_weight)
         loss.backward()
 
         def objective():
             # the targets are detached: finite differences hold them fixed
             _, z = model.forward(Tensor(x))
-            return (
-                cross_entropy(z, y)
-                + bake_cfg.distill_weight * kl_distillation(z, targets, bake_cfg.tau)
-            ).item()
+            return bake_loss(z, y, targets, bake_cfg.tau, bake_cfg.distill_weight)[0].item()
 
         for name in ("dense0.w", "dense1.b", "head.w"):
             param = model.params[name]

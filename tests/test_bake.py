@@ -282,3 +282,13 @@ class TestBuildSoftTargets:
         for source in ("oracle", "predictions", "ground_truth_onehot"):  # one spelling each: pred, onehot
             with pytest.raises(ConfigError, match="knowledge_source must be one of"):
                 BakeConfig(knowledge_source=source)
+
+    @pytest.mark.parametrize("tau", [1e-300, 1e-23, 1e20, 1e160])
+    def test_tau_whose_factors_leave_float32_refused(self, tau):
+        # 1/tau or tau^2 would be inf or 0 in a float32 KL term
+        with pytest.raises(ConfigError, match=r"puts 1/tau or tau\^2 outside the finite, nonzero float32 range"):
+            BakeConfig(tau=tau)
+
+    @pytest.mark.parametrize("tau", [1e-19, 1e19])
+    def test_tau_near_the_float32_range_accepted(self, tau):
+        assert BakeConfig(tau=tau).tau == tau

@@ -181,6 +181,8 @@ class TestTrainCommand:
             ({"bogus": 1}, "unknown config keys: ['bogus']"),
             (["--schedule", "linear:3"], "unrecognized --schedule 'linear:3'"),
             (["--n-hat", "1", "--m", "0"], "bake needs a batch of at least 2, got n_hat * (m + 1) = 1"),
+            (["--tau", "1e-300"], "tau=1e-300 puts 1/tau or tau^2 outside the finite, nonzero float32 range"),
+            (["--tau", "1e20"], "tau=1e+20 puts 1/tau or tau^2 outside the finite, nonzero float32 range"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -495,12 +497,34 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("key", [opt.key for opt in cli.OPTIONS if opt.token])
     def test_every_token_key_reaches_the_train_config(self, key):
-        # so comparing train configs tells apart every pair of tokens that set a key differently
+        # so comparing train configs tells apart every pair of tokens that set a key differently; a token
+        # sets only keys its method reads, and under any other method the key keeps its default
         other = {
             "omega": 0.25, "tau": 2.0, "lambda": 0.5, "epsilon": 0.2, "m": 3, "mode": "iterate:2", "knowledge": "onehot"
         }[key]
         assert other != cli.DEFAULTS[key]
-        assert cli.make_train_config({**cli.DEFAULTS, key: other}) != cli.make_train_config(cli.DEFAULTS)
+        for method in cli.tr.METHODS:
+            base = {**cli.DEFAULTS, "method": method}
+            reads = method in cli.OPTION[key].token
+            assert (cli.make_train_config({**base, key: other}) != cli.make_train_config(base)) is reads, method
+
+    @pytest.mark.parametrize("file", [{"omega": 1}, {"n_hat": 1, "m": 0}], ids=["omega1", "batch1"])
+    def test_vanilla_study_ignores_the_files_bake_settings(self, tmp_path, capsys, monkeypatch, file):
+        # each cell is checked only against the settings its method reads
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # the patch reaches no worker process
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(file))
+        argv = ["compare", *SYNTH, "--epochs", "1", "--lr", "0.01", "--seeds", "1", "--config", str(cfg_path)]
+        assert cli.main([*argv, "--methods", "vanilla", "--out-dir", str(tmp_path / "vanilla")]) == 0
+        assert (tmp_path / "vanilla" / "summary.tsv").read_text().splitlines()[1].startswith("vanilla\t")
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli, "run_training", calls.append)
+        out = tmp_path / "both"
+        assert cli.main([*argv, "--methods", "vanilla,bake", "--out-dir", str(out)]) == 2
+        needle = "closed-form propagation requires omega < 1" if "omega" in file else "bake needs a batch of at least 2"
+        assert capsys.readouterr().err.startswith(f"config error: {needle}")
+        assert calls == [] and not out.exists()
 
     def test_every_cell_is_checked_before_the_first_trains(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -606,6 +630,20 @@ class TestTargetsCommand:
             cells = " ".join(f"{int(c)}:{q[row, c]:.4f}" for c in top)
             assert line == f"row {row} gt={int(y[row])} top3: {cells}"
         assert len(printed) == 8
+
+    def test_bake_settings_of_a_vanilla_config_configure_targets(self, tmp_path, capsys):
+        _, out = run_train(tmp_path, "run")
+        argv = ["targets", *BATCH, "--checkpoint", str(out / "model.ckpt"), "--rows", "8"]
+        capsys.readouterr()
+        assert cli.main([*argv, "--omega", "0", "--tau", "1"]) == 0
+        by_flags = capsys.readouterr().out
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"method": "vanilla", "omega": 0, "tau": 1}))
+        assert cli.main([*argv, "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == by_flags
+        cfg_path.write_text(json.dumps({"method": "vanilla", "omega": 1}))
+        assert cli.main([*argv, "--config", str(cfg_path)]) == 2
+        assert "closed-form propagation requires omega < 1" in capsys.readouterr().err
 
     def test_train_manifest_configures_targets(self, tmp_path, capsys):
         # the manifest's training-only keys are type-checked and ignored

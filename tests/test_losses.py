@@ -5,6 +5,7 @@ from bakekit import models as md
 from bakekit.bake import BakeConfig, build_soft_targets
 from bakekit.errors import ConfigError, ShapeMismatchError
 from bakekit.losses import (
+    bake_loss,
     cross_entropy,
     kl_distillation,
     label_smoothing_loss,
@@ -116,15 +117,56 @@ class TestKlDistillation:
         with pytest.raises(ConfigError, match="tau must be finite and > 0"):
             kl_distillation(Tensor(np.zeros((1, 2))), np.array([[0.5, 0.5]]), tau)
 
+    @pytest.mark.parametrize(
+        "dtype,tau,refused",
+        [(np.float32, 1e-300, True), (np.float32, 1e20, True), (np.float32, 1e19, False),
+         (np.float64, 1e-300, True), (np.float64, 1e160, True), (np.float64, 1e20, False)],
+    )
+    def test_tau_range_is_the_logits_dtype(self, dtype, tau, refused):
+        # 1/tau and tau^2 must be finite and nonzero where the loss computes
+        z, y, q = Tensor(np.zeros((1, 2), dtype)), np.array([0]), np.array([[0.5, 0.5]])
+        for loss in (lambda: kl_distillation(z, q, tau), lambda: bake_loss(z, y, q, tau, 1.0)[0]):
+            if refused:
+                with pytest.raises(ConfigError, match=f"outside the finite, nonzero {np.dtype(dtype).name} range"):
+                    loss()
+            else:
+                assert np.isfinite(loss().item())
+
 
 class TestBakeLoss:
-    """The bake method's objective, composed once in ``trainer.batch_loss``."""
+    """The bake method's objective: one node, ``losses.bake_loss``, which ``trainer.batch_loss`` returns."""
 
     def _random_batch(self, seed, n=6, k=4, d=3, dtype=np.float32):
         rng = np.random.default_rng(seed)
         descriptor = md.ModelDescriptor(d, k, hidden=(8, 5))
         model = md.Model(descriptor, md.init(descriptor, seed=seed).flat, dtype)
         return model, rng.normal(size=(n, d)), rng.integers(0, k, size=n)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.7])
+    def test_one_node_equals_separate_nodes(self, weight):
+        """Value and gradient of CE + weight * KL as one node against the CE and
+        KL nodes apart: bit for bit at weight 1, where the weight changes no
+        rounding; otherwise it scales the KL's upstream gradient before the
+        tau^2 factor, not its result, and matches to float32 rounding."""
+        rng = np.random.default_rng(14)
+        z = Tensor(rng.normal(size=(8, 5)).astype(np.float32) * 3, requires_grad=True)
+        y, q = rng.integers(0, 5, size=8), rng.dirichlet(np.ones(5), size=8)
+        parts = []
+        for node in (cross_entropy(z, y), kl_distillation(z, q, 3.0)):
+            node.backward()
+            parts.append((node.data, z.grad.copy()))
+        (ce, g_ce), (kl, g_kl) = parts
+        loss, ce_val, kl_val = bake_loss(z, y, q, 3.0, weight)
+        loss.backward()
+        assert (ce_val, kl_val) == (ce.item(), kl.item())
+        assert loss.data.dtype == z.grad.dtype == np.float32
+        w = np.float32(weight)
+        if weight == 1.0:
+            assert loss.data == ce + kl
+            assert np.array_equal(z.grad, g_ce + g_kl)
+        else:
+            assert abs(loss.item() - float(ce + kl * w)) <= 1e-6 * abs(loss.item())
+            assert np.abs(z.grad - (g_ce + g_kl * w)).max() <= 1e-6 * np.abs(z.grad).max()
 
     def test_lambda_zero_equals_cross_entropy(self):
         model, x, y = self._random_batch(4)
