@@ -3,14 +3,15 @@
 All functions here operate on plain float64 arrays and are deliberately
 outside the autodiff graph: soft targets never carry gradient. Only
 ``build_soft_targets`` takes the model's output tensors: it reads their data,
-never their tape, and upcasts features and logits to float64 once, so targets
+never their tape, and copies features and logits to float64 once, so targets
 are float64 whatever a model computes in. ``one_hot`` checks its labels, so
 every loss and knowledge source that turns labels into targets refuses a label
-outside [0, K) alike.
+outside [0, K) alike. No function here writes an array its caller passed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +53,9 @@ class BakeConfig:
         temperature_factors(self.tau, np.float32)  # the narrowest dtype a model computes in
         if not 0.0 <= self.distill_weight < math.inf:
             raise ConfigError(f"distill_weight must be finite and >= 0, got {self.distill_weight}")
+        with np.errstate(over="ignore"):  # the loss applies lambda in the logits' dtype
+            if not np.isfinite(np.float32(self.distill_weight)):
+                raise ConfigError(f"distill_weight={self.distill_weight} is outside the finite float32 range")
         if self.propagation_mode not in PROPAGATION_MODES:
             raise ConfigError(
                 f"propagation_mode must be one of {PROPAGATION_MODES}, got {self.propagation_mode!r}"
@@ -69,14 +73,18 @@ class BakeConfig:
             )
 
 
+@functools.lru_cache(maxsize=32)  # once per (tau, dtype); errors are not cached, so a refused tau raises each call
 def temperature_factors(tau, dtype):
-    """The KL term's factors ``1/tau`` and ``tau**2`` as 0-d ``dtype`` arrays; either one inf or 0 is refused."""
+    """The KL term's factors ``1/tau`` and ``tau**2`` as read-only 0-d ``dtype``
+    arrays; either one inf or 0 is refused."""
     if not 0.0 < tau < math.inf:
         raise ConfigError(f"tau must be finite and > 0, got {tau}")
     with np.errstate(over="ignore"):  # float64 ** 2 is the C pow of Python's tau**2, less its OverflowError
         factors = np.asarray(1.0 / tau, dtype), np.asarray(np.float64(tau) ** 2, dtype)
     if not all(np.isfinite(f) and f != 0 for f in factors):
         raise ConfigError(f"tau={tau} puts 1/tau or tau^2 outside the finite, nonzero {np.dtype(dtype).name} range")
+    for f in factors:
+        f.flags.writeable = False
     return factors
 
 
@@ -103,12 +111,11 @@ def affinity_matrix(features):
             f"affinity requires a batch of at least 2 samples, got {n}"
         )
     norms = np.sqrt((features * features).sum(axis=1))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ShapeMismatchError(f"zero feature row at index {zero[0]}")
+    if not norms.all():
+        raise ShapeMismatchError(f"zero feature row at index {np.flatnonzero(norms == 0.0)[0]}")
     fn = features / norms[:, None]
     sims = fn @ fn.T
-    np.fill_diagonal(sims, -np.inf)
+    sims.reshape(-1)[:: n + 1] = -np.inf  # the diagonal: a matmul result is C order, so this is a view
     return _softmax_rows(sims)
 
 
@@ -135,18 +142,20 @@ def propagate_closed_form(a, p, omega):
             f"closed-form propagation requires omega < 1 (got {omega}); "
             "use iterate mode for omega = 1"
         )
-    system = a * -omega
-    system.flat[:: a.shape[0] + 1] += 1.0  # I - omega*A
-    return (1.0 - omega) * linear_solve(system, p)
+    system = np.multiply(a, -omega, order="C")  # C order, so reshape(-1) is a view
+    system.reshape(-1)[:: a.shape[0] + 1] += 1.0  # I - omega*A, through a strided view of its diagonal
+    q = linear_solve(system, p)
+    q *= 1.0 - omega
+    return q
 
 
-def one_hot(labels, k):
-    """Rows of the K-class identity; a label outside [0, K) is refused."""
+def one_hot(labels, k, dtype=np.float64):
+    """Rows of the K-class identity, in ``dtype``; a label outside [0, K) is refused."""
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         bad = labels[(labels < 0) | (labels >= k)][0]
         raise ShapeMismatchError(f"label {bad} outside [0, {k})")
-    out = np.zeros((labels.shape[0], k), dtype=np.float64)
+    out = np.zeros((labels.shape[0], k), dtype=dtype)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
@@ -155,15 +164,16 @@ def build_soft_targets(features, logits, labels=None, cfg=BakeConfig()):
     """Refined soft targets for one batch; always detached from gradients.
 
     ``features`` and ``logits`` are arrays or tensors; either way only their
-    data is read, as float64.
+    data is read, into float64 copies that this function owns.
     """
-    features, logits = (np.asarray(x.data if isinstance(x, Tensor) else x, np.float64) for x in (features, logits))
+    features, logits = (np.array(x.data if isinstance(x, Tensor) else x, np.float64) for x in (features, logits))
     if cfg.knowledge_source == "onehot":
         if labels is None:
             raise ConfigError("knowledge_source=onehot requires labels")
         p = one_hot(labels, logits.shape[1])
     else:
-        p = _softmax_rows(logits / cfg.tau)
+        logits /= cfg.tau
+        p = _softmax_rows(logits)
     a = affinity_matrix(features)
     if cfg.propagation_mode == "closed_form":
         return propagate_closed_form(a, p, cfg.omega)

@@ -12,21 +12,36 @@ from .numerics import loss_node, soft_cross_entropy, soft_xent
 
 def cross_entropy(logits, labels):
     """Mean over the batch of -log softmax(logits)[y]; no temperature; ``one_hot`` checks the labels."""
-    return soft_cross_entropy(logits, one_hot(labels, logits.shape[1]))
+    return soft_cross_entropy(logits, one_hot(labels, logits.shape[1], logits.data.dtype))
 
 
-def _kl(logits, targets, tau):
-    """The value of ``kl_distillation`` and its gradient function, on the logits' data."""
+def _check_rows(q, z):
+    """Refuse a target row whose sum misses 1 by more than 1e-6 or is not finite.
+
+    A non-finite row passes while the logits ``z`` are not finite either: the
+    model has diverged, and its non-finite loss is what shows it."""
+    miss = np.abs(q.sum(axis=1) - 1.0)
+    if miss.max(initial=0.0) <= 1e-6:
+        return
+    bad = np.flatnonzero(~(miss <= 1e-6) if np.isfinite(z).all() else miss > 1e-6)
+    if bad.size:
+        raise ShapeMismatchError(f"target row {bad[0]} sums to {q[bad[0]].sum():.8f}, expected 1")
+
+
+def _kl(logits, targets, tau, row_max=None):
+    """The value of ``kl_distillation`` and its gradient function, on the logits' data.
+
+    ``row_max`` is the logits' row max, if already known: scaling by 1/tau > 0
+    rounds monotonically, so the scaled logits' row max is exactly it times 1/tau."""
     dtype = logits.data.dtype
     inv_tau, tau_sq = temperature_factors(tau, dtype)
     q = np.asarray(targets, dtype=np.float64)
-    row_sums = q.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        bad = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise ShapeMismatchError(f"target row {bad} sums to {row_sums[bad]:.8f}, expected 1")
-    qlogq = q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    _check_rows(q, logits.data)
+    # 0 * log 0 is taken as 0; the mask is needed only where some q is 0
+    qlogq = np.log(q) if q.min(initial=1.0) > 0.0 else np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    qlogq *= q
     neg_entropy = np.asarray(float(qlogq.sum()) / q.shape[0], dtype=dtype)
-    cross, grad = soft_xent(logits.data * inv_tau, q.astype(dtype))
+    cross, grad = soft_xent(logits.data * inv_tau, q.astype(dtype), None if row_max is None else row_max * inv_tau)
     return (cross + neg_entropy) * tau_sq, lambda g: grad(g * tau_sq) * inv_tau
 
 
@@ -35,8 +50,9 @@ def kl_distillation(logits, targets, tau):
 
     ``targets`` is a constant array (detached by construction), checked in
     float64 and cast to the logits' dtype; only the logits receive gradient.
-    0*log 0 is taken as 0. A tau whose 1/tau or tau^2 is not a finite,
-    nonzero value of the logits' dtype is refused.
+    0*log 0 is taken as 0. A target row whose sum is not finite or misses 1
+    by more than 1e-6 is refused, as is a tau whose 1/tau or tau^2 is not a
+    finite, nonzero value of the logits' dtype.
     """
     return loss_node(logits, *_kl(logits, targets, tau))
 
@@ -46,12 +62,14 @@ def bake_loss(logits, labels, targets, tau, weight):
 
     It runs the float operations that separate CE, KL and weighted-sum nodes
     would, in their order, so it gives their bits: the upstream gradient is
-    scaled by ``weight`` and then by tau^2.
+    scaled by ``weight`` (in the logits' dtype) and then by tau^2. The targets
+    are checked as ``kl_distillation`` checks them.
     """
-    dtype = logits.data.dtype
-    kl, kl_grad = _kl(logits, targets, tau)
-    ce, ce_grad = soft_xent(logits.data, one_hot(labels, logits.shape[1]).astype(dtype))
-    weight = np.asarray(weight, dtype=dtype)
+    z = logits.data
+    row_max = z.max(axis=1, keepdims=True)
+    kl, kl_grad = _kl(logits, targets, tau, row_max)
+    ce, ce_grad = soft_xent(z, one_hot(labels, z.shape[1], z.dtype), row_max)
+    weight = np.asarray(weight, dtype=z.dtype)
     loss = loss_node(logits, ce + kl * weight, lambda g: ce_grad(g) + kl_grad(g * weight))
     return loss, float(ce), float(kl)
 

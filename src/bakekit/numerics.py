@@ -8,11 +8,16 @@ changes dtype: a graph's leaves enter it in the dtype it computes in.
 Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
 they never mutate their inputs. A closure hands each contribution to
-``_accumulate``: an interior node's first contribution becomes its gradient,
-later ones are added to it.
+``_accumulate``: a node's first contribution becomes its gradient (an
+interior node takes the array, a leaf has it written into the gradient array
+it keeps), later ones are added to it. Leaves can be siblings, as a model's
+parameters are: a backward that reaches one of them writes the gradient of
+every one, zeros for those it does not reach.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -26,7 +31,7 @@ class Tensor:
     references to their parents. ``grad`` is written by ``backward``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_stale", "_siblings", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         data = np.asarray(data)
@@ -35,6 +40,8 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._vjp = None
+        self._stale = False  # a leaf's grad still holds the previous backward's values
+        self._siblings = ()  # weak references to the leaves, this one included, whose gradients are written together
 
     @classmethod
     def _op(cls, data, parents, vjp):
@@ -57,31 +64,54 @@ class Tensor:
     def backward(self):
         """Write gradients of this scalar into all requires_grad leaves.
 
-        A leaf's existing ``grad`` array is zeroed and refilled in place, so a
-        model's leaf gradients land in ``model.grad``: copy one to keep it past
-        the next call. Interior nodes get fresh arrays, never zero-filled."""
+        A leaf keeps its ``grad`` array (it gets one on its first backward), so
+        a model's leaf gradients land in ``model.grad``: copy one to keep it
+        past the next call. The first contribution to reach a leaf is written
+        into that array and later ones are added; a leaf that none reaches,
+        such as a sibling of a reached leaf off this graph, is zeroed.
+        Interior nodes get fresh arrays, never zero-filled."""
         if self.data.ndim != 0:
             raise ShapeMismatchError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
         order = _toposort(self)
+        leaves = {}
         for node in order:
             if node._vjp is not None:
                 node.grad = None
-            elif node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            else:
-                node.grad.fill(0.0)
+            elif id(node) not in leaves:  # a leaf brings in its siblings
+                for leaf in [ref() for ref in node._siblings] or [node]:
+                    if leaf is not None:
+                        leaves[id(leaf)] = leaf
+        for leaf in leaves.values():
+            if leaf.grad is None:
+                leaf.grad = np.empty_like(leaf.data)
+            leaf._stale = True
         self.grad = np.ones_like(self.data)
+        self._stale = False  # a leaf that is the loss itself keeps these ones
         for node in reversed(order):
             if node._vjp is not None:
                 node._vjp(node.grad)
+        for leaf in leaves.values():
+            if leaf._stale:
+                leaf.grad.fill(0.0)
+                leaf._stale = False
 
     def reshape(self, *shape):
         return reshape(self, *shape)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def tie_gradients(leaves):
+    """Make ``leaves`` siblings: a backward that reaches one of them writes the gradients of all.
+
+    Each holds weak references to the group, so the tie makes no reference cycle."""
+    leaves = tuple(leaves)
+    refs = tuple(weakref.ref(leaf) for leaf in leaves)
+    for leaf in leaves:
+        leaf._siblings = refs
 
 
 def _toposort(root):
@@ -105,8 +135,12 @@ def _accumulate(node, g, upstream=None):
     """Add contribution ``g`` to ``node.grad``, storing the first one.
 
     ``upstream`` is the consumer's own gradient: a first contribution that may
-    be a view of it is copied, so no two nodes share a gradient array."""
-    if node.grad is None:
+    be a view of it is copied, so no two nodes share a gradient array. A
+    leaf's first contribution is written into its stale ``grad``."""
+    if node._stale:
+        np.copyto(node.grad, g)
+        node._stale = False
+    elif node.grad is None:
         node.grad = g.copy() if upstream is not None and np.may_share_memory(g, upstream) else g
     else:
         node.grad += g
@@ -153,27 +187,32 @@ def linear(x, w, b):
         if b.requires_grad:
             _accumulate(b, g.sum(axis=0))
 
-    return Tensor._op(x.data @ w.data + b.data, (x, w, b), vjp)
+    out = x.data @ w.data
+    out += b.data
+    return Tensor._op(out, (x, w, b), vjp)
 
 
 # -- loss ----------------------------------------------------------------
 
 
-def soft_xent(x, t):
+def soft_xent(x, t, row_max=None):
     """Mean over the rows of -sum_k t[k] * log softmax(x)[k], on arrays of one dtype.
 
+    ``row_max``, if given, is ``x.max(axis=1, keepdims=True)`` already known.
     Returns the value and ``grad``, which maps an upstream gradient ``g`` to the
     gradient of ``g`` times the value with respect to ``x``."""
     scale = -1.0 / x.shape[0]
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - (x.max(axis=1, keepdims=True) if row_max is None else row_max)
     e = np.exp(shifted)
-    log_p = shifted - np.log(e.sum(axis=1, keepdims=True))
+    sums = e.sum(axis=1, keepdims=True)
+    shifted -= np.log(sums)  # log softmax(x)
+    shifted *= t
 
     def grad(g):  # not (softmax - t) / n: that moves the last bits of training
         gl = (g * scale) * t
-        return gl - e / e.sum(axis=1, keepdims=True) * gl.sum(axis=1, keepdims=True)
+        return gl - e / sums * gl.sum(axis=1, keepdims=True)
 
-    return (log_p * t).sum() * scale, grad
+    return shifted.sum() * scale, grad
 
 
 def loss_node(x, value, grad):

@@ -6,8 +6,10 @@ from bakekit.bake import (
     _softmax_rows,
     affinity_matrix,
     build_soft_targets,
+    one_hot,
     propagate_closed_form,
     propagate_iterative,
+    temperature_factors,
 )
 from bakekit.errors import ConfigError, DegenerateBatchError, ShapeMismatchError
 from bakekit.numerics import Tensor
@@ -274,6 +276,10 @@ class TestBuildSoftTargets:
         for weight in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="distill_weight must be finite and >= 0"):
                 BakeConfig(distill_weight=weight)
+        for weight in (1e39, 3.5e38):  # finite in float64, inf in the float32 loss
+            with pytest.raises(ConfigError, match="is outside the finite float32 range"):
+                BakeConfig(distill_weight=weight)
+        assert BakeConfig(distill_weight=3.4e38).distill_weight == 3.4e38
         with pytest.raises(ConfigError, match="closed-form propagation requires omega < 1"):
             BakeConfig(omega=1.0)
         assert BakeConfig(omega=1.0, propagation_mode="iterate").omega == 1.0
@@ -292,3 +298,29 @@ class TestBuildSoftTargets:
     @pytest.mark.parametrize("tau", [1e-19, 1e19])
     def test_tau_near_the_float32_range_accepted(self, tau):
         assert BakeConfig(tau=tau).tau == tau
+
+
+class TestTemperatureFactors:
+    def test_read_only_and_computed_once(self):
+        inv_tau, tau_sq = temperature_factors(4.0, np.float32)
+        assert (inv_tau.dtype, tau_sq.dtype) == (np.float32, np.float32)
+        assert (inv_tau, tau_sq) == (np.float32(0.25), np.float32(16.0))
+        for f in (inv_tau, tau_sq):
+            with pytest.raises(ValueError, match="read-only"):
+                f[...] = 1.0
+        assert temperature_factors(4.0, np.float32)[0] is inv_tau
+
+    @pytest.mark.parametrize("tau", [float("nan"), 0.0, 1e-300])
+    def test_refused_tau_raises_on_every_call(self, tau):
+        for _ in range(2):  # an error is never cached
+            with pytest.raises(ConfigError, match="tau"):
+                temperature_factors(tau, np.float32)
+
+
+class TestOneHot:
+    def test_built_in_the_dtype_asked_for(self):
+        y = np.array([3, 0, 2, 2, 1])
+        out = one_hot(y, 4, np.float32)
+        assert out.dtype == np.float32
+        assert out.tobytes() == one_hot(y, 4).astype(np.float32).tobytes()
+        assert one_hot(y, 4).dtype == np.float64

@@ -183,6 +183,7 @@ class TestTrainCommand:
             (["--n-hat", "1", "--m", "0"], "bake needs a batch of at least 2, got n_hat * (m + 1) = 1"),
             (["--tau", "1e-300"], "tau=1e-300 puts 1/tau or tau^2 outside the finite, nonzero float32 range"),
             (["--tau", "1e20"], "tau=1e+20 puts 1/tau or tau^2 outside the finite, nonzero float32 range"),
+            (["--lambda", "1e39"], "distill_weight=1e+39 is outside the finite float32 range"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(

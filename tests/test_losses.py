@@ -112,6 +112,20 @@ class TestKlDistillation:
         with pytest.raises(ShapeMismatchError, match="sums to"):
             kl_distillation(Tensor(np.zeros((1, 2))), np.array([[0.6, 0.6]]), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_target_row_errors(self, bad):
+        q = np.array([[1 / 3, 1 / 3, 1 / 3], [bad, 0.5, 0.5]])
+        for loss in (lambda z: kl_distillation(z, q, 1.0), lambda z: bake_loss(z, np.array([0, 1]), q, 1.0, 1.0)):
+            with pytest.raises(ShapeMismatchError, match=f"target row 1 sums to {bad}"):
+                loss(Tensor(np.zeros((2, 3), np.float32)))
+
+    def test_nonfinite_targets_of_diverged_logits_give_nonfinite_loss(self):
+        # a diverged model's targets are NaN too; its non-finite loss is what shows it
+        z, q = Tensor(np.full((2, 3), np.nan, np.float32)), np.full((2, 3), np.nan)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(kl_distillation(z, q, 1.0).item())
+            assert np.isnan(bake_loss(z, np.array([0, 1]), q, 1.0, 1.0)[0].item())
+
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
     def test_invalid_tau(self, tau):
         with pytest.raises(ConfigError, match="tau must be finite and > 0"):

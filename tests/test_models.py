@@ -1,5 +1,7 @@
+import gc
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from bakekit import models as md
 from bakekit.bake import build_soft_targets
 from bakekit.errors import ConfigError, DataFormatError, ShapeMismatchError
-from bakekit.losses import cross_entropy
+from bakekit.losses import cross_entropy, soft_cross_entropy
 from bakekit.numerics import Tensor
 
 
@@ -144,6 +146,30 @@ class TestFlatParameters:
         first = model.grad.copy()
         loss.backward()
         assert np.array_equal(model.grad, first)
+
+    def test_freed_without_the_cycle_collector(self):
+        # parameters tie their gradients through weak references, so no cycle keeps a model alive
+        gc.disable()
+        try:
+            model = mlp(seed=4)
+            _, logits = model.forward(np.random.default_rng(5).normal(size=(3, 6)))
+            cross_entropy(logits, np.array([0, 1, 3])).backward()
+            refs = [weakref.ref(model), weakref.ref(model.params["head.w"])]
+            del model, logits
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_parameter_the_loss_skips_gets_zero_gradient(self):
+        model = mlp(seed=9)
+        x = np.random.default_rng(3).normal(size=(3, 6))
+        _, logits = model.forward(x)
+        cross_entropy(logits, np.array([0, 1, 3])).backward()
+        assert np.abs(model.params["head.w"].grad).sum() > 0
+        features, _ = model.forward(x)
+        soft_cross_entropy(features, np.full((3, 5), 0.2)).backward()  # a graph without the head
+        assert not model.params["head.w"].grad.any() and not model.params["head.b"].grad.any()
+        assert np.abs(model.params["dense0.w"].grad).sum() > 0
 
 
 class TestConvStem:

@@ -137,6 +137,22 @@ class TestBackward:
             for b in nodes[i + 1 :]:
                 assert not np.shares_memory(a.grad, b.grad)
 
+    def test_leaf_used_by_two_ops_gets_both_contributions(self):
+        # x feeds a relu and, as the weights, a linear: the first contribution
+        # is written into x's gradient array and the second is added to it
+        rng = np.random.default_rng(15)
+        x_val, b = rng.normal(size=(3, 3)), Tensor(rng.normal(size=3))
+        t = rng.dirichlet(np.ones(3), size=3)
+        x = Tensor(x_val, requires_grad=True)
+        loss = nm.soft_cross_entropy(nm.linear(nm.relu(x), x, b), t)
+        into_relu, as_weights = Tensor(x_val, requires_grad=True), Tensor(x_val, requires_grad=True)
+        nm.soft_cross_entropy(nm.linear(nm.relu(into_relu), as_weights, b), t).backward()
+        fd = finite_diff(lambda a: nm.soft_cross_entropy(nm.linear(nm.relu(Tensor(a)), Tensor(a), b), t).item(), x_val)
+        for _ in range(2):  # the second backward finds the first one's gradient array
+            loss.backward()
+            assert np.array_equal(x.grad, into_relu.grad + as_weights.grad)
+            assert np.abs(x.grad - fd).max() < 1e-8
+
     def test_detached_upstream_gradient_is_zero(self):
         x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
         y = nm.relu(x)
