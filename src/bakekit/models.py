@@ -92,12 +92,12 @@ class Model:
 
     ``params`` is an ordered name -> Tensor dict whose ``.data`` and ``.grad``
     are views into ``weights`` and ``grad``, both in ``dtype``; a backward that
-    reaches any parameter writes all of ``grad``, zeros for a parameter its
-    loss does not reach. ``forward`` first refreshes ``weights`` from
-    ``flat``; for a float64 model they are one array. SGD adds the gradients
-    into float64 and updates ``flat``, which is where parameters are written:
-    below float64 the ``params`` views are read-only, as a write to them would
-    be lost at the next ``forward``.
+    reaches any parameter zero-fills all of ``grad`` before adding into it, so
+    a parameter its loss does not reach reads zero. ``forward`` first refreshes
+    ``weights`` from ``flat``; for a float64 model they are one array. SGD adds
+    the gradients into float64 and updates ``flat``, which is where parameters
+    are written: below float64 the ``params`` views are read-only, as a write
+    to them would be lost at the next ``forward``.
     """
 
     def __init__(self, descriptor, flat, dtype=COMPUTE_DTYPE):
@@ -119,7 +119,6 @@ class Model:
                 data.flags.writeable = False
             self.params[name] = p = Tensor(data, requires_grad=True)
             p.grad = grad.reshape(shape)
-        nm.tie_gradients(self.params.values())
 
     def forward(self, inputs):
         """Map an N x input_dim batch to (features N x D, logits N x K).

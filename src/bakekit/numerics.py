@@ -8,16 +8,14 @@ changes dtype: a graph's leaves enter it in the dtype it computes in.
 Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
 they never mutate their inputs. A closure hands each contribution to
-``_accumulate``: a node's first contribution becomes its gradient (an
-interior node takes the array, a leaf has it written into the gradient array
-it keeps), later ones are added to it. Leaves can be siblings, as a model's
-parameters are: a backward that reaches one of them writes the gradient of
-every one, zeros for those it does not reach.
+``_accumulate``: an interior node's first contribution becomes its gradient,
+later ones are added to it. A leaf keeps its gradient array, and ``backward``
+zero-fills the buffer that array lives in, once, before adding into it: a
+model's parameter gradients are views of one buffer, ``model.grad``, so a
+parameter a loss skips reads zero.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -31,7 +29,7 @@ class Tensor:
     references to their parents. ``grad`` is written by ``backward``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_stale", "_siblings", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False):
         data = np.asarray(data)
@@ -40,8 +38,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._vjp = None
-        self._stale = False  # a leaf's grad still holds the previous backward's values
-        self._siblings = ()  # weak references to the leaves, this one included, whose gradients are written together
 
     @classmethod
     def _op(cls, data, parents, vjp):
@@ -64,54 +60,38 @@ class Tensor:
     def backward(self):
         """Write gradients of this scalar into all requires_grad leaves.
 
-        A leaf keeps its ``grad`` array (it gets one on its first backward), so
-        a model's leaf gradients land in ``model.grad``: copy one to keep it
-        past the next call. The first contribution to reach a leaf is written
-        into that array and later ones are added; a leaf that none reaches,
-        such as a sibling of a reached leaf off this graph, is zeroed.
-        Interior nodes get fresh arrays, never zero-filled."""
+        A leaf keeps its ``grad`` array (it gets one on its first backward).
+        Before the pass, the buffer each reached leaf's ``grad`` lives in (the
+        array, or the array it views) is zero-filled once, so a model's leaf
+        gradients land in ``model.grad``, zeros for a parameter this loss
+        skips: copy one to keep it past the next call. Interior nodes get
+        fresh arrays, never zero-filled."""
         if self.data.ndim != 0:
             raise ShapeMismatchError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
         order = _toposort(self)
-        leaves = {}
+        buffers = {}
         for node in order:
             if node._vjp is not None:
                 node.grad = None
-            elif id(node) not in leaves:  # a leaf brings in its siblings
-                for leaf in [ref() for ref in node._siblings] or [node]:
-                    if leaf is not None:
-                        leaves[id(leaf)] = leaf
-        for leaf in leaves.values():
-            if leaf.grad is None:
-                leaf.grad = np.empty_like(leaf.data)
-            leaf._stale = True
+            elif node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            else:
+                buffer = node.grad.base if isinstance(node.grad.base, np.ndarray) else node.grad
+                buffers[id(buffer)] = buffer
+        for buffer in buffers.values():
+            buffer.fill(0.0)
         self.grad = np.ones_like(self.data)
-        self._stale = False  # a leaf that is the loss itself keeps these ones
         for node in reversed(order):
             if node._vjp is not None:
                 node._vjp(node.grad)
-        for leaf in leaves.values():
-            if leaf._stale:
-                leaf.grad.fill(0.0)
-                leaf._stale = False
 
     def reshape(self, *shape):
         return reshape(self, *shape)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def tie_gradients(leaves):
-    """Make ``leaves`` siblings: a backward that reaches one of them writes the gradients of all.
-
-    Each holds weak references to the group, so the tie makes no reference cycle."""
-    leaves = tuple(leaves)
-    refs = tuple(weakref.ref(leaf) for leaf in leaves)
-    for leaf in leaves:
-        leaf._siblings = refs
 
 
 def _toposort(root):
@@ -132,15 +112,13 @@ def _toposort(root):
 
 
 def _accumulate(node, g, upstream=None):
-    """Add contribution ``g`` to ``node.grad``, storing the first one.
+    """Add contribution ``g`` to ``node.grad``, storing an interior node's first one.
 
-    ``upstream`` is the consumer's own gradient: a first contribution that may
-    be a view of it is copied, so no two nodes share a gradient array. A
-    leaf's first contribution is written into its stale ``grad``."""
-    if node._stale:
-        np.copyto(node.grad, g)
-        node._stale = False
-    elif node.grad is None:
+    A leaf's ``grad`` was zero-filled by ``backward``, so every contribution
+    is added to it. ``upstream`` is the consumer's own gradient: a first
+    contribution that may be a view of it is copied, so no two nodes share a
+    gradient array."""
+    if node.grad is None:
         node.grad = g.copy() if upstream is not None and np.may_share_memory(g, upstream) else g
     else:
         node.grad += g

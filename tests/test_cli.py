@@ -254,6 +254,14 @@ class TestTrainCommand:
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["method"], config["omega"]) == ("vanilla", 0.3)
 
+    def test_bake_adds_no_parameters(self, tmp_path):
+        # PAPER.md: BAKE trains with zero additional parameters over vanilla
+        runs = [run_train(tmp_path, method, extra=["--method", method, "--epochs", "1"]) for method in ("bake", "vanilla")]
+        assert [code for code, _ in runs] == [0, 0]
+        bake, vanilla = (out / "model.ckpt" for _, out in runs)
+        assert bake.stat().st_size == vanilla.stat().st_size
+        assert load_checkpoint(bake).flat.size == load_checkpoint(vanilla).flat.size
+
     def test_conv_infers_a_square_image(self, tmp_path):
         code, out = run_train(tmp_path, "run", extra=["--synth-dim", "196", "--conv", "--epochs", "1"])
         assert code == 0

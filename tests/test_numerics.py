@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bakekit import models as md
 from bakekit import numerics as nm
 from bakekit.errors import ShapeMismatchError
 from bakekit.numerics import Tensor
@@ -138,8 +139,8 @@ class TestBackward:
                 assert not np.shares_memory(a.grad, b.grad)
 
     def test_leaf_used_by_two_ops_gets_both_contributions(self):
-        # x feeds a relu and, as the weights, a linear: the first contribution
-        # is written into x's gradient array and the second is added to it
+        # x feeds a relu and, as the weights, a linear: backward zero-fills
+        # x's gradient array once and both contributions are added to it
         rng = np.random.default_rng(15)
         x_val, b = rng.normal(size=(3, 3)), Tensor(rng.normal(size=3))
         t = rng.dirichlet(np.ones(3), size=3)
@@ -152,6 +153,41 @@ class TestBackward:
             loss.backward()
             assert np.array_equal(x.grad, into_relu.grad + as_weights.grad)
             assert np.abs(x.grad - fd).max() < 1e-8
+
+    def test_free_leaf_without_grad_gets_a_fresh_array(self):
+        rng = np.random.default_rng(16)
+        x_val, t = rng.normal(size=(4, 3)), rng.dirichlet(np.ones(3), size=4)
+        x = Tensor(x_val, requires_grad=True)
+        assert x.grad is None
+        nm.soft_cross_entropy(x, t).backward()
+        assert x.grad.shape == x_val.shape and not np.shares_memory(x.grad, x.data)
+        fd = finite_diff(lambda a: nm.soft_cross_entropy(Tensor(a), t).item(), x_val)
+        assert np.abs(x.grad - fd).max() < 1e-8
+
+    def test_free_leaf_gradient_is_overwritten_not_added_to(self):
+        rng = np.random.default_rng(17)
+        x_val, t = rng.normal(size=(4, 3)), rng.dirichlet(np.ones(3), size=4)
+        fresh = Tensor(x_val, requires_grad=True)
+        nm.soft_cross_entropy(fresh, t).backward()
+        x = Tensor(x_val, requires_grad=True)
+        kept = x.grad = np.full_like(x_val, 7.0)
+        loss = nm.soft_cross_entropy(x, t)
+        for _ in range(2):  # the first backward finds 7s, the second its own gradient
+            loss.backward()
+            assert x.grad is kept
+            assert np.array_equal(kept, fresh.grad)
+
+    def test_backward_through_one_model_leaves_another_untouched(self):
+        descriptor = md.ModelDescriptor(6, 4, hidden=(8, 5))
+        a, b = md.init(descriptor, seed=1), md.init(descriptor, seed=2)
+        x = np.random.default_rng(18).normal(size=(3, 6))
+        targets = np.eye(4)[[0, 1, 3]]
+        nm.soft_cross_entropy(b.forward(x)[1], targets).backward()
+        before = b.grad.copy()
+        assert before.any()
+        nm.soft_cross_entropy(a.forward(x)[1], targets).backward()
+        assert a.grad.any()
+        assert np.array_equal(b.grad, before)
 
     def test_detached_upstream_gradient_is_zero(self):
         x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
