@@ -80,8 +80,6 @@ OPTIONS = (
     Option("cifar_train", str, None, "comma-separated CIFAR train binaries"),
     Option("cifar_test", str, None, "comma-separated CIFAR test binaries"),
     Option("cifar_classes", int, 100, "CIFAR class count", tuple(dt.CIFAR_LABEL_BYTES)),
-    Option("cifar_mean", str, "0.507,0.487,0.441", "per-channel mean"),
-    Option("cifar_std", str, "0.267,0.256,0.276", "per-channel std"),
 )
 OPTION = {opt.key: opt for opt in OPTIONS}
 DEFAULTS = {opt.key: opt.default for opt in OPTIONS}
@@ -155,8 +153,6 @@ def _validate(cfg, methods):
     for method in methods:
         make_train_config({**cfg, "method": method})
     _parse_hidden(cfg["hidden"])
-    _parse_channels(cfg, "cifar_mean")
-    _parse_channels(cfg, "cifar_std")
     return cfg
 
 
@@ -216,26 +212,9 @@ def _parse_schedule(spec):
     raise ConfigError(f"unrecognized {where}")
 
 
-def _parse_list(kind, spec, flag):
-    """Comma-separated ``kind`` values; a malformed one is a config error naming ``flag``."""
-    return tuple(_convert(kind, v, f"{flag} {spec!r}") for v in spec.split(","))
-
-
 def _parse_hidden(spec):
-    return md.check_hidden(_parse_list(int, spec, "--hidden"))
-
-
-def _parse_channels(cfg, key):
-    """Per-channel CIFAR normalisation: exactly three finite floats, the stds all > 0."""
-    flag = "--" + key.replace("_", "-")
-    values = _parse_list(float, cfg[key], flag)
-    if len(values) != 3:
-        raise ConfigError(f"{flag} {cfg[key]!r}: expected 3 comma-separated values, got {len(values)}")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{flag} {cfg[key]!r}: every value must be finite")
-    if key == "cifar_std" and not all(v > 0 for v in values):
-        raise ConfigError(f"{flag} {cfg[key]!r}: every std must be > 0")
-    return values
+    """Comma-separated integer widths; a malformed one is a config error naming ``--hidden``."""
+    return md.check_hidden(tuple(_convert(int, v, f"--hidden {spec!r}") for v in spec.split(",")))
 
 
 def make_train_config(cfg):
@@ -285,9 +264,9 @@ def load_datasets(cfg):
         return train, test
     if cfg["cifar_train"] is None or cfg["cifar_test"] is None:
         raise ConfigError("dataset=cifar requires --cifar-train and --cifar-test")
-    mean, std = _parse_channels(cfg, "cifar_mean"), _parse_channels(cfg, "cifar_std")
-    train = dt.load_cifar_binary(cfg["cifar_train"].split(","), cfg["cifar_classes"], mean, std)
-    test = dt.load_cifar_binary(cfg["cifar_test"].split(","), cfg["cifar_classes"], mean, std)
+    stats = dt.CIFAR_CHANNEL_STATS[cfg["cifar_classes"]]  # the layout's normalisation
+    train = dt.load_cifar_binary(cfg["cifar_train"].split(","), cfg["cifar_classes"], *stats)
+    test = dt.load_cifar_binary(cfg["cifar_test"].split(","), cfg["cifar_classes"], *stats)
     return train, test
 
 

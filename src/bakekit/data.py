@@ -13,6 +13,11 @@ from .errors import ConfigError, DataFormatError
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_LABEL_BYTES = {10: 1, 100: 2}  # the two CIFAR record layouts, by class count: label bytes per record
+# each layout's per-channel (mean, std) of its training split's [0, 1] pixels, to 3 places
+CIFAR_CHANNEL_STATS = {
+    10: ((0.491, 0.482, 0.447), (0.247, 0.243, 0.262)),
+    100: ((0.507, 0.487, 0.441), (0.267, 0.256, 0.276)),
+}
 
 
 @dataclass
@@ -121,7 +126,7 @@ def load_cifar_binary(paths, k_classes, channel_mean=None, channel_std=None):
 
     The 100-class layout carries a coarse label byte ahead of the fine
     label; the fine label is used. Channels are scaled to [0, 1], then
-    normalized with the supplied per-channel constants when given.
+    normalized with given per-channel constants, such as a ``CIFAR_CHANNEL_STATS`` row.
     """
     if (label_bytes := CIFAR_LABEL_BYTES.get(k_classes)) is None:
         raise ConfigError(f"k_classes must be 10 or 100, the CIFAR record layouts; got {k_classes}")

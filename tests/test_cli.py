@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bakekit import cli
+from bakekit.data import CIFAR_CHANNEL_STATS, load_cifar_binary
 from bakekit.models import CHECKPOINT_MAGIC, ConvStem, ModelDescriptor, init, load_checkpoint, save_checkpoint
 from bakekit.sampling import SAMPLER_VERSION
 from bakekit.trainer import TrainConfig
@@ -151,14 +152,12 @@ class TestTrainCommand:
             ({"mode": "iterate:x"}, "--mode 'iterate:x'"),
             (["--hidden", "256,0"], "hidden widths must be"),
             (["--hidden=-3"], "hidden widths must be"),
-            (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-mean", "x"],
-             "--cifar-mean 'x'"),
-            (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-mean", "0.5,0.5"],
-             "--cifar-mean '0.5,0.5': expected 3"),
+            ({"cifar_mean": "0.507,0.487,0.441", "cifar_std": "0.267,0.256,0.276"},
+             "unknown config keys: ['cifar_mean', 'cifar_std']"),
+            (["--mode", "iterate:0"], "iterations must be >= 1, got 0"),
             (["--seed=-1"], "seed must be in [0, 2**64), got -1"),
             (["--seed", str(2**64)], "seed must be in [0, 2**64)"),
-            (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-std", "0,1,1"],
-             "--cifar-std '0,1,1': every std must be > 0"),
+            (["--m=-1"], "m must be >= 0, got -1"),
             (["--epochs=-1"], "epochs must be >= 0, got -1"),
             (["--momentum=-1"], "momentum must be in [0, 1), got -1.0"),
             (["--momentum", "1"], "momentum must be in [0, 1), got 1.0"),
@@ -172,8 +171,7 @@ class TestTrainCommand:
             (["--lr", "nan"], "base_lr must be finite and > 0, got nan"),
             ({"lr": float("nan")}, "base_lr must be finite and > 0, got nan"),
             (["--omega", "1"], "closed-form propagation requires omega < 1"),
-            (["--dataset", "cifar", "--cifar-train", "a", "--cifar-test", "b", "--cifar-mean", "nan,0.5,0.5"],
-             "--cifar-mean 'nan,0.5,0.5': every value must be finite"),
+            (["--schedule", "step:3,1:0.1"], "milestones must be strictly increasing: (3, 1)"),
             (["--weight-decay", "inf"], "weight_decay must be finite and >= 0, got inf"),
             (["--schedule", "step:1:inf"], "factor must be finite and > 0, got inf"),
             (["--mode", "one-step"], "unrecognized --mode 'one-step'"),
@@ -239,6 +237,16 @@ class TestTrainCommand:
         assert descriptor.num_classes == classes
         assert descriptor.conv_stem == (ConvStem(3, 32, 32) if conv else None)
 
+    @pytest.mark.parametrize("classes", sorted(CIFAR_CHANNEL_STATS))
+    def test_cifar_normalisation_follows_the_layout(self, tmp_path, classes):
+        records = write_cifar(tmp_path / "records.bin", classes)
+        cfg = {**cli.DEFAULTS, "dataset": "cifar", "cifar_train": records, "cifar_test": records, "cifar_classes": classes}
+        layouts = (classes, 110 - classes)  # this one, then the other
+        expected, other = (load_cifar_binary([records], classes, *CIFAR_CHANNEL_STATS[k]) for k in layouts)
+        for split in cli.load_datasets(cfg):
+            np.testing.assert_array_equal(split.inputs, expected.inputs)
+            assert not np.array_equal(split.inputs, other.inputs)  # no layout borrows the other's statistics
+
     def test_cifar_without_its_files_exits_2(self, tmp_path, capsys):
         code, out = run_train(tmp_path, "run", extra=["--dataset", "cifar", "--cifar-test", "test.bin"])
         assert code == 2
@@ -261,6 +269,18 @@ class TestTrainCommand:
         bake, vanilla = (out / "model.ckpt" for _, out in runs)
         assert bake.stat().st_size == vanilla.stat().st_size
         assert load_checkpoint(bake).flat.size == load_checkpoint(vanilla).flat.size
+
+    def test_bake_without_distillation_or_companions_is_vanilla(self, tmp_path):
+        # λ = 0 drops the KL term and M = 0 the companions, so bake trains vanilla's bits; ω = 0 does not,
+        # since its KL gradient is zero only up to rounding. metrics.jsonl differs: bake still reports train_kl
+        recipe = ["--synth-classes", "5", "--epochs", "3", "--hidden", "16", "--lr", "0.05"]
+        runs = [
+            run_train(tmp_path, name, extra=[*recipe, *extra])
+            for name, extra in (("bake", ["--lambda", "0", "--m", "0"]), ("vanilla", ["--method", "vanilla"]))
+        ]
+        assert [code for code, _ in runs] == [0, 0]
+        bake, vanilla = ((out / "model.ckpt").read_bytes() for _, out in runs)
+        assert bake == vanilla
 
     def test_conv_infers_a_square_image(self, tmp_path):
         code, out = run_train(tmp_path, "run", extra=["--synth-dim", "196", "--conv", "--epochs", "1"])
@@ -335,7 +355,7 @@ class TestSubcommandFlags:
         settings = {"--" + key.replace("_", "-") for key in cli.DEFAULTS}
         assert self.flags("train") == settings | {"--config", "--out-dir"}
 
-    @pytest.mark.parametrize("command,count", [("train", 33), ("compare", 34), ("targets", 24)])
+    @pytest.mark.parametrize("command,count", [("train", 31), ("compare", 32), ("targets", 22)])
     def test_flag_count(self, command, count):
         assert len(self.flags(command)) == count
 

@@ -79,7 +79,7 @@ def cases():
         value.backward()
         return value.item()
 
-    def soft_terms(z, y, q):
+    def bake_terms(z, y, q):
         return losses.bake_loss(z, y, q, 4.0, 1.0)[0]
 
     def step_loss(model, x, y, cfg):
@@ -111,7 +111,7 @@ def cases():
         n, rng = 2 * n_hat, np.random.default_rng(2)
         z = Tensor(rng.normal(size=(n, k)), requires_grad=True)
         labels, q = rng.integers(0, k, size=n), rng.dirichlet(np.ones(k), size=n)
-        table.append((f"soft_cross_entropy[{n}-{k}]", partial(backward, soft_terms, z, labels, q), np.isfinite))
+        table.append((f"bake_loss[{n}-{k}]", partial(backward, bake_terms, z, labels, q), np.isfinite))
         train_set, _ = dt.synth_clusters(k, per_class, int(np.prod(shape)), 3.0, seed=0)
         ids = sampling.epoch_batches(train_set.class_index, sampling.SamplerConfig(n_hat, 1, 0), 0)[0]
         stem = md.ConvStem(*shape) if isinstance(shape, tuple) else None
