@@ -72,7 +72,7 @@ OPTIONS = (
         "hidden", str, ",".join(map(str, md.ModelDescriptor.hidden)), "comma-separated MLP widths",
         commands=TRAINING,
     ),
-    Option("conv", bool, False, "prepend the small conv stem (image datasets)", commands=TRAINING),
+    Option("conv", bool, False, "prepend the small conv stem, shaped as the IDX or CIFAR images", commands=TRAINING),
     Option("idx_train_images", str, None, "IDX train image file"),
     Option("idx_train_labels", str, None, "IDX train label file"),
     Option("idx_test_images", str, None, "IDX test image file"),
@@ -255,39 +255,28 @@ def load_datasets(cfg):
     if kind == "idx":
         needed = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
         if any(cfg[k] is None for k in needed):
-            raise ConfigError(f"dataset=idx requires {needed}")
-        # byte labels are all < 256; the class count is then 1 + the largest
-        # label of either split, so MNIST gets 10
-        train = dt.load_idx(cfg["idx_train_images"], cfg["idx_train_labels"], k_classes=256)
-        test = dt.load_idx(cfg["idx_test_images"], cfg["idx_test_labels"], k_classes=256)
-        train.num_classes = test.num_classes = 1 + int(max(train.labels.max(initial=0), test.labels.max(initial=0)))
+            raise ConfigError(
+                "dataset=idx requires --idx-train-images, --idx-train-labels, --idx-test-images and --idx-test-labels"
+            )
+        train = dt.load_idx(cfg["idx_train_images"], cfg["idx_train_labels"])
+        test = dt.load_idx(cfg["idx_test_images"], cfg["idx_test_labels"])
+        train.num_classes = test.num_classes = max(train.num_classes, test.num_classes)
         return train, test
     if cfg["cifar_train"] is None or cfg["cifar_test"] is None:
         raise ConfigError("dataset=cifar requires --cifar-train and --cifar-test")
-    stats = dt.CIFAR_CHANNEL_STATS[cfg["cifar_classes"]]  # the layout's normalisation
-    train = dt.load_cifar_binary(cfg["cifar_train"].split(","), cfg["cifar_classes"], *stats)
-    test = dt.load_cifar_binary(cfg["cifar_test"].split(","), cfg["cifar_classes"], *stats)
+    train = dt.load_cifar_binary(cfg["cifar_train"].split(","), cfg["cifar_classes"])
+    test = dt.load_cifar_binary(cfg["cifar_test"].split(","), cfg["cifar_classes"])
     return train, test
 
 
 def make_model(cfg, train_set):
-    hidden = _parse_hidden(cfg["hidden"])
-    stem = None
-    if cfg["conv"]:
-        dim = train_set.input_dim
-        if dim % 3 == 0 and int(np.sqrt(dim // 3)) ** 2 * 3 == dim:
-            side = int(np.sqrt(dim // 3))
-            stem = md.ConvStem(3, side, side)
-        elif int(np.sqrt(dim)) ** 2 == dim:
-            side = int(np.sqrt(dim))
-            stem = md.ConvStem(1, side, side)
-        else:
-            raise ConfigError(f"--conv: cannot infer image shape from input dim {dim}")
+    if cfg["conv"] and train_set.image_shape is None:
+        raise ConfigError(f"--conv needs image data (idx or cifar); dataset={cfg['dataset']} has no image shape")
     descriptor = md.ModelDescriptor(
         input_dim=train_set.input_dim,
         num_classes=train_set.num_classes,
-        hidden=hidden,
-        conv_stem=stem,
+        hidden=_parse_hidden(cfg["hidden"]),
+        conv_stem=md.ConvStem(*train_set.image_shape) if cfg["conv"] else None,
     )
     return md.init(descriptor, seed=cfg["seed"])
 
@@ -395,7 +384,7 @@ def _map_pinned(fn, jobs, workers):
 
 def _compare_cell(cfg):
     _, metrics, _ = run_training(cfg)
-    return metrics[-1].test_top1 if metrics else float("nan")
+    return metrics[-1].test_top1
 
 
 def _split_methods(spec):
@@ -417,6 +406,8 @@ def cmd_compare(args):
         raise ConfigError("--methods must list at least one method")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
+    if base["epochs"] < 1:
+        raise ConfigError(f"compare needs epochs >= 1 to report a top-1, got {base['epochs']}")
     # every cell is validated before the first one trains
     seeds = range(base["seed"], base["seed"] + args.seeds)
     jobs = [_parse_method_token(token, {**base, "seed": seed}) for token in tokens for seed in seeds]

@@ -25,6 +25,7 @@ class Dataset:
     inputs: np.ndarray  # E x input_dim, float32
     labels: np.ndarray  # E ints in [0, num_classes)
     num_classes: int
+    image_shape: tuple | None = None  # (C, H, W) of one example, or None when the examples are not images
     class_index: dict = field(init=False)  # {class: int64 ids}, built from labels
 
     def __post_init__(self):
@@ -95,13 +96,17 @@ def _read_idx_header(blob, path, expected_magic, n_dims):
     return dims, blob[4 + 4 * n_dims :]
 
 
-def load_idx(images_path, labels_path, k_classes=10):
-    """Load an IDX image/label file pair (big-endian headers, byte pixels)."""
+def load_idx(images_path, labels_path):
+    """Load an IDX image/label file pair (big-endian headers, byte pixels).
+
+    Images are 1 x rows x cols, and the class count is 1 + the largest label."""
     with open(images_path, "rb") as f:
         img_blob = f.read()
     with open(labels_path, "rb") as f:
         lbl_blob = f.read()
     (count, rows, cols), pixels = _read_idx_header(img_blob, images_path, IDX_IMAGES_MAGIC, 3)
+    if count == 0:
+        raise DataFormatError(f"{images_path}: holds no examples")
     expected = count * rows * cols
     if len(pixels) != expected:
         raise DataFormatError(
@@ -118,15 +123,15 @@ def load_idx(images_path, labels_path, k_classes=10):
         )
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     inputs = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
-    return Dataset(inputs.astype(np.float32) / 255.0, labels, k_classes)
+    return Dataset(inputs.astype(np.float32) / 255.0, labels, 1 + int(labels.max()), (1, rows, cols))
 
 
-def load_cifar_binary(paths, k_classes, channel_mean=None, channel_std=None):
+def load_cifar_binary(paths, k_classes):
     """Load CIFAR-style binary records: label byte(s) then 3x32x32 pixels.
 
     The 100-class layout carries a coarse label byte ahead of the fine
     label; the fine label is used. Channels are scaled to [0, 1], then
-    normalized with given per-channel constants, such as a ``CIFAR_CHANNEL_STATS`` row.
+    normalized with the layout's ``CIFAR_CHANNEL_STATS`` row.
     """
     if (label_bytes := CIFAR_LABEL_BYTES.get(k_classes)) is None:
         raise ConfigError(f"k_classes must be 10 or 100, the CIFAR record layouts; got {k_classes}")
@@ -142,10 +147,6 @@ def load_cifar_binary(paths, k_classes, channel_mean=None, channel_std=None):
         raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record)
         all_labels.append(raw[:, label_bytes - 1].astype(np.int64))
         all_inputs.append(raw[:, label_bytes:].astype(np.float32) / 255.0)
-    inputs = np.concatenate(all_inputs)
-    labels = np.concatenate(all_labels)
-    if channel_mean is not None:
-        mean = np.repeat(np.asarray(channel_mean, dtype=np.float32), 1024)
-        std = np.repeat(np.asarray(channel_std, dtype=np.float32), 1024)
-        inputs = (inputs - mean) / std
-    return Dataset(inputs, labels, k_classes)
+    mean, std = (np.repeat(np.asarray(row, dtype=np.float32), 1024) for row in CIFAR_CHANNEL_STATS[k_classes])
+    inputs = (np.concatenate(all_inputs) - mean) / std
+    return Dataset(inputs, np.concatenate(all_labels), k_classes, (3, 32, 32))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from bakekit import cli
-from bakekit.data import CIFAR_CHANNEL_STATS, load_cifar_binary
+from bakekit.data import CIFAR_CHANNEL_STATS
 from bakekit.models import CHECKPOINT_MAGIC, ConvStem, ModelDescriptor, init, load_checkpoint, save_checkpoint
 from bakekit.sampling import SAMPLER_VERSION
-from bakekit.trainer import TrainConfig
+from bakekit.trainer import EpochMetrics, TrainConfig
 
 SYNTH = [
     "--dataset", "synth",
@@ -45,6 +45,14 @@ def write_idx(tmp_path, name, images, labels):
     return str(img), str(lbl)
 
 
+def idx_flags(tmp_path, train, test):
+    """``--dataset idx`` flags for two (images, labels) splits, written as IDX file pairs."""
+    train_img, train_lbl = write_idx(tmp_path, "train", *train)
+    test_img, test_lbl = write_idx(tmp_path, "test", *test)
+    return ["--dataset", "idx", "--idx-train-images", train_img, "--idx-train-labels", train_lbl,
+            "--idx-test-images", test_img, "--idx-test-labels", test_lbl]
+
+
 def write_cifar(path, classes, records=16):
     """``records`` random CIFAR binary records in the layout of ``classes`` (10 or 100); returns the path."""
     labels = np.arange(records) % 4  # 4 examples in each of 4 classes
@@ -58,6 +66,10 @@ def run_train(tmp_path, name, extra=()):
     out = tmp_path / name
     code = cli.main(["train", *SMALL, *extra, "--out-dir", str(out)])
     return code, out
+
+
+# what a stubbed ``run_training`` reports for a compare cell: one epoch
+ONE_EPOCH = [EpochMetrics(0, 1.0, 1.0, 0.0, 0.5, 1.0, 0.0)]
 
 
 class TestTrainCommand:
@@ -105,9 +117,24 @@ class TestTrainCommand:
         assert "12 examples, fewer than n_hat=64" in capsys.readouterr().err
         assert not (out / "metrics.jsonl").exists()
 
-    def test_missing_idx_files_exit_config_error(self, tmp_path):
+    def test_missing_idx_files_exit_config_error(self, tmp_path, capsys):
         code = cli.main(["train", "--dataset", "idx", "--out-dir", str(tmp_path / "x")])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: dataset=idx requires --idx-train-images, --idx-train-labels, --idx-test-images "
+            "and --idx-test-labels\n"
+        )
+
+    def test_empty_idx_split_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.tr, "train", lambda *args: calls.append(args))
+        flags = idx_flags(tmp_path, (np.zeros((8, 4, 4)), np.arange(8) % 4), (np.zeros((0, 4, 4)), []))
+        code, out = run_train(tmp_path, "x", extra=flags)
+        assert code == 3
+        test_images = flags[flags.index("--idx-test-images") + 1]
+        assert capsys.readouterr().err == f"data error: {test_images}: holds no examples\n"
+        assert calls == []
+        assert not out.exists()
 
     def test_nonexistent_config_file_exits_3(self, tmp_path):
         code = cli.main(
@@ -202,16 +229,9 @@ class TestTrainCommand:
 
     def test_idx_class_count_comes_from_labels(self, tmp_path):
         rng = np.random.default_rng(0)
-        train_img, train_lbl = write_idx(
-            tmp_path, "train", rng.integers(0, 256, size=(48, 4, 4)), np.repeat(np.arange(12), 4)
-        )
-        test_img, test_lbl = write_idx(tmp_path, "test", rng.integers(0, 256, size=(12, 4, 4)), np.arange(12))
-        out = tmp_path / "run"
-        code = cli.main(
-            ["train", "--dataset", "idx", "--idx-train-images", train_img, "--idx-train-labels", train_lbl,
-             "--idx-test-images", test_img, "--idx-test-labels", test_lbl, "--n-hat", "8", "--epochs", "1",
-             "--out-dir", str(out)]
-        )
+        train = rng.integers(0, 256, size=(48, 4, 4)), np.repeat(np.arange(12), 4)
+        test = rng.integers(0, 256, size=(12, 4, 4)), np.arange(12)
+        code, out = run_train(tmp_path, "run", extra=[*idx_flags(tmp_path, train, test), "--epochs", "1"])
         assert code == 0
         assert load_checkpoint(out / "model.ckpt").descriptor.num_classes == 12
 
@@ -241,11 +261,12 @@ class TestTrainCommand:
     def test_cifar_normalisation_follows_the_layout(self, tmp_path, classes):
         records = write_cifar(tmp_path / "records.bin", classes)
         cfg = {**cli.DEFAULTS, "dataset": "cifar", "cifar_train": records, "cifar_test": records, "cifar_classes": classes}
-        layouts = (classes, 110 - classes)  # this one, then the other
-        expected, other = (load_cifar_binary([records], classes, *CIFAR_CHANNEL_STATS[k]) for k in layouts)
+        pixels = np.fromfile(records, dtype=np.uint8).reshape(16, -1)[:, -3072:].reshape(16, 3, 1024)
+        mean, std = (np.array(row)[:, None] for row in CIFAR_CHANNEL_STATS[classes])
+        expected = ((pixels / 255 - mean) / std).reshape(16, 3072)
         for split in cli.load_datasets(cfg):
-            np.testing.assert_array_equal(split.inputs, expected.inputs)
-            assert not np.array_equal(split.inputs, other.inputs)  # no layout borrows the other's statistics
+            np.testing.assert_allclose(split.inputs, expected, rtol=1e-6, atol=1e-6)
+            assert split.image_shape == (3, 32, 32)
 
     def test_cifar_without_its_files_exits_2(self, tmp_path, capsys):
         code, out = run_train(tmp_path, "run", extra=["--dataset", "cifar", "--cifar-test", "test.bin"])
@@ -282,15 +303,24 @@ class TestTrainCommand:
         bake, vanilla = ((out / "model.ckpt").read_bytes() for _, out in runs)
         assert bake == vanilla
 
-    def test_conv_infers_a_square_image(self, tmp_path):
-        code, out = run_train(tmp_path, "run", extra=["--synth-dim", "196", "--conv", "--epochs", "1"])
+    @pytest.mark.parametrize("rows,cols", [(14, 14), (18, 24), (28, 20)])
+    def test_conv_reads_the_idx_image_shape(self, tmp_path, rows, cols):
+        # 18x24 has as many pixels as a 3x12x12 image, and 28x20 as no square image
+        rng = np.random.default_rng(rows)
+        train = rng.integers(0, 256, size=(16, rows, cols)), np.arange(16) % 4
+        test = rng.integers(0, 256, size=(4, rows, cols)), np.arange(4)
+        extra = [*idx_flags(tmp_path, train, test), "--conv", "--hidden", "6", "--epochs", "1"]
+        code, out = run_train(tmp_path, "run", extra=extra)
         assert code == 0
-        assert load_checkpoint(out / "model.ckpt").descriptor.conv_stem == ConvStem(1, 14, 14)
+        assert load_checkpoint(out / "model.ckpt").descriptor.conv_stem == ConvStem(1, rows, cols)
 
     def test_conv_without_an_image_shape_exits_2(self, tmp_path, capsys):
-        code, out = run_train(tmp_path, "run", extra=["--synth-dim", "10", "--conv"])
+        # synth examples are vectors, even when their dimension is a square
+        code, out = run_train(tmp_path, "run", extra=["--synth-dim", "196", "--conv"])
         assert code == 2
-        assert "cannot infer image shape from input dim 10" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: --conv needs image data (idx or cifar); dataset=synth has no image shape\n"
+        )
         assert not out.exists()
 
     def test_default_recipe_is_library_default(self):
@@ -406,6 +436,20 @@ class TestCompareCommand:
         assert capsys.readouterr().err == "config error: --seeds must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_zero_epochs_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        calls = []
+        monkeypatch.setattr(cli, "run_training", calls.append)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs": 0}))
+        extra = ["--epochs", "0"] if source == "flag" else ["--config", str(cfg_path)]
+        out = tmp_path / "x"
+        argv = ["compare", *BATCH, *extra, "--methods", "vanilla", "--seeds", "1", "--out-dir", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "config error: compare needs epochs >= 1 to report a top-1, got 0\n"
+        assert calls == []
+        assert not out.exists()
+
     def test_unknown_method_exits_2(self, tmp_path):
         code = cli.main(
             ["compare", *SMALL, "--methods", "magic", "--out-dir", str(tmp_path / "x")]
@@ -445,7 +489,7 @@ class TestCompareCommand:
 
         def recording_run(cfg):
             cells.append(cfg)
-            return None, [], None
+            return None, ONE_EPOCH, None
 
         monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # the patch reaches no worker process
         monkeypatch.setattr(cli, "run_training", recording_run)
@@ -518,7 +562,7 @@ class TestCompareCommand:
     @pytest.mark.parametrize("methods", ["bake,bake:omega=0.9"])
     def test_configs_that_differ_train_a_row_each(self, tmp_path, monkeypatch, methods):
         monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
-        monkeypatch.setattr(cli, "run_training", lambda cfg: (None, [], None))
+        monkeypatch.setattr(cli, "run_training", lambda cfg: (None, ONE_EPOCH, None))
         out = tmp_path / "x"
         assert cli.main(["compare", *SMALL, "--methods", methods, "--seeds", "2", "--out-dir", str(out)]) == 0
         rows = (out / "summary.tsv").read_text().splitlines()[1:]

@@ -104,9 +104,13 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match="count"):
             dt.load_idx(img, lbl)
 
-    def test_label_out_of_range(self, tmp_path):
-        img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 10])
-        with pytest.raises(DataFormatError, match="label 10"):
+    def test_shape_and_class_count_come_from_the_files(self, tmp_path):
+        ds = dt.load_idx(*write_idx_pair(tmp_path, np.zeros((3, 2, 5)), [0, 6, 2]))
+        assert (ds.image_shape, ds.num_classes) == ((1, 2, 5), 7)
+
+    def test_no_examples(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((0, 2, 2)), [])
+        with pytest.raises(DataFormatError, match=f"{img.name}: holds no examples"):
             dt.load_idx(img, lbl)
 
     def test_loader_determinism(self, tmp_path):
@@ -135,8 +139,7 @@ class TestLoadCifarBinary:
         self._write_records(path, [3])
         ds = dt.load_cifar_binary([path], k_classes=10)
         assert len(ds) == 1
-        assert ds.input_dim == 3072
-        assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
+        assert (ds.input_dim, ds.image_shape) == (3072, (3, 32, 32))
         assert ds.labels[0] == 3
 
     def test_hundred_class_uses_fine_label(self, tmp_path):
@@ -146,13 +149,14 @@ class TestLoadCifarBinary:
         assert np.array_equal(ds.labels, [42, 99])
 
     def test_channel_normalization(self, tmp_path):
-        path = tmp_path / "batch.bin"
-        self._write_records(path, [0])
-        raw = dt.load_cifar_binary([path], k_classes=10)
-        norm = dt.load_cifar_binary(
-            [path], k_classes=10, channel_mean=[0.5, 0.5, 0.5], channel_std=[0.25, 0.25, 0.25]
-        )
-        assert np.abs(norm.inputs - (raw.inputs - 0.5) / 0.25).max() < 1e-6
+        # a record is three planes of 1024 pixels; plane c is normalised by the layout's c-th (mean, std)
+        values = (0, 128, 255)
+        for k_classes, label in ((10, [3]), (100, [1, 42])):
+            path = tmp_path / f"{k_classes}.bin"
+            path.write_bytes(bytes(label) + np.repeat(np.array(values, dtype=np.uint8), 1024).tobytes())
+            planes = dt.load_cifar_binary([path], k_classes).inputs.reshape(3, 1024)
+            for plane, value, mean, std in zip(planes, values, *dt.CIFAR_CHANNEL_STATS[k_classes]):
+                np.testing.assert_allclose(plane, (value / 255 - mean) / std, rtol=1e-6, atol=1e-6)
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "batch.bin"
