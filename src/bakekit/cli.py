@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +54,6 @@ OPTIONS = (
     Option("n_hat", int, SamplerConfig.n_hat, "anchors per batch"),
     Option("mode", str, "closed", "propagation mode: closed | iterate:T", token=("bake",)),
     Option("knowledge", str, BakeConfig.knowledge_source, "ensembled knowledge source", KNOWLEDGE_SOURCES, ("bake",)),
-    Option("dataset", str, "synth", "dataset kind", ("synth", "idx", "cifar")),
     Option("epochs", int, tr.TrainConfig.epochs, "training epochs", commands=TRAINING),
     Option("lr", float, tr.TrainConfig.base_lr, "base learning rate", commands=TRAINING),
     Option("momentum", float, tr.TrainConfig.momentum, "SGD momentum", commands=TRAINING),
@@ -73,16 +72,21 @@ OPTIONS = (
         commands=TRAINING,
     ),
     Option("conv", bool, False, "prepend the small conv stem, shaped as the IDX or CIFAR images", commands=TRAINING),
-    Option("idx_train_images", str, None, "IDX train image file"),
+    Option("idx_train_images", str, None, "IDX train image file; the IDX files make the run's data IDX"),
     Option("idx_train_labels", str, None, "IDX train label file"),
     Option("idx_test_images", str, None, "IDX test image file"),
     Option("idx_test_labels", str, None, "IDX test label file"),
-    Option("cifar_train", str, None, "comma-separated CIFAR train binaries"),
+    Option("cifar_train", str, None, "comma-separated CIFAR train binaries; the CIFAR files make the run's data CIFAR"),
     Option("cifar_test", str, None, "comma-separated CIFAR test binaries"),
     Option("cifar_classes", int, 100, "CIFAR class count", tuple(dt.CIFAR_LABEL_BYTES)),
 )
 OPTION = {opt.key: opt for opt in OPTIONS}
 DEFAULTS = {opt.key: opt.default for opt in OPTIONS}
+# the files that name each kind of data (a run given none reads synth); a data setting's kind is its key's prefix
+DATA_FILES = {
+    "idx": ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels"),
+    "cifar": ("cifar_train", "cifar_test"),
+}
 
 
 def _add_options(p, command):
@@ -187,6 +191,7 @@ def resolve_config(args, methods=None):
         cfg.update(loaded)
     flags = {key: value for key in DEFAULTS if (value := getattr(args, key, None)) is not None}
     cfg.update(flags)
+    data_kind(cfg, flags)
     return _validate(cfg, methods or [cfg["method"]]), flags
 
 
@@ -242,8 +247,24 @@ def make_train_config(cfg):
     )
 
 
+def data_kind(cfg, flags=()):
+    """The kind of data ``cfg``'s files name, or synth when it names none; each file of that kind must be
+    given, and a key of ``flags`` that another kind reads is refused (config files serve any data)."""
+    named = [kind for kind, files in DATA_FILES.items() if any(cfg[key] is not None for key in files)]
+    if len(named) > 1:
+        raise ConfigError("both idx and cifar files are given; a run reads one kind of data")
+    kind = named[0] if named else "synth"
+    for key in flags:
+        if (reader := key.partition("_")[0]) in ("synth", *DATA_FILES) and reader != kind:
+            raise ConfigError(f"setting {key!r} is read only by {reader} data, not by {kind} data")
+    if any(cfg[key] is None for key in DATA_FILES.get(kind, ())):
+        *rest, last = ("--" + key.replace("_", "-") for key in DATA_FILES[kind])
+        raise ConfigError(f"{kind} data requires {', '.join(rest)} and {last}")
+    return kind
+
+
 def load_datasets(cfg):
-    kind = cfg["dataset"]
+    kind = data_kind(cfg)
     if kind == "synth":
         return dt.synth_clusters(
             cfg["synth_classes"],
@@ -253,25 +274,18 @@ def load_datasets(cfg):
             seed=cfg["seed"],
         )
     if kind == "idx":
-        needed = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
-        if any(cfg[k] is None for k in needed):
-            raise ConfigError(
-                "dataset=idx requires --idx-train-images, --idx-train-labels, --idx-test-images and --idx-test-labels"
-            )
         train = dt.load_idx(cfg["idx_train_images"], cfg["idx_train_labels"])
         test = dt.load_idx(cfg["idx_test_images"], cfg["idx_test_labels"])
+        if train.image_shape != test.image_shape:
+            raise DataFormatError(f"IDX train images are {train.image_shape} but test images are {test.image_shape}")
         train.num_classes = test.num_classes = max(train.num_classes, test.num_classes)
         return train, test
-    if cfg["cifar_train"] is None or cfg["cifar_test"] is None:
-        raise ConfigError("dataset=cifar requires --cifar-train and --cifar-test")
-    train = dt.load_cifar_binary(cfg["cifar_train"].split(","), cfg["cifar_classes"])
-    test = dt.load_cifar_binary(cfg["cifar_test"].split(","), cfg["cifar_classes"])
-    return train, test
+    return tuple(dt.load_cifar_binary(cfg[key].split(","), cfg["cifar_classes"]) for key in DATA_FILES["cifar"])
 
 
 def make_model(cfg, train_set):
     if cfg["conv"] and train_set.image_shape is None:
-        raise ConfigError(f"--conv needs image data (idx or cifar); dataset={cfg['dataset']} has no image shape")
+        raise ConfigError("--conv needs image data (idx or cifar files); synth data has no image shape")
     descriptor = md.ModelDescriptor(
         input_dim=train_set.input_dim,
         num_classes=train_set.num_classes,
@@ -448,6 +462,11 @@ def cmd_targets(args):
         raise DataFormatError(
             f"checkpoint {args.checkpoint} has input dim {d.input_dim} and {d.num_classes} classes; "
             f"the dataset has {train_set.input_dim} and {train_set.num_classes}"
+        )
+    if d.conv_stem and (stem := astuple(d.conv_stem)[:3]) != train_set.image_shape:  # (C, H, W)
+        raise DataFormatError(
+            f"checkpoint {args.checkpoint} has a conv stem for {stem} images; the dataset's image shape is "
+            f"{train_set.image_shape}"
         )
     train_cfg = make_train_config({**cfg, "method": "bake"})
     ids = epoch_batches(train_set.class_index, train_cfg.sampler, epoch=0)[0]

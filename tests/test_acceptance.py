@@ -219,7 +219,7 @@ def test_criterion_8_optional_cifar():
 
 def test_criterion_9_reproducibility(tmp_path):
     flags = [
-        "train", "--dataset", "synth", "--synth-classes", "5", "--synth-per-class", "60",
+        "train", "--synth-classes", "5", "--synth-per-class", "60",
         "--synth-dim", "16", "--epochs", "4", "--n-hat", "16", "--seed", "3",
     ]
     out_a, out_b = tmp_path / "a", tmp_path / "b"

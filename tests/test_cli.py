@@ -12,7 +12,6 @@ from bakekit.sampling import SAMPLER_VERSION
 from bakekit.trainer import EpochMetrics, TrainConfig
 
 SYNTH = [
-    "--dataset", "synth",
     "--synth-classes", "4",
     "--synth-per-class", "40",
     "--synth-dim", "8",
@@ -46,10 +45,10 @@ def write_idx(tmp_path, name, images, labels):
 
 
 def idx_flags(tmp_path, train, test):
-    """``--dataset idx`` flags for two (images, labels) splits, written as IDX file pairs."""
+    """The IDX flags of two (images, labels) splits, written as IDX file pairs."""
     train_img, train_lbl = write_idx(tmp_path, "train", *train)
     test_img, test_lbl = write_idx(tmp_path, "test", *test)
-    return ["--dataset", "idx", "--idx-train-images", train_img, "--idx-train-labels", train_lbl,
+    return ["--idx-train-images", train_img, "--idx-train-labels", train_lbl,
             "--idx-test-images", test_img, "--idx-test-labels", test_lbl]
 
 
@@ -62,9 +61,10 @@ def write_cifar(path, classes, records=16):
     return str(path)
 
 
-def run_train(tmp_path, name, extra=()):
+def run_train(tmp_path, name, extra=(), data=SYNTH):
+    """``train`` on ``data``'s flags with SMALL's other settings, then ``extra``; returns the code and run dir."""
     out = tmp_path / name
-    code = cli.main(["train", *SMALL, *extra, "--out-dir", str(out)])
+    code = cli.main(["train", *data, *SMALL[len(SYNTH):], *extra, "--out-dir", str(out)])
     return code, out
 
 
@@ -117,19 +117,24 @@ class TestTrainCommand:
         assert "12 examples, fewer than n_hat=64" in capsys.readouterr().err
         assert not (out / "metrics.jsonl").exists()
 
-    def test_missing_idx_files_exit_config_error(self, tmp_path, capsys):
-        code = cli.main(["train", "--dataset", "idx", "--out-dir", str(tmp_path / "x")])
-        assert code == 2
+    def test_missing_idx_files_exit_config_error(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "load_datasets", calls.append)
+        out = tmp_path / "x"
+        argv = ["train", "--idx-train-images", str(tmp_path / "none"), "--epochs", "1", "--out-dir", str(out)]
+        assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
-            "config error: dataset=idx requires --idx-train-images, --idx-train-labels, --idx-test-images "
+            "config error: idx data requires --idx-train-images, --idx-train-labels, --idx-test-images "
             "and --idx-test-labels\n"
         )
+        assert calls == []
+        assert not out.exists()
 
     def test_empty_idx_split_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli.tr, "train", lambda *args: calls.append(args))
         flags = idx_flags(tmp_path, (np.zeros((8, 4, 4)), np.arange(8) % 4), (np.zeros((0, 4, 4)), []))
-        code, out = run_train(tmp_path, "x", extra=flags)
+        code, out = run_train(tmp_path, "x", data=flags)
         assert code == 3
         test_images = flags[flags.index("--idx-test-images") + 1]
         assert capsys.readouterr().err == f"data error: {test_images}: holds no examples\n"
@@ -142,15 +147,12 @@ class TestTrainCommand:
         )
         assert code == 3
 
-    @pytest.mark.parametrize(
-        "key,value", [("knowledge", "bogus"), ("dataset", "bogus"), ("epochs", "3"), ("cifar_classes", 20)]
-    )
+    @pytest.mark.parametrize("key,value", [("knowledge", "bogus"), ("epochs", "3"), ("cifar_classes", 20)])
     def test_bad_config_file_value_exits_2(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: value}))
-        no_epochs_flag = SMALL[:8]  # so the file's epochs is the one in force
-        code = cli.main(
-            ["train", *no_epochs_flag, "--config", str(cfg_path), "--out-dir", str(tmp_path / "x")]
+        code = cli.main(  # no --epochs flag, so the file's epochs is the one in force
+            ["train", *SYNTH, "--config", str(cfg_path), "--out-dir", str(tmp_path / "x")]
         )
         assert code == 2
         assert f"config key '{key}'" in capsys.readouterr().err
@@ -209,6 +211,8 @@ class TestTrainCommand:
             (["--tau", "1e-300"], "tau=1e-300 puts 1/tau or tau^2 outside the finite, nonzero float32 range"),
             (["--tau", "1e20"], "tau=1e+20 puts 1/tau or tau^2 outside the finite, nonzero float32 range"),
             (["--lambda", "1e39"], "distill_weight=1e+39 is outside the finite float32 range"),
+            # the key of a manifest written while a setting named the dataset kind
+            pytest.param({"dataset": "bogus"}, "unknown config keys: ['dataset']", id="dataset-key"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -231,14 +235,14 @@ class TestTrainCommand:
         rng = np.random.default_rng(0)
         train = rng.integers(0, 256, size=(48, 4, 4)), np.repeat(np.arange(12), 4)
         test = rng.integers(0, 256, size=(12, 4, 4)), np.arange(12)
-        code, out = run_train(tmp_path, "run", extra=[*idx_flags(tmp_path, train, test), "--epochs", "1"])
+        code, out = run_train(tmp_path, "run", extra=["--epochs", "1"], data=idx_flags(tmp_path, train, test))
         assert code == 0
         assert load_checkpoint(out / "model.ckpt").descriptor.num_classes == 12
 
     def test_cifar_classes_takes_only_the_loaders_layouts(self, tmp_path, capsys):
         # a 10-class file read as 20 classes would train a 20-way head on 10 labels
         with pytest.raises(SystemExit) as exc:
-            run_train(tmp_path, "x", extra=["--dataset", "cifar", "--cifar-classes", "20"])
+            run_train(tmp_path, "x", data=["--cifar-classes", "20"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--cifar-classes" in err and "invalid choice: 20" in err
@@ -249,8 +253,8 @@ class TestTrainCommand:
         records = write_cifar(tmp_path / "records.bin", classes)
         code, out = run_train(
             tmp_path, "run",
-            extra=["--dataset", "cifar", "--cifar-train", records, "--cifar-test", records,
-                   "--cifar-classes", str(classes), "--n-hat", "4", "--hidden", "6", "--epochs", "1", *conv],
+            extra=["--n-hat", "4", "--hidden", "6", "--epochs", "1", *conv],
+            data=["--cifar-train", records, "--cifar-test", records, "--cifar-classes", str(classes)],
         )
         assert code == 0
         descriptor = load_checkpoint(out / "model.ckpt").descriptor
@@ -260,7 +264,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("classes", sorted(CIFAR_CHANNEL_STATS))
     def test_cifar_normalisation_follows_the_layout(self, tmp_path, classes):
         records = write_cifar(tmp_path / "records.bin", classes)
-        cfg = {**cli.DEFAULTS, "dataset": "cifar", "cifar_train": records, "cifar_test": records, "cifar_classes": classes}
+        cfg = {**cli.DEFAULTS, "cifar_train": records, "cifar_test": records, "cifar_classes": classes}
         pixels = np.fromfile(records, dtype=np.uint8).reshape(16, -1)[:, -3072:].reshape(16, 3, 1024)
         mean, std = (np.array(row)[:, None] for row in CIFAR_CHANNEL_STATS[classes])
         expected = ((pixels / 255 - mean) / std).reshape(16, 3072)
@@ -269,10 +273,32 @@ class TestTrainCommand:
             assert split.image_shape == (3, 32, 32)
 
     def test_cifar_without_its_files_exits_2(self, tmp_path, capsys):
-        code, out = run_train(tmp_path, "run", extra=["--dataset", "cifar", "--cifar-test", "test.bin"])
+        code, out = run_train(tmp_path, "run", data=["--cifar-classes", "10", "--cifar-train", "/nope"])
         assert code == 2
-        assert "dataset=cifar requires --cifar-train and --cifar-test" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: cifar data requires --cifar-train and --cifar-test\n"
         assert not out.exists()
+
+    def test_idx_and_cifar_files_exit_2(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "load_datasets", calls.append)
+        records = write_cifar(tmp_path / "records.bin", 10)
+        images = np.zeros((16, 4, 4)), np.arange(16) % 4
+        data = [*idx_flags(tmp_path, images, images), "--cifar-train", records, "--cifar-test", records]
+        code, out = run_train(tmp_path, "run", data=data)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: both idx and cifar files are given; a run reads one kind of data\n"
+        assert calls == []
+        assert not out.exists()
+
+    def test_config_file_synth_keys_beside_idx_files_train(self, tmp_path):
+        # a manifest holds every key, so the synth settings of a file are not refused on IDX data
+        _, synth = run_train(tmp_path, "synth", extra=["--epochs", "1"])
+        images = np.random.default_rng(0).integers(0, 256, size=(16, 4, 4)), np.arange(16) % 4
+        config = ["--config", str(synth / "manifest.json")]
+        code, out = run_train(tmp_path, "idx", extra=config, data=idx_flags(tmp_path, images, images))
+        assert code == 0
+        assert load_checkpoint(out / "model.ckpt").descriptor.input_dim == 16  # the 4x4 images, not synth's 8
 
     def test_manifest_of_another_method_configures_train(self, tmp_path):
         # one config file serves every method, so its bake settings are not refused under vanilla
@@ -309,17 +335,36 @@ class TestTrainCommand:
         rng = np.random.default_rng(rows)
         train = rng.integers(0, 256, size=(16, rows, cols)), np.arange(16) % 4
         test = rng.integers(0, 256, size=(4, rows, cols)), np.arange(4)
-        extra = [*idx_flags(tmp_path, train, test), "--conv", "--hidden", "6", "--epochs", "1"]
-        code, out = run_train(tmp_path, "run", extra=extra)
+        extra = ["--conv", "--hidden", "6", "--epochs", "1"]
+        code, out = run_train(tmp_path, "run", extra=extra, data=idx_flags(tmp_path, train, test))
         assert code == 0
         assert load_checkpoint(out / "model.ckpt").descriptor.conv_stem == ConvStem(1, rows, cols)
+
+    @pytest.mark.parametrize(
+        "train_shape,test_shape,conv", [((16, 16), (8, 32), ["--conv"]), ((4, 4), (5, 5), [])], ids=["conv", "mlp"]
+    )
+    def test_idx_splits_of_two_image_shapes_exit_3_before_training(
+        self, tmp_path, capsys, monkeypatch, train_shape, test_shape, conv
+    ):
+        # the conv stem would read 8x32 test images as 16x16 ones; an MLP would fail on the test inputs after epoch 0
+        calls = []
+        monkeypatch.setattr(cli.tr, "train", lambda *args: calls.append(args))
+        train = np.zeros((16, *train_shape)), np.arange(16) % 4
+        test = np.zeros((4, *test_shape)), np.arange(4)
+        code, out = run_train(tmp_path, "run", extra=conv, data=idx_flags(tmp_path, train, test))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: IDX train images are {(1, *train_shape)} but test images are {(1, *test_shape)}\n"
+        )
+        assert calls == []
+        assert not out.exists()
 
     def test_conv_without_an_image_shape_exits_2(self, tmp_path, capsys):
         # synth examples are vectors, even when their dimension is a square
         code, out = run_train(tmp_path, "run", extra=["--synth-dim", "196", "--conv"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "config error: --conv needs image data (idx or cifar); dataset=synth has no image shape\n"
+            "config error: --conv needs image data (idx or cifar files); synth data has no image shape\n"
         )
         assert not out.exists()
 
@@ -385,7 +430,7 @@ class TestSubcommandFlags:
         settings = {"--" + key.replace("_", "-") for key in cli.DEFAULTS}
         assert self.flags("train") == settings | {"--config", "--out-dir"}
 
-    @pytest.mark.parametrize("command,count", [("train", 31), ("compare", 32), ("targets", 22)])
+    @pytest.mark.parametrize("command,count", [("train", 30), ("compare", 31), ("targets", 21)])
     def test_flag_count(self, command, count):
         assert len(self.flags(command)) == count
 
@@ -767,14 +812,32 @@ class TestTargetsCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error") and needle in err
 
-    @pytest.mark.parametrize("input_dim,classes", [(16, 4), (8, 5)])
-    def test_checkpoint_for_other_data_exits_3(self, tmp_path, capsys, input_dim, classes):
+    @pytest.mark.parametrize(
+        "descriptor,data,needle",
+        [
+            (ModelDescriptor(16, 4, hidden=(6,)), [], "input dim 16 and 4 classes; the dataset has 8 and 4"),
+            (ModelDescriptor(8, 5, hidden=(6,)), [], "input dim 8 and 5 classes; the dataset has 8 and 4"),
+            # as many pixels as the 28x28 IDX images, in another shape
+            (ModelDescriptor(784, 4, hidden=(6,), conv_stem=ConvStem(1, 14, 56)), "idx",
+             "conv stem for (1, 14, 56) images; the dataset's image shape is (1, 28, 28)"),
+            # synth examples are vectors, even when their dimension is a square
+            (ModelDescriptor(196, 4, hidden=(6,), conv_stem=ConvStem(1, 14, 14)), ["--synth-dim", "196"],
+             "conv stem for (1, 14, 14) images; the dataset's image shape is None"),
+        ],
+        ids=["16-4", "8-5", "stem-for-other-images", "stem-on-synth"],
+    )
+    def test_checkpoint_for_other_data_exits_3(self, tmp_path, capsys, descriptor, data, needle):
         path = tmp_path / "other.ckpt"
-        save_checkpoint(init(ModelDescriptor(input_dim, classes, hidden=(6,)), seed=0), path)
-        assert cli.main(["targets", *BATCH, "--checkpoint", str(path)]) == 3
+        save_checkpoint(init(descriptor, seed=0), path)
+        if data == "idx":
+            images = np.zeros((16, 28, 28)), np.arange(16) % 4
+            data = [*idx_flags(tmp_path, images, images), "--n-hat", "8"]
+        else:
+            data = [*BATCH, *data]
+        assert cli.main(["targets", *data, "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error")
-        assert f"input dim {input_dim} and {classes} classes; the dataset has 8 and 4" in err
+        assert needle in err
 
     def test_duplicate_pair_mixes_mass(self, tmp_path, capsys):
         # two near-duplicate same-class inputs: each row's target mixes the other's class mass
@@ -853,11 +916,17 @@ def test_stale_manifest_is_refused(tmp_path, capsys, command, field, value):
         (["train", "--epsilon", "0.3"], "setting 'epsilon' is read only by label_smoothing, not by bake"),
         (["compare", "--epsilon", "0.2", "--methods", "vanilla,bake"],
          "setting 'epsilon' is read only by label_smoothing, not by vanilla, bake"),
+        # a data setting is read by the kind of data its prefix names, and the files name the run's kind
+        (["train", "--idx-train-images", "x"], "setting 'synth_classes' is read only by synth data, not by idx data"),
+        (["targets", "--cifar-classes", "10"], "setting 'cifar_classes' is read only by cifar data, not by synth data"),
+        (["compare", "--methods", "bake", "--synth-classes", "5", "--idx-train-images", "a", "--idx-train-labels",
+          "b", "--idx-test-images", "c", "--idx-test-labels", "d"],
+         "setting 'synth_classes' is read only by synth data, not by idx data"),
     ],
     ids=[
         "compare-vanilla:omega", "compare-vanilla:m", "compare-label_smoothing:tau", "compare-bake:epsilon",
         "train-vanilla--omega", "train-vanilla--m", "train-vanilla--knowledge", "train-bake--epsilon",
-        "compare--epsilon",
+        "compare--epsilon", "train-idx--synth", "targets-synth--cifar", "compare-idx--synth",
     ],
 )
 def test_setting_no_method_reads_exits_2(tmp_path, capsys, monkeypatch, argv, error):
@@ -866,7 +935,8 @@ def test_setting_no_method_reads_exits_2(tmp_path, capsys, monkeypatch, argv, er
     monkeypatch.setattr(cli, "load_datasets", calls.append)
     monkeypatch.setattr(cli, "run_training", calls.append)
     out = tmp_path / "run"
-    assert cli.main([*argv, *SMALL, "--out-dir", str(out)]) == 2
+    extra = ["--epochs", "2", "--out-dir", str(out)] if argv[0] in cli.TRAINING else ["--checkpoint", str(tmp_path)]
+    assert cli.main([argv[0], *BATCH, *argv[1:], *extra]) == 2  # the case's own flags come last, and win
     assert capsys.readouterr().err == f"config error: {error}\n"
     assert calls == []
     assert not out.exists()
