@@ -78,7 +78,6 @@ OPTIONS = (
     Option("idx_test_labels", str, None, "IDX test label file"),
     Option("cifar_train", str, None, "comma-separated CIFAR train binaries; the CIFAR files make the run's data CIFAR"),
     Option("cifar_test", str, None, "comma-separated CIFAR test binaries"),
-    Option("cifar_classes", int, 100, "CIFAR class count", tuple(dt.CIFAR_LABEL_BYTES)),
 )
 OPTION = {opt.key: opt for opt in OPTIONS}
 DEFAULTS = {opt.key: opt.default for opt in OPTIONS}
@@ -191,7 +190,8 @@ def resolve_config(args, methods=None):
         cfg.update(loaded)
     flags = {key: value for key in DEFAULTS if (value := getattr(args, key, None)) is not None}
     cfg.update(flags)
-    data_kind(cfg, flags)
+    if data_kind(cfg, flags) == "synth" and cfg["conv"] and args.subcommand in OPTION["conv"].commands:
+        raise ConfigError("--conv needs image data (idx or cifar files); synth data has no image shape")
     return _validate(cfg, methods or [cfg["method"]]), flags
 
 
@@ -249,14 +249,13 @@ def make_train_config(cfg):
 
 def data_kind(cfg, flags=()):
     """The kind of data ``cfg``'s files name, or synth when it names none; each file of that kind must be
-    given, and a key of ``flags`` that another kind reads is refused (config files serve any data)."""
+    given, and a synth key of ``flags`` is refused when files name the data (config files serve any data)."""
     named = [kind for kind, files in DATA_FILES.items() if any(cfg[key] is not None for key in files)]
     if len(named) > 1:
         raise ConfigError("both idx and cifar files are given; a run reads one kind of data")
     kind = named[0] if named else "synth"
-    for key in flags:
-        if (reader := key.partition("_")[0]) in ("synth", *DATA_FILES) and reader != kind:
-            raise ConfigError(f"setting {key!r} is read only by {reader} data, not by {kind} data")
+    if kind != "synth" and (refused := [key for key in flags if key.startswith("synth_")]):
+        raise ConfigError(f"setting {refused[0]!r} is read only by synth data, not by {kind} data")
     if any(cfg[key] is None for key in DATA_FILES.get(kind, ())):
         *rest, last = ("--" + key.replace("_", "-") for key in DATA_FILES[kind])
         raise ConfigError(f"{kind} data requires {', '.join(rest)} and {last}")
@@ -280,12 +279,13 @@ def load_datasets(cfg):
             raise DataFormatError(f"IDX train images are {train.image_shape} but test images are {test.image_shape}")
         train.num_classes = test.num_classes = max(train.num_classes, test.num_classes)
         return train, test
-    return tuple(dt.load_cifar_binary(cfg[key].split(","), cfg["cifar_classes"]) for key in DATA_FILES["cifar"])
+    train, test = (dt.load_cifar_binary(cfg[key].split(",")) for key in DATA_FILES["cifar"])
+    if train.num_classes != test.num_classes:
+        raise DataFormatError(f"CIFAR train files are CIFAR-{train.num_classes}, test files CIFAR-{test.num_classes}")
+    return train, test
 
 
 def make_model(cfg, train_set):
-    if cfg["conv"] and train_set.image_shape is None:
-        raise ConfigError("--conv needs image data (idx or cifar files); synth data has no image shape")
     descriptor = md.ModelDescriptor(
         input_dim=train_set.input_dim,
         num_classes=train_set.num_classes,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -126,25 +127,24 @@ def load_idx(images_path, labels_path):
     return Dataset(inputs.astype(np.float32) / 255.0, labels, 1 + int(labels.max()), (1, rows, cols))
 
 
-def load_cifar_binary(paths, k_classes):
-    """Load CIFAR-style binary records: label byte(s) then 3x32x32 pixels.
+def load_cifar_binary(paths):
+    """Load CIFAR binary records: label byte(s) then 3x32x32 pixels, in the layout the files' sizes name.
 
-    The 100-class layout carries a coarse label byte ahead of the fine
-    label; the fine label is used. Channels are scaled to [0, 1], then
-    normalized with the layout's ``CIFAR_CHANNEL_STATS`` row.
+    A record of 3073 bytes is CIFAR-10; one of 3074 is CIFAR-100, whose coarse label byte precedes the fine label
+    used here. Channels are scaled to [0, 1], then normalized with the layout's ``CIFAR_CHANNEL_STATS`` row.
     """
-    if (label_bytes := CIFAR_LABEL_BYTES.get(k_classes)) is None:
-        raise ConfigError(f"k_classes must be 10 or 100, the CIFAR record layouts; got {k_classes}")
-    record = label_bytes + 3072
+    sizes = [os.path.getsize(path) for path in paths]
+    fits = [(k, n) for k, n in CIFAR_LABEL_BYTES.items() if all(size and size % (n + 3072) == 0 for size in sizes)]
+    if len(fits) != 1:
+        raise DataFormatError(
+            f"{', '.join(map(str, paths))}: sizes {sizes} fit {'both' if fits else 'neither'} of the CIFAR record "
+            f"sizes 3073 (CIFAR-10) and 3074 (CIFAR-100)"
+        )
+    [(k_classes, label_bytes)] = fits
     all_inputs, all_labels = [], []
     for path in paths:
         with open(path, "rb") as f:
-            blob = f.read()
-        if len(blob) == 0 or len(blob) % record != 0:
-            raise DataFormatError(
-                f"{path}: size {len(blob)} is not a multiple of record size {record}"
-            )
-        raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record)
+            raw = np.frombuffer(f.read(), dtype=np.uint8).reshape(-1, label_bytes + 3072)
         all_labels.append(raw[:, label_bytes - 1].astype(np.int64))
         all_inputs.append(raw[:, label_bytes:].astype(np.float32) / 255.0)
     mean, std = (np.repeat(np.asarray(row, dtype=np.float32), 1024) for row in CIFAR_CHANNEL_STATS[k_classes])

@@ -192,8 +192,9 @@ def test_criterion_8_optional_cifar():
     cifar = os.environ["BAKE_CIFAR_DIR"]
     train_path = os.path.join(cifar, "train.bin")
     test_path = os.path.join(cifar, "test.bin")
-    train_set = dt.load_cifar_binary([train_path], 100)  # normalised by the CIFAR-100 layout's statistics
-    test_set = dt.load_cifar_binary([test_path], 100)
+    train_set = dt.load_cifar_binary([train_path])  # normalised by the CIFAR-100 layout's statistics
+    test_set = dt.load_cifar_binary([test_path])
+    assert train_set.num_classes == test_set.num_classes == 100
     vanilla, bake = [], []
     for seed in range(3):
         for method, m, out in (("vanilla", 0, vanilla), ("bake", 1, bake)):

@@ -147,7 +147,7 @@ class TestTrainCommand:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("key,value", [("knowledge", "bogus"), ("epochs", "3"), ("cifar_classes", 20)])
+    @pytest.mark.parametrize("key,value", [("knowledge", "bogus"), ("epochs", "3")])
     def test_bad_config_file_value_exits_2(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: value}))
@@ -211,8 +211,9 @@ class TestTrainCommand:
             (["--tau", "1e-300"], "tau=1e-300 puts 1/tau or tau^2 outside the finite, nonzero float32 range"),
             (["--tau", "1e20"], "tau=1e+20 puts 1/tau or tau^2 outside the finite, nonzero float32 range"),
             (["--lambda", "1e39"], "distill_weight=1e+39 is outside the finite float32 range"),
-            # the key of a manifest written while a setting named the dataset kind
+            # the keys of manifests written while a setting named the dataset kind or the CIFAR layout
             pytest.param({"dataset": "bogus"}, "unknown config keys: ['dataset']", id="dataset-key"),
+            pytest.param({"cifar_classes": 100}, "unknown config keys: ['cifar_classes']", id="cifar_classes-key"),
         ],
     )
     def test_malformed_value_exits_2_before_data_loads(
@@ -239,22 +240,13 @@ class TestTrainCommand:
         assert code == 0
         assert load_checkpoint(out / "model.ckpt").descriptor.num_classes == 12
 
-    def test_cifar_classes_takes_only_the_loaders_layouts(self, tmp_path, capsys):
-        # a 10-class file read as 20 classes would train a 20-way head on 10 labels
-        with pytest.raises(SystemExit) as exc:
-            run_train(tmp_path, "x", data=["--cifar-classes", "20"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--cifar-classes" in err and "invalid choice: 20" in err
-        assert not (tmp_path / "x").exists()
-
     @pytest.mark.parametrize("classes,conv", [(10, []), (100, ["--conv"])])
     def test_cifar_records_train(self, tmp_path, classes, conv):
         records = write_cifar(tmp_path / "records.bin", classes)
         code, out = run_train(
             tmp_path, "run",
             extra=["--n-hat", "4", "--hidden", "6", "--epochs", "1", *conv],
-            data=["--cifar-train", records, "--cifar-test", records, "--cifar-classes", str(classes)],
+            data=["--cifar-train", records, "--cifar-test", records],
         )
         assert code == 0
         descriptor = load_checkpoint(out / "model.ckpt").descriptor
@@ -264,7 +256,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("classes", sorted(CIFAR_CHANNEL_STATS))
     def test_cifar_normalisation_follows_the_layout(self, tmp_path, classes):
         records = write_cifar(tmp_path / "records.bin", classes)
-        cfg = {**cli.DEFAULTS, "cifar_train": records, "cifar_test": records, "cifar_classes": classes}
+        cfg = {**cli.DEFAULTS, "cifar_train": records, "cifar_test": records}
         pixels = np.fromfile(records, dtype=np.uint8).reshape(16, -1)[:, -3072:].reshape(16, 3, 1024)
         mean, std = (np.array(row)[:, None] for row in CIFAR_CHANNEL_STATS[classes])
         expected = ((pixels / 255 - mean) / std).reshape(16, 3072)
@@ -272,8 +264,28 @@ class TestTrainCommand:
             np.testing.assert_allclose(split.inputs, expected, rtol=1e-6, atol=1e-6)
             assert split.image_shape == (3, 32, 32)
 
+    @pytest.mark.parametrize("train_bytes,error", [
+        (None, "CIFAR train files are CIFAR-10, test files CIFAR-100"),
+        (3000, "{}: sizes [3000] fit neither of the CIFAR record sizes 3073 (CIFAR-10) and 3074 (CIFAR-100)"),
+        (3073 * 3074, "{}: sizes [9446402] fit both of the CIFAR record sizes 3073 (CIFAR-10) and 3074 (CIFAR-100)"),
+    ], ids=["10-100", "neither", "both"])
+    def test_cifar_files_of_no_single_layout_exit_3_before_training(
+        self, tmp_path, capsys, monkeypatch, train_bytes, error
+    ):
+        calls = []
+        monkeypatch.setattr(cli.tr, "train", lambda *args: calls.append(args))
+        train = write_cifar(tmp_path / "train.bin", 10)
+        if train_bytes is not None:
+            (tmp_path / "train.bin").write_bytes(bytes(train_bytes))
+        test = write_cifar(tmp_path / "test.bin", 100)
+        code, out = run_train(tmp_path, "run", data=["--cifar-train", train, "--cifar-test", test])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {error.format(train)}\n"
+        assert calls == []
+        assert not out.exists()
+
     def test_cifar_without_its_files_exits_2(self, tmp_path, capsys):
-        code, out = run_train(tmp_path, "run", data=["--cifar-classes", "10", "--cifar-train", "/nope"])
+        code, out = run_train(tmp_path, "run", data=["--cifar-train", "/nope"])
         assert code == 2
         assert capsys.readouterr().err == "config error: cifar data requires --cifar-train and --cifar-test\n"
         assert not out.exists()
@@ -359,14 +371,23 @@ class TestTrainCommand:
         assert calls == []
         assert not out.exists()
 
-    def test_conv_without_an_image_shape_exits_2(self, tmp_path, capsys):
-        # synth examples are vectors, even when their dimension is a square
-        code, out = run_train(tmp_path, "run", extra=["--synth-dim", "196", "--conv"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "config error: --conv needs image data (idx or cifar files); synth data has no image shape\n"
-        )
-        assert not out.exists()
+    def test_conv_without_an_image_shape_exits_2(self, tmp_path, capsys, monkeypatch):
+        # synth examples are vectors, even when their dimension is a square; the refusal comes before any data
+        def no_work(*_):
+            raise AssertionError("data built or workers started before --conv was refused")
+
+        monkeypatch.setattr(cli.dt, "synth_clusters", no_work)
+        monkeypatch.setattr(cli, "_map_pinned", no_work)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        out = tmp_path / "run"
+        train = ["train", *SMALL, "--synth-dim", "196", "--conv"]
+        compare = ["compare", *SMALL, "--conv", "--methods", "vanilla,bake", "--seeds", "2"]
+        for argv in (train, compare):
+            assert cli.main([*argv, "--out-dir", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: --conv needs image data (idx or cifar files); synth data has no image shape\n"
+            )
+            assert not out.exists()
 
     def test_default_recipe_is_library_default(self):
         assert cli.make_train_config(cli.DEFAULTS) == TrainConfig()
@@ -430,7 +451,7 @@ class TestSubcommandFlags:
         settings = {"--" + key.replace("_", "-") for key in cli.DEFAULTS}
         assert self.flags("train") == settings | {"--config", "--out-dir"}
 
-    @pytest.mark.parametrize("command,count", [("train", 30), ("compare", 31), ("targets", 21)])
+    @pytest.mark.parametrize("command,count", [("train", 29), ("compare", 30), ("targets", 20)])
     def test_flag_count(self, command, count):
         assert len(self.flags(command)) == count
 
@@ -918,7 +939,6 @@ def test_stale_manifest_is_refused(tmp_path, capsys, command, field, value):
          "setting 'epsilon' is read only by label_smoothing, not by vanilla, bake"),
         # a data setting is read by the kind of data its prefix names, and the files name the run's kind
         (["train", "--idx-train-images", "x"], "setting 'synth_classes' is read only by synth data, not by idx data"),
-        (["targets", "--cifar-classes", "10"], "setting 'cifar_classes' is read only by cifar data, not by synth data"),
         (["compare", "--methods", "bake", "--synth-classes", "5", "--idx-train-images", "a", "--idx-train-labels",
           "b", "--idx-test-images", "c", "--idx-test-labels", "d"],
          "setting 'synth_classes' is read only by synth data, not by idx data"),
@@ -926,7 +946,7 @@ def test_stale_manifest_is_refused(tmp_path, capsys, command, field, value):
     ids=[
         "compare-vanilla:omega", "compare-vanilla:m", "compare-label_smoothing:tau", "compare-bake:epsilon",
         "train-vanilla--omega", "train-vanilla--m", "train-vanilla--knowledge", "train-bake--epsilon",
-        "compare--epsilon", "train-idx--synth", "targets-synth--cifar", "compare-idx--synth",
+        "compare--epsilon", "train-idx--synth", "compare-idx--synth",
     ],
 )
 def test_setting_no_method_reads_exits_2(tmp_path, capsys, monkeypatch, argv, error):

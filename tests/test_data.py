@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -137,15 +138,16 @@ class TestLoadCifarBinary:
     def test_single_record_scaled(self, tmp_path):
         path = tmp_path / "batch.bin"
         self._write_records(path, [3])
-        ds = dt.load_cifar_binary([path], k_classes=10)
-        assert len(ds) == 1
+        ds = dt.load_cifar_binary([path])
+        assert (len(ds), ds.num_classes) == (1, 10)
         assert (ds.input_dim, ds.image_shape) == (3072, (3, 32, 32))
         assert ds.labels[0] == 3
 
     def test_hundred_class_uses_fine_label(self, tmp_path):
         path = tmp_path / "train.bin"
         self._write_records(path, [5, 7], fine_labels=[42, 99])
-        ds = dt.load_cifar_binary([path], k_classes=100)
+        ds = dt.load_cifar_binary([path])
+        assert ds.num_classes == 100
         assert np.array_equal(ds.labels, [42, 99])
 
     def test_channel_normalization(self, tmp_path):
@@ -154,7 +156,9 @@ class TestLoadCifarBinary:
         for k_classes, label in ((10, [3]), (100, [1, 42])):
             path = tmp_path / f"{k_classes}.bin"
             path.write_bytes(bytes(label) + np.repeat(np.array(values, dtype=np.uint8), 1024).tobytes())
-            planes = dt.load_cifar_binary([path], k_classes).inputs.reshape(3, 1024)
+            ds = dt.load_cifar_binary([path])
+            assert ds.num_classes == k_classes
+            planes = ds.inputs.reshape(3, 1024)
             for plane, value, mean, std in zip(planes, values, *dt.CIFAR_CHANNEL_STATS[k_classes]):
                 np.testing.assert_allclose(plane, (value / 255 - mean) / std, rtol=1e-6, atol=1e-6)
 
@@ -162,21 +166,26 @@ class TestLoadCifarBinary:
         path = tmp_path / "batch.bin"
         self._write_records(path, [3, 10])
         with pytest.raises(DataFormatError, match=r"label 10 outside \[0, 10\)"):
-            dt.load_cifar_binary([path], k_classes=10)
+            dt.load_cifar_binary([path])
 
-    @pytest.mark.parametrize("k_classes", [7, 20])
-    def test_only_the_two_record_layouts(self, tmp_path, k_classes):
-        # a 10-class file read as 20 classes would give a 20-way dataset with labels 0-9
-        path = tmp_path / "batch.bin"
-        self._write_records(path, [3, 9])
-        with pytest.raises(ConfigError, match=f"must be 10 or 100, the CIFAR record layouts; got {k_classes}"):
-            dt.load_cifar_binary([path], k_classes=k_classes)
+    @pytest.mark.parametrize("fit", ["neither", "both"])
+    def test_only_the_two_record_layouts(self, tmp_path, fit):
+        if fit == "neither":  # each file has a layout, but not the same one
+            paths = [tmp_path / "c10.bin", tmp_path / "c100.bin"]
+            self._write_records(paths[0], [3, 9])
+            self._write_records(paths[1], [5, 7], fine_labels=[42, 99])
+        else:  # 3073 * 3074 bytes are whole records of either layout
+            paths = [tmp_path / "both.bin"]
+            paths[0].write_bytes(bytes(3073 * 3074))
+        sizes = [path.stat().st_size for path in paths]
+        with pytest.raises(DataFormatError, match=re.escape(f"sizes {sizes} fit {fit} of the CIFAR record sizes 3073")):
+            dt.load_cifar_binary(paths)
 
     def test_wrong_record_stride(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 3000)
         with pytest.raises(DataFormatError, match="record size"):
-            dt.load_cifar_binary([path], k_classes=10)
+            dt.load_cifar_binary([path])
 
 
 class TestDatasetInvariants:
