@@ -151,17 +151,9 @@ def _check_file_value(opt, value):
         raise ConfigError(f"config key {opt.key!r}: {value!r} is not one of {list(opt.choices)}")
 
 
-def _validate(cfg, methods):
-    """Build all of ``cfg`` short of data, as each of ``methods`` reads it, so a bad value fails before any work."""
-    for method in methods:
-        make_train_config({**cfg, "method": method})
-    _parse_hidden(cfg["hidden"])
-    return cfg
-
-
 def resolve_config(args, methods=None):
-    """Defaults, then config file, then explicit flags; validated as ``methods`` (default: its own) read it.
-    Returns it and the flags given."""
+    """Defaults, then config file, then explicit flags. All of it short of data is built as each of ``methods``
+    (default: its own) reads it, so a bad value fails before any work, and a flag none of them reads is refused."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as f:
@@ -192,7 +184,12 @@ def resolve_config(args, methods=None):
     cfg.update(flags)
     if data_kind(cfg, flags) == "synth" and cfg["conv"] and args.subcommand in OPTION["conv"].commands:
         raise ConfigError("--conv needs image data (idx or cifar files); synth data has no image shape")
-    return _validate(cfg, methods or [cfg["method"]]), flags
+    methods = methods or [cfg["method"]]
+    for method in methods:
+        make_train_config({**cfg, "method": method})
+    _parse_hidden(cfg["hidden"])
+    _refuse_unread(flags, methods)
+    return cfg
 
 
 def _parse_mode(mode):
@@ -330,8 +327,7 @@ def _write_run(out_dir, model, metrics, manifest):
 
 
 def cmd_train(args):
-    cfg, flags = resolve_config(args)
-    _refuse_unread(flags, [cfg["method"]])
+    cfg = resolve_config(args)
     out_dir = args.out_dir or "run"
     model, metrics, manifest = run_training(cfg)
     _write_run(out_dir, model, metrics, manifest)
@@ -341,13 +337,10 @@ def cmd_train(args):
     return 0
 
 
-def _parse_method_token(token, base_cfg):
-    """The validated cell config for one ``--methods`` token."""
-    cfg = dict(base_cfg)
+def _parse_method_token(token, base):
+    """One ``--methods`` token's cell config, and the TrainConfig it trains."""
     name, _, spec = token.partition(":")
-    if name not in tr.METHODS:
-        raise ConfigError(f"unknown method {name!r} in --methods")
-    cfg["method"] = name
+    cfg = {**base, "method": name}
     overrides = set()
     for key, value in (pair.partition("=")[::2] for pair in filter(None, spec.split(","))):
         if key not in OPTION or not OPTION[key].token:
@@ -357,11 +350,11 @@ def _parse_method_token(token, base_cfg):
         overrides.add(key)
         cfg[key] = _convert(OPTION[key].type, value, f"method token {token!r}")
     try:
-        _validate(cfg, [name])
+        config = make_train_config(cfg)
         _refuse_unread(overrides, [name])
     except ConfigError as exc:
         raise ConfigError(f"method token {token!r}: {exc}") from None
-    return cfg
+    return cfg, config
 
 
 # NumPy's wheels link OpenBLAS, which reads its thread count from this variable
@@ -402,37 +395,40 @@ def _compare_cell(cfg):
 
 
 def _split_methods(spec):
-    """``--methods`` tokens; only a comma followed by a method name starts a new one."""
+    """``--methods`` tokens, at least one, each starting with a method name; only a comma followed by a method name
+    starts a new one."""
     tokens = []
     for piece in filter(None, spec.split(",")):
-        if tokens and piece.partition(":")[0] not in tr.METHODS:
+        if (name := piece.partition(":")[0]) in tr.METHODS:
+            tokens.append(piece)
+        elif tokens:
             tokens[-1] += "," + piece
         else:
-            tokens.append(piece)
+            raise ConfigError(f"unknown method {name!r} in --methods")
+    if not tokens:
+        raise ConfigError("--methods must list at least one method")
     return tokens
 
 
 def cmd_compare(args):
     tokens = _split_methods(args.methods or "")
-    names = {token.partition(":")[0] for token in tokens}
-    base, flags = resolve_config(args, [m for m in tr.METHODS if m in names])  # as the tokens' methods read it
-    if not tokens:
-        raise ConfigError("--methods must list at least one method")
+    base = resolve_config(args, dict.fromkeys(token.partition(":")[0] for token in tokens))  # as tokens read it
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     if base["epochs"] < 1:
         raise ConfigError(f"compare needs epochs >= 1 to report a top-1, got {base['epochs']}")
-    # every cell is validated before the first one trains
-    seeds = range(base["seed"], base["seed"] + args.seeds)
-    jobs = [_parse_method_token(token, {**base, "seed": seed}) for token in tokens for seed in seeds]
-    _refuse_unread(flags, dict.fromkeys(cfg["method"] for cfg in jobs))
-    # a token overrides only what its method reads, so two tokens differ in what they train iff their configs do
-    first_token = {}
-    for token, cfg in zip(tokens, jobs[:: args.seeds]):
-        config = make_train_config(cfg)
+    # every cell is checked before the first one trains
+    cells, first_token = [], {}
+    for token in tokens:
+        cfg, config = _parse_method_token(token, base)
+        # a token overrides only what its method reads, so two tokens differ in what they train iff their configs do
         if config in first_token:
             raise ConfigError(f"method tokens {first_token[config]!r} and {token!r} train the same config")
         first_token[config] = token
+        cells.append(cfg)
+    seeds = range(base["seed"], base["seed"] + args.seeds)
+    SamplerConfig(seed=seeds[-1])  # the base seed is in range, so the last one bounds the rest
+    jobs = [{**cfg, "seed": seed} for cfg in cells for seed in seeds]
     workers = min(len(jobs), _usable_cores())  # with one worker the cells run in-process
     results = _map_pinned(_compare_cell, jobs, workers) if workers > 1 else [_compare_cell(cfg) for cfg in jobs]
     lines = ["method\tmean_top1\tstd_top1\tseeds"]
@@ -448,7 +444,7 @@ def cmd_compare(args):
 
 
 def cmd_targets(args):
-    cfg, _ = resolve_config(args, ["bake"])  # soft targets read the bake settings, whatever the method
+    cfg = resolve_config(args, ["bake"])  # soft targets read the bake settings, whatever the method
     if args.rows < 1:
         raise ConfigError("--rows must be >= 1")
     if not args.checkpoint:

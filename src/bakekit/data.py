@@ -100,7 +100,7 @@ def _read_idx_header(blob, path, expected_magic, n_dims):
 def load_idx(images_path, labels_path):
     """Load an IDX image/label file pair (big-endian headers, byte pixels).
 
-    Images are 1 x rows x cols, and the class count is 1 + the largest label."""
+    Images are 1 x rows x cols, at least one pixel each, and the class count is 1 + the largest label."""
     with open(images_path, "rb") as f:
         img_blob = f.read()
     with open(labels_path, "rb") as f:
@@ -108,6 +108,8 @@ def load_idx(images_path, labels_path):
     (count, rows, cols), pixels = _read_idx_header(img_blob, images_path, IDX_IMAGES_MAGIC, 3)
     if count == 0:
         raise DataFormatError(f"{images_path}: holds no examples")
+    if rows == 0 or cols == 0:
+        raise DataFormatError(f"{images_path}: its {rows}x{cols} images hold no pixels")
     expected = count * rows * cols
     if len(pixels) != expected:
         raise DataFormatError(
@@ -124,7 +126,7 @@ def load_idx(images_path, labels_path):
         )
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     inputs = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
-    return Dataset(inputs.astype(np.float32) / 255.0, labels, 1 + int(labels.max()), (1, rows, cols))
+    return Dataset(np.divide(inputs, 255.0, dtype=np.float32), labels, 1 + int(labels.max()), (1, rows, cols))
 
 
 def load_cifar_binary(paths):
@@ -141,12 +143,10 @@ def load_cifar_binary(paths):
             f"sizes 3073 (CIFAR-10) and 3074 (CIFAR-100)"
         )
     [(k_classes, label_bytes)] = fits
-    all_inputs, all_labels = [], []
-    for path in paths:
-        with open(path, "rb") as f:
-            raw = np.frombuffer(f.read(), dtype=np.uint8).reshape(-1, label_bytes + 3072)
-        all_labels.append(raw[:, label_bytes - 1].astype(np.int64))
-        all_inputs.append(raw[:, label_bytes:].astype(np.float32) / 255.0)
+    raw = np.concatenate([np.fromfile(path, dtype=np.uint8) for path in paths]).reshape(-1, label_bytes + 3072)
+    # one float32 array, normalised in place; the explicit dtype keeps NumPy 1.x from dividing in float64
+    inputs = np.divide(raw[:, label_bytes:], 255.0, dtype=np.float32)
     mean, std = (np.repeat(np.asarray(row, dtype=np.float32), 1024) for row in CIFAR_CHANNEL_STATS[k_classes])
-    inputs = (np.concatenate(all_inputs) - mean) / std
-    return Dataset(inputs, np.concatenate(all_labels), k_classes, (3, 32, 32))
+    inputs -= mean
+    inputs /= std
+    return Dataset(inputs, raw[:, label_bytes - 1], k_classes, (3, 32, 32))

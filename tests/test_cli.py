@@ -141,6 +141,20 @@ class TestTrainCommand:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("conv", [[], ["--conv"]], ids=["mlp", "conv"])
+    def test_zero_pixel_idx_images_exit_3_before_training(self, tmp_path, capsys, monkeypatch, conv):
+        # the model would otherwise be built on 0 inputs and refused as a config error
+        calls = []
+        monkeypatch.setattr(cli.tr, "train", lambda *args: calls.append(args))
+        split = np.zeros((8, 0, 5)), np.arange(8) % 4
+        flags = idx_flags(tmp_path, split, split)
+        code, out = run_train(tmp_path, "x", extra=conv, data=flags)
+        assert code == 3
+        train_images = flags[flags.index("--idx-train-images") + 1]
+        assert capsys.readouterr().err == f"data error: {train_images}: its 0x5 images hold no pixels\n"
+        assert calls == []
+        assert not out.exists()
+
     def test_nonexistent_config_file_exits_3(self, tmp_path):
         code = cli.main(
             ["train", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "x")]

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,12 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match=f"{img.name}: holds no examples"):
             dt.load_idx(img, lbl)
 
+    @pytest.mark.parametrize("rows,cols", [(0, 5), (5, 0)])
+    def test_zero_pixel_images(self, tmp_path, rows, cols):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((8, rows, cols)), np.arange(8) % 4)
+        with pytest.raises(DataFormatError, match=f"{img.name}: its {rows}x{cols} images hold no pixels"):
+            dt.load_idx(img, lbl)
+
     def test_loader_determinism(self, tmp_path):
         rng = np.random.default_rng(1)
         pair = write_idx_pair(
@@ -125,15 +132,13 @@ class TestLoadIdx:
 
 
 class TestLoadCifarBinary:
-    def _write_records(self, path, labels, fine_labels=None):
-        rng = np.random.default_rng(0)
-        with open(path, "wb") as f:
-            for i, y in enumerate(labels):
-                if fine_labels is not None:
-                    f.write(bytes([y, fine_labels[i]]))
-                else:
-                    f.write(bytes([y]))
-                f.write(rng.integers(0, 256, size=3072, dtype=np.uint8).tobytes())
+    def _write_records(self, path, labels, fine_labels=None, seed=0):
+        """One record of random pixels per label (after its fine label under CIFAR-100); returns them as uint8 rows."""
+        columns = [labels] if fine_labels is None else [labels, fine_labels]
+        pixels = np.random.default_rng(seed).integers(0, 256, size=(len(labels), 3072))
+        raw = np.column_stack([*columns, pixels]).astype(np.uint8)
+        raw.tofile(path)
+        return raw
 
     def test_single_record_scaled(self, tmp_path):
         path = tmp_path / "batch.bin"
@@ -161,6 +166,42 @@ class TestLoadCifarBinary:
             planes = ds.inputs.reshape(3, 1024)
             for plane, value, mean, std in zip(planes, values, *dt.CIFAR_CHANNEL_STATS[k_classes]):
                 np.testing.assert_allclose(plane, (value / 255 - mean) / std, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("k_classes", [10, 100])
+    def test_inputs_are_the_reference_normalisation_bit_for_bit(self, tmp_path, k_classes):
+        labels = np.arange(9)
+        raw = self._write_records(tmp_path / "batch.bin", labels, labels * 11 if k_classes == 100 else None, k_classes)
+        lb = dt.CIFAR_LABEL_BYTES[k_classes]
+        mean, std = (np.repeat(np.asarray(row, dtype=np.float32), 1024) for row in dt.CIFAR_CHANNEL_STATS[k_classes])
+        expected = ((raw[:, lb:].astype(np.float32) / 255.0) - mean) / std
+        ds = dt.load_cifar_binary([tmp_path / "batch.bin"])
+        assert ds.inputs.dtype == np.float32 and ds.inputs.tobytes() == expected.tobytes()
+        assert np.array_equal(ds.labels, raw[:, lb - 1])
+
+    @pytest.mark.parametrize("k_classes", [10, 100])
+    def test_several_files_load_as_their_concatenation(self, tmp_path, k_classes):
+        paths = [tmp_path / f"{i}.bin" for i in range(3)]
+        for i, (path, records) in enumerate(zip(paths, (5, 1, 3))):
+            labels = np.arange(records) + i
+            self._write_records(path, labels, labels * 11 if k_classes == 100 else None, seed=i)
+        alone = [dt.load_cifar_binary([path]) for path in paths]
+        joined = dt.load_cifar_binary(paths)
+        assert joined.inputs.tobytes() == np.concatenate([ds.inputs for ds in alone]).tobytes()
+        assert joined.labels.tobytes() == np.concatenate([ds.labels for ds in alone]).tobytes()
+        assert (joined.num_classes, joined.image_shape) == (k_classes, (3, 32, 32))
+
+    def test_peak_memory_is_near_the_inputs(self, tmp_path):
+        # one float32 array per split: the bytes read add about a quarter, not another copy of the inputs
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for i, path in enumerate(paths):
+            self._write_records(path, np.arange(500) % 20, np.arange(500) % 100, seed=i)
+        tracemalloc.start()
+        try:
+            ds = dt.load_cifar_binary(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ds.inputs.nbytes, peak / ds.inputs.nbytes
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "batch.bin"
