@@ -115,7 +115,7 @@ def affinity_matrix(features):
         raise ShapeMismatchError(f"zero feature row at index {np.flatnonzero(norms == 0.0)[0]}")
     fn = features / norms[:, None]
     sims = fn @ fn.T
-    sims.reshape(-1)[:: n + 1] = -np.inf  # the diagonal: a matmul result is C order, so this is a view
+    np.fill_diagonal(sims, -np.inf)
     return _softmax_rows(sims)
 
 
@@ -142,8 +142,8 @@ def propagate_closed_form(a, p, omega):
             f"closed-form propagation requires omega < 1 (got {omega}); "
             "use iterate mode for omega = 1"
         )
-    system = np.multiply(a, -omega, order="C")  # C order, so reshape(-1) is a view
-    system.reshape(-1)[:: a.shape[0] + 1] += 1.0  # I - omega*A, through a strided view of its diagonal
+    system = a * -omega
+    system.flat[:: a.shape[0] + 1] += 1.0  # I - omega*A: flat indexes in C order, whatever the memory order
     q = linear_solve(system, p)
     q *= 1.0 - omega
     return q

@@ -182,12 +182,16 @@ def resolve_config(args, methods=None):
         cfg.update(loaded)
     flags = {key: value for key in DEFAULTS if (value := getattr(args, key, None)) is not None}
     cfg.update(flags)
-    if data_kind(cfg, flags) == "synth" and cfg["conv"] and args.subcommand in OPTION["conv"].commands:
+    synth_run = data_kind(cfg, flags) == "synth" and args.subcommand in TRAINING
+    if synth_run and cfg["conv"]:
         raise ConfigError("--conv needs image data (idx or cifar files); synth data has no image shape")
     methods = methods or [cfg["method"]]
     for method in methods:
         make_train_config({**cfg, "method": method})
-    _parse_hidden(cfg["hidden"])
+    hidden = _parse_hidden(cfg["hidden"])
+    if synth_run:  # what the run's data and model would refuse, refused before any data is drawn
+        dt.check_synth(cfg["synth_classes"], cfg["synth_per_class"], cfg["synth_dim"], cfg["synth_spread"])
+        md.ModelDescriptor(cfg["synth_dim"], cfg["synth_classes"], hidden)
     _refuse_unread(flags, methods)
     return cfg
 

@@ -60,16 +60,18 @@ def build_class_index(labels):
     return dict(zip(classes.tolist(), np.split(order, starts[1:])))
 
 
+def check_synth(k_classes, per_class, dim, spread):
+    """Refuse the parameters ``synth_clusters`` cannot draw from: a count below 1, or a spread not finite and > 0."""
+    if k_classes < 1 or per_class < 1 or dim < 1 or not 0 < spread < math.inf:
+        raise ConfigError(f"invalid synth parameters: k={k_classes} per_class={per_class} dim={dim} spread={spread}")
+
+
 def synth_clusters(k_classes, per_class, dim, spread, seed):
     """Isotropic Gaussian clusters around seeded random centers.
 
     Returns disjoint (train, test) datasets of per_class and per_class // 5
-    (at least 1) examples per class. ``spread`` must be finite and > 0."""
-    if k_classes < 1 or per_class < 1 or dim < 1 or not 0 < spread < math.inf:
-        raise ConfigError(
-            f"invalid synth parameters: k={k_classes} per_class={per_class} "
-            f"dim={dim} spread={spread}"
-        )
+    (at least 1) examples per class; ``check_synth`` refuses the rest."""
+    check_synth(k_classes, per_class, dim, spread)
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(k_classes, dim))
 

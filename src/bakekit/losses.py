@@ -28,20 +28,16 @@ def _check_rows(q, z):
         raise ShapeMismatchError(f"target row {bad[0]} sums to {q[bad[0]].sum():.8f}, expected 1")
 
 
-def _kl(logits, targets, tau, row_max=None):
-    """The value of ``kl_distillation`` and its gradient function, on the logits' data.
-
-    ``row_max`` is the logits' row max, if already known: scaling by 1/tau > 0
-    rounds monotonically, so the scaled logits' row max is exactly it times 1/tau."""
+def _kl(logits, targets, tau):
+    """The value of ``kl_distillation`` and its gradient function, on the logits' data."""
     dtype = logits.data.dtype
     inv_tau, tau_sq = temperature_factors(tau, dtype)
     q = np.asarray(targets, dtype=np.float64)
     _check_rows(q, logits.data)
-    # 0 * log 0 is taken as 0; the mask is needed only where some q is 0
-    qlogq = np.log(q) if q.min(initial=1.0) > 0.0 else np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    qlogq = np.log(q, out=np.zeros_like(q), where=q > 0.0)  # 0 * log 0 is taken as 0
     qlogq *= q
     neg_entropy = np.asarray(float(qlogq.sum()) / q.shape[0], dtype=dtype)
-    cross, grad = soft_xent(logits.data * inv_tau, q.astype(dtype), None if row_max is None else row_max * inv_tau)
+    cross, grad = soft_xent(logits.data * inv_tau, q.astype(dtype))
     return (cross + neg_entropy) * tau_sq, lambda g: grad(g * tau_sq) * inv_tau
 
 
@@ -66,9 +62,8 @@ def bake_loss(logits, labels, targets, tau, weight):
     are checked as ``kl_distillation`` checks them.
     """
     z = logits.data
-    row_max = z.max(axis=1, keepdims=True)
-    kl, kl_grad = _kl(logits, targets, tau, row_max)
-    ce, ce_grad = soft_xent(z, one_hot(labels, z.shape[1], z.dtype), row_max)
+    kl, kl_grad = _kl(logits, targets, tau)
+    ce, ce_grad = soft_xent(z, one_hot(labels, z.shape[1], z.dtype))
     weight = np.asarray(weight, dtype=z.dtype)
     loss = loss_node(logits, ce + kl * weight, lambda g: ce_grad(g) + kl_grad(g * weight))
     return loss, float(ce), float(kl)

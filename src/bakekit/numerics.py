@@ -111,15 +111,14 @@ def _toposort(root):
     return order
 
 
-def _accumulate(node, g, upstream=None):
+def _accumulate(node, g):
     """Add contribution ``g`` to ``node.grad``, storing an interior node's first one.
 
     A leaf's ``grad`` was zero-filled by ``backward``, so every contribution
-    is added to it. ``upstream`` is the consumer's own gradient: a first
-    contribution that may be a view of it is copied, so no two nodes share a
-    gradient array."""
+    is added to it. ``g`` must be an array no other node's gradient shares:
+    each vjp hands over a fresh one."""
     if node.grad is None:
-        node.grad = g.copy() if upstream is not None and np.may_share_memory(g, upstream) else g
+        node.grad = g
     else:
         node.grad += g
 
@@ -140,7 +139,7 @@ def reshape(x, *shape):
 
     def vjp(g, x=x):
         if x.requires_grad:
-            _accumulate(x, g.reshape(old), g)
+            _accumulate(x, g.reshape(old).copy())  # a reshape may be a view of g
 
     return Tensor._op(x.data.reshape(*shape), (x,), vjp)
 
@@ -173,14 +172,13 @@ def linear(x, w, b):
 # -- loss ----------------------------------------------------------------
 
 
-def soft_xent(x, t, row_max=None):
+def soft_xent(x, t):
     """Mean over the rows of -sum_k t[k] * log softmax(x)[k], on arrays of one dtype.
 
-    ``row_max``, if given, is ``x.max(axis=1, keepdims=True)`` already known.
     Returns the value and ``grad``, which maps an upstream gradient ``g`` to the
     gradient of ``g`` times the value with respect to ``x``."""
     scale = -1.0 / x.shape[0]
-    shifted = x - (x.max(axis=1, keepdims=True) if row_max is None else row_max)
+    shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     sums = e.sum(axis=1, keepdims=True)
     shifted -= np.log(sums)  # log softmax(x)

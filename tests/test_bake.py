@@ -153,6 +153,15 @@ class TestPropagation:
             q = propagate_closed_form(a, p, omega)
             assert np.abs(q - omega * (a @ q) - (1.0 - omega) * p).max() <= 1e-12
 
+    def test_closed_form_ignores_memory_order(self):
+        # the diagonal of I - omega*A is found by index, not through a view that only C order gives
+        rng = np.random.default_rng(5)
+        a = affinity_matrix(rng.normal(size=(9, 4)))
+        p = random_prob_rows(rng, 9, 3)
+        q = propagate_closed_form(a, p, 0.7)
+        assert np.array_equal(propagate_closed_form(np.asfortranarray(a), p, 0.7), q)
+        assert np.array_equal(propagate_closed_form(a, np.asfortranarray(p), 0.7), q)
+
     def test_closed_form_rejects_omega_one(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ConfigError, match="iterate mode"):

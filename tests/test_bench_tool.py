@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -111,3 +113,30 @@ def test_failed_micro_check_raises_and_writes_no_file(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="micro check failed: broken"):
         bench.main(tmp_path / "BENCH.json")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_tiny_fingerprints_are_equal():
+    done = subprocess.run([sys.executable, str(BENCH_PATH), "--fingerprint", "--tiny"],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    printed = json.loads(done.stdout)
+    assert printed == bench.fingerprint(True)
+    assert printed["tiny"] is True and printed["seeds"] == [1, 2, 3]
+    assert set(printed["runs"]) == {"bake_desk", "vanilla_desk", "bake_wide"}
+    for runs in printed["runs"].values():
+        assert list(runs) == ["1", "2", "3"]
+        assert all(len(run["metrics"]) == len(run["model"]) == 64 for run in runs.values())
+
+
+def test_another_lr_changes_the_fingerprint(monkeypatch, capsys):
+    import specs  # on the path bench.py sets up
+
+    bench.train_fingerprints(True)
+    base = json.loads(capsys.readouterr().out)
+    real = specs.config
+    monkeypatch.setattr(specs, "config", lambda name, seed, tiny: {**real(name, seed, tiny), "lr": 0.05})
+    bench.train_fingerprints(True)
+    moved = json.loads(capsys.readouterr().out)
+    assert base.keys() == moved.keys()
+    for name, runs in base.items():
+        for seed, run in runs.items():
+            assert run["metrics"] != moved[name][seed]["metrics"] and run["model"] != moved[name][seed]["model"]

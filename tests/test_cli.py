@@ -403,6 +403,35 @@ class TestTrainCommand:
             )
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,error",
+        [
+            (["--synth-classes", "1"],
+             "invalid model descriptor: ModelDescriptor(input_dim=8, num_classes=1, hidden=(256, 128), conv_stem=None)"),
+            (["--synth-classes", "0"], "invalid synth parameters: k=0 per_class=40 dim=8 spread=3.0"),
+            (["--synth-per-class", "0"], "invalid synth parameters: k=4 per_class=0 dim=8 spread=3.0"),
+            (["--synth-dim", "0"], "invalid synth parameters: k=4 per_class=40 dim=0 spread=3.0"),
+            (["--synth-spread", "0"], "invalid synth parameters: k=4 per_class=40 dim=8 spread=0.0"),
+            (["--synth-spread", "-1"], "invalid synth parameters: k=4 per_class=40 dim=8 spread=-1.0"),
+            (["--synth-spread", "nan"], "invalid synth parameters: k=4 per_class=40 dim=8 spread=nan"),
+            (["--synth-spread", "inf"], "invalid synth parameters: k=4 per_class=40 dim=8 spread=inf"),
+        ],
+        ids=["classes-1", "classes-0", "per-class-0", "dim-0", "spread-0", "spread-negative", "spread-nan", "spread-inf"],
+    )
+    def test_bad_synth_settings_are_refused_before_any_work(self, tmp_path, capsys, monkeypatch, flags, error):
+        # the messages the data or the model would give, but before any data is drawn or any worker starts
+        def no_work(*_):
+            raise AssertionError("a run trained or workers started before the synth settings were refused")
+
+        monkeypatch.setattr(cli, "run_training", no_work)
+        monkeypatch.setattr(cli, "_map_pinned", no_work)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        out = tmp_path / "run"
+        for argv in (["train", *SMALL], ["compare", *SMALL, "--methods", "vanilla,bake", "--seeds", "2"]):
+            assert cli.main([*argv, *flags, "--out-dir", str(out)]) == 2
+            assert capsys.readouterr().err == f"config error: {error}\n"
+            assert not out.exists()
+
     def test_default_recipe_is_library_default(self):
         assert cli.make_train_config(cli.DEFAULTS) == TrainConfig()
         assert cli._parse_hidden(cli.DEFAULTS["hidden"]) == ModelDescriptor.hidden

@@ -138,6 +138,26 @@ class TestBackward:
             for b in nodes[i + 1 :]:
                 assert not np.shares_memory(a.grad, b.grad)
 
+    def test_conv_model_bake_loss_gradients_never_overlap(self):
+        # every vjp hands _accumulate a fresh array: after a bake step through
+        # the conv stem, no node's gradient shares memory with another's
+        from bakekit import bake, losses
+
+        rng = np.random.default_rng(16)
+        stem = md.ConvStem(2, 14, 14)
+        model = md.init(md.ModelDescriptor(2 * 14 * 14, 4, hidden=(12, 6), conv_stem=stem), seed=0)
+        y = np.arange(8) % 4
+        features, logits = model.forward(rng.normal(size=(8, 2 * 14 * 14)))
+        targets = bake.build_soft_targets(features, logits, labels=y)
+        loss = losses.bake_loss(logits, y, targets, 4.0, 1.0)[0]
+        loss.backward()
+        nodes = nm._toposort(loss)
+        ops = {node._vjp.__qualname__.split(".")[0] for node in nodes if node._vjp is not None}
+        assert {"reshape", "conv2d", "relu", "avg_pool2d", "linear"} <= ops
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1 :]:
+                assert not np.shares_memory(a.grad, b.grad)
+
     def test_leaf_used_by_two_ops_gets_both_contributions(self):
         # x feeds a relu and, as the weights, a linear: backward zero-fills
         # x's gradient array once and both contributions are added to it

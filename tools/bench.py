@@ -1,6 +1,8 @@
-"""Run every BENCHMARK.json workload on seeds 1-5 and write one BENCH_<n>.json.
+"""Run every BENCHMARK.json workload on seeds 1-5 and write one BENCH_<n>.json,
+or print the workloads' training fingerprint.
 
     python3 tools/bench.py BENCH_<n>.json
+    python3 tools/bench.py --fingerprint [--tiny]
 
 Each run is BENCHMARK.json's command with ``--workload W --seed s --seconds
 <run_seconds> --trace 0``, in a fresh interpreter from the repository root,
@@ -28,12 +30,22 @@ backward, over the median of the vanilla step at the same shape. The shapes are
 desk (N=64, K=10), bake_wide's (N=256, K=100) and a CIFAR-100 encoder with the
 conv stem (3x32x32, N=64, K=100), all with MLP 256,128 on models that compute
 in float32, as every run does. The section also holds the ``env`` line.
+
+``--fingerprint`` writes no file. It trains each workload at seeds 1-3 through
+``cli.run_training(specs.config(workload, seed, tiny))``, all in one child
+interpreter started with OPENBLAS_NUM_THREADS=1, and prints one JSON object:
+per workload and seed, the SHA-256 of the per-epoch metrics (every
+``EpochMetrics`` field but ``wall_seconds``, as float64 bytes) and of the final
+``model.flat`` bytes. Two trees train byte-identically on one host when their
+fingerprints are equal. ``--tiny`` trains the smoke-test sizes of ``specs.TINY``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 import resource
 import statistics
 import subprocess
@@ -44,6 +56,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 4, 5)
+FINGERPRINT_SEEDS = (1, 2, 3)
 REPEATS = 5
 LOOP_S = 0.2
 # classes K, examples per class, input (an MLP's dim, or C, H, W through the conv stem), n_hat at M=1
@@ -198,6 +211,40 @@ def first_cell():
     }
 
 
+def workload_names():
+    return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def train_fingerprints(tiny):
+    """Train each workload at FINGERPRINT_SEEDS in this interpreter; {workload: {seed: {"metrics", "model"}}} hashes."""
+    from dataclasses import asdict
+
+    import numpy as np
+    import specs
+    from bakekit.cli import run_training
+
+    runs = {}
+    for name in workload_names():
+        runs[name] = {}
+        for seed in FINGERPRINT_SEEDS:
+            with np.errstate(all="ignore"):  # vanilla_desk diverges (a known defect): its warnings are noise here
+                model, metrics, _ = run_training(specs.config(name, seed, tiny))
+            rows = [[v for key, v in asdict(m).items() if key != "wall_seconds"] for m in metrics]
+            runs[name][str(seed)] = {
+                "metrics": hashlib.sha256(np.array(rows, np.float64).tobytes()).hexdigest(),
+                "model": hashlib.sha256(model.flat.tobytes()).hexdigest(),
+            }
+    print(json.dumps(runs))
+
+
+def fingerprint(tiny):
+    """``train_fingerprints`` in a fresh interpreter with one BLAS thread, as one JSON object."""
+    argv = [sys.executable, "-c", f"import bench; bench.train_fingerprints({bool(tiny)})"]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(argv, cwd=ROOT / "tools", env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return {"tiny": bool(tiny), "seeds": list(FINGERPRINT_SEEDS), "runs": json.loads(done.stdout.splitlines()[-1])}
+
+
 def parse(stdout):
     """(env, result) from one benchmark run's standard output."""
     lines = stdout.splitlines()
@@ -223,7 +270,7 @@ def aggregate(seeds, runs):
 
 def main(out):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
+    workloads = workload_names()
     runs = {name: [] for name in workloads}
     for seed in SEEDS:
         for name in workloads:
@@ -247,6 +294,10 @@ def main(out):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    args = sys.argv[1:]
+    if args[:1] == ["--fingerprint"] and args[1:] in ([], ["--tiny"]):
+        print(json.dumps(fingerprint(args[1:] == ["--tiny"]), indent=1, sort_keys=True))
+    elif len(args) == 1 and not args[0].startswith("-"):
+        main(args[0])
+    else:
         sys.exit(__doc__)
-    main(sys.argv[1])
