@@ -23,7 +23,7 @@ from . import models as md
 from . import trainer as tr
 from .bake import KNOWLEDGE_SOURCES, BakeConfig, build_soft_targets
 from .errors import ConfigError, DataFormatError
-from .sampling import SAMPLER_VERSION, SamplerConfig, epoch_batches
+from .sampling import SAMPLER_VERSION, SamplerConfig, batch_count, epoch_batches
 
 
 SUBCOMMANDS = ("train", "compare", "targets")
@@ -192,6 +192,7 @@ def resolve_config(args, methods=None):
     if synth_run:  # what the run's data and model would refuse, refused before any data is drawn
         dt.check_synth(cfg["synth_classes"], cfg["synth_per_class"], cfg["synth_dim"], cfg["synth_spread"])
         md.ModelDescriptor(cfg["synth_dim"], cfg["synth_classes"], hidden)
+        batch_count(cfg["synth_classes"] * cfg["synth_per_class"], cfg["n_hat"])  # the train split fills a batch
     _refuse_unread(flags, methods)
     return cfg
 

@@ -38,6 +38,13 @@ class SamplerConfig:
         return self.n_hat * (self.m + 1)
 
 
+def batch_count(examples, n_hat):
+    """The full batches of n_hat anchors that ``examples`` examples fill; none is a ConfigError."""
+    if examples < n_hat:
+        raise ConfigError(f"dataset too small for one batch: {examples} examples, fewer than n_hat={n_hat}")
+    return examples // n_hat
+
+
 def epoch_batches(class_index, cfg, epoch):
     """One epoch's batches, deterministic in (cfg, epoch): an int64 array of
     example ids with one row of n_hat * (m + 1) per batch.
@@ -57,9 +64,7 @@ def epoch_batches(class_index, cfg, epoch):
     if not class_index or any(len(v) == 0 for v in class_index.values()):
         raise ConfigError("class_index must be nonempty with nonempty classes")
     members = np.concatenate(list(class_index.values()), dtype=np.int64)
-    n_batches = len(members) // cfg.n_hat
-    if n_batches == 0:
-        raise ConfigError(f"dataset too small for one batch: {len(members)} examples, fewer than n_hat={cfg.n_hat}")
+    n_batches = batch_count(len(members), cfg.n_hat)
     rng = np.random.default_rng(np.uint64(cfg.seed) ^ np.uint64(epoch))
     sizes = np.array([len(ids) for ids in class_index.values()])
     class_start = np.repeat(np.cumsum(sizes) - sizes, sizes)

@@ -14,7 +14,9 @@ from .errors import ConfigError
 from .sampling import SamplerConfig, epoch_batches
 
 METHODS = ("vanilla", "label_smoothing", "bake")
-EVAL_BATCH = 512  # test examples per forward in ``evaluate``
+# test examples per forward in ``evaluate``: the default training batch, so evaluation never holds more
+# activations (or conv-stem im2col buffers) than a training step of the default recipe
+EVAL_BATCH = SamplerConfig().batch_size
 
 
 @dataclass(frozen=True)

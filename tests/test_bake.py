@@ -118,6 +118,12 @@ class TestPropagation:
         p = random_prob_rows(rng, 4, 3)
         assert np.array_equal(propagate_iterative(a, p, 0.0, 7), p)
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_iterative_needs_one_round(self, t):
+        # zero rounds would hand back P itself, which ignores omega and the batch
+        with pytest.raises(ConfigError, match=f"iteration count must be >= 1, got {t}"):
+            propagate_iterative(np.eye(2), np.eye(2), 0.5, t)
+
     def test_iterative_2x2_geometric_limit(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         q = propagate_iterative(a, np.eye(2), 0.5, 50)

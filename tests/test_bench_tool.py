@@ -140,3 +140,115 @@ def test_another_lr_changes_the_fingerprint(monkeypatch, capsys):
     for name, runs in base.items():
         for seed, run in runs.items():
             assert run["metrics"] != moved[name][seed]["metrics"] and run["model"] != moved[name][seed]["model"]
+
+
+def test_micro_times_a_one_case_table(monkeypatch):
+    # a clock that only the case moves: each call takes 1 ms, so the loops and the timings are known
+    clock = SimpleNamespace(now=0.0)
+    calls = []
+
+    def case():
+        calls.append(1)
+        clock.now += 0.001
+        return len(calls)
+
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+    monkeypatch.setattr(bench, "LOOP_S", 0.004)
+    timed = bench.micro([("one", case, lambda first: first == 1)])
+    assert len(calls) == 2 + bench.REPEATS * 4  # the checked call, the sizing call, then 4 calls per repeat
+    assert list(timed["cases"]) == ["one"] and timed["overhead_share"] == {}
+    assert timed["cases"]["one"]["values"] == pytest.approx([0.001] * bench.REPEATS)
+    assert timed["unit"] == "s/call" and set(timed["env"]) >= {"blas_threads", "numpy", "cores"}
+
+
+def parent_tree(tmp_path):
+    """A directory holding what ``--against`` looks for."""
+    tree = tmp_path / "parent"
+    (tree / "src" / "bakekit").mkdir(parents=True)
+    (tree / "perfbench").mkdir()
+    (tree / "BENCHMARK.json").write_text("{}")
+    return tree
+
+
+# made-up examples_per_s of seeds 1-5; the change's differences are 3, 0, -1, 4 and 3
+PARENT_RATES, CHANGE_RATES = [100.0, 104.0, 98.0, 101.0, 99.0], [103.0, 104.0, 97.0, 105.0, 102.0]
+
+
+def fake_pairs(parent, calls, parent_top1=0.5):
+    """``subprocess.run`` for ``main_against``: a run in ``parent`` is the parent's, any other the change's."""
+    env = {"blas_threads": 2, "numpy": "2.0.0", "cores": 2}
+
+    def run(argv, cwd, **kwargs):
+        side = "parent" if Path(cwd).is_relative_to(parent) else "change"
+        if argv[1:3] == ["-c", "import bench; bench.train_fingerprints(False)"]:
+            calls.append((side, "fingerprint"))
+            return SimpleNamespace(stdout=json.dumps({"bake_desk": {"1": {"metrics": "m", "model": side}}}) + "\n")
+        name, seed = argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])
+        calls.append((side, name, seed))
+        rate = (PARENT_RATES if side == "parent" else CHANGE_RATES)[seed - 1]
+        return SimpleNamespace(stdout=stdout(env, rate, parent_top1 if side == "parent" else 0.5, 0))
+
+    return run
+
+
+def test_pairs_alternate_and_match_a_hand_count(tmp_path, monkeypatch):
+    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench.subprocess, "run", fake_pairs(parent, calls))
+    bench.main_against(out, parent, False)
+    names = bench.workload_names()
+    expected = [(side, name, seed) for seed, first in zip(bench.SEEDS, ["parent", "change"] * 3) for name in names
+                for side in (first, "change" if first == "parent" else "parent")]
+    assert calls == [*expected, ("parent", "fingerprint"), ("change", "fingerprint")]
+    report = json.loads(out.read_text())
+    assert report["first"] == ["parent", "change", "parent", "change", "parent"] and report["moves_bits"] is False
+    assert report["fingerprint"]["equal"] is False  # the made-up model hashes name their side
+    assert report["fingerprint"]["parent"]["runs"]["bake_desk"]["1"]["model"] == "parent"
+    for name in names:
+        workload = report["workloads"][name]
+        assert workload["parent"]["metrics"]["examples_per_s"]["values"] == PARENT_RATES
+        assert workload["change"]["metrics"]["examples_per_s"]["values"] == CHANGE_RATES
+        # higher is better: wins at seeds 1, 4 and 5, a tie at 2; the median difference is 3;
+        # the parent's quartiles are 99 and 101
+        assert workload["pairs"]["examples_per_s"] == {"wins": 3, "n": 5, "median_diff": 3.0, "parent_iqr": 2.0}
+        assert workload["pairs"]["final_top1"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0}
+
+
+def test_pair_wins_follow_the_metrics_direction():
+    # lower is better: the change wins where it is below the parent; a tie counts for neither side
+    assert bench.pair([42.8, 42.7, 42.9], [41.7, 42.7, 43.0], "lower") == {
+        "wins": 1, "n": 3, "median_diff": pytest.approx(0.0), "parent_iqr": pytest.approx(0.1)
+    }
+    assert bench.pair([42.8, 42.7, 42.9], [41.7, 42.7, 43.0], "higher")["wins"] == 1
+
+
+def test_top1_mismatch_exits_and_writes_no_file(tmp_path, monkeypatch):
+    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench.subprocess, "run", fake_pairs(parent, calls, parent_top1=0.49))
+    with pytest.raises(SystemExit, match=r"seed 1: parent and change end at top-1 \[0.49, 0.5\]") as exc:
+        bench.main_against(out, parent, False)
+    assert exc.value.code != 0
+    assert len(calls) == 2 and not out.exists()  # the first pair stops it
+    bench.main_against(out, parent, True)  # declared bit-moving: every pair runs and the file is written
+    assert json.loads(out.read_text())["moves_bits"] is True
+
+
+@pytest.mark.parametrize("kind", ["missing", "empty", "no-sources"])
+def test_against_a_missing_or_foreign_dir_exits_2(tmp_path, monkeypatch, kind):
+    tree = tmp_path / "parent"
+    if kind != "missing":
+        tree.mkdir()
+    if kind == "no-sources":
+        (tree / "BENCHMARK.json").write_text("{}")
+        (tree / "perfbench").mkdir()
+    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exc:
+        bench.main_against(tmp_path / "BENCH.json", tree, False)
+    assert exc.value.code == 2
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_against_from_the_command_line_exits_2_on_a_missing_dir(tmp_path):
+    argv = [sys.executable, str(BENCH_PATH), str(tmp_path / "BENCH.json"), "--against", str(tmp_path / "nowhere")]
+    done = subprocess.run(argv, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 2 and "is not a bakekit checkout" in done.stderr
+    assert list(tmp_path.iterdir()) == []

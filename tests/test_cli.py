@@ -415,8 +415,13 @@ class TestTrainCommand:
             (["--synth-spread", "-1"], "invalid synth parameters: k=4 per_class=40 dim=8 spread=-1.0"),
             (["--synth-spread", "nan"], "invalid synth parameters: k=4 per_class=40 dim=8 spread=nan"),
             (["--synth-spread", "inf"], "invalid synth parameters: k=4 per_class=40 dim=8 spread=inf"),
+            (["--synth-per-class", "3", "--n-hat", "64"],
+             "dataset too small for one batch: 12 examples, fewer than n_hat=64"),
         ],
-        ids=["classes-1", "classes-0", "per-class-0", "dim-0", "spread-0", "spread-negative", "spread-nan", "spread-inf"],
+        ids=[
+            "classes-1", "classes-0", "per-class-0", "dim-0", "spread-0", "spread-negative", "spread-nan", "spread-inf",
+            "no-full-batch",
+        ],
     )
     def test_bad_synth_settings_are_refused_before_any_work(self, tmp_path, capsys, monkeypatch, flags, error):
         # the messages the data or the model would give, but before any data is drawn or any worker starts
@@ -564,6 +569,14 @@ class TestCompareCommand:
             ["compare", *SMALL, "--methods", "magic", "--out-dir", str(tmp_path / "x")]
         )
         assert code == 2
+
+    def test_unsupported_token_override_exits_2(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_training", calls.append)
+        out = tmp_path / "x"
+        assert cli.main(["compare", *SMALL, "--methods", "bake:foo=1", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unsupported override 'foo' in method token 'bake:foo=1'\n"
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("token", ["bake:omega=abc", "bake:m=1.5", "bake:omega=0.1,omega=0.9"])
     def test_malformed_token_override_exits_2(self, tmp_path, capsys, token):
@@ -1002,6 +1015,18 @@ def test_setting_no_method_reads_exits_2(tmp_path, capsys, monkeypatch, argv, er
     assert cli.main([argv[0], *BATCH, *argv[1:], *extra]) == 2  # the case's own flags come last, and win
     assert capsys.readouterr().err == f"config error: {error}\n"
     assert calls == []
+    assert not out.exists()
+
+
+def test_a_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # any exception that is not a config or data error leaves through one funnel, with exit code 1
+    def fail(cfg):
+        raise RuntimeError("a failure inside training")
+
+    monkeypatch.setattr(cli, "run_training", fail)
+    out = tmp_path / "run"
+    assert cli.main(["train", *SMALL, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "runtime error: a failure inside training\n"
     assert not out.exists()
 
 

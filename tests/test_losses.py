@@ -219,6 +219,12 @@ class TestLabelSmoothing:
             label_smoothing_loss(z, y, 0.0).item() - cross_entropy(z, y).item()
         ) < 1e-12
 
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.0, float("nan")])
+    def test_epsilon_outside_unit_interval(self, epsilon):
+        # at 1 the targets are uniform and the labels drop out; below 0 they leave the simplex
+        with pytest.raises(ConfigError, match=r"epsilon must be in \[0, 1\), got"):
+            label_smoothing_loss(Tensor(np.zeros((2, 3))), np.array([0, 1]), epsilon)
+
     def test_uniform_logits_target_independent(self):
         loss = label_smoothing_loss(Tensor(np.zeros((4, 10))), np.arange(4), 0.1)
         assert abs(loss.item() - np.log(10)) < 1e-12

@@ -91,6 +91,10 @@ class TestBackward:
         with pytest.raises(ShapeMismatchError, match="scalar"):
             x.backward()
 
+    def test_item_of_a_non_scalar_errors(self):
+        with pytest.raises(ShapeMismatchError, match=r"item\(\) on tensor of shape \(2,\)"):
+            Tensor(np.ones(2)).item()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_composed_graph_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,16 @@ class TestLrAt:
             tr.StepSchedule(milestones=(150, 100))
 
 
+def traced_peak(call):
+    """The peak bytes that numpy and Python allocate during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEvaluate:
     def test_perfect_predictor(self):
         train, test = dt.synth_clusters(3, 20, 4, spread=1e-9, seed=0)
@@ -164,6 +175,39 @@ class TestEvaluate:
         top1, top5 = tr.evaluate(Constant(), train)
         # ties resolve to the lowest class indices: classes 0..4 count as top-5
         assert top1 == 0.1 and top5 == 0.5
+
+    def test_empty_dataset_errors(self):
+        model = md.init(md.ModelDescriptor(4, 3, hidden=(8,)), seed=0)
+        with pytest.raises(ConfigError, match="evaluate requires a nonempty dataset"):
+            tr.evaluate(model, dt.Dataset(np.zeros((0, 4)), np.zeros(0, np.int64), 3))
+
+    @pytest.mark.parametrize("conv", [False, True], ids=["mlp", "conv"])
+    def test_batch_size_does_not_change_the_accuracies(self, monkeypatch, conv):
+        # 150 examples: one batch at 512, a short last batch at 7 and at 64
+        shape, k = (3, 12, 12), 10
+        rng = np.random.default_rng(5)
+        test = dt.Dataset(rng.normal(size=(150, 432)), rng.integers(0, k, size=150), k, image_shape=shape)
+        stem = md.ConvStem(*shape) if conv else None
+        model = md.init(md.ModelDescriptor(432, k, hidden=(32,), conv_stem=stem), seed=0)
+        results = set()
+        for batch in (1, 7, 64, 512):
+            monkeypatch.setattr(tr, "EVAL_BATCH", batch)
+            results.add(tr.evaluate(model, test))
+        assert len(results) == 1
+        (top1, top5), = results
+        assert 0 < top1 < top5 < 1
+
+    def test_conv_evaluation_peaks_no_higher_than_a_training_step(self):
+        # evaluation forwards EVAL_BATCH examples at a time, as many as a default bake step trains on
+        shape, k = (3, 16, 16), 10
+        rng = np.random.default_rng(6)
+        test = dt.Dataset(rng.normal(size=(512, 768)), rng.integers(0, k, size=512), k, image_shape=shape)
+        model = md.init(md.ModelDescriptor(768, k, conv_stem=md.ConvStem(*shape)), seed=0)
+        cfg = tr.TrainConfig(method="bake")
+        x, y = test.inputs[: cfg.sampler.batch_size], test.labels[: cfg.sampler.batch_size]
+        step = traced_peak(lambda: tr.batch_loss(model, x, y, cfg)[0].backward())
+        evaluation = traced_peak(lambda: tr.evaluate(model, test))
+        assert evaluation <= 1.5 * step, evaluation / step
 
     def test_top1_le_top5(self):
         train, test = dt.synth_clusters(6, 10, 4, 2.0, seed=2)

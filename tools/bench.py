@@ -2,6 +2,7 @@
 or print the workloads' training fingerprint.
 
     python3 tools/bench.py BENCH_<n>.json
+    python3 tools/bench.py BENCH_<n>.json --against DIR [--moves-bits]
     python3 tools/bench.py --fingerprint [--tiny]
 
 Each run is BENCHMARK.json's command with ``--workload W --seed s --seconds
@@ -38,6 +39,21 @@ per workload and seed, the SHA-256 of the per-epoch metrics (every
 ``EpochMetrics`` field but ``wall_seconds``, as float64 bytes) and of the final
 ``model.flat`` bytes. Two trees train byte-identically on one host when their
 fingerprints are equal. ``--tiny`` trains the smoke-test sizes of ``specs.TINY``.
+
+``--against DIR`` pairs this tree with DIR, a checkout of the parent such as
+``git worktree add ../parent HEAD~1``; DIR needs ``BENCHMARK.json``,
+``perfbench/`` and ``src/bakekit``, or this exits 2 before any run. Each
+workload seed runs this tree's BENCHMARK.json command once in DIR and once
+here, as fresh interpreters; the parent goes first at seeds 1, 3 and 5, the
+change at seeds 2 and 4. Per workload the file holds both sides' summaries
+(as above) and, per metric, the change's wins of n pairs by the metric's
+``better`` (a tie counts for neither), the median of the per-pair differences
+(change minus parent) and the parent's IQR. It then records both trees'
+``--fingerprint`` output, each made by its own tree's code. A pair whose sides
+end at another ``final_top1`` or another number of failed operations stops
+here, and no file is written, unless ``--moves-bits`` declares that the change
+moves training bits. The pair file has no ``first_cell`` or ``micro`` section:
+timed in one tree only, they are the one-sided readings the pairs replace.
 """
 
 from __future__ import annotations
@@ -174,7 +190,7 @@ def overhead_shares(timed):
     """BAKE's overhead median over the vanilla step's, per shape."""
     median = {name: case["median"] for name, case in timed.items()}
     return {f"{size}-{DTYPE}": median[f"overhead[{size}-{DTYPE}]"] / median[f"step[{size}-vanilla-{DTYPE}]"]
-            for size in SHAPES}
+            for size in SHAPES if f"overhead[{size}-{DTYPE}]" in median}
 
 
 def cell_costs():
@@ -237,11 +253,11 @@ def train_fingerprints(tiny):
     print(json.dumps(runs))
 
 
-def fingerprint(tiny):
-    """``train_fingerprints`` in a fresh interpreter with one BLAS thread, as one JSON object."""
+def fingerprint(tiny, tree=ROOT):
+    """``tree``'s ``train_fingerprints`` in a fresh interpreter with one BLAS thread, as one JSON object."""
     argv = [sys.executable, "-c", f"import bench; bench.train_fingerprints({bool(tiny)})"]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run(argv, cwd=ROOT / "tools", env=env, stdout=subprocess.PIPE, text=True, check=True)
+    done = subprocess.run(argv, cwd=tree / "tools", env=env, stdout=subprocess.PIPE, text=True, check=True)
     return {"tiny": bool(tiny), "seeds": list(FINGERPRINT_SEEDS), "runs": json.loads(done.stdout.splitlines()[-1])}
 
 
@@ -268,17 +284,22 @@ def aggregate(seeds, runs):
     }
 
 
+def run(spec, name, seed, tree=ROOT):
+    """(env, result) of one untraced run of workload ``name`` at ``seed``: ``spec``'s command in ``tree``."""
+    argv = [*spec["command"], "--workload", name, "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
+            "--trace", "0"]
+    done = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
+    return parse(done.stdout)
+
+
 def main(out):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = workload_names()
     runs = {name: [] for name in workloads}
     for seed in SEEDS:
         for name in workloads:
-            argv = [*spec["command"], "--workload", name, "--seed", str(seed),
-                    "--seconds", str(spec["run_seconds"]), "--trace", "0"]
             print(f"bench: {name} seed {seed}", file=sys.stderr, flush=True)
-            done = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
-            runs[name].append(parse(done.stdout))
+            runs[name].append(run(spec, name, seed))
     print("bench: first cell", file=sys.stderr, flush=True)
     first = first_cell()
     print("bench: micro", file=sys.stderr, flush=True)
@@ -293,11 +314,78 @@ def main(out):
     Path(out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
+def pair(parent, change, better):
+    """One metric over paired runs: the change's wins of n (ties count for neither), the median of the
+    per-pair differences (change minus parent) and the parent's IQR."""
+    sign = 1 if better == "higher" else -1
+    diffs = [c - p for p, c in zip(parent, change)]
+    return {"wins": sum(sign * d > 0 for d in diffs), "n": len(diffs), "median_diff": statistics.median(diffs),
+            "parent_iqr": summary(parent)["iqr"]}
+
+
+def check_tree(tree):
+    """Exit 2 unless ``tree`` holds a benchmark and bakekit's sources to run it on."""
+    missing = [name for name in ("BENCHMARK.json", "perfbench", "src/bakekit") if not (tree / name).exists()]
+    if missing:
+        print(f"bench: --against {tree} is not a bakekit checkout: it has no {', '.join(missing)}", file=sys.stderr)
+        sys.exit(2)
+
+
+def check_pair(name, seed, parent, change):
+    """Stop unless the two sides of one pair end at one final top-1 with as many failed operations."""
+    top1 = [result["metrics"]["final_top1"]["value"] for result in (parent, change)]
+    failed = [result["failed"] for result in (parent, change)]
+    same_top1 = top1[0] == top1[1] or all(map(math.isnan, top1))
+    if not same_top1 or failed[0] != failed[1]:
+        raise SystemExit(f"bench: {name} seed {seed}: parent and change end at top-1 {top1} with failed {failed}; "
+                         f"pass --moves-bits if the change moves training bits")
+
+
+def main_against(out, parent, moves_bits):
+    """Parent/change pairs of every workload seed, and both trees' fingerprints, written to ``out``."""
+    check_tree(parent)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    workloads = workload_names()
+    runs = {name: {"parent": [], "change": []} for name in workloads}
+    first = []
+    for i, seed in enumerate(SEEDS):
+        sides = [("parent", parent), ("change", ROOT)][:: -1 if i % 2 else 1]
+        first.append(sides[0][0])
+        for name in workloads:
+            for side, tree in sides:
+                print(f"bench: {name} seed {seed} {side}", file=sys.stderr, flush=True)
+                runs[name][side].append(run(spec, name, seed, tree))
+            if not moves_bits:
+                check_pair(name, seed, runs[name]["parent"][-1][1], runs[name]["change"][-1][1])
+    print("bench: fingerprints", file=sys.stderr, flush=True)
+    fingerprints = {"parent": fingerprint(False, parent), "change": fingerprint(False)}
+    workload_pairs = {}
+    for name in workloads:
+        sides = {side: aggregate(SEEDS, runs[name][side]) for side in ("parent", "change")}
+        pairs = {metric: pair(sides["parent"]["metrics"][metric]["values"], m["values"], better[metric])
+                 for metric, m in sides["change"]["metrics"].items()}
+        workload_pairs[name] = {**sides, "pairs": pairs}
+    report = {
+        "moves_bits": moves_bits,
+        "first": first,
+        "fingerprint": {**fingerprints, "equal": fingerprints["parent"] == fingerprints["change"]},
+        "command": spec["command"],
+        "run_seconds": spec["run_seconds"],
+        "trace": 0,
+        "workloads": workload_pairs,
+    }
+    Path(out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
     if args[:1] == ["--fingerprint"] and args[1:] in ([], ["--tiny"]):
         print(json.dumps(fingerprint(args[1:] == ["--tiny"]), indent=1, sort_keys=True))
     elif len(args) == 1 and not args[0].startswith("-"):
         main(args[0])
+    elif (len(args) in (3, 4) and not args[0].startswith("-") and args[1] == "--against"
+          and args[3:] in ([], ["--moves-bits"])):
+        main_against(args[0], Path(args[2]).resolve(), args[3:] == ["--moves-bits"])
     else:
         sys.exit(__doc__)
