@@ -182,16 +182,17 @@ def resolve_config(args, methods=None):
         cfg.update(loaded)
     flags = {key: value for key in DEFAULTS if (value := getattr(args, key, None)) is not None}
     cfg.update(flags)
-    synth_run = data_kind(cfg, flags) == "synth" and args.subcommand in TRAINING
-    if synth_run and cfg["conv"]:
+    synth, training = data_kind(cfg, flags) == "synth", args.subcommand in TRAINING
+    if synth and training and cfg["conv"]:
         raise ConfigError("--conv needs image data (idx or cifar files); synth data has no image shape")
     methods = methods or [cfg["method"]]
     for method in methods:
         make_train_config({**cfg, "method": method})
     hidden = _parse_hidden(cfg["hidden"])
-    if synth_run:  # what the run's data and model would refuse, refused before any data is drawn
+    if synth:  # what the run's data and model would refuse, refused before any data is drawn or checkpoint read
         dt.check_synth(cfg["synth_classes"], cfg["synth_per_class"], cfg["synth_dim"], cfg["synth_spread"])
-        md.ModelDescriptor(cfg["synth_dim"], cfg["synth_classes"], hidden)
+        if training:
+            md.ModelDescriptor(cfg["synth_dim"], cfg["synth_classes"], hidden)
         batch_count(cfg["synth_classes"] * cfg["synth_per_class"], cfg["n_hat"])  # the train split fills a batch
     _refuse_unread(flags, methods)
     return cfg
@@ -280,6 +281,11 @@ def load_datasets(cfg):
         if train.image_shape != test.image_shape:
             raise DataFormatError(f"IDX train images are {train.image_shape} but test images are {test.image_shape}")
         train.num_classes = test.num_classes = max(train.num_classes, test.num_classes)
+        if train.num_classes < 2:
+            raise DataFormatError(
+                f"IDX labels {cfg['idx_train_labels']} and {cfg['idx_test_labels']} name one class; "
+                f"a classifier needs at least 2"
+            )
         return train, test
     train, test = (dt.load_cifar_binary(cfg[key].split(",")) for key in DATA_FILES["cifar"])
     if train.num_classes != test.num_classes:

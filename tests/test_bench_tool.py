@@ -1,4 +1,4 @@
-"""``tools/bench.py`` aggregates benchmark result lines and micro timings; it times nothing here."""
+"""``tools/bench.py`` pairs benchmark result lines and micro timings of two trees; it times nothing here."""
 
 import importlib.util
 import json
@@ -55,44 +55,146 @@ def test_every_shape_has_a_vanilla_step_and_an_overhead_case():
         assert f"step[{size}-vanilla-float32]" in names and f"overhead[{size}-float32]" in names
 
 
+ENV = {"blas_threads": 2, "numpy": "2.0.0", "cores": 2}
+
+
 def cells(top1=(0.21, 0.21), faults=(240_000, 2_000)):
     return [{"wall_s": 3.0, "minor_faults": f, "system_s": 0.5, "top1": t} for t, f in zip(top1, faults)]
 
 
-def fake_run(first_cells):
-    """``subprocess.run`` for ``main``: a first-cell interpreter prints ``first_cells``, a workload run one result."""
-    env = {"blas_threads": 2, "numpy": "2.0.0", "cores": 2}
+def micro_run(cases):
+    """What one micro interpreter prints: ``cases`` maps each case's name to its median seconds per call."""
+    timed = {name: bench.summary([seconds] * bench.REPEATS) for name, seconds in cases.items()}
+    return {"unit": "s/call", "env": ENV, "cases": timed, "overhead_share": bench.overhead_shares(timed)}
 
-    def run(argv, **kwargs):
-        if argv[1:3] == ["-c", "import bench; bench.cell_costs()"]:
-            return SimpleNamespace(stdout=json.dumps(first_cells) + "\n")
-        return SimpleNamespace(stdout=stdout(env, 1.0, 0.5, 0))
+
+def order(i):
+    """The sides in their run order at index ``i``, as the pairs must alternate them."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+# what each harness run calls, by the name ``calls`` logs it under
+HARNESS = {"bench.train_fingerprints(False)": "fingerprint", "bench.cell_costs()": "first cell",
+           "bench.micro(bench.cases())": "micro"}
+
+
+def fake_run(parent, calls, parent_top1=0.5, first_cells=None, micro=None, fails=()):
+    """``subprocess.run`` for ``main``: a run in ``parent`` is the parent's, any other the change's. Each run is
+    logged in ``calls``, a workload run as (side, name, seed) and a harness run as (side, what); a harness run
+    prints ``first_cells(side, i)`` or ``micro(side, i)`` at its side's i-th repeat. A ``what`` in ``fails``
+    exits 1 on the parent's side."""
+    repeat = {}
+
+    def run(argv, cwd, **kwargs):
+        side = "parent" if Path(cwd).is_relative_to(parent) else "change"
+        if argv[1] == "-c":
+            assert argv[0] == sys.executable and Path(cwd).name == "tools"
+            what = next(what for call, what in HARNESS.items() if call in argv[2])
+            calls.append((side, what))
+            if what in fails and side == "parent":
+                return SimpleNamespace(returncode=1, stdout="")
+            i = repeat[side, what] = repeat.get((side, what), -1) + 1
+            if what == "fingerprint":
+                printed = {"bake_desk": {"1": {"metrics": "m", "model": side}}}
+            elif what == "first cell":
+                printed = (first_cells or (lambda side, i: cells()))(side, i)
+            else:
+                printed = micro_run((micro or (lambda side, i: {"one[1]": 1e-3}))(side, i))
+            return SimpleNamespace(returncode=0, stdout="a line before\n" + json.dumps(printed) + "\n")
+        name, seed = argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])
+        calls.append((side, name, seed))
+        rate = (PARENT_RATES if side == "parent" else CHANGE_RATES)[seed - 1]
+        return SimpleNamespace(returncode=0, stdout=stdout(ENV, rate, parent_top1 if side == "parent" else 0.5, 0))
 
     return run
 
 
-def test_first_cell_summarises_fresh_interpreters(monkeypatch):
-    argvs = []
-    faults = iter([(240_000, 2_000), (250_000, 3_000), (230_000, 1_000), (245_000, 2_500), (235_000, 1_500)])
-
-    def run(argv, **kwargs):
-        argvs.append(argv)
-        return SimpleNamespace(stdout="a line before\n" + json.dumps(cells(faults=next(faults))) + "\n")
-
-    monkeypatch.setattr(bench.subprocess, "run", run)
-    first = bench.first_cell()
-    assert len(argvs) == bench.REPEATS and all(argv[0] == bench.sys.executable for argv in argvs)
-    assert first["top1"] == [0.21] * 5
-    assert first["cells"][0]["minor_faults"]["median"] == 240_000 and first["cells"][1]["minor_faults"]["iqr"] == 1_000
-    assert first["cells"][1]["system_s"] == bench.summary([0.5] * 5)
+def parent_tree(tmp_path):
+    """A directory holding what ``--against`` looks for."""
+    tree = tmp_path / "parent"
+    for name in ("src/bakekit", "perfbench", "tools"):
+        (tree / name).mkdir(parents=True)
+    (tree / "BENCHMARK.json").write_text("{}")
+    (tree / "tools" / "bench.py").write_text("")
+    return tree
 
 
-@pytest.mark.parametrize("top1", [(0.21, 0.22), (float("nan"), float("nan"))], ids=["differ", "nan"])
-def test_first_cell_mismatch_raises_and_writes_no_file(tmp_path, monkeypatch, top1):
-    monkeypatch.setattr(bench.subprocess, "run", fake_run(cells(top1)))
-    with pytest.raises(SystemExit, match="first-cell check failed"):
-        bench.main(tmp_path / "BENCH.json")
-    assert list(tmp_path.iterdir()) == []
+# made-up examples_per_s of seeds 1-5; the change's differences are 3, 0, -1, 4 and 3
+PARENT_RATES, CHANGE_RATES = [100.0, 104.0, 98.0, 101.0, 99.0], [103.0, 104.0, 97.0, 105.0, 102.0]
+
+
+def test_first_cell_summarises_fresh_interpreters(tmp_path, monkeypatch):
+    # cell 0's minor faults per repeat: the change's differences are -40k, 10k, -40k, -35k and -30k
+    faults = {"parent": [240_000, 250_000, 230_000, 245_000, 235_000],
+              "change": [200_000, 260_000, 190_000, 210_000, 205_000]}
+    second = [2_000, 3_000, 1_000, 2_500, 1_500]  # cell 1's, equal on both sides
+    parent, calls = parent_tree(tmp_path), []
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(
+        parent, calls, first_cells=lambda side, i: cells(faults=(faults[side][i], second[i]))))
+    first = bench.first_cell_pairs(parent, False)
+    assert calls == [(side, "first cell") for i in range(bench.REPEATS) for side in order(i)]
+    assert first["config"] == ["bake_wide", 1]
+    assert first["parent"]["top1"] == first["change"]["top1"] == [0.21] * 5
+    assert first["parent"]["cells"][0]["minor_faults"] == bench.summary(faults["parent"])
+    assert first["change"]["cells"][1]["minor_faults"]["median"] == 2_000
+    assert first["change"]["cells"][1]["system_s"] == bench.summary([0.5] * 5)
+    # lower is better: the change wins at four repeats; the parent's quartiles are 235k and 245k
+    assert first["pairs"][0]["minor_faults"] == {"wins": 4, "n": 5, "median_diff": -35_000, "parent_iqr": 10_000}
+    assert first["pairs"][1]["minor_faults"] == {"wins": 0, "n": 5, "median_diff": 0, "parent_iqr": 1_000}
+    assert set(first["pairs"][0]) == {"wall_s", "minor_faults", "system_s"}
+
+
+@pytest.mark.parametrize("side,top1", [("change", (0.21, 0.22)), ("parent", (float("nan"), float("nan")))],
+                         ids=["differ", "nan"])
+def test_first_cell_mismatch_raises_and_writes_no_file(tmp_path, monkeypatch, side, top1):
+    # the two cells of one interpreter train one config: --moves-bits does not excuse them
+    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
+    bad = side
+
+    def first_cells(side, i):
+        return cells(top1) if side == bad and i == 2 else cells()
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, first_cells=first_cells))
+    with pytest.raises(SystemExit, match=f"first-cell check failed: the {side}'s two cells end at top-1") as exc:
+        bench.main(out, parent, True)
+    assert exc.value.code != 0 and not out.exists()
+    assert ("parent", "micro") not in calls
+
+
+def test_first_cell_top1_across_sides_needs_moves_bits(tmp_path, monkeypatch):
+    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
+    first_cells = lambda side, i: cells((0.2, 0.2) if side == "parent" else (0.21, 0.21))  # noqa: E731
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, first_cells=first_cells))
+    with pytest.raises(SystemExit, match=r"first cell: parent and change end at top-1 \[0.2, 0.21\]") as exc:
+        bench.main(out, parent, False)
+    assert exc.value.code != 0 and not out.exists()
+    bench.main(out, parent, True)
+    first = json.loads(out.read_text())["first_cell"]
+    assert first["parent"]["top1"] == [0.2] * 5 and first["change"]["top1"] == [0.21] * 5
+
+
+def test_micro_pairs_alternate_and_match_by_case_name(tmp_path, monkeypatch):
+    # the overhead case's medians per repeat: the change's are 0.1 ms lower at every repeat
+    overhead = {"parent": [0.5, 0.6, 0.4, 0.55, 0.45], "change": [0.4, 0.5, 0.3, 0.45, 0.35]}
+    extra = {"parent": "gone[1]", "change": "new[1]"}  # a case only one tree times
+
+    def micro(side, i):
+        return {"step[desk-vanilla-float32]": 1.0, "overhead[desk-float32]": overhead[side][i], extra[side]: 2.0}
+
+    parent, calls = parent_tree(tmp_path), []
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, micro=micro))
+    timed = bench.micro_pairs(parent)
+    assert calls == [(side, "micro") for i in range(bench.REPEATS) for side in order(i)]
+    assert timed["unit"] == "s/call"
+    assert set(timed["pairs"]) == {"step[desk-vanilla-float32]", "overhead[desk-float32]"}
+    assert timed["pairs"]["overhead[desk-float32]"] == {
+        "wins": 5, "n": 5, "median_diff": pytest.approx(-0.1), "parent_iqr": pytest.approx(0.1)
+    }
+    for side in ("parent", "change"):
+        assert timed[side]["cases"]["overhead[desk-float32]"] == bench.summary(overhead[side])
+        assert extra[side] in timed[side]["cases"] and timed[side]["env"] == [ENV] * 5
+    assert timed["parent"]["overhead_share"] == {"desk-float32": 0.5}
+    assert timed["change"]["overhead_share"] == {"desk-float32": pytest.approx(0.4)}
 
 
 def test_cell_costs_trains_two_cells_of_one_config(monkeypatch, capsys):
@@ -108,11 +210,15 @@ def test_cell_costs_trains_two_cells_of_one_config(monkeypatch, capsys):
 
 
 def test_failed_micro_check_raises_and_writes_no_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(bench.subprocess, "run", fake_run(cells()))
-    monkeypatch.setattr(bench, "cases", lambda: [("broken", lambda: float("nan"), math.isfinite)])
     with pytest.raises(SystemExit, match="micro check failed: broken"):
-        bench.main(tmp_path / "BENCH.json")
-    assert list(tmp_path.iterdir()) == []
+        bench.micro([("broken", lambda: float("nan"), math.isfinite)])
+    # that exit, in a micro interpreter, stops the pairs there
+    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, fails={"micro"}))
+    with pytest.raises(SystemExit, match="exited 1") as exc:
+        bench.main(out, parent, False)
+    assert exc.value.code != 0 and not out.exists()
+    assert calls[-1] == ("parent", "micro") and calls.count(("change", "micro")) == 0
 
 
 def test_tiny_fingerprints_are_equal():
@@ -161,44 +267,14 @@ def test_micro_times_a_one_case_table(monkeypatch):
     assert timed["unit"] == "s/call" and set(timed["env"]) >= {"blas_threads", "numpy", "cores"}
 
 
-def parent_tree(tmp_path):
-    """A directory holding what ``--against`` looks for."""
-    tree = tmp_path / "parent"
-    (tree / "src" / "bakekit").mkdir(parents=True)
-    (tree / "perfbench").mkdir()
-    (tree / "BENCHMARK.json").write_text("{}")
-    return tree
-
-
-# made-up examples_per_s of seeds 1-5; the change's differences are 3, 0, -1, 4 and 3
-PARENT_RATES, CHANGE_RATES = [100.0, 104.0, 98.0, 101.0, 99.0], [103.0, 104.0, 97.0, 105.0, 102.0]
-
-
-def fake_pairs(parent, calls, parent_top1=0.5):
-    """``subprocess.run`` for ``main_against``: a run in ``parent`` is the parent's, any other the change's."""
-    env = {"blas_threads": 2, "numpy": "2.0.0", "cores": 2}
-
-    def run(argv, cwd, **kwargs):
-        side = "parent" if Path(cwd).is_relative_to(parent) else "change"
-        if argv[1:3] == ["-c", "import bench; bench.train_fingerprints(False)"]:
-            calls.append((side, "fingerprint"))
-            return SimpleNamespace(stdout=json.dumps({"bake_desk": {"1": {"metrics": "m", "model": side}}}) + "\n")
-        name, seed = argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])
-        calls.append((side, name, seed))
-        rate = (PARENT_RATES if side == "parent" else CHANGE_RATES)[seed - 1]
-        return SimpleNamespace(stdout=stdout(env, rate, parent_top1 if side == "parent" else 0.5, 0))
-
-    return run
-
-
 def test_pairs_alternate_and_match_a_hand_count(tmp_path, monkeypatch):
     parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
-    monkeypatch.setattr(bench.subprocess, "run", fake_pairs(parent, calls))
-    bench.main_against(out, parent, False)
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls))
+    bench.main(out, parent, False)
     names = bench.workload_names()
-    expected = [(side, name, seed) for seed, first in zip(bench.SEEDS, ["parent", "change"] * 3) for name in names
-                for side in (first, "change" if first == "parent" else "parent")]
-    assert calls == [*expected, ("parent", "fingerprint"), ("change", "fingerprint")]
+    workloads = [(side, name, seed) for i, seed in enumerate(bench.SEEDS) for name in names for side in order(i)]
+    repeats = [(side, what) for what in ("first cell", "micro") for i in range(bench.REPEATS) for side in order(i)]
+    assert calls == [("parent", "fingerprint"), ("change", "fingerprint"), *workloads, *repeats]
     report = json.loads(out.read_text())
     assert report["first"] == ["parent", "change", "parent", "change", "parent"] and report["moves_bits"] is False
     assert report["fingerprint"]["equal"] is False  # the made-up model hashes name their side
@@ -211,6 +287,9 @@ def test_pairs_alternate_and_match_a_hand_count(tmp_path, monkeypatch):
         # the parent's quartiles are 99 and 101
         assert workload["pairs"]["examples_per_s"] == {"wins": 3, "n": 5, "median_diff": 3.0, "parent_iqr": 2.0}
         assert workload["pairs"]["final_top1"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0}
+    for section, paired in (("first_cell", "cells"), ("micro", "cases")):
+        assert set(report[section]) >= {"parent", "change", "pairs"} and report[section]["parent"][paired]
+    assert report["micro"]["pairs"]["one[1]"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0}
 
 
 def test_pair_wins_follow_the_metrics_direction():
@@ -223,26 +302,37 @@ def test_pair_wins_follow_the_metrics_direction():
 
 def test_top1_mismatch_exits_and_writes_no_file(tmp_path, monkeypatch):
     parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
-    monkeypatch.setattr(bench.subprocess, "run", fake_pairs(parent, calls, parent_top1=0.49))
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, parent_top1=0.49))
     with pytest.raises(SystemExit, match=r"seed 1: parent and change end at top-1 \[0.49, 0.5\]") as exc:
-        bench.main_against(out, parent, False)
+        bench.main(out, parent, False)
     assert exc.value.code != 0
-    assert len(calls) == 2 and not out.exists()  # the first pair stops it
-    bench.main_against(out, parent, True)  # declared bit-moving: every pair runs and the file is written
+    assert len(calls) == 4 and not out.exists()  # both fingerprints, then the first pair stops it
+    bench.main(out, parent, True)  # declared bit-moving: every pair runs and the file is written
     assert json.loads(out.read_text())["moves_bits"] is True
 
 
-@pytest.mark.parametrize("kind", ["missing", "empty", "no-sources"])
+def test_a_parent_that_cannot_fingerprint_stops_before_any_workload(tmp_path, monkeypatch):
+    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, fails={"fingerprint"}))
+    with pytest.raises(SystemExit, match="train_fingerprints.* exited 1") as exc:
+        bench.main(out, parent, False)
+    assert exc.value.code != 0 and not out.exists()
+    assert calls == [("parent", "fingerprint")]
+
+
+@pytest.mark.parametrize("kind", ["missing", "empty", "no-sources", "no-harness"])
 def test_against_a_missing_or_foreign_dir_exits_2(tmp_path, monkeypatch, kind):
     tree = tmp_path / "parent"
     if kind != "missing":
         tree.mkdir()
-    if kind == "no-sources":
+    if kind in ("no-sources", "no-harness"):
         (tree / "BENCHMARK.json").write_text("{}")
         (tree / "perfbench").mkdir()
+    if kind == "no-harness":  # a checkout from before tools/bench.py existed
+        (tree / "src" / "bakekit").mkdir(parents=True)
     monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: pytest.fail("a run started"))
     with pytest.raises(SystemExit) as exc:
-        bench.main_against(tmp_path / "BENCH.json", tree, False)
+        bench.main(tmp_path / "BENCH.json", tree, False)
     assert exc.value.code == 2
     assert not (tmp_path / "BENCH.json").exists()
 
@@ -251,4 +341,11 @@ def test_against_from_the_command_line_exits_2_on_a_missing_dir(tmp_path):
     argv = [sys.executable, str(BENCH_PATH), str(tmp_path / "BENCH.json"), "--against", str(tmp_path / "nowhere")]
     done = subprocess.run(argv, stderr=subprocess.PIPE, text=True)
     assert done.returncode == 2 and "is not a bakekit checkout" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_file_name_alone_prints_the_usage(tmp_path):
+    done = subprocess.run([sys.executable, str(BENCH_PATH), str(tmp_path / "BENCH.json")],
+                          stderr=subprocess.PIPE, text=True)
+    assert done.returncode != 0 and "BENCH_<n>.json --against DIR [--moves-bits]" in done.stderr
     assert list(tmp_path.iterdir()) == []

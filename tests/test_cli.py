@@ -141,6 +141,21 @@ class TestTrainCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_one_class_idx_labels_exit_3_before_training(self, tmp_path, capsys, monkeypatch):
+        # no flag can give a model a second class, so the labels are a data error, not a config one
+        calls = []
+        monkeypatch.setattr(cli.tr, "train", lambda *args: calls.append(args))
+        split = np.zeros((4, 4, 4)), np.zeros(4)
+        flags = idx_flags(tmp_path, split, split)
+        code, out = run_train(tmp_path, "x", data=flags)
+        assert code == 3
+        train_labels, test_labels = (flags[flags.index(f"--idx-{s}-labels") + 1] for s in ("train", "test"))
+        assert capsys.readouterr().err == (
+            f"data error: IDX labels {train_labels} and {test_labels} name one class; a classifier needs at least 2\n"
+        )
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("conv", [[], ["--conv"]], ids=["mlp", "conv"])
     def test_zero_pixel_idx_images_exit_3_before_training(self, tmp_path, capsys, monkeypatch, conv):
         # the model would otherwise be built on 0 inputs and refused as a config error
@@ -863,6 +878,12 @@ class TestTargetsCommand:
         assert cli.main(["targets", *BATCH, "--n-hat", "100000", "--checkpoint", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "too small for one batch: 160 examples" in err
+
+    def test_too_small_synth_data_exits_2_before_the_checkpoint_flag_is_read(self, capsys):
+        assert cli.main(["targets", *BATCH, "--n-hat", "100000"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: dataset too small for one batch: 160 examples, fewer than n_hat=100000\n"
+        )
 
     def test_no_checkpoint_flag_exits_3(self, capsys):
         assert cli.main(["targets", *BATCH]) == 3

@@ -1,59 +1,40 @@
-"""Run every BENCHMARK.json workload on seeds 1-5 and write one BENCH_<n>.json,
-or print the workloads' training fingerprint.
+"""Pair this tree with its parent on every BENCHMARK.json workload, the first cell and the micro cases, and
+write one BENCH_<n>.json; or print the workloads' training fingerprint.
 
-    python3 tools/bench.py BENCH_<n>.json
     python3 tools/bench.py BENCH_<n>.json --against DIR [--moves-bits]
     python3 tools/bench.py --fingerprint [--tiny]
 
-Each run is BENCHMARK.json's command with ``--workload W --seed s --seconds
-<run_seconds> --trace 0``, in a fresh interpreter from the repository root,
-one at a time, seed by seed. For each workload the file holds each end-to-end
-metric's per-seed values with their median and interquartile range, the
-attempted and failed operations of each run, and each run's ``env`` line
-(BLAS threads, numpy version, cores). A run that exits non-zero stops here,
-and no file is written.
+DIR is a checkout of the parent, such as ``git worktree add ../parent HEAD~1``; one without ``BENCHMARK.json``,
+``perfbench/``, ``src/bakekit`` or ``tools/bench.py`` exits 2 before any run. Each run is a fresh interpreter that
+runs one tree's own code. At index i, a seed's or a repeat's, the parent runs first when i is even and the change
+when it is odd (the file's ``first``), so drift on the host hits both sides. A run that exits non-zero stops here,
+and no file is written. This interpreter imports neither numpy nor bakekit, so no run inherits a larger peak RSS.
 
-The file's ``first_cell`` section gives the cost of a fresh process's first cell,
-which ``examples_per_s`` cannot see because it keeps the fastest epoch. Each
-of REPEATS fresh interpreters trains two cells of ``specs.config("bake_wide",
-1)`` through ``cli.run_training``, and each cell's wall seconds, minor page
-faults and system seconds come from ``getrusage`` deltas around it. Both cells
-train the same config, so unless both end at the same finite top-1 this stops
-here too.
+The file's sections, in the order they run:
+- ``fingerprint``: both trees' ``--fingerprint`` output and whether the two are equal.
+- ``workloads``: at each of SEEDS, BENCHMARK.json's command with ``--workload W --seed s --seconds <run_seconds>
+  --trace 0``. A side's summary holds each end-to-end metric's values with their median and IQR, and each run's
+  attempted and failed operations and ``env`` line (BLAS threads, numpy version, cores).
+- ``first_cell``: ``cell_costs`` REPEATS times: two cells of ``specs.config("bake_wide", 1)`` through
+  ``cli.run_training``, with each cell's wall seconds, minor page faults and system seconds from ``getrusage``
+  deltas around it. This is what a fresh process's first cell costs, which ``examples_per_s`` cannot see.
+- ``micro``: ``micro(cases())`` REPEATS times. Each case runs once for its check, which stops here too if it
+  fails, and once to size its loops; the median of REPEATS loops of about LOOP_S seconds, timed with
+  ``time.perf_counter``, is its seconds per call. ``overhead_share`` is BAKE's overhead as the paper states it:
+  the median of an ``overhead`` case (one batch's soft targets, then the KL node forward and backward) over that
+  of the vanilla step, at each shape of SHAPES, with MLP 256,128 computing in float32 as every run does.
 
-The file's ``micro`` section is timed last, in this interpreter. Each case of
-``cases()`` runs once for its check, which stops here too if it fails, and
-once more to size its loops; then REPEATS loops of about LOOP_S seconds each,
-timed with ``time.perf_counter``, give its seconds per call. ``overhead_share``
-is BAKE's overhead as the paper states it: the median of an ``overhead`` case,
-which builds one batch's soft targets and runs the KL node forward and
-backward, over the median of the vanilla step at the same shape. The shapes are
-desk (N=64, K=10), bake_wide's (N=256, K=100) and a CIFAR-100 encoder with the
-conv stem (3x32x32, N=64, K=100), all with MLP 256,128 on models that compute
-in float32, as every run does. The section also holds the ``env`` line.
+Each section holds both sides and, per metric, cost or case that both trees give, ``pair()``: the change's wins of
+n pairs by ``better`` (lower for costs and cases; a tie counts for neither), the median of the per-pair
+differences (change minus parent) and the parent's IQR. Unless the two cells of one interpreter end at one finite
+top-1, this stops here. So does a pair whose sides end at another top-1, or at another number of failed
+operations, unless ``--moves-bits`` declares that the change moves training bits.
 
-``--fingerprint`` writes no file. It trains each workload at seeds 1-3 through
-``cli.run_training(specs.config(workload, seed, tiny))``, all in one child
-interpreter started with OPENBLAS_NUM_THREADS=1, and prints one JSON object:
-per workload and seed, the SHA-256 of the per-epoch metrics (every
-``EpochMetrics`` field but ``wall_seconds``, as float64 bytes) and of the final
-``model.flat`` bytes. Two trees train byte-identically on one host when their
-fingerprints are equal. ``--tiny`` trains the smoke-test sizes of ``specs.TINY``.
-
-``--against DIR`` pairs this tree with DIR, a checkout of the parent such as
-``git worktree add ../parent HEAD~1``; DIR needs ``BENCHMARK.json``,
-``perfbench/`` and ``src/bakekit``, or this exits 2 before any run. Each
-workload seed runs this tree's BENCHMARK.json command once in DIR and once
-here, as fresh interpreters; the parent goes first at seeds 1, 3 and 5, the
-change at seeds 2 and 4. Per workload the file holds both sides' summaries
-(as above) and, per metric, the change's wins of n pairs by the metric's
-``better`` (a tie counts for neither), the median of the per-pair differences
-(change minus parent) and the parent's IQR. It then records both trees'
-``--fingerprint`` output, each made by its own tree's code. A pair whose sides
-end at another ``final_top1`` or another number of failed operations stops
-here, and no file is written, unless ``--moves-bits`` declares that the change
-moves training bits. The pair file has no ``first_cell`` or ``micro`` section:
-timed in one tree only, they are the one-sided readings the pairs replace.
+``--fingerprint`` writes no file. In one child interpreter with OPENBLAS_NUM_THREADS=1 it trains each workload at
+seeds 1-3 through ``cli.run_training(specs.config(workload, seed, tiny))`` and prints, per workload and seed, the
+SHA-256 of the per-epoch metrics (every ``EpochMetrics`` field but ``wall_seconds``, as float64 bytes) and of the
+final ``model.flat`` bytes. Two trees train byte-identically on one host when these are equal. ``--tiny`` trains
+the smoke-test sizes of ``specs.TINY``.
 """
 
 from __future__ import annotations
@@ -75,9 +56,11 @@ SEEDS = (1, 2, 3, 4, 5)
 FINGERPRINT_SEEDS = (1, 2, 3)
 REPEATS = 5
 LOOP_S = 0.2
-# classes K, examples per class, input (an MLP's dim, or C, H, W through the conv stem), n_hat at M=1
+# desk, bake_wide's and a CIFAR-100 encoder with the conv stem: classes K, examples per class,
+# input (an MLP's dim, or C, H, W through the conv stem), n_hat at M=1
 SHAPES = {"desk": (10, 200, 32, 32), "bake_wide": (100, 500, 32, 128), "cifar_conv": (100, 2, (3, 32, 32), 32)}
 DTYPE = "float32"  # what a model computes in; the case names and overhead_share keys carry it
+COSTS = ("wall_s", "minor_faults", "system_s")  # what cell_costs measures of each cell
 
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
@@ -89,12 +72,7 @@ def summary(values):
 
 
 def cases():
-    """The micro cases as (name, call, check); ``check`` reads one ``call()``'s result.
-
-    numpy and bakekit are imported here, after the workload runs: a child
-    process reports its parent's peak RSS when that is the larger, so the
-    runs start from an interpreter that has loaded neither.
-    """
+    """The micro cases as (name, call, check); ``check`` reads one ``call()``'s result."""
     import numpy as np
 
     from bakekit import bake, losses, sampling
@@ -208,25 +186,6 @@ def cell_costs():
     print(json.dumps(cells))
 
 
-def first_cell():
-    """``cell_costs`` in REPEATS fresh interpreters; each cell's costs summarised; a top-1 mismatch exits here."""
-    runs = []
-    for _ in range(REPEATS):
-        argv = [sys.executable, "-c", "import bench; bench.cell_costs()"]
-        done = subprocess.run(argv, cwd=ROOT / "tools", stdout=subprocess.PIPE, text=True, check=True)
-        cells = json.loads(done.stdout.splitlines()[-1])
-        top1 = [cell["top1"] for cell in cells]
-        if not (math.isfinite(top1[0]) and top1[0] == top1[1]):
-            raise SystemExit(f"bench: first-cell check failed: the two cells end at top-1 {top1}")
-        runs.append(cells)
-    return {
-        "config": ["bake_wide", 1],
-        "top1": [cells[0]["top1"] for cells in runs],
-        "cells": [{key: summary([cells[i][key] for cells in runs]) for key in ("wall_s", "minor_faults", "system_s")}
-                  for i in range(2)],
-    }
-
-
 def workload_names():
     return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
@@ -253,12 +212,30 @@ def train_fingerprints(tiny):
     print(json.dumps(runs))
 
 
+def child(argv, cwd, env=None):
+    """The standard output of ``argv`` run in ``cwd`` as a fresh process; a non-zero exit stops here."""
+    done = subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, text=True)
+    if done.returncode:
+        raise SystemExit(f"bench: {' '.join(map(str, argv))} in {cwd} exited {done.returncode}")
+    return done.stdout
+
+
+def harness(tree, code, env=None):
+    """The last line ``code`` prints, as JSON, run with ``tree``'s own tools/bench.py in a fresh interpreter."""
+    stdout = child([sys.executable, "-c", f"import bench, json; {code}"], tree / "tools", env)
+    return json.loads(stdout.splitlines()[-1])
+
+
+def sides(i, parent):
+    """The (side, tree) pairs in their run order at index ``i``: the parent first when ``i`` is even."""
+    order = [("parent", parent), ("change", ROOT)]
+    return order[::-1] if i % 2 else order
+
+
 def fingerprint(tiny, tree=ROOT):
     """``tree``'s ``train_fingerprints`` in a fresh interpreter with one BLAS thread, as one JSON object."""
-    argv = [sys.executable, "-c", f"import bench; bench.train_fingerprints({bool(tiny)})"]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run(argv, cwd=tree / "tools", env=env, stdout=subprocess.PIPE, text=True, check=True)
-    return {"tiny": bool(tiny), "seeds": list(FINGERPRINT_SEEDS), "runs": json.loads(done.stdout.splitlines()[-1])}
+    runs = harness(tree, f"bench.train_fingerprints({bool(tiny)})", {**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    return {"tiny": bool(tiny), "seeds": list(FINGERPRINT_SEEDS), "runs": runs}
 
 
 def parse(stdout):
@@ -284,36 +261,6 @@ def aggregate(seeds, runs):
     }
 
 
-def run(spec, name, seed, tree=ROOT):
-    """(env, result) of one untraced run of workload ``name`` at ``seed``: ``spec``'s command in ``tree``."""
-    argv = [*spec["command"], "--workload", name, "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
-            "--trace", "0"]
-    done = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
-    return parse(done.stdout)
-
-
-def main(out):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = workload_names()
-    runs = {name: [] for name in workloads}
-    for seed in SEEDS:
-        for name in workloads:
-            print(f"bench: {name} seed {seed}", file=sys.stderr, flush=True)
-            runs[name].append(run(spec, name, seed))
-    print("bench: first cell", file=sys.stderr, flush=True)
-    first = first_cell()
-    print("bench: micro", file=sys.stderr, flush=True)
-    report = {
-        "first_cell": first,
-        "micro": micro(cases()),
-        "command": spec["command"],
-        "run_seconds": spec["run_seconds"],
-        "trace": 0,
-        "workloads": {name: aggregate(SEEDS, runs[name]) for name in workloads},
-    }
-    Path(out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-
-
 def pair(parent, change, better):
     """One metric over paired runs: the change's wins of n (ties count for neither), the median of the
     per-pair differences (change minus parent) and the parent's IQR."""
@@ -323,57 +270,107 @@ def pair(parent, change, better):
             "parent_iqr": summary(parent)["iqr"]}
 
 
+def pairs(parent, change, better=None):
+    """``pair`` of each summary both sides hold under one name; lower is better unless ``better`` says otherwise."""
+    return {name: pair(parent[name]["values"], values["values"], (better or {}).get(name, "lower"))
+            for name, values in change.items() if name in parent}
+
+
 def check_tree(tree):
-    """Exit 2 unless ``tree`` holds a benchmark and bakekit's sources to run it on."""
-    missing = [name for name in ("BENCHMARK.json", "perfbench", "src/bakekit") if not (tree / name).exists()]
-    if missing:
+    """Exit 2 unless ``tree`` holds a benchmark, its harness and bakekit's sources to run them on."""
+    needed = ("BENCHMARK.json", "perfbench", "src/bakekit", "tools/bench.py")
+    if missing := [name for name in needed if not (tree / name).exists()]:
         print(f"bench: --against {tree} is not a bakekit checkout: it has no {', '.join(missing)}", file=sys.stderr)
         sys.exit(2)
 
 
-def check_pair(name, seed, parent, change):
-    """Stop unless the two sides of one pair end at one final top-1 with as many failed operations."""
-    top1 = [result["metrics"]["final_top1"]["value"] for result in (parent, change)]
-    failed = [result["failed"] for result in (parent, change)]
+def check_pair(what, top1, failed=()):
+    """Stop unless the two sides of one pair end at one final top-1 (with as many failed operations, if given)."""
     same_top1 = top1[0] == top1[1] or all(map(math.isnan, top1))
-    if not same_top1 or failed[0] != failed[1]:
-        raise SystemExit(f"bench: {name} seed {seed}: parent and change end at top-1 {top1} with failed {failed}; "
+    if not same_top1 or len(set(failed)) > 1:
+        counts = f" with failed {failed}" if failed else ""
+        raise SystemExit(f"bench: {what}: parent and change end at top-1 {top1}{counts}; "
                          f"pass --moves-bits if the change moves training bits")
 
 
-def main_against(out, parent, moves_bits):
-    """Parent/change pairs of every workload seed, and both trees' fingerprints, written to ``out``."""
+def workload_pairs(spec, parent, moves_bits):
+    """Each workload's paired runs at every seed: both sides' summaries and each metric's ``pair``."""
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    names = workload_names()
+    runs = {name: {"parent": [], "change": []} for name in names}
+    for i, seed in enumerate(SEEDS):
+        for name in names:
+            argv = [*spec["command"], "--workload", name, "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
+                    "--trace", "0"]
+            for side, tree in sides(i, parent):
+                print(f"bench: {name} seed {seed} {side}", file=sys.stderr, flush=True)
+                runs[name][side].append(parse(child(argv, tree)))
+            if not moves_bits:
+                results = [runs[name][side][-1][1] for side in ("parent", "change")]
+                check_pair(f"{name} seed {seed}", [r["metrics"]["final_top1"]["value"] for r in results],
+                           [r["failed"] for r in results])
+    report = {}
+    for name in names:
+        summaries = {side: aggregate(SEEDS, side_runs) for side, side_runs in runs[name].items()}
+        report[name] = {**summaries, "pairs": pairs(summaries["parent"]["metrics"], summaries["change"]["metrics"],
+                                                    better)}
+    return report
+
+
+def repeats(parent, what, code):
+    """``harness(tree, code)`` REPEATS times in each tree, the sides alternating: {side: [result, ...]}."""
+    runs = {"parent": [], "change": []}
+    for i in range(REPEATS):
+        for side, tree in sides(i, parent):
+            print(f"bench: {what} {i + 1} {side}", file=sys.stderr, flush=True)
+            runs[side].append(harness(tree, code))
+    return runs
+
+
+def first_cell_pairs(parent, moves_bits):
+    """``cell_costs`` paired: each side's top-1 and cell costs, and each cost's ``pair``; a top-1 mismatch exits."""
+    runs = repeats(parent, "first cell", "bench.cell_costs()")
+    for side, side_runs in runs.items():
+        for top1 in ([cell["top1"] for cell in cells] for cells in side_runs):
+            if not (math.isfinite(top1[0]) and top1[0] == top1[1]):
+                raise SystemExit(f"bench: first-cell check failed: the {side}'s two cells end at top-1 {top1}")
+    report = {side: {"top1": [cells[0]["top1"] for cells in side_runs],
+                     "cells": [{key: summary([cells[i][key] for cells in side_runs]) for key in COSTS} for i in (0, 1)]}
+              for side, side_runs in runs.items()}
+    if not moves_bits:
+        for top1 in zip(report["parent"]["top1"], report["change"]["top1"]):
+            check_pair("first cell", list(top1))
+    cell_pairs = [pairs(*cells) for cells in zip(report["parent"]["cells"], report["change"]["cells"])]
+    return {"config": ["bake_wide", 1], **report, "pairs": cell_pairs}
+
+
+def micro_pairs(parent):
+    """``micro(cases())`` paired: each side's case summaries and ``overhead_share``, and each case's ``pair``."""
+    runs = repeats(parent, "micro", "print(json.dumps(bench.micro(bench.cases())))")
+    report = {}
+    for side, side_runs in runs.items():
+        cases = {name: summary([run["cases"][name]["median"] for run in side_runs]) for name in side_runs[0]["cases"]}
+        report[side] = {"env": [run["env"] for run in side_runs], "cases": cases,
+                        "overhead_share": overhead_shares(cases)}
+    return {"unit": "s/call", **report, "pairs": pairs(report["parent"]["cases"], report["change"]["cases"])}
+
+
+def main(out, parent, moves_bits):
+    """Both trees' fingerprints, then the paired workloads, first cell and micro cases, written to ``out``."""
     check_tree(parent)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
-    workloads = workload_names()
-    runs = {name: {"parent": [], "change": []} for name in workloads}
-    first = []
-    for i, seed in enumerate(SEEDS):
-        sides = [("parent", parent), ("change", ROOT)][:: -1 if i % 2 else 1]
-        first.append(sides[0][0])
-        for name in workloads:
-            for side, tree in sides:
-                print(f"bench: {name} seed {seed} {side}", file=sys.stderr, flush=True)
-                runs[name][side].append(run(spec, name, seed, tree))
-            if not moves_bits:
-                check_pair(name, seed, runs[name]["parent"][-1][1], runs[name]["change"][-1][1])
     print("bench: fingerprints", file=sys.stderr, flush=True)
-    fingerprints = {"parent": fingerprint(False, parent), "change": fingerprint(False)}
-    workload_pairs = {}
-    for name in workloads:
-        sides = {side: aggregate(SEEDS, runs[name][side]) for side in ("parent", "change")}
-        pairs = {metric: pair(sides["parent"]["metrics"][metric]["values"], m["values"], better[metric])
-                 for metric, m in sides["change"]["metrics"].items()}
-        workload_pairs[name] = {**sides, "pairs": pairs}
+    fingerprints = {side: fingerprint(False, tree) for side, tree in sides(0, parent)}
     report = {
         "moves_bits": moves_bits,
-        "first": first,
+        "first": [sides(i, parent)[0][0] for i in range(len(SEEDS))],
         "fingerprint": {**fingerprints, "equal": fingerprints["parent"] == fingerprints["change"]},
         "command": spec["command"],
         "run_seconds": spec["run_seconds"],
         "trace": 0,
-        "workloads": workload_pairs,
+        "workloads": workload_pairs(spec, parent, moves_bits),
+        "first_cell": first_cell_pairs(parent, moves_bits),
+        "micro": micro_pairs(parent),
     }
     Path(out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
@@ -382,10 +379,8 @@ if __name__ == "__main__":
     args = sys.argv[1:]
     if args[:1] == ["--fingerprint"] and args[1:] in ([], ["--tiny"]):
         print(json.dumps(fingerprint(args[1:] == ["--tiny"]), indent=1, sort_keys=True))
-    elif len(args) == 1 and not args[0].startswith("-"):
-        main(args[0])
     elif (len(args) in (3, 4) and not args[0].startswith("-") and args[1] == "--against"
           and args[3:] in ([], ["--moves-bits"])):
-        main_against(args[0], Path(args[2]).resolve(), args[3:] == ["--moves-bits"])
+        main(args[0], Path(args[2]).resolve(), args[3:] == ["--moves-bits"])
     else:
         sys.exit(__doc__)
