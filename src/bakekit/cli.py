@@ -496,7 +496,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - single CLI failure funnel

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,27 +17,36 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 
-def stdout(env, examples_per_s, top1, failed):
-    result = {
-        "correct": True, "attempted": 124, "failed": failed,
-        "metrics": {"examples_per_s": {"value": examples_per_s, "unit": "1/s"},
-                    "final_top1": {"value": top1, "unit": "ratio"}},
-    }
+def stdout(env, examples_per_s, top1, failed, **more):
+    """What one benchmark run prints: ``more`` maps further metrics to their values."""
+    metrics = {"examples_per_s": examples_per_s, "final_top1": top1, **more}
+    result = {"correct": True, "attempted": 124, "failed": failed,
+              "metrics": {name: {"value": value, "unit": "-"} for name, value in metrics.items()}}
     return "\n".join(["env " + json.dumps(env), "check companions: pass (ok)", json.dumps(result)]) + "\n"
 
 
-def test_two_result_lines_aggregate():
+def test_two_workload_runs_read_into_records_and_a_section(monkeypatch):
     env = {"blas_threads": 2, "numpy": "2.0.0", "cores": 2}
-    runs = [bench.parse(stdout(env, 100.0, 0.5, 0)), bench.parse(stdout(env, 140.0, 0.5, 3))]
-    summary = bench.aggregate((1, 2), runs)
-    assert summary["seeds"] == [1, 2]
-    assert summary["metrics"]["examples_per_s"] == {
-        "unit": "1/s", "values": [100.0, 140.0], "median": 120.0, "iqr": pytest.approx(20.0)
-    }
-    assert summary["metrics"]["final_top1"]["iqr"] == 0.0
-    assert summary["attempted"] == [124, 124] and summary["failed"] == [0, 3]
-    assert summary["correct"] == [True, True]
-    assert summary["env"] == [env, env]
+    printed = {1: stdout(env, 100.0, 0.5, 0), 2: stdout(env, 140.0, 0.5, 3)}
+    argvs = []
+
+    def run(argv, cwd, **kwargs):
+        argvs.append(argv)
+        return SimpleNamespace(returncode=0, stdout=printed[int(argv[argv.index("--seed") + 1])])
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    spec = {"command": ["python3", "perfbench/workload.py"], "run_seconds": 24}
+    records = [bench.workload_run(spec, "bake_desk", Path("tree"), i) for i in (0, 1)]
+    assert argvs[1] == ["python3", "perfbench/workload.py", "--workload", "bake_desk", "--seed", "2",
+                        "--seconds", "24", "--trace", "0"]
+    assert records[1] == {"examples_per_s": 140.0, "final_top1": 0.5, "attempted": 124, "failed": 3}
+    report = bench.section({"parent": records, "change": records[::-1]}, {"examples_per_s": "higher"})
+    assert report["parent"]["examples_per_s"] == {"values": [100.0, 140.0], "median": 120.0,
+                                                  "iqr": pytest.approx(20.0)}
+    assert report["change"]["failed"] == {"values": [3, 0], "median": 1.5, "iqr": pytest.approx(1.5)}
+    assert report["pairs"]["examples_per_s"] == {"wins": 1, "n": 2, "median_diff": 0.0, "parent_iqr": pytest.approx(20.0)}
+    assert report["pairs"]["failed"]["wins"] == 1  # lower is better unless ``better`` says otherwise
+    assert set(report["pairs"]) == {"examples_per_s", "final_top1", "attempted", "failed"}
 
 
 def test_summary_and_overhead_share_on_made_up_timings():
@@ -62,7 +72,7 @@ def cells(top1=(0.21, 0.21), faults=(240_000, 2_000)):
     return [{"wall_s": 3.0, "minor_faults": f, "system_s": 0.5, "top1": t} for t, f in zip(top1, faults)]
 
 
-def micro_run(cases):
+def micro_output(cases):
     """What one micro interpreter prints: ``cases`` maps each case's name to its median seconds per call."""
     timed = {name: bench.summary([seconds] * bench.REPEATS) for name, seconds in cases.items()}
     return {"unit": "s/call", "env": ENV, "cases": timed, "overhead_share": bench.overhead_shares(timed)}
@@ -74,15 +84,19 @@ def order(i):
 
 
 # what each harness run calls, by the name ``calls`` logs it under
-HARNESS = {"bench.train_fingerprints(False)": "fingerprint", "bench.cell_costs()": "first cell",
+HARNESS = {"bench.train_fingerprints(False)": "fingerprint", "environment()": "env", "bench.cell_costs()": "first cell",
            "bench.micro(bench.cases())": "micro"}
 
+# made-up examples_per_s of seeds 1-5; the change's differences are 3, 0, -1, 4 and 3
+PARENT_RATES, CHANGE_RATES = [100.0, 104.0, 98.0, 101.0, 99.0], [103.0, 104.0, 97.0, 105.0, 102.0]
 
-def fake_run(parent, calls, parent_top1=0.5, first_cells=None, micro=None, fails=()):
+
+def fake_run(parent, calls, parent_top1=0.5, parent_failed=0, first_cells=None, micro=None, fails=(),
+             parent_metrics={}):
     """``subprocess.run`` for ``main``: a run in ``parent`` is the parent's, any other the change's. Each run is
     logged in ``calls``, a workload run as (side, name, seed) and a harness run as (side, what); a harness run
     prints ``first_cells(side, i)`` or ``micro(side, i)`` at its side's i-th repeat. A ``what`` in ``fails``
-    exits 1 on the parent's side."""
+    exits 1 on the parent's side. A parent's workload run also prints ``parent_metrics``."""
     repeat = {}
 
     def run(argv, cwd, **kwargs):
@@ -96,15 +110,19 @@ def fake_run(parent, calls, parent_top1=0.5, first_cells=None, micro=None, fails
             i = repeat[side, what] = repeat.get((side, what), -1) + 1
             if what == "fingerprint":
                 printed = {"bake_desk": {"1": {"metrics": "m", "model": side}}}
+            elif what == "env":
+                printed = ENV
             elif what == "first cell":
                 printed = (first_cells or (lambda side, i: cells()))(side, i)
             else:
-                printed = micro_run((micro or (lambda side, i: {"one[1]": 1e-3}))(side, i))
+                printed = micro_output((micro or (lambda side, i: {"one[1]": 1e-3}))(side, i))
             return SimpleNamespace(returncode=0, stdout="a line before\n" + json.dumps(printed) + "\n")
         name, seed = argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])
         calls.append((side, name, seed))
-        rate = (PARENT_RATES if side == "parent" else CHANGE_RATES)[seed - 1]
-        return SimpleNamespace(returncode=0, stdout=stdout(ENV, rate, parent_top1 if side == "parent" else 0.5, 0))
+        if side == "parent":
+            return SimpleNamespace(returncode=0, stdout=stdout(ENV, PARENT_RATES[seed - 1], parent_top1, parent_failed,
+                                                            **parent_metrics))
+        return SimpleNamespace(returncode=0, stdout=stdout(ENV, CHANGE_RATES[seed - 1], 0.5, 0))
 
     return run
 
@@ -119,29 +137,26 @@ def parent_tree(tmp_path):
     return tree
 
 
-# made-up examples_per_s of seeds 1-5; the change's differences are 3, 0, -1, 4 and 3
-PARENT_RATES, CHANGE_RATES = [100.0, 104.0, 98.0, 101.0, 99.0], [103.0, 104.0, 97.0, 105.0, 102.0]
-
-
 def test_first_cell_summarises_fresh_interpreters(tmp_path, monkeypatch):
     # cell 0's minor faults per repeat: the change's differences are -40k, 10k, -40k, -35k and -30k
     faults = {"parent": [240_000, 250_000, 230_000, 245_000, 235_000],
               "change": [200_000, 260_000, 190_000, 210_000, 205_000]}
     second = [2_000, 3_000, 1_000, 2_500, 1_500]  # cell 1's, equal on both sides
-    parent, calls = parent_tree(tmp_path), []
+    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
     monkeypatch.setattr(bench.subprocess, "run", fake_run(
         parent, calls, first_cells=lambda side, i: cells(faults=(faults[side][i], second[i]))))
-    first = bench.first_cell_pairs(parent, False)
-    assert calls == [(side, "first cell") for i in range(bench.REPEATS) for side in order(i)]
+    bench.main(out, parent, False)
+    first = json.loads(out.read_text())["first_cell"]
     assert first["config"] == ["bake_wide", 1]
-    assert first["parent"]["top1"] == first["change"]["top1"] == [0.21] * 5
-    assert first["parent"]["cells"][0]["minor_faults"] == bench.summary(faults["parent"])
-    assert first["change"]["cells"][1]["minor_faults"]["median"] == 2_000
-    assert first["change"]["cells"][1]["system_s"] == bench.summary([0.5] * 5)
+    names = {f"cell{i}.{key}" for i in (0, 1) for key in ("wall_s", "minor_faults", "system_s", "top1")}
+    assert set(first["parent"]) == set(first["change"]) == set(first["pairs"]) == names
+    assert first["parent"]["cell0.top1"] == first["change"]["cell1.top1"] == bench.summary([0.21] * 5)
+    assert first["parent"]["cell0.minor_faults"] == bench.summary(faults["parent"])
+    assert first["change"]["cell1.minor_faults"]["median"] == 2_000
+    assert first["change"]["cell1.system_s"] == bench.summary([0.5] * 5)
     # lower is better: the change wins at four repeats; the parent's quartiles are 235k and 245k
-    assert first["pairs"][0]["minor_faults"] == {"wins": 4, "n": 5, "median_diff": -35_000, "parent_iqr": 10_000}
-    assert first["pairs"][1]["minor_faults"] == {"wins": 0, "n": 5, "median_diff": 0, "parent_iqr": 1_000}
-    assert set(first["pairs"][0]) == {"wall_s", "minor_faults", "system_s"}
+    assert first["pairs"]["cell0.minor_faults"] == {"wins": 4, "n": 5, "median_diff": -35_000, "parent_iqr": 10_000}
+    assert first["pairs"]["cell1.minor_faults"] == {"wins": 0, "n": 5, "median_diff": 0, "parent_iqr": 1_000}
 
 
 @pytest.mark.parametrize("side,top1", [("change", (0.21, 0.22)), ("parent", (float("nan"), float("nan")))],
@@ -155,44 +170,59 @@ def test_first_cell_mismatch_raises_and_writes_no_file(tmp_path, monkeypatch, si
         return cells(top1) if side == bad and i == 2 else cells()
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, first_cells=first_cells))
-    with pytest.raises(SystemExit, match=f"first-cell check failed: the {side}'s two cells end at top-1") as exc:
+    tree = re.escape(str(parent if side == "parent" else bench.ROOT))
+    with pytest.raises(SystemExit, match=f"first-cell check failed: the two cells in {tree} end at top-1") as exc:
         bench.main(out, parent, True)
     assert exc.value.code != 0 and not out.exists()
-    assert ("parent", "micro") not in calls
+    assert calls[-1] == (side, "first cell") and ("parent", "micro") not in calls
 
 
 def test_first_cell_top1_across_sides_needs_moves_bits(tmp_path, monkeypatch):
     parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
     first_cells = lambda side, i: cells((0.2, 0.2) if side == "parent" else (0.21, 0.21))  # noqa: E731
     monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, first_cells=first_cells))
-    with pytest.raises(SystemExit, match=r"first cell: parent and change end at top-1 \[0.2, 0.21\]") as exc:
+    with pytest.raises(SystemExit, match=r"first cell 1: parent and change end at cell0.top1 \[0.2, 0.21\]") as exc:
         bench.main(out, parent, False)
     assert exc.value.code != 0 and not out.exists()
+    assert calls[-2:] == [("parent", "first cell"), ("change", "first cell")]  # the first pair stops it
     bench.main(out, parent, True)
     first = json.loads(out.read_text())["first_cell"]
-    assert first["parent"]["top1"] == [0.2] * 5 and first["change"]["top1"] == [0.21] * 5
+    assert first["parent"]["cell0.top1"]["values"] == [0.2] * 5 and first["change"]["cell1.top1"]["median"] == 0.21
+    # higher is better for a top-1
+    assert first["pairs"]["cell0.top1"] == {"wins": 5, "n": 5, "median_diff": pytest.approx(0.01), "parent_iqr": 0.0}
 
 
-def test_micro_pairs_alternate_and_match_by_case_name(tmp_path, monkeypatch):
-    # the overhead case's medians per repeat: the change's are 0.1 ms lower at every repeat
+def test_names_pair_only_when_both_sides_hold_them(tmp_path, monkeypatch):
+    # each section, a name only one side gives: a workload metric, a first-cell cost and a micro case
     overhead = {"parent": [0.5, 0.6, 0.4, 0.55, 0.45], "change": [0.4, 0.5, 0.3, 0.45, 0.35]}
-    extra = {"parent": "gone[1]", "change": "new[1]"}  # a case only one tree times
+    extra = {"parent": "gone[1]", "change": "new[1]"}
 
     def micro(side, i):
         return {"step[desk-vanilla-float32]": 1.0, "overhead[desk-float32]": overhead[side][i], extra[side]: 2.0}
 
-    parent, calls = parent_tree(tmp_path), []
-    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, micro=micro))
-    timed = bench.micro_pairs(parent)
-    assert calls == [(side, "micro") for i in range(bench.REPEATS) for side in order(i)]
+    def first_cells(side, i):
+        return [{**cell, **({"major_faults": 0} if side == "change" else {})} for cell in cells()]
+
+    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, first_cells=first_cells, micro=micro,
+                                                          parent_metrics={"setup_s": 0.1}))
+    bench.main(out, parent, False)
+    report = json.loads(out.read_text())
+    for workload in report["workloads"].values():
+        assert "setup_s" in workload["parent"] and "setup_s" not in workload["change"]
+        assert set(workload["pairs"]) == {"examples_per_s", "final_top1", "attempted", "failed"}
+    first = report["first_cell"]
+    assert first["change"]["cell1.major_faults"] and "cell1.major_faults" not in first["parent"]
+    assert not any("major_faults" in name for name in first["pairs"])
+    timed = report["micro"]
     assert timed["unit"] == "s/call"
     assert set(timed["pairs"]) == {"step[desk-vanilla-float32]", "overhead[desk-float32]"}
     assert timed["pairs"]["overhead[desk-float32]"] == {
         "wins": 5, "n": 5, "median_diff": pytest.approx(-0.1), "parent_iqr": pytest.approx(0.1)
     }
     for side in ("parent", "change"):
-        assert timed[side]["cases"]["overhead[desk-float32]"] == bench.summary(overhead[side])
-        assert extra[side] in timed[side]["cases"] and timed[side]["env"] == [ENV] * 5
+        assert timed[side]["overhead[desk-float32]"] == bench.summary(overhead[side])
+        assert extra[side] in timed[side]
     assert timed["parent"]["overhead_share"] == {"desk-float32": 0.5}
     assert timed["change"]["overhead_share"] == {"desk-float32": pytest.approx(0.4)}
 
@@ -272,24 +302,29 @@ def test_pairs_alternate_and_match_a_hand_count(tmp_path, monkeypatch):
     monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls))
     bench.main(out, parent, False)
     names = bench.workload_names()
-    workloads = [(side, name, seed) for i, seed in enumerate(bench.SEEDS) for name in names for side in order(i)]
-    repeats = [(side, what) for what in ("first cell", "micro") for i in range(bench.REPEATS) for side in order(i)]
-    assert calls == [("parent", "fingerprint"), ("change", "fingerprint"), *workloads, *repeats]
+    # every section, one loop: at index i the parent goes first when i is even; seed i + 1 for a workload
+    workloads = [(side, name, i + 1) for name in names for i in range(5) for side in order(i)]
+    repeats = [(side, what) for what in ("first cell", "micro") for i in range(5) for side in order(i)]
+    assert calls == [("parent", "fingerprint"), ("change", "fingerprint"), ("parent", "env"), ("change", "env"),
+                     *workloads, *repeats]
     report = json.loads(out.read_text())
     assert report["first"] == ["parent", "change", "parent", "change", "parent"] and report["moves_bits"] is False
     assert report["fingerprint"]["equal"] is False  # the made-up model hashes name their side
     assert report["fingerprint"]["parent"]["runs"]["bake_desk"]["1"]["model"] == "parent"
+    assert report["env"] == {"parent": ENV, "change": ENV}
     for name in names:
         workload = report["workloads"][name]
-        assert workload["parent"]["metrics"]["examples_per_s"]["values"] == PARENT_RATES
-        assert workload["change"]["metrics"]["examples_per_s"]["values"] == CHANGE_RATES
+        assert workload["parent"]["examples_per_s"]["values"] == PARENT_RATES
+        assert workload["change"]["examples_per_s"]["values"] == CHANGE_RATES
+        assert workload["change"]["attempted"] == bench.summary([124] * 5)
         # higher is better: wins at seeds 1, 4 and 5, a tie at 2; the median difference is 3;
         # the parent's quartiles are 99 and 101
         assert workload["pairs"]["examples_per_s"] == {"wins": 3, "n": 5, "median_diff": 3.0, "parent_iqr": 2.0}
         assert workload["pairs"]["final_top1"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0}
-    for section, paired in (("first_cell", "cells"), ("micro", "cases")):
-        assert set(report[section]) >= {"parent", "change", "pairs"} and report[section]["parent"][paired]
+    for section in ("first_cell", "micro"):
+        assert set(report[section]) >= {"parent", "change", "pairs"} and report[section]["pairs"]
     assert report["micro"]["pairs"]["one[1]"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0}
+    assert report["micro"]["parent"]["overhead_share"] == {}
 
 
 def test_pair_wins_follow_the_metrics_direction():
@@ -303,12 +338,21 @@ def test_pair_wins_follow_the_metrics_direction():
 def test_top1_mismatch_exits_and_writes_no_file(tmp_path, monkeypatch):
     parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
     monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, parent_top1=0.49))
-    with pytest.raises(SystemExit, match=r"seed 1: parent and change end at top-1 \[0.49, 0.5\]") as exc:
+    with pytest.raises(SystemExit, match=r"bake_desk seed 1: parent and change end at final_top1 \[0.49, 0.5\]") as exc:
         bench.main(out, parent, False)
     assert exc.value.code != 0
-    assert len(calls) == 4 and not out.exists()  # both fingerprints, then the first pair stops it
+    assert len(calls) == 6 and not out.exists()  # fingerprints and environments, then the first pair stops it
     bench.main(out, parent, True)  # declared bit-moving: every pair runs and the file is written
     assert json.loads(out.read_text())["moves_bits"] is True
+
+
+def test_failed_count_mismatch_exits_and_writes_no_file(tmp_path, monkeypatch):
+    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, parent_failed=2))
+    with pytest.raises(SystemExit, match=r"bake_desk seed 1: parent and change end at failed \[2, 0\]") as exc:
+        bench.main(out, parent, False)
+    assert exc.value.code != 0 and not out.exists()
+    assert calls[-2:] == [("parent", "bake_desk", 1), ("change", "bake_desk", 1)]
 
 
 def test_a_parent_that_cannot_fingerprint_stops_before_any_workload(tmp_path, monkeypatch):
@@ -320,9 +364,9 @@ def test_a_parent_that_cannot_fingerprint_stops_before_any_workload(tmp_path, mo
     assert calls == [("parent", "fingerprint")]
 
 
-@pytest.mark.parametrize("kind", ["missing", "empty", "no-sources", "no-harness"])
-def test_against_a_missing_or_foreign_dir_exits_2(tmp_path, monkeypatch, kind):
-    tree = tmp_path / "parent"
+@pytest.mark.parametrize("kind", ["missing", "empty", "no-sources", "no-harness", "no-out-dir"])
+def test_against_a_missing_or_foreign_dir_exits_2(tmp_path, monkeypatch, capsys, kind):
+    tree, out = tmp_path / "parent", tmp_path / "BENCH.json"
     if kind != "missing":
         tree.mkdir()
     if kind in ("no-sources", "no-harness"):
@@ -330,11 +374,15 @@ def test_against_a_missing_or_foreign_dir_exits_2(tmp_path, monkeypatch, kind):
         (tree / "perfbench").mkdir()
     if kind == "no-harness":  # a checkout from before tools/bench.py existed
         (tree / "src" / "bakekit").mkdir(parents=True)
+    if kind == "no-out-dir":  # a full checkout, but the file's directory does not exist
+        tree, out = parent_tree(tmp_path / "full"), tmp_path / "nowhere" / "BENCH.json"
     monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: pytest.fail("a run started"))
     with pytest.raises(SystemExit) as exc:
-        bench.main(tmp_path / "BENCH.json", tree, False)
+        bench.main(out, tree, False)
     assert exc.value.code == 2
-    assert not (tmp_path / "BENCH.json").exists()
+    assert not out.exists()
+    if kind == "no-out-dir":
+        assert capsys.readouterr().err == f"bench: cannot write {out}: {out.parent} is not a directory\n"
 
 
 def test_against_from_the_command_line_exits_2_on_a_missing_dir(tmp_path):

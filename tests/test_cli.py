@@ -111,6 +111,12 @@ class TestTrainCommand:
         assert f"spread={spread}" in capsys.readouterr().err
         assert not (out / "metrics.jsonl").exists()
 
+    def test_synth_spread_beyond_float32_exits_2(self, tmp_path, capsys):
+        code, out = run_train(tmp_path, "x", extra=["--synth-spread", "1e39"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: synth spread 1e+39 draws inputs beyond float32's range\n"
+        assert not out.exists()
+
     def test_epoch_without_a_batch_exits_2(self, tmp_path, capsys):
         code, out = run_train(tmp_path, "x", extra=["--synth-per-class", "3", "--n-hat", "64"])
         assert code == 2
@@ -175,6 +181,22 @@ class TestTrainCommand:
             ["train", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "x")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--config", "--checkpoint", "--idx-train-images"])
+    def test_a_directory_for_an_input_file_exits_3(self, tmp_path, capsys, flag):
+        # a directory where an input file belongs is a data error, as a missing file is
+        split = (np.zeros((8, 2, 2)), np.arange(8) % 2)
+        out = ["--out-dir", str(tmp_path / "x")]
+        argv = {"--config": ["train", *SMALL, *out], "--checkpoint": ["targets", *BATCH],
+                "--idx-train-images": ["train", *idx_flags(tmp_path, split, split), *SMALL[len(SYNTH):], *out]}[flag]
+        assert cli.main([*argv, flag, str(tmp_path)]) == 3  # the last of a flag given twice is the one read
+        assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_an_out_dir_that_is_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "x").write_text("")
+        code, _ = run_train(tmp_path, "x")
+        assert code == 1 and capsys.readouterr().err.startswith("runtime error: [Errno 17] File exists")
 
     @pytest.mark.parametrize("key,value", [("knowledge", "bogus"), ("epochs", "3")])
     def test_bad_config_file_value_exits_2(self, tmp_path, capsys, key, value):

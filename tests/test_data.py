@@ -57,6 +57,13 @@ class TestSynthClusters:
             with pytest.raises(ConfigError, match=f"spread={spread}"):
                 dt.synth_clusters(2, 10, 3, spread, seed=0)
 
+    def test_spread_beyond_float32_is_refused(self):
+        # finite in float64, but the draws round to inf in the float32 inputs
+        with pytest.raises(ConfigError, match=r"synth spread 1e\+39 draws inputs beyond float32's range"):
+            dt.synth_clusters(4, 20, 8, 1e39, seed=0)
+        train, _ = dt.synth_clusters(4, 20, 8, 1e30, seed=0)
+        assert np.isfinite(train.inputs).all()
+
 
 class TestLoadIdx:
     def test_round_trip(self, tmp_path):

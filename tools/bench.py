@@ -5,30 +5,33 @@ write one BENCH_<n>.json; or print the workloads' training fingerprint.
     python3 tools/bench.py --fingerprint [--tiny]
 
 DIR is a checkout of the parent, such as ``git worktree add ../parent HEAD~1``; one without ``BENCHMARK.json``,
-``perfbench/``, ``src/bakekit`` or ``tools/bench.py`` exits 2 before any run. Each run is a fresh interpreter that
-runs one tree's own code. At index i, a seed's or a repeat's, the parent runs first when i is even and the change
-when it is odd (the file's ``first``), so drift on the host hits both sides. A run that exits non-zero stops here,
-and no file is written. This interpreter imports neither numpy nor bakekit, so no run inherits a larger peak RSS.
+``perfbench/``, ``src/bakekit`` or ``tools/bench.py``, or an output path whose directory does not exist, exits 2
+before any run. Each run is a fresh interpreter that runs one tree's own code. ``paired`` makes every pair: at each
+index i below REPEATS it runs a section's run in both trees, the parent first when i is even and the change when it
+is odd (the file's ``first``), so drift on the host hits both sides. A run that exits non-zero stops here, and no
+file is written. This interpreter imports neither numpy nor bakekit, so no run inherits a larger peak RSS.
 
 The file's sections, in the order they run:
-- ``fingerprint``: both trees' ``--fingerprint`` output and whether the two are equal.
-- ``workloads``: at each of SEEDS, BENCHMARK.json's command with ``--workload W --seed s --seconds <run_seconds>
-  --trace 0``. A side's summary holds each end-to-end metric's values with their median and IQR, and each run's
-  attempted and failed operations and ``env`` line (BLAS threads, numpy version, cores).
-- ``first_cell``: ``cell_costs`` REPEATS times: two cells of ``specs.config("bake_wide", 1)`` through
-  ``cli.run_training``, with each cell's wall seconds, minor page faults and system seconds from ``getrusage``
-  deltas around it. This is what a fresh process's first cell costs, which ``examples_per_s`` cannot see.
-- ``micro``: ``micro(cases())`` REPEATS times. Each case runs once for its check, which stops here too if it
-  fails, and once to size its loops; the median of REPEATS loops of about LOOP_S seconds, timed with
-  ``time.perf_counter``, is its seconds per call. ``overhead_share`` is BAKE's overhead as the paper states it:
-  the median of an ``overhead`` case (one batch's soft targets, then the KL node forward and backward) over that
-  of the vanilla step, at each shape of SHAPES, with MLP 256,128 computing in float32 as every run does.
+- ``fingerprint``: both trees' ``--fingerprint`` output and whether the two are equal; then ``env``, each tree's
+  environment line (BLAS threads, numpy version, cores) from its own ``perfbench/workload.py``.
+- ``workloads``: per workload, BENCHMARK.json's command with ``--workload W --seed <i + 1> --seconds <run_seconds>
+  --trace 0``. A run's record: each end-to-end metric, ``attempted`` and ``failed``.
+- ``first_cell``: ``cell_costs``: two cells of ``specs.config("bake_wide", 1)`` through ``cli.run_training`` in one
+  interpreter. Its record: ``cell0.wall_s``, ``cell0.minor_faults``, ``cell0.system_s``, ``cell0.top1`` and the
+  same of ``cell1``, with the wall seconds, minor page faults and system seconds from ``getrusage`` deltas around
+  each cell. This is what a fresh process's first cell costs, which ``examples_per_s`` cannot see.
+- ``micro``: ``micro(cases())``. Its record: each case's seconds per call, the median of REPEATS loops of about
+  LOOP_S seconds timed with ``time.perf_counter``, after one call for its check (which stops here too if it fails)
+  and one to size its loops. ``overhead_share`` is BAKE's overhead as the paper states it: the median of an
+  ``overhead`` case (one batch's soft targets, then the KL node forward and backward) over that of the vanilla step,
+  at each shape of SHAPES, with MLP 256,128 computing in float32 as every run does.
 
-Each section holds both sides and, per metric, cost or case that both trees give, ``pair()``: the change's wins of
-n pairs by ``better`` (lower for costs and cases; a tie counts for neither), the median of the per-pair
-differences (change minus parent) and the parent's IQR. Unless the two cells of one interpreter end at one finite
-top-1, this stops here. So does a pair whose sides end at another top-1, or at another number of failed
-operations, unless ``--moves-bits`` declares that the change moves training bits.
+A section holds each side's ``summary()`` of each name in its records and, under ``pairs``, ``pair()`` of each name
+both sides hold: the change's wins of n pairs by ``better`` (lower unless BENCHMARK.json or a top-1 says higher; a
+tie counts for neither), the median of the per-pair differences (change minus parent) and the parent's IQR. Unless
+the two cells of one interpreter end at one finite top-1, this stops here. So does a pair whose sides end at
+another ``final_top1`` or ``failed``, or another cell top-1, unless ``--moves-bits`` declares that the change moves
+training bits.
 
 ``--fingerprint`` writes no file. In one child interpreter with OPENBLAS_NUM_THREADS=1 it trains each workload at
 seeds 1-3 through ``cli.run_training(specs.config(workload, seed, tiny))`` and prints, per workload and seed, the
@@ -52,15 +55,13 @@ from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEEDS = (1, 2, 3, 4, 5)
 FINGERPRINT_SEEDS = (1, 2, 3)
-REPEATS = 5
+REPEATS = 5  # pairs per section, and loops per micro case
 LOOP_S = 0.2
 # desk, bake_wide's and a CIFAR-100 encoder with the conv stem: classes K, examples per class,
 # input (an MLP's dim, or C, H, W through the conv stem), n_hat at M=1
 SHAPES = {"desk": (10, 200, 32, 32), "bake_wide": (100, 500, 32, 128), "cifar_conv": (100, 2, (3, 32, 32), 32)}
 DTYPE = "float32"  # what a model computes in; the case names and overhead_share keys carry it
-COSTS = ("wall_s", "minor_faults", "system_s")  # what cell_costs measures of each cell
 
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
@@ -238,42 +239,13 @@ def fingerprint(tiny, tree=ROOT):
     return {"tiny": bool(tiny), "seeds": list(FINGERPRINT_SEEDS), "runs": runs}
 
 
-def parse(stdout):
-    """(env, result) from one benchmark run's standard output."""
-    lines = stdout.splitlines()
-    env = next(json.loads(line[len("env "):]) for line in lines if line.startswith("env "))
-    return env, json.loads(lines[-1])
-
-
-def aggregate(seeds, runs):
-    """One workload's summary of ``runs``, the (env, result) pair of each seed."""
-    metrics = {}
-    for name, first in runs[0][1]["metrics"].items():
-        values = [result["metrics"][name]["value"] for _, result in runs]
-        metrics[name] = {"unit": first["unit"], **summary(values)}
-    return {
-        "seeds": list(seeds),
-        "metrics": metrics,
-        "attempted": [result["attempted"] for _, result in runs],
-        "failed": [result["failed"] for _, result in runs],
-        "correct": [result["correct"] for _, result in runs],
-        "env": [env for env, _ in runs],
-    }
-
-
 def pair(parent, change, better):
-    """One metric over paired runs: the change's wins of n (ties count for neither), the median of the
-    per-pair differences (change minus parent) and the parent's IQR."""
+    """One name over paired runs: the change's wins of n (ties count for neither), the median of the per-pair
+    differences (change minus parent) and the parent's IQR."""
     sign = 1 if better == "higher" else -1
     diffs = [c - p for p, c in zip(parent, change)]
     return {"wins": sum(sign * d > 0 for d in diffs), "n": len(diffs), "median_diff": statistics.median(diffs),
             "parent_iqr": summary(parent)["iqr"]}
-
-
-def pairs(parent, change, better=None):
-    """``pair`` of each summary both sides hold under one name; lower is better unless ``better`` says otherwise."""
-    return {name: pair(parent[name]["values"], values["values"], (better or {}).get(name, "lower"))
-            for name, values in change.items() if name in parent}
 
 
 def check_tree(tree):
@@ -284,94 +256,98 @@ def check_tree(tree):
         sys.exit(2)
 
 
-def check_pair(what, top1, failed=()):
-    """Stop unless the two sides of one pair end at one final top-1 (with as many failed operations, if given)."""
-    same_top1 = top1[0] == top1[1] or all(map(math.isnan, top1))
-    if not same_top1 or len(set(failed)) > 1:
-        counts = f" with failed {failed}" if failed else ""
-        raise SystemExit(f"bench: {what}: parent and change end at top-1 {top1}{counts}; "
-                         f"pass --moves-bits if the change moves training bits")
-
-
-def workload_pairs(spec, parent, moves_bits):
-    """Each workload's paired runs at every seed: both sides' summaries and each metric's ``pair``."""
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
-    names = workload_names()
-    runs = {name: {"parent": [], "change": []} for name in names}
-    for i, seed in enumerate(SEEDS):
-        for name in names:
-            argv = [*spec["command"], "--workload", name, "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
-                    "--trace", "0"]
-            for side, tree in sides(i, parent):
-                print(f"bench: {name} seed {seed} {side}", file=sys.stderr, flush=True)
-                runs[name][side].append(parse(child(argv, tree)))
-            if not moves_bits:
-                results = [runs[name][side][-1][1] for side in ("parent", "change")]
-                check_pair(f"{name} seed {seed}", [r["metrics"]["final_top1"]["value"] for r in results],
-                           [r["failed"] for r in results])
-    report = {}
+def check_pair(what, parent, change, names):
+    """Stop unless the parent's and the change's records of one pair agree on each of ``names`` (NaN agrees with
+    NaN)."""
     for name in names:
-        summaries = {side: aggregate(SEEDS, side_runs) for side, side_runs in runs[name].items()}
-        report[name] = {**summaries, "pairs": pairs(summaries["parent"]["metrics"], summaries["change"]["metrics"],
-                                                    better)}
-    return report
+        values = [parent[name], change[name]]
+        if values[0] != values[1] and not all(map(math.isnan, values)):
+            raise SystemExit(f"bench: {what}: parent and change end at {name} {values}; "
+                             f"pass --moves-bits if the change moves training bits")
 
 
-def repeats(parent, what, code):
-    """``harness(tree, code)`` REPEATS times in each tree, the sides alternating: {side: [result, ...]}."""
+def paired(parent, what, run, same=()):
+    """``run(tree, i)``, one run's record of named numbers, in both trees at each i below REPEATS, in
+    ``sides(i, parent)`` order: {side: [record, ...]}. A pair whose records differ in a name of ``same`` stops."""
     runs = {"parent": [], "change": []}
     for i in range(REPEATS):
         for side, tree in sides(i, parent):
             print(f"bench: {what} {i + 1} {side}", file=sys.stderr, flush=True)
-            runs[side].append(harness(tree, code))
+            runs[side].append(run(tree, i))
+        check_pair(f"{what} {i + 1}", runs["parent"][-1], runs["change"][-1], same)
     return runs
 
 
-def first_cell_pairs(parent, moves_bits):
-    """``cell_costs`` paired: each side's top-1 and cell costs, and each cost's ``pair``; a top-1 mismatch exits."""
-    runs = repeats(parent, "first cell", "bench.cell_costs()")
-    for side, side_runs in runs.items():
-        for top1 in ([cell["top1"] for cell in cells] for cells in side_runs):
-            if not (math.isfinite(top1[0]) and top1[0] == top1[1]):
-                raise SystemExit(f"bench: first-cell check failed: the {side}'s two cells end at top-1 {top1}")
-    report = {side: {"top1": [cells[0]["top1"] for cells in side_runs],
-                     "cells": [{key: summary([cells[i][key] for cells in side_runs]) for key in COSTS} for i in (0, 1)]}
-              for side, side_runs in runs.items()}
-    if not moves_bits:
-        for top1 in zip(report["parent"]["top1"], report["change"]["top1"]):
-            check_pair("first cell", list(top1))
-    cell_pairs = [pairs(*cells) for cells in zip(report["parent"]["cells"], report["change"]["cells"])]
-    return {"config": ["bake_wide", 1], **report, "pairs": cell_pairs}
+def section(runs, better):
+    """Each side's ``summary()`` of each name in its records, and ``pair()`` of each name both sides hold; lower is
+    better unless ``better`` says otherwise."""
+    report = {side: {name: summary([record[name] for record in records]) for name in records[0]}
+              for side, records in runs.items()}
+    report["pairs"] = {name: pair(report["parent"][name]["values"], values["values"], better.get(name, "lower"))
+                       for name, values in report["change"].items() if name in report["parent"]}
+    return report
 
 
-def micro_pairs(parent):
-    """``micro(cases())`` paired: each side's case summaries and ``overhead_share``, and each case's ``pair``."""
-    runs = repeats(parent, "micro", "print(json.dumps(bench.micro(bench.cases())))")
-    report = {}
-    for side, side_runs in runs.items():
-        cases = {name: summary([run["cases"][name]["median"] for run in side_runs]) for name in side_runs[0]["cases"]}
-        report[side] = {"env": [run["env"] for run in side_runs], "cases": cases,
-                        "overhead_share": overhead_shares(cases)}
-    return {"unit": "s/call", **report, "pairs": pairs(report["parent"]["cases"], report["change"]["cases"])}
+def workload_run(spec, name, tree, i):
+    """The record of ``spec``'s command on workload ``name`` at seed i + 1 in ``tree``: its end-to-end metrics, and
+    its attempted and failed operations."""
+    argv = [*spec["command"], "--workload", name, "--seed", str(i + 1), "--seconds", str(spec["run_seconds"]),
+            "--trace", "0"]
+    result = json.loads(child(argv, tree).splitlines()[-1])
+    return {**{key: metric["value"] for key, metric in result["metrics"].items()},
+            "attempted": result["attempted"], "failed": result["failed"]}
+
+
+def first_cell_run(tree):
+    """One ``cell_costs`` interpreter's record, ``cell0.wall_s`` … ``cell1.top1``; unless its two cells end at one
+    finite top-1, this stops here."""
+    cells = harness(tree, "bench.cell_costs()")
+    top1 = [cell["top1"] for cell in cells]
+    if not (math.isfinite(top1[0]) and top1[0] == top1[1]):
+        raise SystemExit(f"bench: first-cell check failed: the two cells in {tree} end at top-1 {top1}")
+    return {f"cell{i}.{name}": value for i, cell in enumerate(cells) for name, value in cell.items()}
+
+
+def micro_run(tree):
+    """One micro interpreter's record: each case's median seconds per call."""
+    timed = harness(tree, "print(json.dumps(bench.micro(bench.cases())))")
+    return {name: case["median"] for name, case in timed["cases"].items()}
 
 
 def main(out, parent, moves_bits):
-    """Both trees' fingerprints, then the paired workloads, first cell and micro cases, written to ``out``."""
+    """Both trees' fingerprints and environments, then the paired workloads, first cell and micro cases, written
+    to ``out``."""
     check_tree(parent)
+    if not Path(out).parent.is_dir():
+        print(f"bench: cannot write {out}: {Path(out).parent} is not a directory", file=sys.stderr)
+        sys.exit(2)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {**{metric["name"]: metric["better"] for metric in spec["end_to_end"]},
+              "cell0.top1": "higher", "cell1.top1": "higher"}
+
+    def both(what, run, same=()):
+        """The section of ``run``'s pairs; one whose sides differ in a name of ``same`` stops, unless bits move."""
+        return section(paired(parent, what, run, () if moves_bits else same), better)
+
     print("bench: fingerprints", file=sys.stderr, flush=True)
     fingerprints = {side: fingerprint(False, tree) for side, tree in sides(0, parent)}
+    env = "from workload import environment; print(json.dumps(environment()))"
     report = {
         "moves_bits": moves_bits,
-        "first": [sides(i, parent)[0][0] for i in range(len(SEEDS))],
+        "first": [sides(i, parent)[0][0] for i in range(REPEATS)],
         "fingerprint": {**fingerprints, "equal": fingerprints["parent"] == fingerprints["change"]},
+        "env": {side: harness(tree, env) for side, tree in sides(0, parent)},
         "command": spec["command"],
         "run_seconds": spec["run_seconds"],
         "trace": 0,
-        "workloads": workload_pairs(spec, parent, moves_bits),
-        "first_cell": first_cell_pairs(parent, moves_bits),
-        "micro": micro_pairs(parent),
+        "workloads": {name: both(f"{name} seed", partial(workload_run, spec, name), ("final_top1", "failed"))
+                      for name in workload_names()},
+        "first_cell": {"config": ["bake_wide", 1],
+                       **both("first cell", lambda tree, i: first_cell_run(tree), ("cell0.top1", "cell1.top1"))},
+        "micro": {"unit": "s/call", **both("micro", lambda tree, i: micro_run(tree))},
     }
+    for side in ("parent", "change"):
+        report["micro"][side]["overhead_share"] = overhead_shares(report["micro"][side])
     Path(out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
