@@ -87,37 +87,31 @@ def _layout(descriptor):
 
 
 class Model:
-    """All parameters in one float64 master vector ``flat``, and one copy of it
-    in ``dtype`` (float32 unless asked otherwise), ``weights``, to compute with.
+    """All parameters in one vector ``flat``, a copy of the one the model is
+    built from, in ``dtype``: the dtype the model computes and steps in
+    (float32 unless asked otherwise).
 
     ``params`` is an ordered name -> Tensor dict whose ``.data`` and ``.grad``
-    are views into ``weights`` and ``grad``, both in ``dtype``; a backward that
-    reaches any parameter zero-fills all of ``grad`` before adding into it, so
-    a parameter its loss does not reach reads zero. ``forward`` first refreshes
-    ``weights`` from ``flat``; for a float64 model they are one array. SGD adds
-    the gradients into float64 and updates ``flat``, which is where parameters
-    are written: below float64 the ``params`` views are read-only, as a write
-    to them would be lost at the next ``forward``.
+    are writable views into ``flat`` and ``grad``, also in ``dtype``, so a write
+    through either side shows in the other and in the next ``forward``. A
+    backward that reaches any parameter zero-fills all of ``grad`` before
+    adding into it, so a parameter its loss does not reach reads zero.
     """
 
     def __init__(self, descriptor, flat, dtype=COMPUTE_DTYPE):
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.array(flat, dtype=dtype)  # a copy, writable even when a checkpoint's read-only bytes are given
         layout = _layout(descriptor)
         sizes = [int(np.prod(shape)) for _, shape, _ in layout]
         if flat.shape != (sum(sizes),):
             raise ShapeMismatchError(f"parameter vector {flat.shape}, descriptor needs ({sum(sizes)},)")
         self.descriptor = descriptor
-        self.dtype = np.dtype(dtype)
+        self.dtype = flat.dtype
         self.flat = flat
-        self.weights = flat if self.dtype == flat.dtype else flat.astype(self.dtype)
-        self.grad = np.zeros_like(self.weights)
+        self.grad = np.zeros_like(flat)
         self.params = {}
         cuts = np.cumsum(sizes)[:-1]
-        for (name, shape, _), data, grad in zip(layout, np.split(self.weights, cuts), np.split(self.grad, cuts)):
-            data = data.reshape(shape)
-            if self.weights is not flat:
-                data.flags.writeable = False
-            self.params[name] = p = Tensor(data, requires_grad=True)
+        for (name, shape, _), data, grad in zip(layout, np.split(flat, cuts), np.split(self.grad, cuts)):
+            self.params[name] = p = Tensor(data.reshape(shape), requires_grad=True)
             p.grad = grad.reshape(shape)
 
     def forward(self, inputs):
@@ -132,8 +126,6 @@ class Model:
             raise ShapeMismatchError(
                 f"input dim {x.shape[1]} != model input dim {self.descriptor.input_dim}"
             )
-        if self.weights is not self.flat:
-            np.copyto(self.weights, self.flat)
         p = self.params
         stem = self.descriptor.conv_stem
         if stem is not None:
@@ -178,8 +170,8 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """The model a checkpoint stores; its float32 forward computes with exactly
-    the stored values, as the saved model's did."""
+    """The float32 model a checkpoint stores, its ``flat`` a writable copy of
+    the stored values."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != CHECKPOINT_MAGIC:

@@ -82,6 +82,7 @@ class EpochMetrics:
     test_top1: float
     test_top5: float
     wall_seconds: float
+    nonfinite_steps: int = 0  # steps whose loss was NaN or infinite; training steps on through them
 
 
 def lr_at(schedule, epoch, base_lr, epochs):
@@ -151,13 +152,16 @@ def train(model, train_set, test_set, cfg):
         batches = epoch_batches(train_set.class_index, sampler, epoch)
         n = len(batches)
         sum_loss = sum_ce = sum_kl = 0.0
+        nonfinite = 0
         for it, ids in enumerate(batches):
             x, y = train_set.inputs[ids], train_set.labels[ids]
             loss, ce_val, kl_val = batch_loss(model, x, y, cfg)
             loss.backward()
             lr = lr_at(cfg.schedule, epoch + it / n, cfg.base_lr, cfg.epochs)
             sgd_step(model.flat, model.grad, velocity, lr, cfg.momentum, cfg.weight_decay)
-            sum_loss += loss.item()
+            value = loss.item()
+            nonfinite += not math.isfinite(value)
+            sum_loss += value
             sum_ce += ce_val
             sum_kl += kl_val
         top1, top5 = evaluate(model, test_set)
@@ -170,6 +174,7 @@ def train(model, train_set, test_set, cfg):
                 test_top1=top1,
                 test_top5=top5,
                 wall_seconds=time.perf_counter() - t0,
+                nonfinite_steps=nonfinite,
             )
         )
     return model, metrics

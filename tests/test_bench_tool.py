@@ -17,6 +17,12 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 
+@pytest.fixture(autouse=True)
+def five_pairs(monkeypatch):
+    """The made-up runs below are five pairs; a test of the verdict at REPEATS pairs sets its own count."""
+    monkeypatch.setattr(bench, "REPEATS", 5)
+
+
 def stdout(env, examples_per_s, top1, failed, **more):
     """What one benchmark run prints: ``more`` maps further metrics to their values."""
     metrics = {"examples_per_s": examples_per_s, "final_top1": top1, **more}
@@ -44,7 +50,8 @@ def test_two_workload_runs_read_into_records_and_a_section(monkeypatch):
     assert report["parent"]["examples_per_s"] == {"values": [100.0, 140.0], "median": 120.0,
                                                   "iqr": pytest.approx(20.0)}
     assert report["change"]["failed"] == {"values": [3, 0], "median": 1.5, "iqr": pytest.approx(1.5)}
-    assert report["pairs"]["examples_per_s"] == {"wins": 1, "n": 2, "median_diff": 0.0, "parent_iqr": pytest.approx(20.0)}
+    assert report["pairs"]["examples_per_s"] == {"wins": 1, "n": 2, "median_diff": 0.0,
+                                                 "parent_iqr": pytest.approx(20.0), "verdict": "none"}
     assert report["pairs"]["failed"]["wins"] == 1  # lower is better unless ``better`` says otherwise
     assert set(report["pairs"]) == {"examples_per_s", "final_top1", "attempted", "failed"}
 
@@ -92,11 +99,12 @@ PARENT_RATES, CHANGE_RATES = [100.0, 104.0, 98.0, 101.0, 99.0], [103.0, 104.0, 9
 
 
 def fake_run(parent, calls, parent_top1=0.5, parent_failed=0, first_cells=None, micro=None, fails=(),
-             parent_metrics={}):
+             parent_metrics={}, rates=(PARENT_RATES, CHANGE_RATES)):
     """``subprocess.run`` for ``main``: a run in ``parent`` is the parent's, any other the change's. Each run is
     logged in ``calls``, a workload run as (side, name, seed) and a harness run as (side, what); a harness run
     prints ``first_cells(side, i)`` or ``micro(side, i)`` at its side's i-th repeat. A ``what`` in ``fails``
-    exits 1 on the parent's side. A parent's workload run also prints ``parent_metrics``."""
+    exits 1 on the parent's side. A parent's workload run also prints ``parent_metrics``. A workload run at seed s
+    prints ``rates[0][s - 1]`` (the parent's) or ``rates[1][s - 1]`` (the change's) as its examples_per_s."""
     repeat = {}
 
     def run(argv, cwd, **kwargs):
@@ -120,9 +128,9 @@ def fake_run(parent, calls, parent_top1=0.5, parent_failed=0, first_cells=None, 
         name, seed = argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])
         calls.append((side, name, seed))
         if side == "parent":
-            return SimpleNamespace(returncode=0, stdout=stdout(ENV, PARENT_RATES[seed - 1], parent_top1, parent_failed,
+            return SimpleNamespace(returncode=0, stdout=stdout(ENV, rates[0][seed - 1], parent_top1, parent_failed,
                                                             **parent_metrics))
-        return SimpleNamespace(returncode=0, stdout=stdout(ENV, CHANGE_RATES[seed - 1], 0.5, 0))
+        return SimpleNamespace(returncode=0, stdout=stdout(ENV, rates[1][seed - 1], 0.5, 0))
 
     return run
 
@@ -155,8 +163,10 @@ def test_first_cell_summarises_fresh_interpreters(tmp_path, monkeypatch):
     assert first["change"]["cell1.minor_faults"]["median"] == 2_000
     assert first["change"]["cell1.system_s"] == bench.summary([0.5] * 5)
     # lower is better: the change wins at four repeats; the parent's quartiles are 235k and 245k
-    assert first["pairs"]["cell0.minor_faults"] == {"wins": 4, "n": 5, "median_diff": -35_000, "parent_iqr": 10_000}
-    assert first["pairs"]["cell1.minor_faults"] == {"wins": 0, "n": 5, "median_diff": 0, "parent_iqr": 1_000}
+    assert first["pairs"]["cell0.minor_faults"] == {"wins": 4, "n": 5, "median_diff": -35_000, "parent_iqr": 10_000,
+                                                    "verdict": "none"}
+    assert first["pairs"]["cell1.minor_faults"] == {"wins": 0, "n": 5, "median_diff": 0, "parent_iqr": 1_000,
+                                                    "verdict": "none"}
 
 
 @pytest.mark.parametrize("side,top1", [("change", (0.21, 0.22)), ("parent", (float("nan"), float("nan")))],
@@ -189,7 +199,8 @@ def test_first_cell_top1_across_sides_needs_moves_bits(tmp_path, monkeypatch):
     first = json.loads(out.read_text())["first_cell"]
     assert first["parent"]["cell0.top1"]["values"] == [0.2] * 5 and first["change"]["cell1.top1"]["median"] == 0.21
     # higher is better for a top-1
-    assert first["pairs"]["cell0.top1"] == {"wins": 5, "n": 5, "median_diff": pytest.approx(0.01), "parent_iqr": 0.0}
+    assert first["pairs"]["cell0.top1"] == {"wins": 5, "n": 5, "median_diff": pytest.approx(0.01), "parent_iqr": 0.0,
+                                            "verdict": "none"}
 
 
 def test_names_pair_only_when_both_sides_hold_them(tmp_path, monkeypatch):
@@ -218,7 +229,7 @@ def test_names_pair_only_when_both_sides_hold_them(tmp_path, monkeypatch):
     assert timed["unit"] == "s/call"
     assert set(timed["pairs"]) == {"step[desk-vanilla-float32]", "overhead[desk-float32]"}
     assert timed["pairs"]["overhead[desk-float32]"] == {
-        "wins": 5, "n": 5, "median_diff": pytest.approx(-0.1), "parent_iqr": pytest.approx(0.1)
+        "wins": 5, "n": 5, "median_diff": pytest.approx(-0.1), "parent_iqr": pytest.approx(0.1), "verdict": "none"
     }
     for side in ("parent", "change"):
         assert timed[side]["overhead[desk-float32]"] == bench.summary(overhead[side])
@@ -319,20 +330,56 @@ def test_pairs_alternate_and_match_a_hand_count(tmp_path, monkeypatch):
         assert workload["change"]["attempted"] == bench.summary([124] * 5)
         # higher is better: wins at seeds 1, 4 and 5, a tie at 2; the median difference is 3;
         # the parent's quartiles are 99 and 101
-        assert workload["pairs"]["examples_per_s"] == {"wins": 3, "n": 5, "median_diff": 3.0, "parent_iqr": 2.0}
-        assert workload["pairs"]["final_top1"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0}
+        assert workload["pairs"]["examples_per_s"] == {"wins": 3, "n": 5, "median_diff": 3.0, "parent_iqr": 2.0,
+                                                       "verdict": "none"}
+        assert workload["pairs"]["final_top1"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0,
+                                                   "verdict": "none"}
     for section in ("first_cell", "micro"):
         assert set(report[section]) >= {"parent", "change", "pairs"} and report[section]["pairs"]
-    assert report["micro"]["pairs"]["one[1]"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0}
+    assert report["micro"]["pairs"]["one[1]"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0,
+                                                  "verdict": "none"}
     assert report["micro"]["parent"]["overhead_share"] == {}
 
 
 def test_pair_wins_follow_the_metrics_direction():
     # lower is better: the change wins where it is below the parent; a tie counts for neither side
     assert bench.pair([42.8, 42.7, 42.9], [41.7, 42.7, 43.0], "lower") == {
-        "wins": 1, "n": 3, "median_diff": pytest.approx(0.0), "parent_iqr": pytest.approx(0.1)
+        "wins": 1, "n": 3, "median_diff": pytest.approx(0.0), "parent_iqr": pytest.approx(0.1), "verdict": "none"
     }
     assert bench.pair([42.8, 42.7, 42.9], [41.7, 42.7, 43.0], "higher")["wins"] == 1
+
+
+# ten made-up parent runs: their inclusive quartiles are 102.25 and 106.75, so the parent's IQR is 4.5
+TEN = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+@pytest.mark.parametrize("shifts, better, verdict", [
+    ([10] * 9 + [-1], "higher", "better"),  # 9 of 10 wins, a median difference of 10
+    ([10] * 8 + [-1] * 2, "higher", "none"),  # the same median, but 8 of 10 wins
+    ([3] * 10, "higher", "none"),  # 10 of 10 wins, but a median inside the IQR
+    ([4.5] * 10, "higher", "none"),  # a median equal to the IQR is not beyond it
+    ([10] * 9 + [-1], "lower", "worse"),  # the first runs where lower is better: 9 of 10 losses
+    ([-10] * 9 + [1], "lower", "better"),
+], ids=["9-of-10", "8-of-10", "inside-iqr", "at-iqr", "worse", "lower-better"])
+def test_verdict_needs_nine_of_ten_wins_beyond_the_parent_iqr(shifts, better, verdict):
+    result = bench.pair(TEN, [p + d for p, d in zip(TEN, shifts)], better)
+    assert result["n"] == 10 and result["parent_iqr"] == 4.5 and result["verdict"] == verdict
+
+
+def test_a_file_of_ten_pairs_holds_each_verdict(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "REPEATS", 10)
+    change_rates = [rate + 10 for rate in TEN[:9]] + [TEN[9] - 1]  # 9 of 10 wins beyond the parent's IQR
+    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, rates=(TEN, change_rates)))
+    bench.main(out, parent, False)
+    report = json.loads(out.read_text())
+    assert report["first"] == ["parent", "change"] * 5
+    for workload in report["workloads"].values():
+        assert workload["pairs"]["examples_per_s"] == {"wins": 9, "n": 10, "median_diff": 10.0, "parent_iqr": 4.5,
+                                                       "verdict": "better"}
+        assert {name: p["verdict"] for name, p in workload["pairs"].items() if name != "examples_per_s"} == {
+            "final_top1": "none", "attempted": "none", "failed": "none"}
+    assert all(p["verdict"] == "none" for section in ("first_cell", "micro") for p in report[section]["pairs"].values())
 
 
 def test_top1_mismatch_exits_and_writes_no_file(tmp_path, monkeypatch):

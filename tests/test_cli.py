@@ -84,7 +84,9 @@ class TestTrainCommand:
         lines = (out / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 2
         record = json.loads(lines[0])
-        assert {"epoch", "train_loss", "train_ce", "train_kl", "test_top1", "test_top5"} == set(record)
+        keys = {"epoch", "train_loss", "train_ce", "train_kl", "test_top1", "test_top5", "nonfinite_steps"}
+        assert keys == set(record)
+        assert record["nonfinite_steps"] == 0
         assert (out / "model.ckpt").exists()
         assert (out / "timings.txt").exists()
 

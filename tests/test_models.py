@@ -11,6 +11,7 @@ from bakekit.bake import build_soft_targets
 from bakekit.errors import ConfigError, DataFormatError, ShapeMismatchError
 from bakekit.losses import cross_entropy, soft_cross_entropy
 from bakekit.numerics import Tensor
+from bakekit.trainer import sgd_step
 
 
 def mlp(input_dim=6, k=4, hidden=(8, 5), seed=0):
@@ -71,15 +72,15 @@ class TestInit:
         for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
 
-    def test_float32_forward_uses_the_rounded_float64_parameters(self):
+    def test_float32_model_holds_and_computes_in_float32(self):
         model = mlp(seed=9)
-        assert model.dtype == np.float32
-        assert model.flat.dtype == np.float64
-        assert model.grad.dtype == np.float32
+        assert model.dtype == model.flat.dtype == model.grad.dtype == np.float32
+        assert all(p.data.dtype == p.grad.dtype == np.float32 for p in model.params.values())
         x = np.random.default_rng(1).normal(size=(3, 6)).astype(np.float32)
-        p = {k: v.data.astype(np.float32) for k, v in model.params.items()}
+        p = {k: v.data for k, v in model.params.items()}
         expected = np.maximum(x @ p["dense0.w"] + p["dense0.b"], 0.0) @ p["dense1.w"] + p["dense1.b"]
         features, logits = model.forward(x)
+        assert expected.dtype == np.float32
         assert np.array_equal(features.data, expected)
         assert np.array_equal(logits.data, expected @ p["head.w"] + p["head.b"])
 
@@ -135,8 +136,12 @@ class TestFlatParameters:
 
     def test_float32_parameters_are_written_through_flat(self):
         model = mlp(seed=3)
-        with pytest.raises(ValueError, match="read-only"):
-            model.params["head.w"].data[:] = 0.0
+        x = np.random.default_rng(4).normal(size=(3, 6))
+        model.params["head.w"].data[:] = 0.0
+        model.params["head.b"].data[:] = np.float32(0.25)
+        assert not model.flat[-(5 * 4 + 4) : -4].any()  # head.w and head.b, stored last
+        assert np.array_equal(model.flat[-4:], np.full(4, 0.25, np.float32))
+        assert np.array_equal(model.forward(x)[1].data, np.full((3, 4), 0.25, np.float32))
 
     def test_second_backward_overwrites_not_accumulates(self):
         model = mlp(seed=6)
@@ -203,6 +208,20 @@ class TestCheckpoint:
         assert np.array_equal(loaded.flat, model.flat.astype(np.float32))
         x = np.random.default_rng(0).normal(size=(3, 6))
         assert np.array_equal(loaded.forward(x)[1].data, model.forward(x)[1].data)
+
+    def test_loaded_model_trains_and_round_trips_bit_for_bit(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        md.save_checkpoint(mlp(seed=11), path)
+        loaded = md.load_checkpoint(path)
+        assert loaded.flat.flags.writeable and loaded.flat.dtype == np.float32
+        assert not np.shares_memory(loaded.flat, np.frombuffer(path.read_bytes(), np.uint8))
+        _, logits = loaded.forward(np.random.default_rng(0).normal(size=(3, 6)))
+        cross_entropy(logits, np.array([0, 1, 3])).backward()
+        before = loaded.flat.copy()
+        sgd_step(loaded.flat, loaded.grad, np.zeros_like(loaded.flat), 0.1, 0.9, 1e-4)
+        assert not np.array_equal(loaded.flat, before)
+        md.save_checkpoint(loaded, path)
+        assert np.array_equal(md.load_checkpoint(path).flat, loaded.flat)  # float32 storage rounds nothing
 
     def test_conv_round_trip(self, tmp_path):
         stem = md.ConvStem(1, 10, 10)

@@ -47,8 +47,7 @@ class TestSgdStep:
         assert np.array_equal(g, [0.5, -2.0])
 
     def test_step_on_flat_vector_moves_named_params(self):
-        """A float64 model's params move with ``flat``; a float32 model's
-        weights catch up at its next forward."""
+        """A model's params move with ``flat``, in float64 and float32 alike."""
         descriptor = md.ModelDescriptor(4, 3, hidden=(5,))
         flat = md.init(descriptor, seed=0).flat
         before = {k: p.data.copy() for k, p in md.Model(descriptor, flat, np.float64).params.items()}
@@ -65,8 +64,9 @@ class TestSgdStep:
 class TestDtype:
     """A training step computes in the model's dtype: every tape node's data and
     gradient, the parameter leaves and so ``model.grad`` included. SGD adds
-    that gradient into a float64 velocity and updates the float64 ``flat``. A
-    0-d float64 constant would silently promote a float32 tape to float64."""
+    that gradient into a velocity of that dtype and updates ``flat``, also of
+    that dtype. A 0-d float64 constant would silently promote a float32 tape to
+    float64."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("method", tr.METHODS)
@@ -96,8 +96,7 @@ class TestDtype:
             assert len(nodes) > 10 and leaves <= {id(node) for node in nodes}
             for node in nodes:
                 assert (node.data.dtype, node.grad.dtype) == (dtype, dtype), node
-        f64 = np.dtype(np.float64)
-        assert set(vectors) == {(f64, np.dtype(dtype), f64)}
+        assert set(vectors) == {(np.dtype(dtype),) * 3}
 
     @pytest.mark.parametrize("method, count", [("vanilla", 11), ("label_smoothing", 11), ("bake", 11)])
     def test_tape_nodes_per_step(self, method, count):
@@ -265,6 +264,21 @@ class TestTrain:
         model = md.init(md.ModelDescriptor(6, 3), seed=4)
         _, metrics = tr.train(model, train, test, small_config("label_smoothing", epochs=1, seed=4))
         assert metrics[0].train_kl == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("base_lr, diverges", [(0.05, False), (1e30, True)])
+    def test_nonfinite_steps_are_counted_and_stepped_through(self, monkeypatch, base_lr, diverges):
+        train, test = dt.synth_clusters(3, 30, 6, 2.0, seed=5)
+        model = md.init(md.ModelDescriptor(6, 3), seed=5)
+        losses, real_loss = [], tr.batch_loss
+        monkeypatch.setattr(tr, "batch_loss", lambda *args: losses.append(real_loss(*args)) or losses[-1])
+        _, metrics = tr.train(model, train, test, dataclasses.replace(small_config(epochs=3), base_lr=base_lr))
+        steps = len(losses) // len(metrics)
+        finite = [np.isfinite(loss.item()) for loss, _, _ in losses]
+        per_epoch = [steps - sum(finite[e * steps : (e + 1) * steps]) for e in range(3)]
+        assert [m.nonfinite_steps for m in metrics] == per_epoch
+        assert any(m.nonfinite_steps for m in metrics) == diverges
+        assert len(losses) == 3 * steps  # every step ran, after a non-finite one too
 
     def test_epoch_without_a_batch_raises(self):
         train, test = dt.synth_clusters(3, 3, 4, 1.0, seed=0)

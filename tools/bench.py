@@ -28,10 +28,11 @@ The file's sections, in the order they run:
 
 A section holds each side's ``summary()`` of each name in its records and, under ``pairs``, ``pair()`` of each name
 both sides hold: the change's wins of n pairs by ``better`` (lower unless BENCHMARK.json or a top-1 says higher; a
-tie counts for neither), the median of the per-pair differences (change minus parent) and the parent's IQR. Unless
-the two cells of one interpreter end at one finite top-1, this stops here. So does a pair whose sides end at
-another ``final_top1`` or ``failed``, or another cell top-1, unless ``--moves-bits`` declares that the change moves
-training bits.
+tie counts for neither), the median of the per-pair differences (change minus parent), the parent's IQR and the
+verdict: ``better`` at CLAIM_WINS or more wins of REPEATS and a median difference beyond the parent's IQR, ``worse``
+at as many losses and a median beyond it the other way, else ``none``. Unless the two cells of one interpreter end
+at one finite top-1, this stops here. So does a pair whose sides end at another ``final_top1`` or ``failed``, or
+another cell top-1, unless ``--moves-bits`` declares that the change moves training bits.
 
 ``--fingerprint`` writes no file. In one child interpreter with OPENBLAS_NUM_THREADS=1 it trains each workload at
 seeds 1-3 through ``cli.run_training(specs.config(workload, seed, tiny))`` and prints, per workload and seed, the
@@ -56,7 +57,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FINGERPRINT_SEEDS = (1, 2, 3)
-REPEATS = 5  # pairs per section, and loops per micro case
+REPEATS = 10  # pairs per section, and loops per micro case
+CLAIM_WINS = 9  # of REPEATS pairs: the fewest wins (or losses) a verdict of better (or worse) needs
 LOOP_S = 0.2
 # desk, bake_wide's and a CIFAR-100 encoder with the conv stem: classes K, examples per class,
 # input (an MLP's dim, or C, H, W through the conv stem), n_hat at M=1
@@ -241,11 +243,16 @@ def fingerprint(tiny, tree=ROOT):
 
 def pair(parent, change, better):
     """One name over paired runs: the change's wins of n (ties count for neither), the median of the per-pair
-    differences (change minus parent) and the parent's IQR."""
+    differences (change minus parent), the parent's IQR and the verdict. The verdict is ``better`` at CLAIM_WINS
+    or more wins and a median difference beyond the parent's IQR in the direction of ``better``, ``worse`` at as
+    many losses and a median beyond it the other way, and ``none`` otherwise."""
     sign = 1 if better == "higher" else -1
     diffs = [c - p for p, c in zip(parent, change)]
-    return {"wins": sum(sign * d > 0 for d in diffs), "n": len(diffs), "median_diff": statistics.median(diffs),
-            "parent_iqr": summary(parent)["iqr"]}
+    wins, losses = sum(sign * d > 0 for d in diffs), sum(sign * d < 0 for d in diffs)
+    median, iqr = statistics.median(diffs), summary(parent)["iqr"]
+    verdict = ("better" if wins >= CLAIM_WINS and sign * median > iqr else
+               "worse" if losses >= CLAIM_WINS and -sign * median > iqr else "none")
+    return {"wins": wins, "n": len(diffs), "median_diff": median, "parent_iqr": iqr, "verdict": verdict}
 
 
 def check_tree(tree):
