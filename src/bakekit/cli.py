@@ -342,9 +342,11 @@ def cmd_train(args):
     out_dir = args.out_dir or "run"
     model, metrics, manifest = run_training(cfg)
     _write_run(out_dir, model, metrics, manifest)
-    final = metrics[-1] if metrics else None
-    if final:
-        print(f"final test top-1 {final.test_top1:.4f} top-5 {final.test_top5:.4f}")
+    nonfinite = sum(m.nonfinite_steps for m in metrics)
+    if nonfinite:  # a diverged model's top-1 is not a result: evaluate ranks NaN logits as class 0
+        print(f"diverged: {nonfinite} steps had a non-finite loss; no final top-1 is reported")
+    elif metrics:
+        print(f"final test top-1 {metrics[-1].test_top1:.4f} top-5 {metrics[-1].test_top5:.4f}")
     return 0
 
 
@@ -401,8 +403,9 @@ def _map_pinned(fn, jobs, workers):
 
 
 def _compare_cell(cfg):
+    """One cell's final top-1, and whether any of its steps had a non-finite loss."""
     _, metrics, _ = run_training(cfg)
-    return metrics[-1].test_top1
+    return metrics[-1].test_top1, any(m.nonfinite_steps for m in metrics)
 
 
 def _split_methods(spec):
@@ -442,9 +445,12 @@ def cmd_compare(args):
     jobs = [{**cfg, "seed": seed} for cfg in cells for seed in seeds]
     workers = min(len(jobs), _usable_cores())  # with one worker the cells run in-process
     results = _map_pinned(_compare_cell, jobs, workers) if workers > 1 else [_compare_cell(cfg) for cfg in jobs]
-    lines = ["method\tmean_top1\tstd_top1\tseeds"]
-    for token, top1 in zip(tokens, np.reshape(results, (len(tokens), args.seeds))):
-        lines.append(f"{token}\t{top1.mean():.4f}\t{top1.std():.4f}\t{top1.size}")
+    lines = ["method\tmean_top1\tstd_top1\tseeds\tdiverged"]
+    for i, token in enumerate(tokens):
+        row = results[i * args.seeds:(i + 1) * args.seeds]
+        finished = np.array([top1 for top1, diverged in row if not diverged])
+        mean, std = (finished.mean(), finished.std()) if finished.size else (math.nan, math.nan)
+        lines.append(f"{token}\t{mean:.4f}\t{std:.4f}\t{args.seeds}\t{args.seeds - finished.size}")
     table = "\n".join(lines) + "\n"
     out_dir = args.out_dir or "run"
     os.makedirs(out_dir, exist_ok=True)

@@ -230,7 +230,8 @@ def test_criterion_9_reproducibility(tmp_path):
         ["train", "--config", str(out_a / "manifest.json"), "--out-dir", str(out_b)]
     ) == 0
     assert (out_a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
+    assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
     manifest_a = json.loads((out_a / "manifest.json").read_text())
     manifest_b = json.loads((out_b / "manifest.json").read_text())
     assert manifest_a == manifest_b
-    print("PASS criterion 9: identical manifests yield byte-identical metrics files")
+    print("PASS criterion 9: identical manifests yield byte-identical metrics and checkpoint files")

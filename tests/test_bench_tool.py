@@ -3,7 +3,6 @@
 import importlib.util
 import json
 import math
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,14 +74,11 @@ def test_every_shape_has_a_vanilla_step_and_an_overhead_case():
 ENV = {"blas_threads": 2, "numpy": "2.0.0", "cores": 2}
 
 
-def cells(top1=(0.21, 0.21), faults=(240_000, 2_000)):
-    return [{"wall_s": 3.0, "minor_faults": f, "system_s": 0.5, "top1": t} for t, f in zip(top1, faults)]
-
-
-def micro_output(cases):
-    """What one micro interpreter prints: ``cases`` maps each case's name to its median seconds per call."""
-    timed = {name: bench.summary([seconds] * bench.REPEATS) for name, seconds in cases.items()}
-    return {"unit": "s/call", "env": ENV, "cases": timed, "overhead_share": bench.overhead_shares(timed)}
+def micro_output(side, cases):
+    """What one micro interpreter prints: ``cases`` maps each case's name to its median seconds per call. The
+    parent's side wraps them under ``cases``, next to the unit, env and shares, as an older ``micro()`` does."""
+    timed = {name: bench.summary([seconds] * bench.MICRO_LOOPS) for name, seconds in cases.items()}
+    return timed if side == "change" else {"unit": "s/call", "env": ENV, "cases": timed, "overhead_share": {}}
 
 
 def order(i):
@@ -91,18 +87,18 @@ def order(i):
 
 
 # what each harness run calls, by the name ``calls`` logs it under
-HARNESS = {"bench.train_fingerprints(False)": "fingerprint", "environment()": "env", "bench.cell_costs()": "first cell",
+HARNESS = {"bench.train_fingerprints(False)": "fingerprint", "environment()": "env",
            "bench.micro(bench.cases())": "micro"}
 
 # made-up examples_per_s of seeds 1-5; the change's differences are 3, 0, -1, 4 and 3
 PARENT_RATES, CHANGE_RATES = [100.0, 104.0, 98.0, 101.0, 99.0], [103.0, 104.0, 97.0, 105.0, 102.0]
 
 
-def fake_run(parent, calls, parent_top1=0.5, parent_failed=0, first_cells=None, micro=None, fails=(),
-             parent_metrics={}, rates=(PARENT_RATES, CHANGE_RATES)):
+def fake_run(parent, calls, parent_top1=0.5, parent_failed=0, micro=None, fails=(), parent_metrics={},
+             rates=(PARENT_RATES, CHANGE_RATES)):
     """``subprocess.run`` for ``main``: a run in ``parent`` is the parent's, any other the change's. Each run is
-    logged in ``calls``, a workload run as (side, name, seed) and a harness run as (side, what); a harness run
-    prints ``first_cells(side, i)`` or ``micro(side, i)`` at its side's i-th repeat. A ``what`` in ``fails``
+    logged in ``calls``, a workload run as (side, name, seed) and a harness run as (side, what); a micro run prints
+    ``micro_output(side, micro(side, i))`` at its side's i-th repeat. A ``what`` in ``fails``
     exits 1 on the parent's side. A parent's workload run also prints ``parent_metrics``. A workload run at seed s
     prints ``rates[0][s - 1]`` (the parent's) or ``rates[1][s - 1]`` (the change's) as its examples_per_s."""
     repeat = {}
@@ -120,10 +116,8 @@ def fake_run(parent, calls, parent_top1=0.5, parent_failed=0, first_cells=None, 
                 printed = {"bake_desk": {"1": {"metrics": "m", "model": side}}}
             elif what == "env":
                 printed = ENV
-            elif what == "first cell":
-                printed = (first_cells or (lambda side, i: cells()))(side, i)
             else:
-                printed = micro_output((micro or (lambda side, i: {"one[1]": 1e-3}))(side, i))
+                printed = micro_output(side, (micro or (lambda side, i: {"one[1]": 1e-3}))(side, i))
             return SimpleNamespace(returncode=0, stdout="a line before\n" + json.dumps(printed) + "\n")
         name, seed = argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])
         calls.append((side, name, seed))
@@ -145,86 +139,21 @@ def parent_tree(tmp_path):
     return tree
 
 
-def test_first_cell_summarises_fresh_interpreters(tmp_path, monkeypatch):
-    # cell 0's minor faults per repeat: the change's differences are -40k, 10k, -40k, -35k and -30k
-    faults = {"parent": [240_000, 250_000, 230_000, 245_000, 235_000],
-              "change": [200_000, 260_000, 190_000, 210_000, 205_000]}
-    second = [2_000, 3_000, 1_000, 2_500, 1_500]  # cell 1's, equal on both sides
-    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
-    monkeypatch.setattr(bench.subprocess, "run", fake_run(
-        parent, calls, first_cells=lambda side, i: cells(faults=(faults[side][i], second[i]))))
-    bench.main(out, parent, False)
-    first = json.loads(out.read_text())["first_cell"]
-    assert first["config"] == ["bake_wide", 1]
-    names = {f"cell{i}.{key}" for i in (0, 1) for key in ("wall_s", "minor_faults", "system_s", "top1")}
-    assert set(first["parent"]) == set(first["change"]) == set(first["pairs"]) == names
-    assert first["parent"]["cell0.top1"] == first["change"]["cell1.top1"] == bench.summary([0.21] * 5)
-    assert first["parent"]["cell0.minor_faults"] == bench.summary(faults["parent"])
-    assert first["change"]["cell1.minor_faults"]["median"] == 2_000
-    assert first["change"]["cell1.system_s"] == bench.summary([0.5] * 5)
-    # lower is better: the change wins at four repeats; the parent's quartiles are 235k and 245k
-    assert first["pairs"]["cell0.minor_faults"] == {"wins": 4, "n": 5, "median_diff": -35_000, "parent_iqr": 10_000,
-                                                    "verdict": "none"}
-    assert first["pairs"]["cell1.minor_faults"] == {"wins": 0, "n": 5, "median_diff": 0, "parent_iqr": 1_000,
-                                                    "verdict": "none"}
-
-
-@pytest.mark.parametrize("side,top1", [("change", (0.21, 0.22)), ("parent", (float("nan"), float("nan")))],
-                         ids=["differ", "nan"])
-def test_first_cell_mismatch_raises_and_writes_no_file(tmp_path, monkeypatch, side, top1):
-    # the two cells of one interpreter train one config: --moves-bits does not excuse them
-    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
-    bad = side
-
-    def first_cells(side, i):
-        return cells(top1) if side == bad and i == 2 else cells()
-
-    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, first_cells=first_cells))
-    tree = re.escape(str(parent if side == "parent" else bench.ROOT))
-    with pytest.raises(SystemExit, match=f"first-cell check failed: the two cells in {tree} end at top-1") as exc:
-        bench.main(out, parent, True)
-    assert exc.value.code != 0 and not out.exists()
-    assert calls[-1] == (side, "first cell") and ("parent", "micro") not in calls
-
-
-def test_first_cell_top1_across_sides_needs_moves_bits(tmp_path, monkeypatch):
-    parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
-    first_cells = lambda side, i: cells((0.2, 0.2) if side == "parent" else (0.21, 0.21))  # noqa: E731
-    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, first_cells=first_cells))
-    with pytest.raises(SystemExit, match=r"first cell 1: parent and change end at cell0.top1 \[0.2, 0.21\]") as exc:
-        bench.main(out, parent, False)
-    assert exc.value.code != 0 and not out.exists()
-    assert calls[-2:] == [("parent", "first cell"), ("change", "first cell")]  # the first pair stops it
-    bench.main(out, parent, True)
-    first = json.loads(out.read_text())["first_cell"]
-    assert first["parent"]["cell0.top1"]["values"] == [0.2] * 5 and first["change"]["cell1.top1"]["median"] == 0.21
-    # higher is better for a top-1
-    assert first["pairs"]["cell0.top1"] == {"wins": 5, "n": 5, "median_diff": pytest.approx(0.01), "parent_iqr": 0.0,
-                                            "verdict": "none"}
-
-
 def test_names_pair_only_when_both_sides_hold_them(tmp_path, monkeypatch):
-    # each section, a name only one side gives: a workload metric, a first-cell cost and a micro case
+    # each section, a name only one side gives: a workload metric and a micro case
     overhead = {"parent": [0.5, 0.6, 0.4, 0.55, 0.45], "change": [0.4, 0.5, 0.3, 0.45, 0.35]}
     extra = {"parent": "gone[1]", "change": "new[1]"}
 
     def micro(side, i):
         return {"step[desk-vanilla-float32]": 1.0, "overhead[desk-float32]": overhead[side][i], extra[side]: 2.0}
 
-    def first_cells(side, i):
-        return [{**cell, **({"major_faults": 0} if side == "change" else {})} for cell in cells()]
-
     parent, calls, out = parent_tree(tmp_path), [], tmp_path / "BENCH.json"
-    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, first_cells=first_cells, micro=micro,
-                                                          parent_metrics={"setup_s": 0.1}))
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(parent, calls, micro=micro, parent_metrics={"setup_s": 0.1}))
     bench.main(out, parent, False)
     report = json.loads(out.read_text())
     for workload in report["workloads"].values():
         assert "setup_s" in workload["parent"] and "setup_s" not in workload["change"]
         assert set(workload["pairs"]) == {"examples_per_s", "final_top1", "attempted", "failed"}
-    first = report["first_cell"]
-    assert first["change"]["cell1.major_faults"] and "cell1.major_faults" not in first["parent"]
-    assert not any("major_faults" in name for name in first["pairs"])
     timed = report["micro"]
     assert timed["unit"] == "s/call"
     assert set(timed["pairs"]) == {"step[desk-vanilla-float32]", "overhead[desk-float32]"}
@@ -236,18 +165,6 @@ def test_names_pair_only_when_both_sides_hold_them(tmp_path, monkeypatch):
         assert extra[side] in timed[side]
     assert timed["parent"]["overhead_share"] == {"desk-float32": 0.5}
     assert timed["change"]["overhead_share"] == {"desk-float32": pytest.approx(0.4)}
-
-
-def test_cell_costs_trains_two_cells_of_one_config(monkeypatch, capsys):
-    import specs  # on the path bench.py sets up
-
-    real = specs.config
-    monkeypatch.setattr(specs, "config", lambda name, seed: real(name, seed, tiny=True))
-    bench.cell_costs()
-    first, second = json.loads(capsys.readouterr().out)
-    assert set(first) == {"wall_s", "minor_faults", "system_s", "top1"}
-    assert first["top1"] == second["top1"] and math.isfinite(first["top1"])
-    assert first["minor_faults"] >= 0 and second["wall_s"] > 0
 
 
 def test_failed_micro_check_raises_and_writes_no_file(tmp_path, monkeypatch):
@@ -301,11 +218,10 @@ def test_micro_times_a_one_case_table(monkeypatch):
 
     monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock.now))
     monkeypatch.setattr(bench, "LOOP_S", 0.004)
+    monkeypatch.setattr(bench, "REPEATS", 7)  # the pairs' count: the loops do not follow it
     timed = bench.micro([("one", case, lambda first: first == 1)])
-    assert len(calls) == 2 + bench.REPEATS * 4  # the checked call, the sizing call, then 4 calls per repeat
-    assert list(timed["cases"]) == ["one"] and timed["overhead_share"] == {}
-    assert timed["cases"]["one"]["values"] == pytest.approx([0.001] * bench.REPEATS)
-    assert timed["unit"] == "s/call" and set(timed["env"]) >= {"blas_threads", "numpy", "cores"}
+    assert len(calls) == 2 + 5 * 4  # the checked call, the sizing call, then 4 calls in each of 5 loops
+    assert list(timed) == ["one"] and timed["one"]["values"] == pytest.approx([0.001] * 5)
 
 
 def test_pairs_alternate_and_match_a_hand_count(tmp_path, monkeypatch):
@@ -315,10 +231,12 @@ def test_pairs_alternate_and_match_a_hand_count(tmp_path, monkeypatch):
     names = bench.workload_names()
     # every section, one loop: at index i the parent goes first when i is even; seed i + 1 for a workload
     workloads = [(side, name, i + 1) for name in names for i in range(5) for side in order(i)]
-    repeats = [(side, what) for what in ("first cell", "micro") for i in range(5) for side in order(i)]
+    micro = [(side, "micro") for i in range(5) for side in order(i)]
     assert calls == [("parent", "fingerprint"), ("change", "fingerprint"), ("parent", "env"), ("change", "env"),
-                     *workloads, *repeats]
+                     *workloads, *micro]
     report = json.loads(out.read_text())
+    assert set(report) == {"moves_bits", "first", "fingerprint", "env", "command", "run_seconds", "trace",
+                           "workloads", "micro"}
     assert report["first"] == ["parent", "change", "parent", "change", "parent"] and report["moves_bits"] is False
     assert report["fingerprint"]["equal"] is False  # the made-up model hashes name their side
     assert report["fingerprint"]["parent"]["runs"]["bake_desk"]["1"]["model"] == "parent"
@@ -334,8 +252,7 @@ def test_pairs_alternate_and_match_a_hand_count(tmp_path, monkeypatch):
                                                        "verdict": "none"}
         assert workload["pairs"]["final_top1"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0,
                                                    "verdict": "none"}
-    for section in ("first_cell", "micro"):
-        assert set(report[section]) >= {"parent", "change", "pairs"} and report[section]["pairs"]
+    assert set(report["micro"]) == {"unit", "parent", "change", "pairs"}
     assert report["micro"]["pairs"]["one[1]"] == {"wins": 0, "n": 5, "median_diff": 0.0, "parent_iqr": 0.0,
                                                   "verdict": "none"}
     assert report["micro"]["parent"]["overhead_share"] == {}
@@ -379,7 +296,7 @@ def test_a_file_of_ten_pairs_holds_each_verdict(tmp_path, monkeypatch):
                                                        "verdict": "better"}
         assert {name: p["verdict"] for name, p in workload["pairs"].items() if name != "examples_per_s"} == {
             "final_top1": "none", "attempted": "none", "failed": "none"}
-    assert all(p["verdict"] == "none" for section in ("first_cell", "micro") for p in report[section]["pairs"].values())
+    assert all(p["verdict"] == "none" for p in report["micro"]["pairs"].values())
 
 
 def test_top1_mismatch_exits_and_writes_no_file(tmp_path, monkeypatch):

@@ -73,9 +73,10 @@ ONE_EPOCH = [EpochMetrics(0, 1.0, 1.0, 0.0, 0.5, 1.0, 0.0)]
 
 
 class TestTrainCommand:
-    def test_writes_manifest_and_metrics(self, tmp_path):
+    def test_writes_manifest_and_metrics(self, tmp_path, capsys):
         code, out = run_train(tmp_path, "run")
         assert code == 0
+        assert capsys.readouterr().out.startswith("final test top-1 ")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 0
         assert len(manifest["dataset_fingerprint"]) == 64
@@ -100,6 +101,17 @@ class TestTrainCommand:
         records = [json.loads(line, parse_constant=refuse) for line in (out / "metrics.jsonl").read_text().splitlines()]
         assert records and all(r["train_loss"] is None for r in records)  # a non-finite value is null
         assert all(r["test_top1"] is not None for r in records)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_prints_its_nonfinite_steps_instead_of_a_top1(self, tmp_path, capsys):
+        # the default recipe's vanilla arm diverges by its fifth epoch
+        out = tmp_path / "run"
+        assert cli.main(["train", "--method", "vanilla", "--epochs", "6", "--out-dir", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        nonfinite = sum(r["nonfinite_steps"] for r in records)
+        assert nonfinite > 0 and records[-1]["test_top1"] is not None
+        printed = capsys.readouterr().out
+        assert printed == f"diverged: {nonfinite} steps had a non-finite loss; no final top-1 is reported\n"
 
     def test_invalid_omega_exits_2(self, tmp_path, capsys):
         code = cli.main(["train", "--omega", "1.5", "--out-dir", str(tmp_path / "x")])
@@ -564,10 +576,26 @@ class TestCompareCommand:
         )
         assert code == 0
         lines = (out / "summary.tsv").read_text().splitlines()
-        assert lines[0] == "method\tmean_top1\tstd_top1\tseeds"
+        assert lines[0] == "method\tmean_top1\tstd_top1\tseeds\tdiverged"
         assert len(lines) == 3
         assert lines[1].startswith("vanilla\t")
         assert lines[2].startswith("bake\t")
+
+    def test_diverged_cells_are_counted_and_left_out_of_the_mean(self, tmp_path, capsys, monkeypatch):
+        # vanilla's seed 1 has non-finite steps in its first epoch only; every bake cell diverges
+        def run(cfg):
+            nonfinite = cfg["method"] == "bake" or cfg["seed"] == 1
+            top1 = {0: 0.5, 1: 0.1, 2: 0.7}[cfg["seed"]]
+            return None, [EpochMetrics(0, 1.0, 1.0, 0.0, 0.4, 1.0, 0.0, 3 * nonfinite),
+                          EpochMetrics(1, 1.0, 1.0, 0.0, top1, 1.0, 0.0)], None
+
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # the patch reaches no worker process
+        monkeypatch.setattr(cli, "run_training", run)
+        out = tmp_path / "x"
+        assert cli.main(["compare", *SMALL, "--methods", "vanilla,bake", "--seeds", "3", "--out-dir", str(out)]) == 0
+        table = (out / "summary.tsv").read_text()
+        assert table.splitlines()[1:] == ["vanilla\t0.6000\t0.1000\t3\t1", "bake\tnan\tnan\t3\t3"]
+        assert capsys.readouterr().out == table
 
     def test_omega_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep"

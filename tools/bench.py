@@ -1,5 +1,5 @@
-"""Pair this tree with its parent on every BENCHMARK.json workload, the first cell and the micro cases, and
-write one BENCH_<n>.json; or print the workloads' training fingerprint.
+"""Pair this tree with its parent on every BENCHMARK.json workload and the micro cases, and write one
+BENCH_<n>.json; or print the workloads' training fingerprint.
 
     python3 tools/bench.py BENCH_<n>.json --against DIR [--moves-bits]
     python3 tools/bench.py --fingerprint [--tiny]
@@ -16,23 +16,18 @@ The file's sections, in the order they run:
   environment line (BLAS threads, numpy version, cores) from its own ``perfbench/workload.py``.
 - ``workloads``: per workload, BENCHMARK.json's command with ``--workload W --seed <i + 1> --seconds <run_seconds>
   --trace 0``. A run's record: each end-to-end metric, ``attempted`` and ``failed``.
-- ``first_cell``: ``cell_costs``: two cells of ``specs.config("bake_wide", 1)`` through ``cli.run_training`` in one
-  interpreter. Its record: ``cell0.wall_s``, ``cell0.minor_faults``, ``cell0.system_s``, ``cell0.top1`` and the
-  same of ``cell1``, with the wall seconds, minor page faults and system seconds from ``getrusage`` deltas around
-  each cell. This is what a fresh process's first cell costs, which ``examples_per_s`` cannot see.
-- ``micro``: ``micro(cases())``. Its record: each case's seconds per call, the median of REPEATS loops of about
+- ``micro``: ``micro(cases())``. Its record: each case's seconds per call, the median of MICRO_LOOPS loops of about
   LOOP_S seconds timed with ``time.perf_counter``, after one call for its check (which stops here too if it fails)
   and one to size its loops. ``overhead_share`` is BAKE's overhead as the paper states it: the median of an
   ``overhead`` case (one batch's soft targets, then the KL node forward and backward) over that of the vanilla step,
   at each shape of SHAPES, with MLP 256,128 computing in float32 as every run does.
 
 A section holds each side's ``summary()`` of each name in its records and, under ``pairs``, ``pair()`` of each name
-both sides hold: the change's wins of n pairs by ``better`` (lower unless BENCHMARK.json or a top-1 says higher; a
-tie counts for neither), the median of the per-pair differences (change minus parent), the parent's IQR and the
-verdict: ``better`` at CLAIM_WINS or more wins of REPEATS and a median difference beyond the parent's IQR, ``worse``
-at as many losses and a median beyond it the other way, else ``none``. Unless the two cells of one interpreter end
-at one finite top-1, this stops here. So does a pair whose sides end at another ``final_top1`` or ``failed``, or
-another cell top-1, unless ``--moves-bits`` declares that the change moves training bits.
+both sides hold: the change's wins of n pairs by ``better`` (lower unless BENCHMARK.json says higher; a tie counts
+for neither), the median of the per-pair differences (change minus parent), the parent's IQR and the verdict:
+``better`` at CLAIM_WINS or more wins of REPEATS and a median difference beyond the parent's IQR, ``worse`` at as
+many losses and a median beyond it the other way, else ``none``. A pair whose sides end at another ``final_top1`` or
+``failed`` stops here, unless ``--moves-bits`` declares that the change moves training bits.
 
 ``--fingerprint`` writes no file. In one child interpreter with OPENBLAS_NUM_THREADS=1 it trains each workload at
 seeds 1-3 through ``cli.run_training(specs.config(workload, seed, tiny))`` and prints, per workload and seed, the
@@ -47,7 +42,6 @@ import hashlib
 import json
 import math
 import os
-import resource
 import statistics
 import subprocess
 import sys
@@ -57,7 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FINGERPRINT_SEEDS = (1, 2, 3)
-REPEATS = 10  # pairs per section, and loops per micro case
+REPEATS = 10  # pairs per section
+MICRO_LOOPS = 5  # timed loops per micro case in one interpreter
 CLAIM_WINS = 9  # of REPEATS pairs: the fewest wins (or losses) a verdict of better (or worse) needs
 LOOP_S = 0.2
 # desk, bake_wide's and a CIFAR-100 encoder with the conv stem: classes K, examples per class,
@@ -147,9 +142,7 @@ def cases():
 
 
 def micro(table):
-    """Time each (name, call, check) of ``table``; a failed check exits here."""
-    from workload import environment
-
+    """Time each (name, call, check) of ``table``: {name: summary}; a failed check exits here."""
     timed = {}
     for name, call, check in table:
         if not check(call()):
@@ -158,13 +151,13 @@ def micro(table):
         call()  # a warm call sizes the loops; the checked one ran cold
         loops = max(1, round(LOOP_S / (time.perf_counter() - start)))
         values = []
-        for _ in range(REPEATS):
+        for _ in range(MICRO_LOOPS):
             start = time.perf_counter()
             for _ in range(loops):
                 call()
             values.append((time.perf_counter() - start) / loops)
         timed[name] = summary(values)
-    return {"unit": "s/call", "env": environment(), "cases": timed, "overhead_share": overhead_shares(timed)}
+    return timed
 
 
 def overhead_shares(timed):
@@ -172,21 +165,6 @@ def overhead_shares(timed):
     median = {name: case["median"] for name, case in timed.items()}
     return {f"{size}-{DTYPE}": median[f"overhead[{size}-{DTYPE}]"] / median[f"step[{size}-vanilla-{DTYPE}]"]
             for size in SHAPES if f"overhead[{size}-{DTYPE}]" in median}
-
-
-def cell_costs():
-    """Train two bake_wide cells in this interpreter; print their costs and top-1 as one JSON line."""
-    import specs
-    from bakekit.cli import run_training
-
-    cells = []
-    for _ in range(2):
-        before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-        _, metrics, _ = run_training(specs.config("bake_wide", 1))
-        wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
-        cells.append({"wall_s": wall, "minor_faults": after.ru_minflt - before.ru_minflt,
-                      "system_s": after.ru_stime - before.ru_stime, "top1": metrics[-1].test_top1})
-    print(json.dumps(cells))
 
 
 def workload_names():
@@ -305,32 +283,21 @@ def workload_run(spec, name, tree, i):
             "attempted": result["attempted"], "failed": result["failed"]}
 
 
-def first_cell_run(tree):
-    """One ``cell_costs`` interpreter's record, ``cell0.wall_s`` … ``cell1.top1``; unless its two cells end at one
-    finite top-1, this stops here."""
-    cells = harness(tree, "bench.cell_costs()")
-    top1 = [cell["top1"] for cell in cells]
-    if not (math.isfinite(top1[0]) and top1[0] == top1[1]):
-        raise SystemExit(f"bench: first-cell check failed: the two cells in {tree} end at top-1 {top1}")
-    return {f"cell{i}.{name}": value for i, cell in enumerate(cells) for name, value in cell.items()}
-
-
 def micro_run(tree):
     """One micro interpreter's record: each case's median seconds per call."""
     timed = harness(tree, "print(json.dumps(bench.micro(bench.cases())))")
-    return {name: case["median"] for name, case in timed["cases"].items()}
+    timed = timed.get("cases", timed)  # a parent whose micro() also returns its env holds the cases under "cases"
+    return {name: case["median"] for name, case in timed.items()}
 
 
 def main(out, parent, moves_bits):
-    """Both trees' fingerprints and environments, then the paired workloads, first cell and micro cases, written
-    to ``out``."""
+    """Both trees' fingerprints and environments, then the paired workloads and micro cases, written to ``out``."""
     check_tree(parent)
     if not Path(out).parent.is_dir():
         print(f"bench: cannot write {out}: {Path(out).parent} is not a directory", file=sys.stderr)
         sys.exit(2)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {**{metric["name"]: metric["better"] for metric in spec["end_to_end"]},
-              "cell0.top1": "higher", "cell1.top1": "higher"}
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
 
     def both(what, run, same=()):
         """The section of ``run``'s pairs; one whose sides differ in a name of ``same`` stops, unless bits move."""
@@ -349,8 +316,6 @@ def main(out, parent, moves_bits):
         "trace": 0,
         "workloads": {name: both(f"{name} seed", partial(workload_run, spec, name), ("final_top1", "failed"))
                       for name in workload_names()},
-        "first_cell": {"config": ["bake_wide", 1],
-                       **both("first cell", lambda tree, i: first_cell_run(tree), ("cell0.top1", "cell1.top1"))},
         "micro": {"unit": "s/call", **both("micro", lambda tree, i: micro_run(tree))},
     }
     for side in ("parent", "change"):
