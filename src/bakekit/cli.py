@@ -304,11 +304,16 @@ def make_model(cfg, train_set):
 
 
 def run_training(cfg):
-    """One fully-resolved training run; returns (model, metrics, manifest)."""
+    """One fully-resolved training run; returns (model, metrics, train_set)."""
     train_set, test_set = load_datasets(cfg)
     model = make_model(cfg, train_set)
     train_cfg = make_train_config(cfg)
     model, metrics = tr.train(model, train_set, test_set, train_cfg)
+    return model, metrics, train_set
+
+
+def _write_run(out_dir, cfg, model, metrics, train_set):
+    """The run's manifest (with the SHA-256 of its train split), metrics, timings and checkpoint in ``out_dir``."""
     manifest = {
         "tool_version": __version__,
         "seed": cfg["seed"],
@@ -317,10 +322,6 @@ def run_training(cfg):
         "dtype": model.dtype.name,
         "config": cfg,
     }
-    return model, metrics, manifest
-
-
-def _write_run(out_dir, model, metrics, manifest):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -340,8 +341,8 @@ def _write_run(out_dir, model, metrics, manifest):
 def cmd_train(args):
     cfg = resolve_config(args)
     out_dir = args.out_dir or "run"
-    model, metrics, manifest = run_training(cfg)
-    _write_run(out_dir, model, metrics, manifest)
+    model, metrics, train_set = run_training(cfg)
+    _write_run(out_dir, cfg, model, metrics, train_set)
     nonfinite = sum(m.nonfinite_steps for m in metrics)
     if nonfinite:  # a diverged model's top-1 is not a result: evaluate ranks NaN logits as class 0
         print(f"diverged: {nonfinite} steps had a non-finite loss; no final top-1 is reported")

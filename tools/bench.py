@@ -1,15 +1,18 @@
-"""Pair this tree with its parent on every BENCHMARK.json workload and the micro cases, and write one
+"""Pair HEAD with a parent revision on every BENCHMARK.json workload and the micro cases, and write one
 BENCH_<n>.json; or print the workloads' training fingerprint.
 
-    python3 tools/bench.py BENCH_<n>.json --against DIR [--moves-bits]
+    python3 tools/bench.py BENCH_<n>.json --against REV [--moves-bits]
     python3 tools/bench.py --fingerprint [--tiny]
 
-DIR is a checkout of the parent, such as ``git worktree add ../parent HEAD~1``; one without ``BENCHMARK.json``,
-``perfbench/``, ``src/bakekit`` or ``tools/bench.py``, or an output path whose directory does not exist, exits 2
-before any run. Each run is a fresh interpreter that runs one tree's own code. ``paired`` makes every pair: at each
-index i below REPEATS it runs a section's run in both trees, the parent first when i is even and the change when it
-is odd (the file's ``first``), so drift on the host hits both sides. A run that exits non-zero stops here, and no
-file is written. This interpreter imports neither numpy nor bakekit, so no run inherits a larger peak RSS.
+``export`` writes two trees with ``git archive``: REV as the parent into ``<tmp>/parent`` and HEAD as the change into
+``<tmp>/change``, so both sides run from paths of one length in one kind of tree. The change is what HEAD holds:
+commit before pairing. Both trees are removed once their runs end or one stops. An unknown REV, an export
+without ``BENCHMARK.json``, ``perfbench/``, ``src/bakekit`` or ``tools/bench.py``, or an output path whose directory
+does not exist exits 2 before any run. BENCHMARK.json is read from the change's tree. Each run is a fresh interpreter
+that runs one tree's own code. ``paired`` makes every pair: at each index i below REPEATS it runs a section's run in
+both trees, the parent first when i is even and the change when it is odd (the file's ``first``), so drift on the
+host hits both sides. A run that exits non-zero stops here, and no file is written. This interpreter imports neither
+numpy nor bakekit, so no run inherits a larger peak RSS.
 
 The file's sections, in the order they run:
 - ``fingerprint``: both trees' ``--fingerprint`` output and whether the two are equal; then ``env``, each tree's
@@ -24,10 +27,12 @@ The file's sections, in the order they run:
 
 A section holds each side's ``summary()`` of each name in its records and, under ``pairs``, ``pair()`` of each name
 both sides hold: the change's wins of n pairs by ``better`` (lower unless BENCHMARK.json says higher; a tie counts
-for neither), the median of the per-pair differences (change minus parent), the parent's IQR and the verdict:
-``better`` at CLAIM_WINS or more wins of REPEATS and a median difference beyond the parent's IQR, ``worse`` at as
-many losses and a median beyond it the other way, else ``none``. A pair whose sides end at another ``final_top1`` or
-``failed`` stops here, unless ``--moves-bits`` declares that the change moves training bits.
+for neither), the change's median minus the parent's, the parent's IQR and the verdict, judged as a change is
+accepted: ``better`` at CLAIM_WINS or more wins of REPEATS and a difference of medians beyond the parent's IQR;
+``worse`` when an end-to-end metric's median is worse than the parent's by more than its BENCHMARK.json bound, taken
+as a fraction of the parent's median; else ``none``. A name with no bound, such as a micro case, reads ``better`` or
+``none``. A pair whose sides end at another ``final_top1`` or ``failed`` stops here, unless ``--moves-bits``
+declares that the change moves training bits.
 
 ``--fingerprint`` writes no file. In one child interpreter with OPENBLAS_NUM_THREADS=1 it trains each workload at
 seeds 1-3 through ``cli.run_training(specs.config(workload, seed, tiny))`` and prints, per workload and seed, the
@@ -45,6 +50,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
 from pathlib import Path
@@ -167,8 +173,8 @@ def overhead_shares(timed):
             for size in SHAPES if f"overhead[{size}-{DTYPE}]" in median}
 
 
-def workload_names():
-    return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+def workload_names(tree=ROOT):
+    return [w["name"] for w in json.loads((tree / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def train_fingerprints(tiny):
@@ -207,9 +213,9 @@ def harness(tree, code, env=None):
     return json.loads(stdout.splitlines()[-1])
 
 
-def sides(i, parent):
-    """The (side, tree) pairs in their run order at index ``i``: the parent first when ``i`` is even."""
-    order = [("parent", parent), ("change", ROOT)]
+def sides(i, trees):
+    """``trees``' (side, tree) items in their run order at index ``i``: the parent first when ``i`` is even."""
+    order = list(trees.items())
     return order[::-1] if i % 2 else order
 
 
@@ -219,26 +225,41 @@ def fingerprint(tiny, tree=ROOT):
     return {"tiny": bool(tiny), "seeds": list(FINGERPRINT_SEEDS), "runs": runs}
 
 
-def pair(parent, change, better):
-    """One name over paired runs: the change's wins of n (ties count for neither), the median of the per-pair
-    differences (change minus parent), the parent's IQR and the verdict. The verdict is ``better`` at CLAIM_WINS
-    or more wins and a median difference beyond the parent's IQR in the direction of ``better``, ``worse`` at as
-    many losses and a median beyond it the other way, and ``none`` otherwise."""
+def pair(parent, change, better, bound=None):
+    """One name over paired runs: the change's wins of n (ties count for neither), the change's median minus the
+    parent's, the parent's IQR and the verdict. The verdict is ``better`` at CLAIM_WINS or more wins and a difference
+    of medians beyond the parent's IQR in the direction of ``better``; ``worse`` when the change's median is worse
+    than the parent's by more than ``bound``, a fraction of the parent's median; and ``none`` otherwise."""
     sign = 1 if better == "higher" else -1
-    diffs = [c - p for p, c in zip(parent, change)]
-    wins, losses = sum(sign * d > 0 for d in diffs), sum(sign * d < 0 for d in diffs)
-    median, iqr = statistics.median(diffs), summary(parent)["iqr"]
-    verdict = ("better" if wins >= CLAIM_WINS and sign * median > iqr else
-               "worse" if losses >= CLAIM_WINS and -sign * median > iqr else "none")
-    return {"wins": wins, "n": len(diffs), "median_diff": median, "parent_iqr": iqr, "verdict": verdict}
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    base = summary(parent)
+    diff = statistics.median(change) - base["median"]
+    verdict = ("better" if wins >= CLAIM_WINS and sign * diff > base["iqr"] else
+               "worse" if bound is not None and -sign * diff > bound * abs(base["median"]) else "none")
+    return {"wins": wins, "n": len(parent), "median_diff": diff, "parent_iqr": base["iqr"], "verdict": verdict}
 
 
-def check_tree(tree):
-    """Exit 2 unless ``tree`` holds a benchmark, its harness and bakekit's sources to run them on."""
+def check_tree(tree, rev):
+    """Exit 2 unless ``tree``, the export of ``rev``, holds a benchmark, its harness and bakekit's sources."""
     needed = ("BENCHMARK.json", "perfbench", "src/bakekit", "tools/bench.py")
     if missing := [name for name in needed if not (tree / name).exists()]:
-        print(f"bench: --against {tree} is not a bakekit checkout: it has no {', '.join(missing)}", file=sys.stderr)
+        print(f"bench: {rev} is not a bakekit checkout: it has no {', '.join(missing)}", file=sys.stderr)
         sys.exit(2)
+
+
+def export(rev, tmp):
+    """ROOT's ``rev`` exported as the parent into ``tmp/parent`` and HEAD as the change into ``tmp/change``, with
+    ``git archive`` and ``tar``: {side: tree}. An unknown ``rev``, or an export that ``check_tree`` refuses, exits 2."""
+    trees = {side: tmp / side for side in ("parent", "change")}
+    for (side, tree), commit in zip(trees.items(), (rev, "HEAD")):
+        done = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit], stdout=subprocess.PIPE)
+        if done.returncode:
+            print(f"bench: git archive {commit} exited {done.returncode}", file=sys.stderr)
+            sys.exit(2)
+        tree.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=done.stdout, check=True)
+        check_tree(tree, commit)
+    return trees
 
 
 def check_pair(what, parent, change, names):
@@ -251,25 +272,30 @@ def check_pair(what, parent, change, names):
                              f"pass --moves-bits if the change moves training bits")
 
 
-def paired(parent, what, run, same=()):
-    """``run(tree, i)``, one run's record of named numbers, in both trees at each i below REPEATS, in
-    ``sides(i, parent)`` order: {side: [record, ...]}. A pair whose records differ in a name of ``same`` stops."""
+def paired(trees, what, run, same=()):
+    """``run(tree, i)``, one run's record of named numbers, in both ``trees`` at each i below REPEATS, in
+    ``sides(i, trees)`` order: {side: [record, ...]}. A pair whose records differ in a name of ``same`` stops."""
     runs = {"parent": [], "change": []}
     for i in range(REPEATS):
-        for side, tree in sides(i, parent):
+        for side, tree in sides(i, trees):
             print(f"bench: {what} {i + 1} {side}", file=sys.stderr, flush=True)
             runs[side].append(run(tree, i))
         check_pair(f"{what} {i + 1}", runs["parent"][-1], runs["change"][-1], same)
     return runs
 
 
-def section(runs, better):
-    """Each side's ``summary()`` of each name in its records, and ``pair()`` of each name both sides hold; lower is
-    better unless ``better`` says otherwise."""
+def section(runs, metrics):
+    """Each side's ``summary()`` of each name in its records, and ``pair()`` of each name both sides hold, by its
+    entry in ``metrics`` (BENCHMARK.json's end-to-end metrics by name); any other name is lower-is-better with no
+    bound."""
     report = {side: {name: summary([record[name] for record in records]) for name in records[0]}
               for side, records in runs.items()}
-    report["pairs"] = {name: pair(report["parent"][name]["values"], values["values"], better.get(name, "lower"))
-                       for name, values in report["change"].items() if name in report["parent"]}
+    report["pairs"] = {}
+    for name, values in report["change"].items():
+        if name in report["parent"]:
+            metric = metrics.get(name, {})
+            report["pairs"][name] = pair(report["parent"][name]["values"], values["values"],
+                                         metric.get("better", "lower"), metric.get("bound"))
     return report
 
 
@@ -286,41 +312,47 @@ def workload_run(spec, name, tree, i):
 def micro_run(tree):
     """One micro interpreter's record: each case's median seconds per call."""
     timed = harness(tree, "print(json.dumps(bench.micro(bench.cases())))")
-    timed = timed.get("cases", timed)  # a parent whose micro() also returns its env holds the cases under "cases"
     return {name: case["median"] for name, case in timed.items()}
 
 
-def main(out, parent, moves_bits):
-    """Both trees' fingerprints and environments, then the paired workloads and micro cases, written to ``out``."""
-    check_tree(parent)
-    if not Path(out).parent.is_dir():
-        print(f"bench: cannot write {out}: {Path(out).parent} is not a directory", file=sys.stderr)
-        sys.exit(2)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+def report(trees, moves_bits):
+    """Both ``trees``' fingerprints and environments, then their paired workloads and micro cases, by the change's
+    BENCHMARK.json: the file's object."""
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
 
     def both(what, run, same=()):
         """The section of ``run``'s pairs; one whose sides differ in a name of ``same`` stops, unless bits move."""
-        return section(paired(parent, what, run, () if moves_bits else same), better)
+        return section(paired(trees, what, run, () if moves_bits else same), metrics)
 
     print("bench: fingerprints", file=sys.stderr, flush=True)
-    fingerprints = {side: fingerprint(False, tree) for side, tree in sides(0, parent)}
+    fingerprints = {side: fingerprint(False, tree) for side, tree in sides(0, trees)}
     env = "from workload import environment; print(json.dumps(environment()))"
-    report = {
+    result = {
         "moves_bits": moves_bits,
-        "first": [sides(i, parent)[0][0] for i in range(REPEATS)],
+        "first": [sides(i, trees)[0][0] for i in range(REPEATS)],
         "fingerprint": {**fingerprints, "equal": fingerprints["parent"] == fingerprints["change"]},
-        "env": {side: harness(tree, env) for side, tree in sides(0, parent)},
+        "env": {side: harness(tree, env) for side, tree in sides(0, trees)},
         "command": spec["command"],
         "run_seconds": spec["run_seconds"],
         "trace": 0,
         "workloads": {name: both(f"{name} seed", partial(workload_run, spec, name), ("final_top1", "failed"))
-                      for name in workload_names()},
+                      for name in workload_names(trees["change"])},
         "micro": {"unit": "s/call", **both("micro", lambda tree, i: micro_run(tree))},
     }
     for side in ("parent", "change"):
-        report["micro"][side]["overhead_share"] = overhead_shares(report["micro"][side])
-    Path(out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        result["micro"][side]["overhead_share"] = overhead_shares(result["micro"][side])
+    return result
+
+
+def main(out, rev, moves_bits):
+    """``report()`` of ``export(rev, ...)``'s trees, written to ``out``; the trees are removed on return or exit."""
+    if not Path(out).parent.is_dir():
+        print(f"bench: cannot write {out}: {Path(out).parent} is not a directory", file=sys.stderr)
+        sys.exit(2)
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        result = report(export(rev, Path(tmp)), moves_bits)
+    Path(out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
@@ -328,7 +360,7 @@ if __name__ == "__main__":
     if args[:1] == ["--fingerprint"] and args[1:] in ([], ["--tiny"]):
         print(json.dumps(fingerprint(args[1:] == ["--tiny"]), indent=1, sort_keys=True))
     elif (len(args) in (3, 4) and not args[0].startswith("-") and args[1] == "--against"
-          and args[3:] in ([], ["--moves-bits"])):
-        main(args[0], Path(args[2]).resolve(), args[3:] == ["--moves-bits"])
+          and not args[2].startswith("-") and args[3:] in ([], ["--moves-bits"])):
+        main(args[0], args[2], args[3:] == ["--moves-bits"])
     else:
         sys.exit(__doc__)
