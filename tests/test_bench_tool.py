@@ -94,10 +94,10 @@ HARNESS = {"bench.train_fingerprints(False)": "fingerprint", "environment()": "e
 PARENT_RATES, CHANGE_RATES = [100.0, 104.0, 98.0, 101.0, 99.0], [103.0, 104.0, 97.0, 105.0, 102.0]
 
 
-def git(repo, *argv, stdin=""):
-    """``git *argv`` in ``repo`` under a throwaway identity; its standard output, stripped."""
+def git(repo, *argv):
+    """``git *argv`` in ``repo`` under a throwaway identity, with empty input; its standard output, stripped."""
     config = ["-c", "user.name=bench", "-c", "user.email=bench@localhost", "-c", "commit.gpgsign=false"]
-    done = REAL_RUN(["git", "-C", str(repo), *config, *argv], input=stdin, stdout=subprocess.PIPE, text=True,
+    done = REAL_RUN(["git", "-C", str(repo), *config, *argv], input="", stdout=subprocess.PIPE, text=True,
                     check=True)
     return done.stdout.strip()
 
