@@ -58,10 +58,7 @@ OPTIONS = (
     Option("lr", float, tr.TrainConfig.base_lr, "base learning rate", commands=TRAINING),
     Option("momentum", float, tr.TrainConfig.momentum, "SGD momentum", commands=TRAINING),
     Option("weight_decay", float, tr.TrainConfig.weight_decay, "weight decay", commands=TRAINING),
-    Option(
-        "schedule", str, f"cosine:{tr.CosineSchedule.warmup_epochs}", "cosine:WARMUP or step:M1,M2:FACTOR",
-        commands=TRAINING,
-    ),
+    Option("schedule", str, f"cosine:{tr.TrainConfig.warmup_epochs}", "cosine:WARMUP", commands=TRAINING),
     Option("seed", int, SamplerConfig.seed, "RNG seed"),
     Option("synth_classes", int, 10, "synthetic classes"),
     Option("synth_per_class", int, 200, "synthetic examples per class"),
@@ -207,17 +204,12 @@ def _parse_mode(mode):
 
 
 def _parse_schedule(spec):
+    """The warm-up epochs of ``cosine:WARMUP``; ``cosine`` alone warms up for the default."""
     kind, _, rest = spec.partition(":")
     where = f"--schedule {spec!r}"
-    if kind == "cosine":
-        return tr.CosineSchedule(_convert(int, rest, where)) if rest else tr.CosineSchedule()
-    if kind == "step":
-        milestones, _, factor = rest.partition(":")
-        return tr.StepSchedule(
-            milestones=tuple(_convert(int, m, where) for m in milestones.split(",") if m),
-            factor=_convert(float, factor, where) if factor else tr.StepSchedule.factor,
-        )
-    raise ConfigError(f"unrecognized {where}")
+    if kind != "cosine":
+        raise ConfigError(f"unrecognized {where}")
+    return _convert(int, rest, where) if rest else tr.TrainConfig.warmup_epochs
 
 
 def _parse_hidden(spec):
@@ -242,7 +234,7 @@ def make_train_config(cfg):
         base_lr=cfg["lr"],
         momentum=cfg["momentum"],
         weight_decay=cfg["weight_decay"],
-        schedule=_parse_schedule(cfg["schedule"]),
+        warmup_epochs=_parse_schedule(cfg["schedule"]),
         method=cfg["method"],
         smoothing_epsilon=cfg["epsilon"],
         bake=bake_cfg,

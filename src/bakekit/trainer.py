@@ -20,37 +20,12 @@ EVAL_BATCH = SamplerConfig().batch_size
 
 
 @dataclass(frozen=True)
-class CosineSchedule:
-    """Linear warm-up to base_lr, then half-cosine decay to zero at the last epoch."""
-
-    warmup_epochs: int = 5
-
-    def __post_init__(self):
-        if self.warmup_epochs < 0:
-            raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """base_lr scaled by factor at each milestone epoch."""
-
-    milestones: tuple
-    factor: float = 0.1
-
-    def __post_init__(self):
-        if list(self.milestones) != sorted(set(self.milestones)):
-            raise ConfigError(f"milestones must be strictly increasing: {self.milestones}")
-        if not 0 < self.factor < math.inf:
-            raise ConfigError(f"factor must be finite and > 0, got {self.factor}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     base_lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 0.0
-    schedule: object = field(default_factory=CosineSchedule)
+    warmup_epochs: int = 5  # linear warm-up to base_lr, then half-cosine decay to zero at the last epoch
     method: str = "bake"
     smoothing_epsilon: float = 0.1  # label_smoothing's epsilon
     bake: BakeConfig = field(default_factory=BakeConfig)
@@ -65,6 +40,8 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.warmup_epochs < 0:
+            raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 <= self.smoothing_epsilon < 1.0:
@@ -85,12 +62,8 @@ class EpochMetrics:
     nonfinite_steps: int = 0  # steps whose loss was NaN or infinite; training steps on through them
 
 
-def lr_at(schedule, epoch, base_lr, epochs):
-    """Learning rate at a (possibly fractional) epoch of an ``epochs``-long run."""
-    if isinstance(schedule, StepSchedule):
-        passed = sum(1 for m in schedule.milestones if epoch >= m)
-        return base_lr * schedule.factor**passed
-    warm = schedule.warmup_epochs
+def lr_at(warm, epoch, base_lr, epochs):
+    """Learning rate at a (possibly fractional) epoch of an ``epochs``-long run that warms up for ``warm`` epochs."""
     if epoch < warm:
         return base_lr * epoch / warm
     span = max(epochs - warm, 1)
@@ -157,7 +130,7 @@ def train(model, train_set, test_set, cfg):
             x, y = train_set.inputs[ids], train_set.labels[ids]
             loss, ce_val, kl_val = batch_loss(model, x, y, cfg)
             loss.backward()
-            lr = lr_at(cfg.schedule, epoch + it / n, cfg.base_lr, cfg.epochs)
+            lr = lr_at(cfg.warmup_epochs, epoch + it / n, cfg.base_lr, cfg.epochs)
             sgd_step(model.flat, model.grad, velocity, lr, cfg.momentum, cfg.weight_decay)
             value = loss.item()
             nonfinite += not math.isfinite(value)

@@ -30,7 +30,7 @@ STEM_BELOW_1X1 = json.dumps({
 # settings that a subcommand does not read: at most a config-file key there
 DROPPED = [("targets", flag) for flag in (
     ["--method", "vanilla"], ["--lambda", "2"], ["--epsilon", "0.2"], ["--epochs", "3"], ["--lr", "5"],
-    ["--momentum", "0.5"], ["--weight-decay", "0.1"], ["--schedule", "step:1:0.1"], ["--hidden", "3"], ["--conv"],
+    ["--momentum", "0.5"], ["--weight-decay", "0.1"], ["--schedule", "cosine:3"], ["--hidden", "3"], ["--conv"],
     ["--out-dir", "nowhere"],
 )] + [("compare", ["--method", "vanilla"])]
 
@@ -256,7 +256,8 @@ class TestTrainCommand:
             (["--momentum=-1"], "momentum must be in [0, 1), got -1.0"),
             (["--momentum", "1"], "momentum must be in [0, 1), got 1.0"),
             (["--weight-decay=-1"], "weight_decay must be finite and >= 0, got -1.0"),
-            (["--schedule", "step:1:-1"], "factor must be finite and > 0, got -1.0"),
+            # a step: value is unrecognized, from a flag, a config file or a manifest
+            pytest.param(["--schedule", "step:1:0.1"], "unrecognized --schedule 'step:1:0.1'", id="step-flag"),
             (["--schedule", "cosine:-2"], "warmup_epochs must be >= 0, got -2"),
             ({"momentum": 1}, "momentum must be in [0, 1), got 1"),
             (["--weight-decay", "nan"], "weight_decay must be finite and >= 0, got nan"),
@@ -265,9 +266,13 @@ class TestTrainCommand:
             (["--lr", "nan"], "base_lr must be finite and > 0, got nan"),
             ({"lr": float("nan")}, "base_lr must be finite and > 0, got nan"),
             (["--omega", "1"], "closed-form propagation requires omega < 1"),
-            (["--schedule", "step:3,1:0.1"], "milestones must be strictly increasing: (3, 1)"),
+            pytest.param({"schedule": "step:1:0.1"}, "unrecognized --schedule 'step:1:0.1'", id="step-config-file"),
             (["--weight-decay", "inf"], "weight_decay must be finite and >= 0, got inf"),
-            (["--schedule", "step:1:inf"], "factor must be finite and > 0, got inf"),
+            pytest.param(
+                {"sampler_version": SAMPLER_VERSION, "dtype": "float32",
+                 "config": dict(cli.DEFAULTS, schedule="step:1:0.1")},
+                "unrecognized --schedule 'step:1:0.1'", id="step-manifest",
+            ),
             (["--mode", "one-step"], "unrecognized --mode 'one-step'"),
             ({"mode": "one-step"}, "unrecognized --mode 'one-step'"),
             ({"bogus": 1}, "unknown config keys: ['bogus']"),

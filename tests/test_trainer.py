@@ -113,26 +113,13 @@ class TestDtype:
 
 class TestLrAt:
     def test_cosine_warmup_endpoint(self):
-        sched = tr.CosineSchedule(warmup_epochs=5)
-        assert tr.lr_at(sched, 5, 0.4, 100) == 0.4
+        assert tr.lr_at(5, 5, 0.4, 100) == 0.4
 
     def test_cosine_warmup_is_linear(self):
-        sched = tr.CosineSchedule(warmup_epochs=5)
-        assert abs(tr.lr_at(sched, 2.5, 0.4, 100) - 0.2) < 1e-12
+        assert abs(tr.lr_at(5, 2.5, 0.4, 100) - 0.2) < 1e-12
 
     def test_cosine_final_epoch_near_zero(self):
-        sched = tr.CosineSchedule(warmup_epochs=5)
-        assert tr.lr_at(sched, 99, 1.0, 100) <= 0.02
-
-    def test_step_schedule_late_milestones(self):
-        sched = tr.StepSchedule(milestones=(100, 150), factor=0.1)
-        assert tr.lr_at(sched, 50, 0.1, 200) == 0.1
-        assert abs(tr.lr_at(sched, 120, 0.1, 200) - 0.01) < 1e-15
-        assert abs(tr.lr_at(sched, 180, 0.1, 200) - 0.001) < 1e-15
-
-    def test_milestones_must_increase(self):
-        with pytest.raises(ConfigError):
-            tr.StepSchedule(milestones=(150, 100))
+        assert tr.lr_at(5, 99, 1.0, 100) <= 0.02
 
 
 def traced_peak(call):
@@ -290,7 +277,7 @@ class TestTrain:
     def test_replaced_epochs_move_the_cosine_horizon(self, monkeypatch):
         train, test = dt.synth_clusters(3, 20, 4, 1.0, seed=0)
         model = md.init(md.ModelDescriptor(4, 3), seed=0)
-        cfg = small_config(epochs=2, schedule=tr.CosineSchedule(warmup_epochs=0))
+        cfg = small_config(epochs=2, warmup_epochs=0)
         lrs = []
         monkeypatch.setattr(tr, "sgd_step", lambda p, g, v, lr, momentum, weight_decay: lrs.append(lr))
         tr.train(model, train, test, dataclasses.replace(cfg, epochs=4))
@@ -316,8 +303,5 @@ class TestTrain:
         for weight_decay in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="weight_decay must be finite and >= 0"):
                 tr.TrainConfig(weight_decay=weight_decay)
-        for factor in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match="factor must be finite and > 0"):
-                tr.StepSchedule(milestones=(1,), factor=factor)
         with pytest.raises(ConfigError, match="warmup_epochs must be >= 0, got -2"):
-            tr.CosineSchedule(warmup_epochs=-2)
+            tr.TrainConfig(warmup_epochs=-2)
