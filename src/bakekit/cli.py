@@ -23,11 +23,13 @@ from . import models as md
 from . import trainer as tr
 from .bake import KNOWLEDGE_SOURCES, BakeConfig, build_soft_targets
 from .errors import ConfigError, DataFormatError
-from .sampling import SAMPLER_VERSION, SamplerConfig, batch_count, epoch_batches
+from .sampling import SamplerConfig, batch_count, epoch_batches
 
 
 SUBCOMMANDS = ("train", "compare", "targets")
 TRAINING = ("train", "compare")  # settings that only a training run reads
+# Recorded in run manifests: bump it with every change that moves the bits a config trains to.
+TRAINING_VERSION = 1
 
 
 class Option(NamedTuple):
@@ -58,7 +60,7 @@ OPTIONS = (
     Option("lr", float, tr.TrainConfig.base_lr, "base learning rate", commands=TRAINING),
     Option("momentum", float, tr.TrainConfig.momentum, "SGD momentum", commands=TRAINING),
     Option("weight_decay", float, tr.TrainConfig.weight_decay, "weight decay", commands=TRAINING),
-    Option("schedule", str, f"cosine:{tr.TrainConfig.warmup_epochs}", "cosine:WARMUP", commands=TRAINING),
+    Option("warmup_epochs", int, tr.TrainConfig.warmup_epochs, "cosine schedule's warm-up epochs", commands=TRAINING),
     Option("seed", int, SamplerConfig.seed, "RNG seed"),
     Option("synth_classes", int, 10, "synthetic classes"),
     Option("synth_per_class", int, 200, "synthetic examples per class"),
@@ -161,15 +163,13 @@ def resolve_config(args, methods=None):
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object, got {type(loaded).__name__}")
         if isinstance(loaded.get("config"), dict):  # accept a manifest as a config source
-            # it reproduces its run or is refused; sampler version 1 and float64 runs wrote no field
-            stamps = (("sampler_version", 1, SAMPLER_VERSION), ("dtype", "float64", md.COMPUTE_DTYPE.name))
-            for field, missing, current in stamps:
-                if (value := loaded.get(field, missing)) != current:
-                    raise ConfigError(
-                        f"manifest {args.config}: {field} {value!r} is not this version's {current!r}, so this "
-                        f"run would not reproduce it; to use its settings anyway, pass the manifest's \"config\" "
-                        f"object as a plain config file"
-                    )
+            # it reproduces its run or is refused
+            if (version := loaded.get("training_version")) != TRAINING_VERSION:
+                raise ConfigError(
+                    f"manifest {args.config}: training_version {version!r} is not this version's "
+                    f"{TRAINING_VERSION!r}, so this run would not reproduce it; to use its settings anyway, pass "
+                    f"the manifest's \"config\" object as a plain config file"
+                )
             loaded = loaded["config"]
         unknown = set(loaded) - set(OPTION)
         if unknown:
@@ -203,15 +203,6 @@ def _parse_mode(mode):
     raise ConfigError(f"unrecognized --mode {mode!r}")
 
 
-def _parse_schedule(spec):
-    """The warm-up epochs of ``cosine:WARMUP``; ``cosine`` alone warms up for the default."""
-    kind, _, rest = spec.partition(":")
-    where = f"--schedule {spec!r}"
-    if kind != "cosine":
-        raise ConfigError(f"unrecognized {where}")
-    return _convert(int, rest, where) if rest else tr.TrainConfig.warmup_epochs
-
-
 def _parse_hidden(spec):
     """Comma-separated integer widths; a malformed one is a config error naming ``--hidden``."""
     return md.check_hidden(tuple(_convert(int, v, f"--hidden {spec!r}") for v in spec.split(",")))
@@ -234,7 +225,7 @@ def make_train_config(cfg):
         base_lr=cfg["lr"],
         momentum=cfg["momentum"],
         weight_decay=cfg["weight_decay"],
-        warmup_epochs=_parse_schedule(cfg["schedule"]),
+        warmup_epochs=cfg["warmup_epochs"],
         method=cfg["method"],
         smoothing_epsilon=cfg["epsilon"],
         bake=bake_cfg,
@@ -310,8 +301,7 @@ def _write_run(out_dir, cfg, model, metrics, train_set):
         "tool_version": __version__,
         "seed": cfg["seed"],
         "dataset_fingerprint": train_set.fingerprint(),
-        "sampler_version": SAMPLER_VERSION,
-        "dtype": model.dtype.name,
+        "training_version": TRAINING_VERSION,
         "config": cfg,
     }
     os.makedirs(out_dir, exist_ok=True)

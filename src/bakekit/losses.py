@@ -29,7 +29,7 @@ def _check_rows(q, z):
 
 
 def _kl(logits, targets, tau):
-    """The value of ``kl_distillation`` and its gradient function, on the logits' data."""
+    """The value of ``kl_distillation`` and its gradient array, on the logits' data."""
     dtype = logits.data.dtype
     inv_tau, tau_sq = temperature_factors(tau, dtype)
     q = np.asarray(targets, dtype=np.float64)
@@ -38,7 +38,8 @@ def _kl(logits, targets, tau):
     qlogq *= q
     neg_entropy = np.asarray(float(qlogq.sum()) / q.shape[0], dtype=dtype)
     cross, grad = soft_xent(logits.data * inv_tau, q.astype(dtype))
-    return (cross + neg_entropy) * tau_sq, lambda g: grad(g * tau_sq) * inv_tau
+    grad *= tau_sq * inv_tau
+    return (cross + neg_entropy) * tau_sq, grad
 
 
 def kl_distillation(logits, targets, tau):
@@ -56,17 +57,16 @@ def kl_distillation(logits, targets, tau):
 def bake_loss(logits, labels, targets, tau, weight):
     """``cross_entropy + weight * kl_distillation`` as one node; returns it with the CE and KL values.
 
-    It runs the float operations that separate CE, KL and weighted-sum nodes
-    would, in their order, so it gives their bits: the upstream gradient is
-    scaled by ``weight`` (in the logits' dtype) and then by tau^2. The targets
-    are checked as ``kl_distillation`` checks them.
+    ``weight`` is cast to the logits' dtype; the targets are checked as
+    ``kl_distillation`` checks them.
     """
     z = logits.data
-    kl, kl_grad = _kl(logits, targets, tau)
+    kl, grad = _kl(logits, targets, tau)
     ce, ce_grad = soft_xent(z, one_hot(labels, z.shape[1], z.dtype))
     weight = np.asarray(weight, dtype=z.dtype)
-    loss = loss_node(logits, ce + kl * weight, lambda g: ce_grad(g) + kl_grad(g * weight))
-    return loss, float(ce), float(kl)
+    grad *= weight
+    grad += ce_grad
+    return loss_node(logits, ce + kl * weight, grad), float(ce), float(kl)
 
 
 def label_smoothing_loss(logits, labels, epsilon):
@@ -74,4 +74,4 @@ def label_smoothing_loss(logits, labels, epsilon):
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"epsilon must be in [0, 1), got {epsilon}")
     k = logits.shape[1]
-    return soft_cross_entropy(logits, (1.0 - epsilon) * one_hot(labels, k) + epsilon / k)
+    return soft_cross_entropy(logits, (1.0 - epsilon) * one_hot(labels, k, logits.data.dtype) + epsilon / k)

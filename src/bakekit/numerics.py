@@ -173,30 +173,29 @@ def linear(x, w, b):
 
 
 def soft_xent(x, t):
-    """Mean over the rows of -sum_k t[k] * log softmax(x)[k], on arrays of one dtype.
+    """Mean over the N rows of -sum_k t[k] * log softmax(x)[k], on arrays of one dtype.
 
-    Returns the value and ``grad``, which maps an upstream gradient ``g`` to the
-    gradient of ``g`` times the value with respect to ``x``."""
-    scale = -1.0 / x.shape[0]
+    Returns the value and its gradient with respect to ``x``, the array
+    ``(softmax(x) - t) / N``. That is the gradient only where each row of ``t``
+    sums to 1; otherwise the exact one adds ``softmax(x) * (sum(t) - 1) / N``."""
+    n = x.shape[0]
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     sums = e.sum(axis=1, keepdims=True)
     shifted -= np.log(sums)  # log softmax(x)
     shifted *= t
-
-    def grad(g):  # not (softmax - t) / n: that moves the last bits of training
-        gl = (g * scale) * t
-        return gl - e / sums * gl.sum(axis=1, keepdims=True)
-
-    return shifted.sum() * scale, grad
+    e /= sums
+    e -= t
+    e /= n
+    return shifted.sum() * (-1.0 / n), e
 
 
 def loss_node(x, value, grad):
-    """A node over ``x`` that holds ``value`` and hands ``grad(g)`` back to ``x``."""
+    """A node over ``x`` that holds ``value`` and hands ``g * grad`` back to ``x``."""
 
     def vjp(g, x=x):
         if x.requires_grad:
-            _accumulate(x, grad(g))
+            _accumulate(x, g * grad)
 
     return Tensor._op(value, (x,), vjp)
 

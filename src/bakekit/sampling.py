@@ -8,10 +8,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Recorded in run manifests. Version 2 draws companions slot by slot across
-# all anchors; its m <= 1 batches equal version 1's, its m >= 2 batches differ.
-SAMPLER_VERSION = 2
-
 
 @dataclass(frozen=True)
 class SamplerConfig:

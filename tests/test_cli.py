@@ -8,7 +8,6 @@ import pytest
 from bakekit import cli
 from bakekit.data import CIFAR_CHANNEL_STATS
 from bakekit.models import CHECKPOINT_MAGIC, ConvStem, ModelDescriptor, init, load_checkpoint, save_checkpoint
-from bakekit.sampling import SAMPLER_VERSION
 from bakekit.trainer import EpochMetrics, TrainConfig
 
 SYNTH = [
@@ -30,7 +29,7 @@ STEM_BELOW_1X1 = json.dumps({
 # settings that a subcommand does not read: at most a config-file key there
 DROPPED = [("targets", flag) for flag in (
     ["--method", "vanilla"], ["--lambda", "2"], ["--epsilon", "0.2"], ["--epochs", "3"], ["--lr", "5"],
-    ["--momentum", "0.5"], ["--weight-decay", "0.1"], ["--schedule", "cosine:3"], ["--hidden", "3"], ["--conv"],
+    ["--momentum", "0.5"], ["--weight-decay", "0.1"], ["--warmup-epochs", "3"], ["--hidden", "3"], ["--conv"],
     ["--out-dir", "nowhere"],
 )] + [("compare", ["--method", "vanilla"])]
 
@@ -239,8 +238,8 @@ class TestTrainCommand:
         "extra,needle",
         [
             (["--mode", "iterate:x"], "--mode 'iterate:x'"),
-            (["--schedule", "cosine:x"], "--schedule 'cosine:x'"),
-            (["--schedule", "step:a"], "--schedule 'step:a'"),
+            ({"warmup_epochs": "x"}, "config key 'warmup_epochs': expected int, got 'x'"),
+            ({"warmup_epochs": 2.5}, "config key 'warmup_epochs': expected int, got 2.5"),
             (["--hidden", "256,x"], "--hidden '256,x'"),
             (["--hidden", ","], "--hidden ','"),
             ({"mode": "iterate:x"}, "--mode 'iterate:x'"),
@@ -256,9 +255,9 @@ class TestTrainCommand:
             (["--momentum=-1"], "momentum must be in [0, 1), got -1.0"),
             (["--momentum", "1"], "momentum must be in [0, 1), got 1.0"),
             (["--weight-decay=-1"], "weight_decay must be finite and >= 0, got -1.0"),
-            # a step: value is unrecognized, from a flag, a config file or a manifest
-            pytest.param(["--schedule", "step:1:0.1"], "unrecognized --schedule 'step:1:0.1'", id="step-flag"),
-            (["--schedule", "cosine:-2"], "warmup_epochs must be >= 0, got -2"),
+            # the schedule key of older runs is unknown, in a config file or a manifest
+            pytest.param({"schedule": "cosine:5"}, "unknown config keys: ['schedule']", id="cosine-config-file"),
+            (["--warmup-epochs", "-2"], "warmup_epochs must be >= 0, got -2"),
             ({"momentum": 1}, "momentum must be in [0, 1), got 1"),
             (["--weight-decay", "nan"], "weight_decay must be finite and >= 0, got nan"),
             (["--tau", "nan"], "tau must be finite and > 0, got nan"),
@@ -266,17 +265,16 @@ class TestTrainCommand:
             (["--lr", "nan"], "base_lr must be finite and > 0, got nan"),
             ({"lr": float("nan")}, "base_lr must be finite and > 0, got nan"),
             (["--omega", "1"], "closed-form propagation requires omega < 1"),
-            pytest.param({"schedule": "step:1:0.1"}, "unrecognized --schedule 'step:1:0.1'", id="step-config-file"),
+            pytest.param({"schedule": "step:1:0.1"}, "unknown config keys: ['schedule']", id="step-config-file"),
             (["--weight-decay", "inf"], "weight_decay must be finite and >= 0, got inf"),
             pytest.param(
-                {"sampler_version": SAMPLER_VERSION, "dtype": "float32",
-                 "config": dict(cli.DEFAULTS, schedule="step:1:0.1")},
-                "unrecognized --schedule 'step:1:0.1'", id="step-manifest",
+                {"training_version": cli.TRAINING_VERSION, "config": dict(cli.DEFAULTS, schedule="step:1:0.1")},
+                "unknown config keys: ['schedule']", id="step-manifest",
             ),
             (["--mode", "one-step"], "unrecognized --mode 'one-step'"),
             ({"mode": "one-step"}, "unrecognized --mode 'one-step'"),
             ({"bogus": 1}, "unknown config keys: ['bogus']"),
-            (["--schedule", "linear:3"], "unrecognized --schedule 'linear:3'"),
+            ({"warmup_epochs": True}, "config key 'warmup_epochs': expected int, got True"),
             (["--n-hat", "1", "--m", "0"], "bake needs a batch of at least 2, got n_hat * (m + 1) = 1"),
             (["--tau", "1e-300"], "tau=1e-300 puts 1/tau or tau^2 outside the finite, nonzero float32 range"),
             (["--tau", "1e20"], "tau=1e+20 puts 1/tau or tau^2 outside the finite, nonzero float32 range"),
@@ -514,13 +512,15 @@ class TestTrainCommand:
         assert capsys.readouterr().err == ""
         assert (a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
 
-    def test_fresh_manifest_records_sampler_version_and_round_trips(self, tmp_path):
+    def test_fresh_manifest_records_training_version_and_round_trips(self, tmp_path):
         _, a = run_train(tmp_path, "a", extra=["--m", "3", "--epochs", "1"])
         manifest = json.loads((a / "manifest.json").read_text())
-        assert (manifest["sampler_version"], manifest["dtype"]) == (SAMPLER_VERSION, "float32")
+        assert manifest["training_version"] == cli.TRAINING_VERSION
+        assert not {"sampler_version", "dtype"} & set(manifest)
         out_b = tmp_path / "b"
         assert cli.main(["train", "--config", str(a / "manifest.json"), "--out-dir", str(out_b)]) == 0
-        assert (a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
+        for name in ("metrics.jsonl", "model.ckpt"):
+            assert (a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_flags_override_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -1026,17 +1026,28 @@ def test_one_step_is_not_a_mode(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# the stamps of manifests this version does not reproduce: one with no stamp, one of another training version, and
+# those written before the one stamp (sampler version 1 and float64 runs wrote no sampler_version or dtype)
+STALE_STAMPS = {
+    "training_version-None": {},
+    "training_version-other": {"training_version": cli.TRAINING_VERSION - 1},
+    "pre-change": {"sampler_version": 2, "dtype": "float32"},
+    "sampler_version-None": {"dtype": "float32"},
+    "sampler_version-1": {"sampler_version": 1, "dtype": "float32"},
+    "dtype-None": {"sampler_version": 2},
+    "dtype-float64": {"sampler_version": 2, "dtype": "float64"},
+}
+
+
 @pytest.mark.parametrize("command", ["train", "compare", "targets"])
-@pytest.mark.parametrize(
-    "field,value", [("sampler_version", None), ("sampler_version", 1), ("dtype", None), ("dtype", "float64")]
-)
-def test_stale_manifest_is_refused(tmp_path, capsys, command, field, value):
+@pytest.mark.parametrize("stamps", STALE_STAMPS.values(), ids=STALE_STAMPS)
+def test_stale_manifest_is_refused(tmp_path, capsys, command, stamps):
     small = dict(synth_classes=4, synth_per_class=40, synth_dim=8, epochs=1, n_hat=8)
-    manifest = {"sampler_version": SAMPLER_VERSION, "dtype": "float32", "config": dict(cli.DEFAULTS, **small)}
-    if value is None:
-        del manifest[field]  # sampler version 1 and float64 runs wrote no such field
-    else:
-        manifest[field] = value
+    config = dict(cli.DEFAULTS, **small)
+    if stamps.keys() & {"sampler_version", "dtype"}:  # such manifests also hold the schedule key
+        del config["warmup_epochs"]
+        config["schedule"] = "cosine:5"
+    manifest = {**stamps, "config": config}
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     out = tmp_path / "run"
@@ -1048,7 +1059,7 @@ def test_stale_manifest_is_refused(tmp_path, capsys, command, field, value):
     for flags in ([], ["--m", "3"]):  # a flag does not rescue a stale manifest
         assert cli.main([command, "--config", str(path), *flags, *extra]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: manifest {path}: {field} ")
+        assert err.startswith(f"config error: manifest {path}: training_version ")
         assert "pass the manifest's \"config\" object as a plain config file" in err
         assert not out.exists()
 
