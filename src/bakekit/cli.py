@@ -29,7 +29,7 @@ from .sampling import SamplerConfig, batch_count, epoch_batches
 SUBCOMMANDS = ("train", "compare", "targets")
 TRAINING = ("train", "compare")  # settings that only a training run reads
 # Recorded in run manifests: bump it with every change that moves the bits a config trains to.
-TRAINING_VERSION = 1
+TRAINING_VERSION = 2
 
 
 class Option(NamedTuple):

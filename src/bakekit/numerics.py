@@ -209,34 +209,32 @@ def soft_cross_entropy(x, targets):
 
 
 def conv2d(x, w, b):
-    """Valid 3x3 convolution over NCHW input, via im2col. Differentiable."""
+    """Valid convolution of NCHW input with O×C×kh×kw kernels (the stem uses 3×3) and O biases.
+    Each product is one 2-D gemm over the (N·Ho·Wo)×(C·kh·kw) im2col matrix the forward keeps."""
     xd = x.data
     n, c = xd.shape[:2]
     o, ci, kh, kw = w.data.shape
-    if ci != c:
-        raise ShapeMismatchError(f"conv2d: input channels {c} != kernel channels {ci}")
+    if ci != c or b.data.shape != (o,):
+        raise ShapeMismatchError(f"conv2d: kernels {w.data.shape} and bias {b.data.shape} for input channels {c}")
     windows = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
     ho, wo = windows.shape[2], windows.shape[3]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
     wmat = w.data.reshape(o, c * kh * kw)
     out = cols @ wmat.T + b.data
-    out_data = out.transpose(0, 2, 1).reshape(n, o, ho, wo)
+    out_data = out.reshape(n, ho * wo, o).transpose(0, 2, 1).reshape(n, o, ho, wo)
 
     def vjp(g, x=x, w=w, b=b):
-        gout = g.reshape(n, o, ho * wo).transpose(0, 2, 1)  # N x P x O
+        gout = g.reshape(n, o, ho * wo).transpose(0, 2, 1).reshape(n * ho * wo, o)
         if b.requires_grad:
-            _accumulate(b, gout.sum(axis=(0, 1)))
+            _accumulate(b, gout.sum(axis=0))
         if w.requires_grad:
-            gw = np.einsum("npo,npk->ok", gout, cols)
-            _accumulate(w, gw.reshape(o, c, kh, kw))
+            _accumulate(w, (gout.T @ cols).reshape(o, c, kh, kw))
         if x.requires_grad:
             # (N, Ho, Wo, C, kh, kw): each window's gradient, in the forward's layout
             gwin = (gout @ wmat).reshape(n, ho, wo, c, kh, kw)
             gx = np.zeros_like(xd)
-            # reversed offsets: each input pixel sums its windows in ascending
-            # window order, as a scatter over the windows in order would
-            for i in reversed(range(kh)):
-                for j in reversed(range(kw)):
+            for i in range(kh):
+                for j in range(kw):
                     gx[:, :, i : i + ho, j : j + wo] += gwin[..., i, j].transpose(0, 3, 1, 2)
             _accumulate(x, gx)
 

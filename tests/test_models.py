@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from bakekit import models as md
-from bakekit.bake import build_soft_targets
+from bakekit.bake import BakeConfig, build_soft_targets
 from bakekit.errors import ConfigError, DataFormatError, ShapeMismatchError
-from bakekit.losses import cross_entropy, soft_cross_entropy
+from bakekit.losses import bake_loss, cross_entropy, soft_cross_entropy
 from bakekit.numerics import Tensor
 from bakekit.trainer import sgd_step
 
@@ -187,6 +187,36 @@ class TestConvStem:
         assert logits.shape == (2, 3)
         cross_entropy(logits, np.array([0, 2])).backward()
         assert np.abs(model.params["conv0.w"].grad).sum() > 0
+
+    def test_bake_loss_gradients_match_finite_differences(self):
+        """Criterion 4's check through the stem: conv0's gradient crosses conv1's input scatter,
+        ``avg_pool2d``, ``relu`` and ``reshape``."""
+        h = 1e-5
+        rng = np.random.default_rng(12)
+        descriptor = md.ModelDescriptor(2 * 12 * 12, 4, hidden=(10,), conv_stem=md.ConvStem(2, 12, 12, channels=(4, 6)))
+        model = md.Model(descriptor, md.init(descriptor, seed=5).flat, np.float64)
+        x = rng.normal(size=(6, 2 * 12 * 12))
+        y = rng.integers(0, 4, size=6)
+        cfg = BakeConfig(omega=0.5, tau=4.0)
+        features, logits = model.forward(x)
+        targets = build_soft_targets(features, logits, labels=y, cfg=cfg)
+        bake_loss(logits, y, targets, cfg.tau, cfg.distill_weight)[0].backward()
+
+        def objective():  # the targets are detached: finite differences hold them fixed
+            return bake_loss(model.forward(x)[1], y, targets, cfg.tau, cfg.distill_weight)[0].item()
+
+        for name in ("conv0.w", "conv1.w", "conv1.b", "dense0.w"):
+            param = model.params[name]
+            flat = param.data.reshape(-1)
+            for idx in rng.choice(flat.size, size=6, replace=False):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                up = objective()
+                flat[idx] = orig - h
+                down = objective()
+                flat[idx] = orig
+                fd = (up - down) / (2 * h)
+                assert abs(param.grad.reshape(-1)[idx] - fd) / max(abs(fd), 1e-6) <= 1e-4, (name, idx)
 
     def test_stem_below_one_pixel_rejected_when_built(self):
         with pytest.raises(ConfigError, match="below 1x1"):

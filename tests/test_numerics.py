@@ -241,28 +241,25 @@ class TestBackward:
 
 
 class TestConvOps:
-    def test_conv2d_matches_finite_differences(self):
+    @pytest.mark.parametrize("leaf", ["x", "w", "b"])
+    def test_conv2d_matches_finite_differences(self, leaf):
         rng = np.random.default_rng(8)
-        x_val = rng.normal(size=(2, 2, 6, 6))
-        w_val = rng.normal(size=(3, 2, 3, 3))
-        b_val = rng.normal(size=3)
+        values = {"x": rng.normal(size=(2, 2, 6, 6)), "w": rng.normal(size=(3, 2, 3, 3)), "b": rng.normal(size=3)}
         targets = rng.dirichlet(np.ones(12), size=2)
 
-        def f(wv):
-            x = Tensor(x_val, requires_grad=True)
-            w = Tensor(wv, requires_grad=True)
-            b = Tensor(b_val, requires_grad=True)
-            out = nm.avg_pool2d(nm.relu(nm.conv2d(x, w, b)), 2)
-            return (x, w, b), nm.soft_cross_entropy(out.reshape(2, -1), targets)
+        def f(value):
+            t = {name: Tensor(value if name == leaf else v, requires_grad=True) for name, v in values.items()}
+            out = nm.avg_pool2d(nm.relu(nm.conv2d(t["x"], t["w"], t["b"])), 2)
+            return t[leaf], nm.soft_cross_entropy(out.reshape(2, -1), targets)
 
-        (x, w, b), loss = f(w_val)
+        t, loss = f(values[leaf])
         loss.backward()
-        fd_w = finite_diff(lambda a: f(a)[1].item(), w_val)
-        assert np.abs(w.grad - fd_w).max() < 1e-6
+        fd = finite_diff(lambda a: f(a)[1].item(), values[leaf])
+        assert np.abs(t.grad - fd).max() < 1e-6
 
     @pytest.mark.parametrize("x_shape,out_channels", [((2, 1, 6, 6), 3), ((3, 4, 7, 9), 5)])
     def test_conv2d_gradients_match_scatter_reference(self, x_shape, out_channels):
-        """Exact gradients, against explicit im2col indices scattered with ``np.add.at``."""
+        """Gradients to rounding, against explicit im2col indices scattered with ``np.add.at``."""
         rng = np.random.default_rng(9)
         n, c, h, w = x_shape
         ho, wo = h - 2, w - 2
@@ -277,14 +274,15 @@ class TestConvOps:
         ci, ki, kj = np.meshgrid(np.arange(c), np.arange(3), np.arange(3), indexing="ij")
         pi, pj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
         flat = (pi * w + pj).reshape(-1, 1) + (ci * h * w + ki * w + kj).reshape(1, -1)  # P x C*9
-        # N x P x C*9, C-ordered as in the forward: einsum's summation order follows the layout
-        cols = np.ascontiguousarray(x.data.reshape(n, -1)[:, flat])
+        cols = x.data.reshape(n, -1)[:, flat]  # N x P x C*9
         gx = np.zeros((n, c * h * w))
         np.add.at(gx, (np.arange(n)[:, None, None], flat[None]), gout @ k.data.reshape(out_channels, -1))
-        assert np.array_equal(x.grad, gx.reshape(x_shape))
-        gk = np.einsum("npo,npk->ok", gout, cols).reshape(k.data.shape)
-        assert np.array_equal(k.grad, gk)
-        assert np.array_equal(b.grad, gout.sum(axis=(0, 1)))
+        for grad, ref in (
+            (x.grad, gx.reshape(x_shape)),
+            (k.grad, np.einsum("npo,npk->ok", gout, cols).reshape(k.data.shape)),
+            (b.grad, gout.sum(axis=(0, 1))),
+        ):
+            assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_conv2d_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError, match="channels"):
@@ -293,3 +291,27 @@ class TestConvOps:
                 Tensor(np.zeros((3, 1, 3, 3))),
                 Tensor(np.zeros(3)),
             )
+
+    @pytest.mark.parametrize("bias_shape", [(2,), (4,), (1,), (3, 1), ()])
+    def test_conv2d_bias_must_be_one_per_kernel(self, bias_shape):
+        with pytest.raises(ShapeMismatchError, match="bias"):
+            nm.conv2d(Tensor(np.zeros((1, 2, 5, 5))), Tensor(np.zeros((3, 2, 3, 3))), Tensor(np.zeros(bias_shape)))
+
+    def test_conv2d_any_kernel_size_matches_a_direct_sum(self):
+        rng = np.random.default_rng(10)
+        x_val, w_val, b_val = rng.normal(size=(2, 2, 7, 6)), rng.normal(size=(3, 2, 5, 2)), rng.normal(size=3)
+        out = nm.conv2d(Tensor(x_val), Tensor(w_val), Tensor(b_val)).data
+        assert out.shape == (2, 3, 3, 5)
+        for i in range(3):
+            for j in range(5):
+                window = x_val[:, None, :, i : i + 5, j : j + 2] * w_val[None]
+                assert np.abs(out[:, :, i, j] - window.sum(axis=(2, 3, 4)) - b_val).max() < 1e-12
+
+        def f(value):
+            x = Tensor(value, requires_grad=True)
+            loss = nm.soft_cross_entropy(nm.conv2d(x, Tensor(w_val), Tensor(b_val)).reshape(2, -1), np.full((2, 45), 1 / 45))
+            return x, loss
+
+        x, loss = f(x_val)
+        loss.backward()
+        assert np.abs(x.grad - finite_diff(lambda a: f(a)[1].item(), x_val)).max() < 1e-6
