@@ -13,9 +13,15 @@ later ones are added to it. A leaf keeps its gradient array, and ``backward``
 zero-fills the buffer that array lives in, once, before adding into it: a
 model's parameter gradients are views of one buffer, ``model.grad``, so a
 parameter a loss skips reads zero.
+
+``blas_threads`` sets how many threads numpy's bundled OpenBLAS runs on, for
+the length of a block.
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
 
 import numpy as np
 
@@ -123,6 +129,48 @@ def _accumulate(node, g):
         node.grad += g
 
 
+# -- BLAS threads --------------------------------------------------------
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Looked up on first use, never at import; an MKL or Accelerate build has no
+    such library, and gets None."""
+    import ctypes
+    from pathlib import Path
+
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """Run the block on ``n`` OpenBLAS threads; yields the count found on entry and restores it on exit.
+
+    With ``n`` None, or without numpy's bundled OpenBLAS, it changes nothing
+    and yields None."""
+    blas = None if n is None else _openblas()
+    if blas is None:
+        yield None
+        return
+    get, set_ = blas
+    found = get()
+    set_(n)
+    try:
+        yield found
+    finally:
+        set_(found)
+
+
 # -- elementwise / structural primitives ---------------------------------
 
 
@@ -212,10 +260,14 @@ def conv2d(x, w, b):
     """Valid convolution of NCHW input with O×C×kh×kw kernels (the stem uses 3×3) and O biases.
     Each product is one 2-D gemm over the (N·Ho·Wo)×(C·kh·kw) im2col matrix the forward keeps."""
     xd = x.data
-    n, c = xd.shape[:2]
+    if xd.ndim != 4 or w.data.ndim != 4:
+        raise ShapeMismatchError(f"conv2d: needs an NCHW input and 4-D kernels, got {xd.shape} and {w.data.shape}")
+    n, c, ih, iw = xd.shape
     o, ci, kh, kw = w.data.shape
     if ci != c or b.data.shape != (o,):
         raise ShapeMismatchError(f"conv2d: kernels {w.data.shape} and bias {b.data.shape} for input channels {c}")
+    if kh > ih or kw > iw:
+        raise ShapeMismatchError(f"conv2d: kernels {w.data.shape} larger than the {ih}×{iw} image")
     windows = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
     ho, wo = windows.shape[2], windows.shape[3]
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
@@ -242,8 +294,12 @@ def conv2d(x, w, b):
 
 
 def avg_pool2d(x, k=2):
-    """Non-overlapping k x k mean pooling; trailing rows/cols are trimmed."""
+    """Non-overlapping k x k mean pooling of an NCHW input; trailing rows/cols are trimmed."""
+    if x.data.ndim != 4:
+        raise ShapeMismatchError(f"avg_pool2d: needs an NCHW input, got {x.data.shape}")
     n, c, h, w = x.data.shape
+    if k > h or k > w:
+        raise ShapeMismatchError(f"avg_pool2d: a {k}×{k} window larger than the {h}×{w} image")
     ho, wo = h // k, w // k
     trimmed = x.data[:, :, : ho * k, : wo * k]
     out_data = trimmed.reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))

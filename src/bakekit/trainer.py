@@ -11,6 +11,7 @@ import numpy as np
 from . import losses as ls
 from .bake import BakeConfig, build_soft_targets
 from .errors import ConfigError
+from .numerics import blas_threads
 from .sampling import SamplerConfig, epoch_batches
 
 METHODS = ("vanilla", "label_smoothing", "bake")
@@ -96,18 +97,20 @@ def evaluate(model, dataset):
     return hits1 / len(dataset), hits5 / len(dataset)
 
 
-def batch_loss(model, x, y, cfg):
+def batch_loss(model, x, y, cfg, target_threads=None):
     """Forward one batch under ``cfg.method``; returns (loss tensor, ce value, kl value).
 
     The loss is one tape node in the dtype the model computes in; bake's soft
-    targets are float64.
+    targets are float64, built on ``target_threads`` OpenBLAS threads (None:
+    the current count).
 
     bake adds ``cfg.bake.distill_weight`` times the KL to detached soft
     targets, both at the one temperature ``cfg.bake.tau``.
     """
     features, logits = model.forward(x)
     if cfg.method == "bake":
-        targets = build_soft_targets(features, logits, labels=y, cfg=cfg.bake)
+        with blas_threads(target_threads):
+            targets = build_soft_targets(features, logits, labels=y, cfg=cfg.bake)
         return ls.bake_loss(logits, y, targets, cfg.bake.tau, cfg.bake.distill_weight)
     ce = ls.cross_entropy(logits, y)
     loss = ce if cfg.method == "vanilla" else ls.label_smoothing_loss(logits, y, cfg.smoothing_epsilon)
@@ -115,39 +118,47 @@ def batch_loss(model, x, y, cfg):
 
 
 def train(model, train_set, test_set, cfg):
-    """Run the configured number of epochs; returns (model, metrics list)."""
+    """Run the configured number of epochs; returns (model, metrics list).
+
+    The epochs run on one OpenBLAS thread, and bake's soft targets on the count
+    found on entry, which is restored on return. At desk scale a second thread
+    slows every step: a gemm split across two cores pulls the lines of
+    ``model.flat`` that its weights view into the other core's cache, and the
+    SGD step that rewrites the vector next must take each one back. The N×N
+    soft-target solve is the one product large enough to gain from it."""
     # random batching unless bake: the per-class mechanism only serves affinity quality
     sampler = cfg.sampler if cfg.method == "bake" else replace(cfg.sampler, m=0)
     velocity = np.zeros_like(model.flat)
     metrics = []
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        batches = epoch_batches(train_set.class_index, sampler, epoch)
-        n = len(batches)
-        sum_loss = sum_ce = sum_kl = 0.0
-        nonfinite = 0
-        for it, ids in enumerate(batches):
-            x, y = train_set.inputs[ids], train_set.labels[ids]
-            loss, ce_val, kl_val = batch_loss(model, x, y, cfg)
-            loss.backward()
-            lr = lr_at(cfg.warmup_epochs, epoch + it / n, cfg.base_lr, cfg.epochs)
-            sgd_step(model.flat, model.grad, velocity, lr, cfg.momentum, cfg.weight_decay)
-            value = loss.item()
-            nonfinite += not math.isfinite(value)
-            sum_loss += value
-            sum_ce += ce_val
-            sum_kl += kl_val
-        top1, top5 = evaluate(model, test_set)
-        metrics.append(
-            EpochMetrics(
-                epoch=epoch,
-                train_loss=sum_loss / n,
-                train_ce=sum_ce / n,
-                train_kl=sum_kl / n,
-                test_top1=top1,
-                test_top5=top5,
-                wall_seconds=time.perf_counter() - t0,
-                nonfinite_steps=nonfinite,
+    with blas_threads(1) as target_threads:
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            batches = epoch_batches(train_set.class_index, sampler, epoch)
+            n = len(batches)
+            sum_loss = sum_ce = sum_kl = 0.0
+            nonfinite = 0
+            for it, ids in enumerate(batches):
+                x, y = train_set.inputs[ids], train_set.labels[ids]
+                loss, ce_val, kl_val = batch_loss(model, x, y, cfg, target_threads)
+                loss.backward()
+                lr = lr_at(cfg.warmup_epochs, epoch + it / n, cfg.base_lr, cfg.epochs)
+                sgd_step(model.flat, model.grad, velocity, lr, cfg.momentum, cfg.weight_decay)
+                value = loss.item()
+                nonfinite += not math.isfinite(value)
+                sum_loss += value
+                sum_ce += ce_val
+                sum_kl += kl_val
+            top1, top5 = evaluate(model, test_set)
+            metrics.append(
+                EpochMetrics(
+                    epoch=epoch,
+                    train_loss=sum_loss / n,
+                    train_ce=sum_ce / n,
+                    train_kl=sum_kl / n,
+                    test_top1=top1,
+                    test_top5=top5,
+                    wall_seconds=time.perf_counter() - t0,
+                    nonfinite_steps=nonfinite,
+                )
             )
-        )
     return model, metrics

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -292,6 +296,25 @@ class TestConvOps:
                 Tensor(np.zeros(3)),
             )
 
+    @pytest.mark.parametrize("x_shape, w_shape", [((2, 5, 5), (3, 2, 3, 3)), ((1, 2, 5, 5), (2, 3, 3))], ids=["input", "kernel"])
+    def test_conv2d_refuses_a_3d_input_or_kernel(self, x_shape, w_shape):
+        with pytest.raises(ShapeMismatchError, match="NCHW"):
+            nm.conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("kernel", [(6, 3), (3, 5)], ids=["rows", "cols"])
+    def test_conv2d_refuses_a_kernel_larger_than_the_image(self, kernel):
+        with pytest.raises(ShapeMismatchError, match="larger"):
+            nm.conv2d(Tensor(np.zeros((1, 2, 5, 4))), Tensor(np.zeros((3, 2, *kernel))), Tensor(np.zeros(3)))
+
+    def test_avg_pool2d_refuses_a_3d_input(self):
+        with pytest.raises(ShapeMismatchError, match="NCHW"):
+            nm.avg_pool2d(Tensor(np.zeros((2, 4, 4))), 2)
+
+    @pytest.mark.parametrize("hw", [(2, 5), (5, 2)], ids=["rows", "cols"])
+    def test_avg_pool2d_refuses_a_window_larger_than_the_image(self, hw):
+        with pytest.raises(ShapeMismatchError, match="larger"):
+            nm.avg_pool2d(Tensor(np.zeros((1, 2, *hw))), 3)
+
     @pytest.mark.parametrize("bias_shape", [(2,), (4,), (1,), (3, 1), ()])
     def test_conv2d_bias_must_be_one_per_kernel(self, bias_shape):
         with pytest.raises(ShapeMismatchError, match="bias"):
@@ -315,3 +338,46 @@ class TestConvOps:
         x, loss = f(x_val)
         loss.backward()
         assert np.abs(x.grad - finite_diff(lambda a: f(a)[1].item(), x_val)).max() < 1e-6
+
+
+class TestBlasThreads:
+    """``blas_threads`` against numpy's bundled OpenBLAS; skipped on a numpy built without one."""
+
+    @pytest.fixture
+    def get(self):
+        if nm._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        return nm._openblas()[0]
+
+    @pytest.mark.parametrize("outer, inner", [(1, 2), (2, 1), (2, 2)])
+    def test_sets_the_count_and_restores_it(self, get, outer, inner):
+        with nm.blas_threads(outer) as found_outer:
+            with nm.blas_threads(inner) as found:
+                assert (found, get()) == (outer, inner)
+            assert get() == outer
+        assert get() == found_outer
+
+    def test_restores_the_count_after_an_exception(self, get):
+        with nm.blas_threads(1):
+            with pytest.raises(RuntimeError, match="inside"):
+                with nm.blas_threads(2):
+                    raise RuntimeError("inside")
+            assert get() == 1
+
+    def test_none_changes_nothing_and_looks_nothing_up(self, monkeypatch):
+        monkeypatch.setattr(nm, "_openblas", lambda: pytest.fail("looked up"))
+        with nm.blas_threads(None) as found:
+            assert found is None
+
+    def test_without_the_library_it_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(nm, "_openblas", lambda: None)
+        with nm.blas_threads(1) as found:
+            assert found is None
+
+    def test_importing_bakekit_looks_up_no_library(self):
+        code = (
+            "import bakekit, bakekit.cli, bakekit.trainer\n"
+            "from bakekit import numerics\n"
+            "assert numerics._openblas.cache_info().currsize == 0\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

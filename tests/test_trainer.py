@@ -6,6 +6,7 @@ import pytest
 
 from bakekit import data as dt
 from bakekit import models as md
+from bakekit import numerics as nm
 from bakekit import trainer as tr
 from bakekit.errors import ConfigError
 from bakekit.numerics import Tensor, _toposort
@@ -283,6 +284,46 @@ class TestTrain:
         tr.train(model, train, test, dataclasses.replace(cfg, epochs=4))
         assert lrs[0] == 0.05 and lrs[-1] > 0.0
         assert all(a > b for a, b in zip(lrs, lrs[1:]))  # one decay over all 4 epochs, no restart
+
+    @pytest.mark.parametrize("outer", [1, 2])
+    def test_steps_on_one_blas_thread_and_solves_at_the_count_it_found(self, monkeypatch, outer):
+        if nm._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        get = nm._openblas()[0]
+        train, test = dt.synth_clusters(3, 20, 4, 1.0, seed=0)
+        model = md.init(md.ModelDescriptor(4, 3), seed=0)
+        counts = {"step": set(), "targets": set()}
+        real_step, real_targets = tr.sgd_step, tr.build_soft_targets
+        monkeypatch.setattr(tr, "sgd_step", lambda *a: counts["step"].add(get()) or real_step(*a))
+        monkeypatch.setattr(tr, "build_soft_targets", lambda *a, **k: counts["targets"].add(get()) or real_targets(*a, **k))
+        with nm.blas_threads(outer):
+            tr.train(model, train, test, small_config("bake", epochs=1))
+            assert get() == outer
+        assert counts == {"step": {1}, "targets": {outer}}
+
+    @pytest.mark.parametrize("method", ["vanilla", "bake"])
+    def test_trains_alike_without_openblas(self, monkeypatch, method):
+        train, test = dt.synth_clusters(3, 20, 4, 1.0, seed=0)
+        runs = []
+        for lookup in (nm._openblas, lambda: None):
+            monkeypatch.setattr(nm, "_openblas", lookup)
+            model = md.init(md.ModelDescriptor(4, 3, hidden=(8,)), seed=0)
+            _, metrics = tr.train(model, train, test, small_config(method, epochs=2))
+            runs.append([dataclasses.replace(m, wall_seconds=0.0) for m in metrics])
+        assert runs[0] == runs[1]
+
+    def test_bake_trains_byte_identically_on_one_or_two_outer_threads(self):
+        if nm._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        train, test = dt.synth_clusters(4, 40, 8, 2.0, seed=6)
+        runs = []
+        for outer in (1, 2):
+            model = md.init(md.ModelDescriptor(8, 4, hidden=(16,)), seed=6)
+            with nm.blas_threads(outer):
+                _, metrics = tr.train(model, train, test, small_config("bake", epochs=2, seed=6))
+            values = [dataclasses.replace(m, wall_seconds=0.0) for m in metrics]
+            runs.append((np.array([list(dataclasses.astuple(m)) for m in values]).tobytes(), model.flat.tobytes()))
+        assert runs[0] == runs[1]
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
