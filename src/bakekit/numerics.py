@@ -21,7 +21,9 @@ the length of a block.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
+from pathlib import Path
 
 import numpy as np
 
@@ -138,9 +140,6 @@ def _openblas():
 
     Looked up on first use, never at import; an MKL or Accelerate build has no
     such library, and gets None."""
-    import ctypes
-    from pathlib import Path
-
     for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
         get = getattr(handle, "scipy_openblas_get_num_threads64_", None)

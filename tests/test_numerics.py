@@ -296,7 +296,9 @@ class TestConvOps:
                 Tensor(np.zeros(3)),
             )
 
-    @pytest.mark.parametrize("x_shape, w_shape", [((2, 5, 5), (3, 2, 3, 3)), ((1, 2, 5, 5), (2, 3, 3))], ids=["input", "kernel"])
+    @pytest.mark.parametrize(
+        "x_shape, w_shape", [((2, 5, 5), (3, 2, 3, 3)), ((1, 2, 5, 5), (2, 3, 3))], ids=["input", "kernel"]
+    )
     def test_conv2d_refuses_a_3d_input_or_kernel(self, x_shape, w_shape):
         with pytest.raises(ShapeMismatchError, match="NCHW"):
             nm.conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(3)))
@@ -380,4 +382,5 @@ class TestBlasThreads:
             "from bakekit import numerics\n"
             "assert numerics._openblas.cache_info().currsize == 0\n"
         )
-        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -295,7 +295,9 @@ class TestTrain:
         counts = {"step": set(), "targets": set()}
         real_step, real_targets = tr.sgd_step, tr.build_soft_targets
         monkeypatch.setattr(tr, "sgd_step", lambda *a: counts["step"].add(get()) or real_step(*a))
-        monkeypatch.setattr(tr, "build_soft_targets", lambda *a, **k: counts["targets"].add(get()) or real_targets(*a, **k))
+        monkeypatch.setattr(
+            tr, "build_soft_targets", lambda *a, **k: counts["targets"].add(get()) or real_targets(*a, **k)
+        )
         with nm.blas_threads(outer):
             tr.train(model, train, test, small_config("bake", epochs=1))
             assert get() == outer
