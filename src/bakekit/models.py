@@ -93,9 +93,12 @@ class Model:
 
     ``params`` is an ordered name -> Tensor dict whose ``.data`` and ``.grad``
     are writable views into ``flat`` and ``grad``, also in ``dtype``, so a write
-    through either side shows in the other and in the next ``forward``. A
-    backward that reaches any parameter zero-fills all of ``grad`` before
-    adding into it, so a parameter its loss does not reach reads zero.
+    through either side shows in the other and in the next ``forward``.
+    ``forward`` computes on arrays and keeps what ``backward`` reads: each dense
+    layer's input, and each conv layer's im2col matrix and ReLU output.
+    ``backward`` then writes every entry of ``grad``, with no zero fill and no
+    tape, so ``grad`` holds the gradient of the last loss whose logits gradient
+    it was given.
     """
 
     def __init__(self, descriptor, flat, dtype=COMPUTE_DTYPE):
@@ -113,37 +116,73 @@ class Model:
         for (name, shape, _), data, grad in zip(layout, np.split(flat, cuts), np.split(self.grad, cuts)):
             self.params[name] = p = Tensor(data.reshape(shape), requires_grad=True)
             p.grad = grad.reshape(shape)
+        layers = list(zip(*[iter(self.params.values())] * 2))  # each layer's (weights, biases), in storage order
+        self._conv = layers[: -len(descriptor.hidden) - 1]
+        self._dense = layers[len(self._conv) :]  # the hidden layers, then the head
+        self._saved = None
 
     def forward(self, inputs):
-        """Map an N x input_dim batch to (features N x D, logits N x K).
+        """Map an N x input_dim batch to (features N x D, logits N x K), arrays in ``dtype``.
 
-        A batch of another dtype, array or Tensor, is cast to ``dtype``, as a
-        new leaf."""
-        x = inputs
-        if not isinstance(x, Tensor) or x.data.dtype != self.dtype:
-            x = Tensor(np.asarray(getattr(x, "data", x), dtype=self.dtype))
+        A batch of another dtype, array or anything with ``.data``, is cast to
+        ``dtype``. What ``backward`` needs is kept until the next call."""
+        x = np.asarray(getattr(inputs, "data", inputs), dtype=self.dtype)
         if x.shape[1] != self.descriptor.input_dim:
             raise ShapeMismatchError(
                 f"input dim {x.shape[1]} != model input dim {self.descriptor.input_dim}"
             )
-        p = self.params
         stem = self.descriptor.conv_stem
+        convs, pooled = [], None
         if stem is not None:
             x = x.reshape(x.shape[0], stem.in_channels, stem.height, stem.width)
-            for i in range(len(stem.channels)):
-                x = nm.conv2d(x, p[f"conv{i}.w"], p[f"conv{i}.b"])
-                x = nm.relu(x)
-                x = nm.avg_pool2d(x, 2)
+            for w, b in self._conv:
+                shape = x.shape
+                x, cols = nm.conv2d_forward(x, w.data, b.data)
+                np.maximum(x, 0.0, out=x)
+                convs.append((shape, cols, x))
+                x = nm.avg_pool2d_forward(x, 2)
+            pooled = x.shape
             x = x.reshape(x.shape[0], -1)
-        last = len(self.descriptor.hidden) - 1
-        for i in range(len(self.descriptor.hidden)):
-            x = nm.linear(x, p[f"dense{i}.w"], p[f"dense{i}.b"])
+        inputs = []
+        last = len(self._dense) - 2  # the final hidden layer stays linear: its output is
+        # the feature vector, and l2 normalization needs nonzero rows
+        for i, (w, b) in enumerate(self._dense):
+            inputs.append(x)
+            x = x @ w.data
+            x += b.data
             if i < last:
-                x = nm.relu(x)  # the final hidden layer stays linear: its output
-                # is the feature vector, and l2 normalization needs nonzero rows
-        features = x
-        logits = nm.linear(features, p["head.w"], p["head.b"])
-        return features, logits
+                np.maximum(x, 0.0, out=x)
+        self._saved = convs, pooled, inputs
+        return inputs[-1], x
+
+    def backward(self, grad_logits):
+        """Write into ``grad`` the gradient of a loss whose gradient with respect
+        to the last ``forward``'s logits is ``grad_logits``.
+
+        Each parameter's gradient is one product written into its view of
+        ``grad``; the batch gets no gradient."""
+        convs, pooled, inputs = self._saved
+        g = grad_logits
+        for i in range(len(self._dense) - 1, -1, -1):
+            w, b = self._dense[i]
+            np.matmul(inputs[i].T, g, out=w.grad)
+            g.sum(axis=0, out=b.grad)
+            if i == 0 and not convs:
+                return
+            g = g @ w.data.T
+            if 0 < i < len(self._dense) - 1:  # a ReLU output: its gradient passes where it is positive
+                np.multiply(g, inputs[i] > 0, out=g)
+        g = g.reshape(pooled)
+        for j in range(len(convs) - 1, -1, -1):
+            shape, cols, relu = convs[j]
+            w, b = self._conv[j]
+            g = nm.avg_pool2d_grad(g, relu.shape, 2)
+            np.multiply(g, relu > 0, out=g)
+            rows = nm.conv2d_rows(g)
+            rows.sum(axis=0, out=b.grad)
+            np.matmul(rows.T, cols, out=w.grad.reshape(rows.shape[1], -1))
+            if j:
+                g = nm.conv2d_input_grad(rows, w.data, shape)
 
 
 def init(descriptor, seed):

@@ -1,9 +1,15 @@
-"""Dense floating-point tensors and reverse-mode autodiff.
+"""Dense floating-point array kernels, and the reverse-mode autodiff they are checked against.
 
 A tensor keeps the dtype of a floating input (anything else becomes
 float64), and every op computes in the dtype of the tensors it is given:
 constant targets are cast to it, so a float32 graph stays float32. No op
 changes dtype: a graph's leaves enter it in the dtype it computes in.
+
+Training runs on arrays, not on the tape: ``soft_xent`` gives a loss's value
+and gradient array, and ``Model.forward`` and ``Model.backward`` run the
+conv stem through ``conv2d_forward``, ``conv2d_rows``, ``conv2d_input_grad``,
+``avg_pool2d_forward`` and ``avg_pool2d_grad``. The tape is the reference
+those are held to, bit for bit, in the tests.
 
 Every tensor op records a vector-Jacobian closure on the node it produces;
 ``backward`` replays the graph in reverse topological order. Ops are pure:
@@ -255,60 +261,87 @@ def soft_cross_entropy(x, targets):
 # -- convolution stem support --------------------------------------------
 
 
-def conv2d(x, w, b):
-    """Valid convolution of NCHW input with O×C×kh×kw kernels (the stem uses 3×3) and O biases.
-    Each product is one 2-D gemm over the (N·Ho·Wo)×(C·kh·kw) im2col matrix the forward keeps."""
-    xd = x.data
-    if xd.ndim != 4 or w.data.ndim != 4:
-        raise ShapeMismatchError(f"conv2d: needs an NCHW input and 4-D kernels, got {xd.shape} and {w.data.shape}")
-    n, c, ih, iw = xd.shape
-    o, ci, kh, kw = w.data.shape
-    if ci != c or b.data.shape != (o,):
-        raise ShapeMismatchError(f"conv2d: kernels {w.data.shape} and bias {b.data.shape} for input channels {c}")
+def conv2d_forward(x, w, b):
+    """Valid convolution of an NCHW array with O×C×kh×kw kernels (the stem uses 3×3) and O biases.
+
+    Returns the NCHW output and the (N·Ho·Wo)×(C·kh·kw) im2col matrix ``cols`` that the output is one 2-D gemm
+    over, and that the weight gradient reads."""
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeMismatchError(f"conv2d: needs an NCHW input and 4-D kernels, got {x.shape} and {w.shape}")
+    n, c, ih, iw = x.shape
+    o, ci, kh, kw = w.shape
+    if ci != c or b.shape != (o,):
+        raise ShapeMismatchError(f"conv2d: kernels {w.shape} and bias {b.shape} for input channels {c}")
     if kh > ih or kw > iw:
-        raise ShapeMismatchError(f"conv2d: kernels {w.data.shape} larger than the {ih}×{iw} image")
-    windows = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
+        raise ShapeMismatchError(f"conv2d: kernels {w.shape} larger than the {ih}×{iw} image")
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     ho, wo = windows.shape[2], windows.shape[3]
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-    wmat = w.data.reshape(o, c * kh * kw)
-    out = cols @ wmat.T + b.data
-    out_data = out.reshape(n, ho * wo, o).transpose(0, 2, 1).reshape(n, o, ho, wo)
+    out = cols @ w.reshape(o, c * kh * kw).T + b
+    return out.reshape(n, ho * wo, o).transpose(0, 2, 1).reshape(n, o, ho, wo), cols
+
+
+def conv2d_rows(g):
+    """An NCHW output gradient as the (N·Ho·Wo)×O rows of ``conv2d_forward``'s gemm."""
+    n, o, ho, wo = g.shape
+    return g.reshape(n, o, ho * wo).transpose(0, 2, 1).reshape(n * ho * wo, o)
+
+
+def conv2d_input_grad(rows, w, x_shape):
+    """The input gradient of ``conv2d_forward``, from its output gradient's ``conv2d_rows``: each window's gradient,
+    one gemm, added over the kernel offsets in ascending order."""
+    n, c, ih, iw = x_shape
+    o, _, kh, kw = w.shape
+    ho, wo = ih - kh + 1, iw - kw + 1
+    # (N, Ho, Wo, C, kh, kw): each window's gradient, in the forward's layout
+    gwin = (rows @ w.reshape(o, c * kh * kw)).reshape(n, ho, wo, c, kh, kw)
+    gx = np.zeros(x_shape, rows.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, :, i : i + ho, j : j + wo] += gwin[..., i, j].transpose(0, 3, 1, 2)
+    return gx
+
+
+def conv2d(x, w, b):
+    """``conv2d_forward`` as one node."""
+    out, cols = conv2d_forward(x.data, w.data, b.data)
 
     def vjp(g, x=x, w=w, b=b):
-        gout = g.reshape(n, o, ho * wo).transpose(0, 2, 1).reshape(n * ho * wo, o)
+        rows = conv2d_rows(g)
         if b.requires_grad:
-            _accumulate(b, gout.sum(axis=0))
+            _accumulate(b, rows.sum(axis=0))
         if w.requires_grad:
-            _accumulate(w, (gout.T @ cols).reshape(o, c, kh, kw))
+            _accumulate(w, (rows.T @ cols).reshape(w.data.shape))
         if x.requires_grad:
-            # (N, Ho, Wo, C, kh, kw): each window's gradient, in the forward's layout
-            gwin = (gout @ wmat).reshape(n, ho, wo, c, kh, kw)
-            gx = np.zeros_like(xd)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, :, i : i + ho, j : j + wo] += gwin[..., i, j].transpose(0, 3, 1, 2)
-            _accumulate(x, gx)
+            _accumulate(x, conv2d_input_grad(rows, w.data, x.data.shape))
 
-    return Tensor._op(out_data, (x, w, b), vjp)
+    return Tensor._op(out, (x, w, b), vjp)
 
 
-def avg_pool2d(x, k=2):
-    """Non-overlapping k x k mean pooling of an NCHW input; trailing rows/cols are trimmed."""
-    if x.data.ndim != 4:
-        raise ShapeMismatchError(f"avg_pool2d: needs an NCHW input, got {x.data.shape}")
-    n, c, h, w = x.data.shape
+def avg_pool2d_forward(x, k=2):
+    """Non-overlapping k x k mean pooling of an NCHW array; trailing rows/cols are trimmed."""
+    if x.ndim != 4:
+        raise ShapeMismatchError(f"avg_pool2d: needs an NCHW input, got {x.shape}")
+    n, c, h, w = x.shape
     if k > h or k > w:
         raise ShapeMismatchError(f"avg_pool2d: a {k}×{k} window larger than the {h}×{w} image")
     ho, wo = h // k, w // k
-    trimmed = x.data[:, :, : ho * k, : wo * k]
-    out_data = trimmed.reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))
+    return x[:, :, : ho * k, : wo * k].reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))
+
+
+def avg_pool2d_grad(g, x_shape, k=2):
+    """The input gradient of ``avg_pool2d_forward`` from its output gradient ``g``; trimmed rows/cols get zero."""
+    ho, wo = g.shape[2:]
+    gx = np.zeros(x_shape, g.dtype)
+    gx[:, :, : ho * k, : wo * k] = np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)
+    return gx
+
+
+def avg_pool2d(x, k=2):
+    """``avg_pool2d_forward`` as one node."""
 
     def vjp(g, x=x):
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, :, : ho * k, : wo * k] = np.repeat(
-                np.repeat(g, k, axis=2), k, axis=3
-            ) / (k * k)
-            _accumulate(x, gx)
+            _accumulate(x, avg_pool2d_grad(g, x.data.shape, k))
 
-    return Tensor._op(out_data, (x,), vjp)
+    return Tensor._op(avg_pool2d_forward(x.data, k), (x,), vjp)

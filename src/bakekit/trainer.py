@@ -91,18 +91,19 @@ def evaluate(model, dataset):
         x = dataset.inputs[start : start + EVAL_BATCH]
         y = dataset.labels[start : start + EVAL_BATCH]
         _, logits = model.forward(x)
-        order = np.argsort(-logits.data, axis=1, kind="stable")
+        order = np.argsort(-logits, axis=1, kind="stable")
         hits1 += int((order[:, 0] == y).sum())
         hits5 += int((order[:, :top_k] == y[:, None]).any(axis=1).sum())
     return hits1 / len(dataset), hits5 / len(dataset)
 
 
 def batch_loss(model, x, y, cfg, target_threads=None):
-    """Forward one batch under ``cfg.method``; returns (loss tensor, ce value, kl value).
+    """Forward one batch under ``cfg.method``; returns (loss value, its gradient array with respect to the logits,
+    ce value, kl value).
 
-    The loss is one tape node in the dtype the model computes in; bake's soft
-    targets are float64, built on ``target_threads`` OpenBLAS threads (None:
-    the current count).
+    The value and gradient are in the dtype the model computes in, ready for
+    ``model.backward``; bake's soft targets are float64, built on
+    ``target_threads`` OpenBLAS threads (None: the current count).
 
     bake adds ``cfg.bake.distill_weight`` times the KL to detached soft
     targets, both at the one temperature ``cfg.bake.tau``.
@@ -112,9 +113,11 @@ def batch_loss(model, x, y, cfg, target_threads=None):
         with blas_threads(target_threads):
             targets = build_soft_targets(features, logits, labels=y, cfg=cfg.bake)
         return ls.bake_loss(logits, y, targets, cfg.bake.tau, cfg.bake.distill_weight)
-    ce = ls.cross_entropy(logits, y)
-    loss = ce if cfg.method == "vanilla" else ls.label_smoothing_loss(logits, y, cfg.smoothing_epsilon)
-    return loss, ce.item(), 0.0
+    ce, grad = ls.cross_entropy(logits, y)
+    value = ce
+    if cfg.method == "label_smoothing":
+        value, grad = ls.label_smoothing_loss(logits, y, cfg.smoothing_epsilon)
+    return value, grad, float(ce), 0.0
 
 
 def train(model, train_set, test_set, cfg):
@@ -139,11 +142,11 @@ def train(model, train_set, test_set, cfg):
             nonfinite = 0
             for it, ids in enumerate(batches):
                 x, y = train_set.inputs[ids], train_set.labels[ids]
-                loss, ce_val, kl_val = batch_loss(model, x, y, cfg, target_threads)
-                loss.backward()
+                value, grad, ce_val, kl_val = batch_loss(model, x, y, cfg, target_threads)
+                model.backward(grad)
                 lr = lr_at(cfg.warmup_epochs, epoch + it / n, cfg.base_lr, cfg.epochs)
                 sgd_step(model.flat, model.grad, velocity, lr, cfg.momentum, cfg.weight_decay)
-                value = loss.item()
+                value = float(value)
                 nonfinite += not math.isfinite(value)
                 sum_loss += value
                 sum_ce += ce_val

@@ -18,7 +18,6 @@ from bakekit.bake import (
     propagate_iterative,
 )
 from bakekit.losses import bake_loss, cross_entropy, kl_distillation
-from bakekit.numerics import Tensor
 from bakekit.sampling import SamplerConfig, epoch_batches
 
 
@@ -63,13 +62,13 @@ def test_criterion_3_omega_zero_degeneracy():
         model = md.Model(descriptor, md.init(descriptor, seed=int(rng.integers(1e6))).flat, np.float64)
         x = rng.normal(size=(8, 6))
         y = rng.integers(0, 5, size=8)
-        loss, _, _ = tr.batch_loss(model, x, y, tr.TrainConfig(bake=BakeConfig(omega=0.0)))
-        loss.backward()
+        loss, grad, _, _ = tr.batch_loss(model, x, y, tr.TrainConfig(bake=BakeConfig(omega=0.0)))
+        model.backward(grad)
         g_bake = {k: p.grad.copy() for k, p in model.params.items()}
-        features, logits = model.forward(Tensor(x))
-        ce = cross_entropy(logits, y)
-        ce.backward()
-        assert abs(loss.item() - ce.item()) <= 1e-10
+        features, logits = model.forward(x)
+        ce, grad = cross_entropy(logits, y)
+        model.backward(grad)
+        assert abs(loss - ce) <= 1e-10
         for k, p in model.params.items():
             assert np.abs(g_bake[k] - p.grad).max() <= 1e-10
     print("PASS criterion 3: omega=0 equals cross-entropy in value and every gradient")
@@ -85,15 +84,14 @@ def test_criterion_4_gradient_correctness():
         y = rng.integers(0, 4, size=6)
         bake_cfg = BakeConfig(omega=0.5, tau=4.0)
 
-        features, logits = model.forward(Tensor(x))
+        features, logits = model.forward(x)
         targets = build_soft_targets(features, logits, labels=y, cfg=bake_cfg)
-        loss, _, _ = bake_loss(logits, y, targets, bake_cfg.tau, bake_cfg.distill_weight)
-        loss.backward()
+        model.backward(bake_loss(logits, y, targets, bake_cfg.tau, bake_cfg.distill_weight)[1])
 
         def objective():
             # the targets are detached: finite differences hold them fixed
-            _, z = model.forward(Tensor(x))
-            return bake_loss(z, y, targets, bake_cfg.tau, bake_cfg.distill_weight)[0].item()
+            _, z = model.forward(x)
+            return float(bake_loss(z, y, targets, bake_cfg.tau, bake_cfg.distill_weight)[0])
 
         for name in ("dense0.w", "dense1.b", "head.w"):
             param = model.params[name]
@@ -111,10 +109,9 @@ def test_criterion_4_gradient_correctness():
         # no gradient reaches the parameters through the targets: they are a
         # plain array, and the KL at q = p^tau vanishes to rounding error
         assert isinstance(targets, np.ndarray)
-        features, logits = model.forward(Tensor(x))
+        features, logits = model.forward(x)
         p_tau = build_soft_targets(features, logits, labels=y, cfg=BakeConfig(omega=0.0))
-        kl_only = kl_distillation(logits, p_tau, bake_cfg.tau)
-        kl_only.backward()
+        model.backward(kl_distillation(logits, p_tau, bake_cfg.tau)[1])
         for p in model.params.values():
             assert np.abs(p.grad).max() <= 1e-12
     print("PASS criterion 4: autodiff matches central differences; targets carry no gradient")

@@ -308,6 +308,29 @@ def test_pairs_alternate_and_match_a_hand_count(tmp_root, tmp_path, monkeypatch)
     assert report["micro"]["parent"]["overhead_share"] == {}
 
 
+def test_both_sides_of_a_pair_run_with_one_pad_and_other_pairs_with_others(tmp_root, tmp_path, monkeypatch):
+    pads, run = [], fake_run(tmp_root, [])
+
+    def padded(argv, cwd=None, **kwargs):
+        env = kwargs.get("env")
+        if argv[0] not in ("git", "tar") and not any(call in argv[-1] for call in ("fingerprints", "environment()")):
+            assert {k: v for k, v in env.items() if k != "BENCH_PAD"} == dict(bench.os.environ)
+            pads.append(len(env["BENCH_PAD"]))
+        return run(argv, cwd=cwd, **kwargs)
+
+    monkeypatch.setattr(bench.subprocess, "run", padded)
+    bench.main(tmp_path / "BENCH.json", "full", False)
+    sections = len(bench.workload_names()) + 1  # each workload, then the micro cases
+    assert len(pads) == sections * 2 * bench.REPEATS
+    for section in range(sections):
+        pairs = [pads[2 * (section * bench.REPEATS + i) : 2 * (section * bench.REPEATS + i) + 2]
+                 for i in range(bench.REPEATS)]
+        assert all(parent == change for parent, change in pairs)  # one pad for both sides of pair i
+        assert len({pad for pad, _ in pairs}) == bench.REPEATS  # another pad for each other pair
+        assert [pad for pad, _ in pairs] == [bench.PADS[i] for i in range(bench.REPEATS)]
+    assert len(set(bench.PADS)) == len(bench.PADS) and all(pad % 16 == 0 for pad in bench.PADS)
+
+
 def test_pair_wins_follow_the_metrics_direction():
     # lower is better: the change wins where it is below the parent; a tie counts for neither side
     assert bench.pair([42.8, 42.7, 42.9], [41.7, 42.7, 43.0], "lower") == {

@@ -854,15 +854,14 @@ class TestTargetsCommand:
         import bakekit.data as dt
         import bakekit.models as md
         from bakekit.bake import _softmax_rows
-        from bakekit.numerics import Tensor
         from bakekit.sampling import SamplerConfig, epoch_batches
 
         train_set, _ = dt.synth_clusters(4, 40, 8, 3.0, seed=0)
         model = md.load_checkpoint(out / "model.ckpt")
         batch = epoch_batches(train_set.class_index, SamplerConfig(8, 1, 0), 0)[0]
         x = train_set.inputs[np.asarray(batch)].astype(np.float64)
-        _, logits = model.forward(Tensor(x))
-        probs = _softmax_rows(logits.data.astype(np.float64))
+        _, logits = model.forward(x)
+        probs = _softmax_rows(logits.astype(np.float64))
         top = np.argsort(-probs[0], kind="stable")[:3]
         for c in top:
             assert f"{c}:{probs[0, c]:.4f}" in printed
@@ -999,15 +998,14 @@ class TestTargetsCommand:
         _, out = run_train(tmp_path, "run")
         import bakekit.models as md
         from bakekit.bake import BakeConfig, _softmax_rows, build_soft_targets
-        from bakekit.numerics import Tensor
 
         model = md.load_checkpoint(out / "model.ckpt")
         rng = np.random.default_rng(0)
         base = rng.normal(size=8)
         x = np.stack([base, base + 1e-9 * rng.normal(size=8)])
-        features, logits = model.forward(Tensor(x))
+        features, logits = model.forward(x)
         q = build_soft_targets(features, logits, cfg=BakeConfig(omega=0.5, tau=1.0))
-        p = _softmax_rows(logits.data.astype(np.float64))
+        p = _softmax_rows(logits.astype(np.float64))
         other_top = int(np.argmax(p[1]))
         assert q[0, other_top] >= 0.45 * p[1, other_top]
 

@@ -9,9 +9,11 @@ import pytest
 from bakekit import models as md
 from bakekit.bake import BakeConfig, build_soft_targets
 from bakekit.errors import ConfigError, DataFormatError, ShapeMismatchError
-from bakekit.losses import bake_loss, cross_entropy, soft_cross_entropy
-from bakekit.numerics import Tensor
+from bakekit.losses import bake_loss, cross_entropy
+from bakekit.numerics import Tensor, _toposort, soft_cross_entropy
 from bakekit.trainer import sgd_step
+
+import tape_reference
 
 
 def mlp(input_dim=6, k=4, hidden=(8, 5), seed=0):
@@ -23,7 +25,7 @@ class TestForward:
         model = mlp()
         model.flat[-(5 * 4 + 4) :] = 0.0  # head.w and head.b, stored last
         _, logits = model.forward(np.random.default_rng(0).normal(size=(3, 6)))
-        assert np.array_equal(logits.data, np.zeros((3, 4)))
+        assert np.array_equal(logits, np.zeros((3, 4)))
 
     def test_layers_match_hand_matmul(self):
         descriptor = md.ModelDescriptor(3, 2, hidden=(4, 3))
@@ -33,15 +35,15 @@ class TestForward:
         p = {k: v.data for k, v in model.params.items()}
         hidden = np.maximum(x @ p["dense0.w"] + p["dense0.b"], 0.0)
         expected = hidden @ p["dense1.w"] + p["dense1.b"]  # feature layer is linear
-        assert np.abs(features.data - expected).max() < 1e-12
-        assert np.abs(logits.data - (expected @ p["head.w"] + p["head.b"])).max() < 1e-12
+        assert np.abs(features - expected).max() < 1e-12
+        assert np.abs(logits - (expected @ p["head.w"] + p["head.b"])).max() < 1e-12
 
     def test_duplicated_rows_duplicate_outputs(self):
         model = mlp(seed=2)
         row = np.random.default_rng(3).normal(size=(1, 6))
         features, logits = model.forward(np.vstack([row, row]))
-        assert np.array_equal(features.data[0], features.data[1])
-        assert np.array_equal(logits.data[0], logits.data[1])
+        assert np.array_equal(features[0], features[1])
+        assert np.array_equal(logits[0], logits[1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batch_is_cast_to_model_dtype(self, dtype):
@@ -49,19 +51,20 @@ class TestForward:
         model = md.Model(descriptor, md.init(descriptor, seed=2).flat, dtype)
         x = np.random.default_rng(3).normal(size=(3, 6))
         for values in (x, x.astype(np.float32)):
-            cast = model.forward(values.astype(dtype))[1].data
+            cast = model.forward(values.astype(dtype))[1]
             for batch in (values, Tensor(values)):
                 features, logits = model.forward(batch)
-                assert features.data.dtype == logits.data.dtype == dtype
-                assert np.array_equal(logits.data, cast)
+                assert features.dtype == logits.dtype == dtype
+                assert np.array_equal(logits, cast)
 
     def test_input_dim_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             mlp().forward(np.zeros((2, 7)))
 
     def test_features_carry_gradient_targets_do_not(self):
+        # on the tape reference, features and logits are nodes over the parameters; the targets are an array
         model = mlp(seed=4)
-        features, logits = model.forward(np.random.default_rng(5).normal(size=(3, 6)))
+        features, logits = tape_reference.forward(model, np.random.default_rng(5).normal(size=(3, 6)))
         assert features.requires_grad and logits.requires_grad
         assert isinstance(build_soft_targets(features, logits), np.ndarray)
 
@@ -81,8 +84,8 @@ class TestInit:
         expected = np.maximum(x @ p["dense0.w"] + p["dense0.b"], 0.0) @ p["dense1.w"] + p["dense1.b"]
         features, logits = model.forward(x)
         assert expected.dtype == np.float32
-        assert np.array_equal(features.data, expected)
-        assert np.array_equal(logits.data, expected @ p["head.w"] + p["head.b"])
+        assert np.array_equal(features, expected)
+        assert np.array_equal(logits, expected @ p["head.w"] + p["head.b"])
 
     def test_different_seeds_differ(self):
         a, b = mlp(seed=1), mlp(seed=2)
@@ -119,7 +122,7 @@ class TestFlatParameters:
     def test_backward_writes_into_model_grad(self):
         model = mlp(seed=5)
         _, logits = model.forward(np.random.default_rng(1).normal(size=(3, 6)))
-        cross_entropy(logits, np.array([0, 1, 3])).backward()
+        model.backward(cross_entropy(logits, np.array([0, 1, 3]))[1])
         joined = np.concatenate([p.grad.ravel() for p in model.params.values()])
         assert np.abs(model.grad).sum() > 0
         assert np.array_equal(joined, model.grad)
@@ -132,7 +135,7 @@ class TestFlatParameters:
         model.forward(x)
         model.flat *= 1.5
         fresh = md.Model(descriptor, model.flat.copy(), dtype)
-        assert np.array_equal(model.forward(x)[1].data, fresh.forward(x)[1].data)
+        assert np.array_equal(model.forward(x)[1], fresh.forward(x)[1])
 
     def test_float32_parameters_are_written_through_flat(self):
         model = mlp(seed=3)
@@ -141,15 +144,15 @@ class TestFlatParameters:
         model.params["head.b"].data[:] = np.float32(0.25)
         assert not model.flat[-(5 * 4 + 4) : -4].any()  # head.w and head.b, stored last
         assert np.array_equal(model.flat[-4:], np.full(4, 0.25, np.float32))
-        assert np.array_equal(model.forward(x)[1].data, np.full((3, 4), 0.25, np.float32))
+        assert np.array_equal(model.forward(x)[1], np.full((3, 4), 0.25, np.float32))
 
     def test_second_backward_overwrites_not_accumulates(self):
         model = mlp(seed=6)
         _, logits = model.forward(np.random.default_rng(2).normal(size=(3, 6)))
-        loss = cross_entropy(logits, np.array([2, 0, 1]))
-        loss.backward()
+        grad = cross_entropy(logits, np.array([2, 0, 1]))[1]
+        model.backward(grad)
         first = model.grad.copy()
-        loss.backward()
+        model.backward(grad)
         assert np.array_equal(model.grad, first)
 
     def test_freed_without_the_cycle_collector(self):
@@ -158,7 +161,7 @@ class TestFlatParameters:
         try:
             model = mlp(seed=4)
             features, logits = model.forward(np.random.default_rng(5).normal(size=(3, 6)))
-            cross_entropy(logits, np.array([0, 1, 3])).backward()
+            model.backward(cross_entropy(logits, np.array([0, 1, 3]))[1])
             refs = [weakref.ref(model), weakref.ref(model.grad)]
             del model, features, logits
             assert all(ref() is None for ref in refs)
@@ -166,15 +169,60 @@ class TestFlatParameters:
             gc.enable()
 
     def test_parameter_the_loss_skips_gets_zero_gradient(self):
+        # on the tape reference, whose backward zero-fills the buffer its leaves' gradients view
         model = mlp(seed=9)
         x = np.random.default_rng(3).normal(size=(3, 6))
-        _, logits = model.forward(x)
-        cross_entropy(logits, np.array([0, 1, 3])).backward()
+        tape_reference.loss(model, x, lambda z: cross_entropy(z, np.array([0, 1, 3]))).backward()
         assert np.abs(model.params["head.w"].grad).sum() > 0
-        features, _ = model.forward(x)
+        features, _ = tape_reference.forward(model, x)
         soft_cross_entropy(features, np.full((3, 5), 0.2)).backward()  # a graph without the head
         assert not model.params["head.w"].grad.any() and not model.params["head.b"].grad.any()
         assert np.abs(model.params["dense0.w"].grad).sum() > 0
+
+
+class TestBackward:
+    """``Model.backward`` against the tape: ``loss.backward()`` of the same loss over ``tape_reference.forward``."""
+
+    @staticmethod
+    def step(kind, dtype):
+        """A model of ``kind`` in ``dtype``, a batch, its labels and bake's soft targets for it."""
+        rng = np.random.default_rng(20)
+        if kind == "conv":
+            stem = md.ConvStem(2, 13, 12, channels=(4, 6))
+            descriptor = md.ModelDescriptor(2 * 13 * 12, 5, hidden=(10, 7), conv_stem=stem)
+        else:
+            descriptor = md.ModelDescriptor(6, 5, hidden=(12, 8, 7))
+        model = md.Model(descriptor, md.init(descriptor, seed=3).flat, dtype)
+        x, y = rng.normal(size=(16, descriptor.input_dim)), np.arange(16) % 5
+        features, logits = model.forward(x)
+        return model, x, y, build_soft_targets(features, logits, labels=y, cfg=BakeConfig())
+
+    @pytest.mark.parametrize("kind, dtype", [("mlp", np.float32), ("mlp", np.float64), ("conv", np.float32)])
+    @pytest.mark.parametrize("method", ["vanilla", "bake"])
+    def test_grad_equals_the_tapes(self, kind, dtype, method):
+        model, x, y, targets = self.step(kind, dtype)
+
+        def objective(z):
+            return bake_loss(z, y, targets, 4.0, 0.7) if method == "bake" else cross_entropy(z, y)
+
+        _, logits = model.forward(x)
+        value, grad = objective(logits)[:2]
+        model.backward(grad)
+        got = model.grad.copy()
+        loss = tape_reference.loss(model, x, objective)
+        assert np.array_equal(_toposort(loss)[-2].data, logits)  # the tape's logits node, fed to the loss
+        loss.backward()
+        assert loss.data == value
+        assert got.dtype == dtype and np.isfinite(got).all() and got.any()
+        assert np.array_equal(model.grad, got)
+
+    @pytest.mark.parametrize("kind", ["mlp", "conv"])
+    def test_every_entry_of_grad_is_written(self, kind):
+        model, x, y, targets = self.step(kind, np.float32)
+        _, logits = model.forward(x)
+        model.grad.fill(np.nan)
+        model.backward(bake_loss(logits, y, targets, 4.0, 1.0)[1])
+        assert np.isfinite(model.grad).all()
 
 
 class TestConvStem:
@@ -185,7 +233,7 @@ class TestConvStem:
         features, logits = model.forward(x)
         assert features.shape == (2, 10)
         assert logits.shape == (2, 3)
-        cross_entropy(logits, np.array([0, 2])).backward()
+        model.backward(cross_entropy(logits, np.array([0, 2]))[1])
         assert np.abs(model.params["conv0.w"].grad).sum() > 0
 
     def test_bake_loss_gradients_match_finite_differences(self):
@@ -200,10 +248,10 @@ class TestConvStem:
         cfg = BakeConfig(omega=0.5, tau=4.0)
         features, logits = model.forward(x)
         targets = build_soft_targets(features, logits, labels=y, cfg=cfg)
-        bake_loss(logits, y, targets, cfg.tau, cfg.distill_weight)[0].backward()
+        model.backward(bake_loss(logits, y, targets, cfg.tau, cfg.distill_weight)[1])
 
         def objective():  # the targets are detached: finite differences hold them fixed
-            return bake_loss(model.forward(x)[1], y, targets, cfg.tau, cfg.distill_weight)[0].item()
+            return float(bake_loss(model.forward(x)[1], y, targets, cfg.tau, cfg.distill_weight)[0])
 
         for name in ("conv0.w", "conv1.w", "conv1.b", "dense0.w"):
             param = model.params[name]
@@ -237,7 +285,7 @@ class TestCheckpoint:
         # float32 storage holds exactly the parameters a float32 forward computes with
         assert np.array_equal(loaded.flat, model.flat.astype(np.float32))
         x = np.random.default_rng(0).normal(size=(3, 6))
-        assert np.array_equal(loaded.forward(x)[1].data, model.forward(x)[1].data)
+        assert np.array_equal(loaded.forward(x)[1], model.forward(x)[1])
 
     def test_loaded_model_trains_and_round_trips_bit_for_bit(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -246,7 +294,7 @@ class TestCheckpoint:
         assert loaded.flat.flags.writeable and loaded.flat.dtype == np.float32
         assert not np.shares_memory(loaded.flat, np.frombuffer(path.read_bytes(), np.uint8))
         _, logits = loaded.forward(np.random.default_rng(0).normal(size=(3, 6)))
-        cross_entropy(logits, np.array([0, 1, 3])).backward()
+        loaded.backward(cross_entropy(logits, np.array([0, 1, 3]))[1])
         before = loaded.flat.copy()
         sgd_step(loaded.flat, loaded.grad, np.zeros_like(loaded.flat), 0.1, 0.9, 1e-4)
         assert not np.array_equal(loaded.flat, before)

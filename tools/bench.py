@@ -11,8 +11,9 @@ without ``BENCHMARK.json``, ``perfbench/``, ``src/bakekit`` or ``tools/bench.py`
 does not exist exits 2 before any run. BENCHMARK.json is read from the change's tree. Each run is a fresh interpreter
 that runs one tree's own code. ``paired`` makes every pair: at each index i below REPEATS it runs a section's run in
 both trees, the parent first when i is even and the change when it is odd (the file's ``first``), so drift on the
-host hits both sides. A run that exits non-zero stops here, and no file is written. This interpreter imports neither
-numpy nor bakekit, so no run inherits a larger peak RSS.
+host hits both sides. Both runs of pair i see ``padded_env(i)``: the environment with ``BENCH_PAD``, PADS[i] bytes
+long, so each pair starts its processes at another stack layout. A run that exits non-zero stops here, and no file
+is written. This interpreter imports neither numpy nor bakekit, so no run inherits a larger peak RSS.
 
 The file's sections, in the order they run:
 - ``fingerprint``: both trees' ``--fingerprint`` output and whether the two are equal; then ``env``, each tree's
@@ -22,8 +23,9 @@ The file's sections, in the order they run:
 - ``micro``: ``micro(cases())``. Its record: each case's seconds per call, the median of MICRO_LOOPS loops of about
   LOOP_S seconds timed with ``time.perf_counter``, after one call for its check (which stops here too if it fails)
   and one to size its loops. ``overhead_share`` is BAKE's overhead as the paper states it: the median of an
-  ``overhead`` case (one batch's soft targets, then the KL node forward and backward) over that of the vanilla step,
-  at each shape of SHAPES, with MLP 256,128 computing in float32 as every run does.
+  ``overhead`` case (one batch's soft targets, then the KL's value and gradient array) over that of the vanilla step
+  (``batch_loss``, then ``Model.backward``), at each shape of SHAPES, with MLP 256,128 computing in float32 as every
+  run does. The cases of a step (ONE_THREAD) run on one OpenBLAS thread, as ``trainer.train`` steps.
 
 A section holds each side's ``summary()`` of each name in its records and, under ``pairs``, ``pair()`` of each name
 both sides hold: the change's wins of n pairs by ``better`` (lower unless BENCHMARK.json says higher; a tie counts
@@ -47,6 +49,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -65,6 +68,9 @@ LOOP_S = 0.2
 # input (an MLP's dim, or C, H, W through the conv stem), n_hat at M=1
 SHAPES = {"desk": (10, 200, 32, 32), "bake_wide": (100, 500, 32, 128), "cifar_conv": (100, 2, (3, 32, 32), 32)}
 DTYPE = "float32"  # what a model computes in; the case names and overhead_share keys carry it
+ONE_THREAD = ("bake_loss[", "step[", "overhead[", "sgd_step[")  # the micro cases of a training step
+# each pair's environment pad in bytes, by pair index: whole 16-byte steps over one 4 KiB page, no two alike
+PADS = random.Random(0).sample(range(0, 4096, 16), 256)
 
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
@@ -76,32 +82,29 @@ def summary(values):
 
 
 def cases():
-    """The micro cases as (name, call, check); ``check`` reads one ``call()``'s result."""
+    """The micro cases as (name, call, check); ``check`` reads one ``call()``'s result.
+
+    The table is built on one OpenBLAS thread, and ``overhead`` builds its soft targets at the count found on entry,
+    as ``trainer.train`` does."""
     import numpy as np
 
     from bakekit import bake, losses, sampling
     from bakekit import data as dt
     from bakekit import models as md
-    from bakekit.numerics import Tensor
+    from bakekit.numerics import blas_threads
     from bakekit.trainer import TrainConfig, batch_loss, sgd_step
 
-    def backward(loss, *args):
-        value = loss(*args)
-        value.backward()
-        return value.item()
+    def step(model, x, y, cfg):
+        """One training step's forward, loss arrays and ``Model.backward``, as ``train`` runs them."""
+        value, grad, _, _ = batch_loss(model, x, y, cfg)
+        model.backward(grad)
+        return value
 
-    def bake_terms(z, y, q):
-        return losses.bake_loss(z, y, q, 4.0, 1.0)[0]
-
-    def step_loss(model, x, y, cfg):
-        return batch_loss(model, x, y, cfg)[0]
-
-    def overhead(features, logits, y, cfg):
-        """BAKE's own work in a step: soft targets, then the KL node forward and backward into ``logits``."""
-        targets = bake.build_soft_targets(features, logits, labels=y, cfg=cfg)
-        kl = losses.kl_distillation(logits, targets, cfg.tau)
-        kl.backward()
-        return targets, kl.item()
+    def overhead(features, logits, y, cfg, threads):
+        """BAKE's own work in a step: soft targets on ``threads`` threads, then the KL's value and gradient array."""
+        with blas_threads(threads):
+            targets = bake.build_soft_targets(features, logits, labels=y, cfg=cfg)
+        return targets, losses.kl_distillation(logits, targets, cfg.tau)[0]
 
     def sgd(model, velocity):
         sgd_step(model.flat, model.grad, velocity, 0.01, 0.9, 0.0)
@@ -118,26 +121,27 @@ def cases():
         rng = np.random.default_rng(1)
         a, p = bake.affinity_matrix(rng.normal(size=(n, 128))), rng.dirichlet(np.ones(100), size=n)
         table.append((f"propagate_closed_form[{n}]", partial(bake.propagate_closed_form, a, p, 0.5), stochastic))
-    for size, (k, per_class, shape, n_hat) in SHAPES.items():
-        n, rng = 2 * n_hat, np.random.default_rng(2)
-        z = Tensor(rng.normal(size=(n, k)), requires_grad=True)
-        labels, q = rng.integers(0, k, size=n), rng.dirichlet(np.ones(k), size=n)
-        table.append((f"bake_loss[{n}-{k}]", partial(backward, bake_terms, z, labels, q), np.isfinite))
-        train_set, _ = dt.synth_clusters(k, per_class, int(np.prod(shape)), 3.0, seed=0)
-        ids = sampling.epoch_batches(train_set.class_index, sampling.SamplerConfig(n_hat, 1, 0), 0)[0]
-        stem = md.ConvStem(*shape) if isinstance(shape, tuple) else None
-        descriptor = md.ModelDescriptor(train_set.input_dim, k, conv_stem=stem)
-        model = md.init(descriptor, seed=0)
-        x, y, cfg = train_set.inputs[ids], train_set.labels[ids], TrainConfig(method="vanilla")
-        table.append((f"step[{size}-vanilla-{DTYPE}]", partial(backward, step_loss, model, x, y, cfg), np.isfinite))
-        features, logits = model.forward(x)
-        logits = Tensor(logits.data, requires_grad=True)  # a leaf: the KL's backward stops at the logits
-        table.append((f"overhead[{size}-{DTYPE}]", partial(overhead, features, logits, y, cfg.bake),
-                      lambda out: stochastic(out[0]) and np.isfinite(out[1])))
-        model = md.init(descriptor, seed=0)
-        model.grad[:] = np.random.default_rng(3).normal(size=model.grad.size) * 1e-3
-        table.append((f"sgd_step[{size}-{DTYPE}]", partial(sgd, model, np.zeros_like(model.flat)),
-                      lambda flat: np.isfinite(flat).all()))
+    with blas_threads(1) as found:
+        for size, (k, per_class, shape, n_hat) in SHAPES.items():
+            n, rng = 2 * n_hat, np.random.default_rng(2)
+            z = rng.normal(size=(n, k)).astype(DTYPE)
+            labels, q = rng.integers(0, k, size=n), rng.dirichlet(np.ones(k), size=n)
+            table.append((f"bake_loss[{n}-{k}]", partial(losses.bake_loss, z, labels, q, 4.0, 1.0),
+                          lambda out: np.isfinite(out[0]) and np.isfinite(out[1]).all()))
+            train_set, _ = dt.synth_clusters(k, per_class, int(np.prod(shape)), 3.0, seed=0)
+            ids = sampling.epoch_batches(train_set.class_index, sampling.SamplerConfig(n_hat, 1, 0), 0)[0]
+            stem = md.ConvStem(*shape) if isinstance(shape, tuple) else None
+            descriptor = md.ModelDescriptor(train_set.input_dim, k, conv_stem=stem)
+            model = md.init(descriptor, seed=0)
+            x, y, cfg = train_set.inputs[ids], train_set.labels[ids], TrainConfig(method="vanilla")
+            table.append((f"step[{size}-vanilla-{DTYPE}]", partial(step, model, x, y, cfg), np.isfinite))
+            features, logits = model.forward(x)
+            table.append((f"overhead[{size}-{DTYPE}]", partial(overhead, features, logits, y, cfg.bake, found),
+                          lambda out: stochastic(out[0]) and np.isfinite(out[1])))
+            model = md.init(descriptor, seed=0)
+            model.grad[:] = np.random.default_rng(3).normal(size=model.grad.size) * 1e-3
+            table.append((f"sgd_step[{size}-{DTYPE}]", partial(sgd, model, np.zeros_like(model.flat)),
+                          lambda flat: np.isfinite(flat).all()))
     for examples in (2_000, 20_000, 60_000):
         index = dt.build_class_index(np.repeat(np.arange(100), examples // 100))  # CIFAR-100's shape
         for m in (0, 1):
@@ -148,20 +152,24 @@ def cases():
 
 
 def micro(table):
-    """Time each (name, call, check) of ``table``: {name: summary}; a failed check exits here."""
+    """Time each (name, call, check) of ``table``: {name: summary}; a failed check exits here. A case whose name
+    starts with one of ONE_THREAD is checked and timed on one OpenBLAS thread, as ``trainer.train`` steps."""
+    from bakekit.numerics import blas_threads
+
     timed = {}
     for name, call, check in table:
-        if not check(call()):
-            raise SystemExit(f"bench: micro check failed: {name}")
-        start = time.perf_counter()
-        call()  # a warm call sizes the loops; the checked one ran cold
-        loops = max(1, round(LOOP_S / (time.perf_counter() - start)))
-        values = []
-        for _ in range(MICRO_LOOPS):
+        with blas_threads(1 if name.startswith(ONE_THREAD) else None):
+            if not check(call()):
+                raise SystemExit(f"bench: micro check failed: {name}")
             start = time.perf_counter()
-            for _ in range(loops):
-                call()
-            values.append((time.perf_counter() - start) / loops)
+            call()  # a warm call sizes the loops; the checked one ran cold
+            loops = max(1, round(LOOP_S / (time.perf_counter() - start)))
+            values = []
+            for _ in range(MICRO_LOOPS):
+                start = time.perf_counter()
+                for _ in range(loops):
+                    call()
+                values.append((time.perf_counter() - start) / loops)
         timed[name] = summary(values)
     return timed
 
@@ -299,19 +307,25 @@ def section(runs, metrics):
     return report
 
 
+def padded_env(i):
+    """This process's environment with ``BENCH_PAD``, PADS[i] bytes long: the runs of pair i, on both sides, start
+    with one layout of their environment and stack, and other pairs with others."""
+    return {**os.environ, "BENCH_PAD": "x" * PADS[i % len(PADS)]}
+
+
 def workload_run(spec, name, tree, i):
-    """The record of ``spec``'s command on workload ``name`` at seed i + 1 in ``tree``: its end-to-end metrics, and
-    its attempted and failed operations."""
+    """The record of ``spec``'s command on workload ``name`` at seed i + 1 in ``tree``, in ``padded_env(i)``: its
+    end-to-end metrics, and its attempted and failed operations."""
     argv = [*spec["command"], "--workload", name, "--seed", str(i + 1), "--seconds", str(spec["run_seconds"]),
             "--trace", "0"]
-    result = json.loads(child(argv, tree).splitlines()[-1])
+    result = json.loads(child(argv, tree, padded_env(i)).splitlines()[-1])
     return {**{key: metric["value"] for key, metric in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"]}
 
 
-def micro_run(tree):
-    """One micro interpreter's record: each case's median seconds per call."""
-    timed = harness(tree, "print(json.dumps(bench.micro(bench.cases())))")
+def micro_run(tree, i):
+    """Pair i's micro interpreter's record, run in ``padded_env(i)``: each case's median seconds per call."""
+    timed = harness(tree, "print(json.dumps(bench.micro(bench.cases())))", padded_env(i))
     return {name: case["median"] for name, case in timed.items()}
 
 
@@ -338,7 +352,7 @@ def report(trees, moves_bits):
         "trace": 0,
         "workloads": {name: both(f"{name} seed", partial(workload_run, spec, name), ("final_top1", "failed"))
                       for name in workload_names(trees["change"])},
-        "micro": {"unit": "s/call", **both("micro", lambda tree, i: micro_run(tree))},
+        "micro": {"unit": "s/call", **both("micro", micro_run)},
     }
     for side in ("parent", "change"):
         result["micro"][side]["overhead_share"] = overhead_shares(result["micro"][side])
