@@ -125,7 +125,8 @@ class Model:
         """Map an N x input_dim batch to (features N x D, logits N x K), arrays in ``dtype``.
 
         A batch of another dtype, array or anything with ``.data``, is cast to
-        ``dtype``. What ``backward`` needs is kept until the next call."""
+        ``dtype``. What ``backward`` needs is kept until the next call, the
+        cast batch included: a batch that views a larger array keeps it alive."""
         x = np.asarray(getattr(inputs, "data", inputs), dtype=self.dtype)
         if x.shape[1] != self.descriptor.input_dim:
             raise ShapeMismatchError(

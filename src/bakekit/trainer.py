@@ -88,7 +88,7 @@ def evaluate(model, dataset):
     top_k = min(5, k)
     hits1 = hits5 = 0
     for start in range(0, len(dataset), EVAL_BATCH):
-        x = dataset.inputs[start : start + EVAL_BATCH]
+        x = dataset.inputs[start : start + EVAL_BATCH].copy()  # the model keeps its batch; a view would keep them all
         y = dataset.labels[start : start + EVAL_BATCH]
         _, logits = model.forward(x)
         order = np.argsort(-logits, axis=1, kind="stable")

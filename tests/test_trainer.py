@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ class TestEvaluate:
         step = traced_peak(lambda: model.backward(tr.batch_loss(model, x, y, cfg)[1]))
         evaluation = traced_peak(lambda: tr.evaluate(model, test))
         assert evaluation <= 1.5 * step, evaluation / step
+
+    def test_model_keeps_no_test_set_alive(self):
+        # the model keeps its last batch for a backward; it must not be a view that pins the test inputs
+        _, test = dt.synth_clusters(3, 40, 4, 1.0, seed=3)
+        model = md.init(md.ModelDescriptor(4, 3, hidden=(8,)), seed=0)
+        assert test.inputs.dtype == model.dtype  # the cast makes no copy of its own
+        inputs = weakref.ref(test.inputs)
+        tr.evaluate(model, test)
+        del test
+        assert inputs() is None
 
     def test_top1_le_top5(self):
         train, test = dt.synth_clusters(6, 10, 4, 2.0, seed=2)
