@@ -128,10 +128,8 @@ class Model:
         ``dtype``. What ``backward`` needs is kept until the next call, the
         cast batch included: a batch that views a larger array keeps it alive."""
         x = np.asarray(getattr(inputs, "data", inputs), dtype=self.dtype)
-        if x.shape[1] != self.descriptor.input_dim:
-            raise ShapeMismatchError(
-                f"input dim {x.shape[1]} != model input dim {self.descriptor.input_dim}"
-            )
+        if x.ndim != 2 or x.shape[1] != self.descriptor.input_dim:
+            raise ShapeMismatchError(f"input of shape {x.shape}, model needs N x {self.descriptor.input_dim}")
         stem = self.descriptor.conv_stem
         convs, pooled = [], None
         if stem is not None:
@@ -144,17 +142,17 @@ class Model:
                 x = nm.avg_pool2d_forward(x, 2)
             pooled = x.shape
             x = x.reshape(x.shape[0], -1)
-        inputs = []
+        layer_inputs = []
         last = len(self._dense) - 2  # the final hidden layer stays linear: its output is
         # the feature vector, and l2 normalization needs nonzero rows
         for i, (w, b) in enumerate(self._dense):
-            inputs.append(x)
+            layer_inputs.append(x)
             x = x @ w.data
             x += b.data
             if i < last:
                 np.maximum(x, 0.0, out=x)
-        self._saved = convs, pooled, inputs
-        return inputs[-1], x
+        self._saved = convs, pooled, layer_inputs
+        return layer_inputs[-1], x
 
     def backward(self, grad_logits):
         """Write into ``grad`` the gradient of a loss whose gradient with respect
@@ -162,17 +160,17 @@ class Model:
 
         Each parameter's gradient is one product written into its view of
         ``grad``; the batch gets no gradient."""
-        convs, pooled, inputs = self._saved
+        convs, pooled, layer_inputs = self._saved
         g = grad_logits
         for i in range(len(self._dense) - 1, -1, -1):
             w, b = self._dense[i]
-            np.matmul(inputs[i].T, g, out=w.grad)
+            np.matmul(layer_inputs[i].T, g, out=w.grad)
             g.sum(axis=0, out=b.grad)
             if i == 0 and not convs:
                 return
             g = g @ w.data.T
             if 0 < i < len(self._dense) - 1:  # a ReLU output: its gradient passes where it is positive
-                np.multiply(g, inputs[i] > 0, out=g)
+                np.multiply(g, layer_inputs[i] > 0, out=g)
         g = g.reshape(pooled)
         for j in range(len(convs) - 1, -1, -1):
             shape, cols, relu = convs[j]

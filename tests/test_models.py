@@ -61,6 +61,11 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             mlp().forward(np.zeros((2, 7)))
 
+    @pytest.mark.parametrize("shape", [(6,), (2, 6, 1)], ids=["1d", "3d"])
+    def test_input_of_another_rank(self, shape):
+        with pytest.raises(ShapeMismatchError, match=r"input of shape .*, model needs N x 6"):
+            mlp().forward(np.zeros(shape))
+
     def test_features_carry_gradient_targets_do_not(self):
         # on the tape reference, features and logits are nodes over the parameters; the targets are an array
         model = mlp(seed=4)
