@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .bake import BakeConfig, affinity_matrix, build_soft_targets
 from .losses import cross_entropy, kl_distillation
 from .models import ModelDescriptor, init
-from .numerics import Tensor
 from .sampling import SamplerConfig, epoch_batches
 from .trainer import TrainConfig, batch_loss, evaluate, train
 
@@ -13,7 +12,6 @@ __all__ = [
     "BakeConfig",
     "ModelDescriptor",
     "SamplerConfig",
-    "Tensor",
     "TrainConfig",
     "affinity_matrix",
     "batch_loss",

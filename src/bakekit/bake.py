@@ -21,7 +21,6 @@ import numpy as np
 from numpy.linalg import solve as linear_solve
 
 from .errors import ConfigError, DegenerateBatchError, ShapeMismatchError
-from .numerics import Tensor
 
 PROPAGATION_MODES = ("closed_form", "iterate")
 KNOWLEDGE_SOURCES = ("pred", "onehot")
@@ -163,10 +162,10 @@ def one_hot(labels, k, dtype=np.float64):
 def build_soft_targets(features, logits, labels=None, cfg=BakeConfig()):
     """Refined soft targets for one batch; always detached from gradients.
 
-    ``features`` and ``logits`` are arrays or tensors; either way only their
-    data is read, into float64 copies that this function owns.
+    ``features`` and ``logits`` are arrays, read into float64 copies that this
+    function owns.
     """
-    features, logits = (np.array(x.data if isinstance(x, Tensor) else x, np.float64) for x in (features, logits))
+    features, logits = (np.array(x, np.float64) for x in (features, logits))
     if cfg.knowledge_source == "onehot":
         if labels is None:
             raise ConfigError("knowledge_source=onehot requires labels")

@@ -102,18 +102,22 @@ def git(repo, *argv):
     return done.stdout.strip()
 
 
-@pytest.fixture(scope="module")
-def repo(tmp_path_factory):
-    """A throwaway git repository. Tag ``full``, HEAD's parent, holds what an export needs; ``no-harness`` lacks
-    tools/bench.py, ``no-sources`` src/bakekit too, and ``empty`` everything. Each tree's
-    ``src/bakekit/__init__.py`` names its side: HEAD's the change, the others the parent."""
-    repo = tmp_path_factory.mktemp("repo")
+def make_repo(repo, version):
+    """A throwaway git repository in ``repo``. Tag ``full``, HEAD's parent, holds what an export needs; ``no-harness``
+    lacks tools/bench.py, ``no-sources`` src/bakekit too, and ``empty`` everything. Each tree's
+    ``src/bakekit/__init__.py`` names its side: HEAD's the change, the others the parent. With a ``version``, the
+    src/bakekit/cli.py of ``full`` and HEAD says ``TRAINING_VERSION = version``, and tag ``restamped``, ``full``'s
+    parent, holds ``full``'s files at another version; without one, no tree has a cli.py."""
     git(repo, "init", "-q")
     git(repo, "tag", "empty", git(repo, "commit-tree", git(repo, "mktree"), "-m", "empty"))
     benchmark = (BENCH_PATH.parents[1] / "BENCHMARK.json").read_text()
+    cli = {} if version is None else {"src/bakekit/cli.py": f"x = 1\nTRAINING_VERSION = {version}\n"}
+    restamped = [] if version is None else [
+        ("restamped", {"tools/bench.py": "", "src/bakekit/cli.py": f"TRAINING_VERSION = {version + 1}\n"})]
     for tag, files in (("no-sources", {"BENCHMARK.json": benchmark, "perfbench/workload.py": ""}),
                        ("no-harness", {"src/bakekit/__init__.py": "# parent\n"}),
-                       ("full", {"tools/bench.py": ""}),
+                       *restamped,
+                       ("full", {"tools/bench.py": "", **cli}),
                        ("HEAD", {"src/bakekit/__init__.py": "# change\n"})):
         for name, text in files.items():
             (repo / name).parent.mkdir(parents=True, exist_ok=True)
@@ -123,6 +127,18 @@ def repo(tmp_path_factory):
         if tag != "HEAD":
             git(repo, "tag", tag)
     return repo
+
+
+@pytest.fixture(scope="module")
+def repo(tmp_path_factory):
+    """``make_repo``'s repository at version 2."""
+    return make_repo(tmp_path_factory.mktemp("repo"), 2)
+
+
+@pytest.fixture(scope="module")
+def unstamped(tmp_path_factory):
+    """``make_repo``'s repository with no stamp in any tree."""
+    return make_repo(tmp_path_factory.mktemp("unstamped"), None)
 
 
 @pytest.fixture
@@ -184,7 +200,8 @@ def test_export_writes_both_trees_at_one_path_length(repo, tmp_path, monkeypatch
     assert len(str(trees["parent"])) == len(str(trees["change"]))
     for side, tree in trees.items():
         files = sorted(path.relative_to(tree).as_posix() for path in tree.rglob("*") if path.is_file())
-        assert files == ["BENCHMARK.json", "perfbench/workload.py", "src/bakekit/__init__.py", "tools/bench.py"]
+        assert files == ["BENCHMARK.json", "perfbench/workload.py", "src/bakekit/__init__.py", "src/bakekit/cli.py",
+                         "tools/bench.py"]
         assert (tree / "src" / "bakekit" / "__init__.py").read_text() == f"# {side}\n"
 
 
@@ -198,7 +215,7 @@ def test_names_pair_only_when_both_sides_hold_them(tmp_root, tmp_path, monkeypat
 
     calls, out = [], tmp_path / "BENCH.json"
     monkeypatch.setattr(bench.subprocess, "run", fake_run(tmp_root, calls, micro=micro, parent_metrics={"setup_s": 0.1}))
-    bench.main(out, "full", False)
+    bench.main(out, "full")
     report = json.loads(out.read_text())
     for workload in report["workloads"].values():
         assert "setup_s" in workload["parent"] and "setup_s" not in workload["change"]
@@ -223,7 +240,7 @@ def test_failed_micro_check_raises_and_writes_no_file(tmp_root, tmp_path, monkey
     calls, out = [], tmp_path / "BENCH.json"
     monkeypatch.setattr(bench.subprocess, "run", fake_run(tmp_root, calls, fails={"micro"}))
     with pytest.raises(SystemExit, match="exited 1") as exc:
-        bench.main(out, "full", False)
+        bench.main(out, "full")
     assert exc.value.code != 0 and not out.exists()
     assert calls[-1] == ("parent", "micro") and calls.count(("change", "micro")) == 0
 
@@ -276,7 +293,7 @@ def test_micro_times_a_one_case_table(monkeypatch):
 def test_pairs_alternate_and_match_a_hand_count(tmp_root, tmp_path, monkeypatch):
     calls, out = [], tmp_path / "BENCH.json"
     monkeypatch.setattr(bench.subprocess, "run", fake_run(tmp_root, calls))
-    bench.main(out, "full", False)
+    bench.main(out, "full")
     assert list(tmp_root.iterdir()) == []  # both exports are gone once the file is written
     names = bench.workload_names()
     # every section, one loop: at index i the parent goes first when i is even; seed i + 1 for a workload
@@ -285,9 +302,10 @@ def test_pairs_alternate_and_match_a_hand_count(tmp_root, tmp_path, monkeypatch)
     assert calls == [("parent", "fingerprint"), ("change", "fingerprint"), ("parent", "env"), ("change", "env"),
                      *workloads, *micro]
     report = json.loads(out.read_text())
-    assert set(report) == {"moves_bits", "first", "fingerprint", "env", "command", "run_seconds", "trace",
+    assert set(report) == {"training_version", "first", "fingerprint", "env", "command", "run_seconds", "trace",
                            "workloads", "micro"}
-    assert report["first"] == ["parent", "change", "parent", "change", "parent"] and report["moves_bits"] is False
+    assert report["first"] == ["parent", "change", "parent", "change", "parent"]
+    assert report["training_version"] == {"parent": "2", "change": "2"}
     assert report["fingerprint"]["equal"] is False  # the made-up model hashes name their side
     assert report["fingerprint"]["parent"]["runs"]["bake_desk"]["1"]["model"] == "parent"
     assert report["env"] == {"parent": ENV, "change": ENV}
@@ -319,7 +337,7 @@ def test_both_sides_of_a_pair_run_with_one_pad_and_other_pairs_with_others(tmp_r
         return run(argv, cwd=cwd, **kwargs)
 
     monkeypatch.setattr(bench.subprocess, "run", padded)
-    bench.main(tmp_path / "BENCH.json", "full", False)
+    bench.main(tmp_path / "BENCH.json", "full")
     sections = len(bench.workload_names()) + 1  # each workload, then the micro cases
     assert len(pads) == sections * 2 * bench.REPEATS
     for section in range(sections):
@@ -356,8 +374,30 @@ def test_verdict_needs_nine_of_ten_wins_beyond_the_parent_iqr(shifts, better, bo
     assert result["n"] == 10 and result["parent_iqr"] == 4.5 and result["verdict"] == verdict
 
 
+def committed_pairs():
+    """(file, section, name, parent values, change values, pair record) of every pair that BENCH_40.json to
+    BENCH_45.json hold, in the workload and micro sections."""
+    for n in range(40, 46):
+        report = json.loads((BENCH_PATH.parents[1] / f"BENCH_{n}.json").read_text())
+        for what, section in [*report["workloads"].items(), ("micro", report["micro"])]:
+            for name, record in section["pairs"].items():
+                yield (n, what, name, section["parent"][name]["values"], section["change"][name]["values"], record)
+
+
+def test_the_rule_replays_every_committed_pair():
+    metrics = {m["name"]: m for m in json.loads((BENCH_PATH.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]}
+    replayed = [(n, what, name, bench.pair(parent, change, metrics.get(name, {}).get("better", "lower"),
+                                           metrics.get(name, {}).get("bound")), record)
+                for n, what, name, parent, change, record in committed_pairs()]
+    assert len(replayed) == 252
+    assert [(n, what, name) for n, what, name, got, record in replayed if got != record] == []
+    assert sum(record["verdict"] == "better" for *_, record in replayed) == 17
+
+
 # a tight made-up parent: IQR 0.45 around a median of 100.45
 TIGHT = [100.0 + 0.1 * i for i in range(10)]
+# five made-up parent runs: their inclusive quartiles are 101 and 103, so the parent's IQR is 2
+FIVE = [100.0, 101.0, 102.0, 103.0, 104.0]
 
 
 @pytest.mark.parametrize("parent, change, better, bound, verdict", [
@@ -369,7 +409,12 @@ TIGHT = [100.0 + 0.1 * i for i in range(10)]
     ([0.4378] * 10, [0.4377] * 10, "higher", 0.15, "none"),
     # 9 of 10 wins, a median paired difference of 5 beyond the IQR of 4.5, but a difference of medians of 3.25
     (TEN, [105.0, 106.0, 107.0, 108.0, 109.0, 110.0, 106.5, 107.5, 108.5, 108.0], "higher", None, "none"),
-], ids=["ten-losses-inside-bound", "eight-losses-beyond-bound", "one-example-top1", "paired-median-only"])
+    # five pairs, a parent IQR of 2: 5 of 5 wins and a difference of medians of 5 reads better; 4 of 5 wins, below
+    # nine tenths of the pairs, does not, though the difference of medians is 4
+    (FIVE, [p + 5 for p in FIVE], "higher", None, "better"),
+    (FIVE, [p + 5 for p in FIVE[:4]] + [FIVE[4] - 1], "higher", None, "none"),
+], ids=["ten-losses-inside-bound", "eight-losses-beyond-bound", "one-example-top1", "paired-median-only", "5-of-5",
+        "4-of-5"])
 def test_pair_judges_as_a_change_is_accepted(parent, change, better, bound, verdict):
     assert bench.pair(parent, change, better, bound)["verdict"] == verdict
 
@@ -379,7 +424,7 @@ def test_a_file_of_ten_pairs_holds_each_verdict(tmp_root, tmp_path, monkeypatch)
     change_rates = [rate + 10 for rate in TEN[:9]] + [TEN[9] - 1]  # 9 of 10 wins beyond the parent's IQR
     calls, out = [], tmp_path / "BENCH.json"
     monkeypatch.setattr(bench.subprocess, "run", fake_run(tmp_root, calls, rates=(TEN, change_rates)))
-    bench.main(out, "full", False)
+    bench.main(out, "full")
     report = json.loads(out.read_text())
     assert report["first"] == ["parent", "change"] * 5
     for workload in report["workloads"].values():
@@ -394,28 +439,59 @@ def test_top1_mismatch_exits_and_writes_no_file(tmp_root, tmp_path, monkeypatch)
     calls, out = [], tmp_path / "BENCH.json"
     monkeypatch.setattr(bench.subprocess, "run", fake_run(tmp_root, calls, parent_top1=0.49))
     with pytest.raises(SystemExit, match=r"bake_desk seed 1: parent and change end at final_top1 \[0.49, 0.5\]") as exc:
-        bench.main(out, "full", False)
+        bench.main(out, "full")
     assert exc.value.code != 0
     assert len(calls) == 6 and not out.exists()  # fingerprints and environments, then the first pair stops it
     assert list(tmp_root.iterdir()) == []  # a stopped run leaves no export behind
-    bench.main(out, "full", True)  # declared bit-moving: every pair runs and the file is written
-    assert json.loads(out.read_text())["moves_bits"] is True
 
 
 def test_failed_count_mismatch_exits_and_writes_no_file(tmp_root, tmp_path, monkeypatch):
     calls, out = [], tmp_path / "BENCH.json"
     monkeypatch.setattr(bench.subprocess, "run", fake_run(tmp_root, calls, parent_failed=2))
     with pytest.raises(SystemExit, match=r"bake_desk seed 1: parent and change end at failed \[2, 0\]") as exc:
-        bench.main(out, "full", False)
+        bench.main(out, "full")
     assert exc.value.code != 0 and not out.exists()
     assert calls[-2:] == [("parent", "bake_desk", 1), ("change", "bake_desk", 1)]
+
+
+# the two tests above stop under one stamp, version 2 on both sides; these pair two trees without a stamp, and two
+# trees of two stamps
+@pytest.mark.parametrize("stamped, rev, stops", [(False, "full", True), (True, "restamped", False)],
+                         ids=["no-stamp", "another-stamp"])
+@pytest.mark.parametrize("mismatch", [{"parent_top1": 0.49}, {"parent_failed": 2}], ids=["final_top1", "failed"])
+def test_a_mismatch_stops_exactly_when_the_stamps_are_equal(repo, unstamped, tmp_root, tmp_path, monkeypatch,
+                                                            stamped, rev, stops, mismatch):
+    monkeypatch.setattr(bench, "ROOT", repo if stamped else unstamped)
+    calls, out = [], tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(tmp_root, calls, **mismatch))
+    if stops:
+        with pytest.raises(SystemExit, match="bump cli.TRAINING_VERSION if the change moves training bits"):
+            bench.main(out, rev)
+        assert not out.exists()
+    else:  # bits may move with the stamp: every pair runs and the file records both stamps
+        bench.main(out, rev)
+        assert json.loads(out.read_text())["training_version"] == {"parent": "3", "change": "2"}
+        assert len(calls) == 4 + 2 * 5 * (len(bench.workload_names()) + 1)
+
+
+def test_stamp_reads_the_first_training_version_line(tmp_path):
+    cli = tmp_path / "src" / "bakekit" / "cli.py"
+    assert bench.stamp(tmp_path) is None  # no cli.py
+    cli.parent.mkdir(parents=True)
+    cli.write_text("    TRAINING_VERSION = 1\nVERSION = 2\n")
+    assert bench.stamp(tmp_path) is None  # no line starts with the stamp
+    cli.write_text("x = 1\nTRAINING_VERSION = 7  # bumped\nTRAINING_VERSION = 8\n")
+    assert bench.stamp(tmp_path) == "7  # bumped"
+    from bakekit.cli import TRAINING_VERSION
+
+    assert bench.stamp(BENCH_PATH.parents[1]) == str(TRAINING_VERSION)
 
 
 def test_a_parent_that_cannot_fingerprint_stops_before_any_workload(tmp_root, tmp_path, monkeypatch):
     calls, out = [], tmp_path / "BENCH.json"
     monkeypatch.setattr(bench.subprocess, "run", fake_run(tmp_root, calls, fails={"fingerprint"}))
     with pytest.raises(SystemExit, match="train_fingerprints.* exited 1") as exc:
-        bench.main(out, "full", False)
+        bench.main(out, "full")
     assert exc.value.code != 0 and not out.exists()
     assert calls == [("parent", "fingerprint")]
 
@@ -432,7 +508,7 @@ def test_against_a_missing_or_foreign_dir_exits_2(tmp_root, tmp_path, monkeypatc
 
     monkeypatch.setattr(bench.subprocess, "run", run)
     with pytest.raises(SystemExit) as exc:
-        bench.main(out, rev, False)
+        bench.main(out, rev)
     assert exc.value.code == 2
     assert not out.exists() and list(tmp_root.iterdir()) == []
     err = capsys.readouterr().err
@@ -456,5 +532,5 @@ def test_against_from_the_command_line_exits_2_on_an_unknown_rev(tmp_path):
 def test_a_file_name_alone_prints_the_usage(tmp_path):
     done = subprocess.run([sys.executable, str(BENCH_PATH), str(tmp_path / "BENCH.json")],
                           stderr=subprocess.PIPE, text=True)
-    assert done.returncode != 0 and "BENCH_<n>.json --against REV [--moves-bits]" in done.stderr
+    assert done.returncode != 0 and "BENCH_<n>.json --against REV\n" in done.stderr
     assert list(tmp_path.iterdir()) == []

@@ -15,7 +15,7 @@ def tempered_targets(logits, tau):
     """softmax(logits / tau) as the soft targets apply it: at omega=0 they are
     the tau-softened predictions themselves."""
     z = np.repeat(np.asarray(logits, dtype=np.float64), 2, axis=0)  # affinity needs a pair
-    return build_soft_targets(np.ones((2, 1)), Tensor(z), cfg=BakeConfig(omega=0.0, tau=tau))[:1]
+    return build_soft_targets(np.ones((2, 1)), z, cfg=BakeConfig(omega=0.0, tau=tau))[:1]
 
 
 class TestTemperatureProbs:

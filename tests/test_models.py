@@ -67,11 +67,12 @@ class TestForward:
             mlp().forward(np.zeros(shape))
 
     def test_features_carry_gradient_targets_do_not(self):
-        # on the tape reference, features and logits are nodes over the parameters; the targets are an array
+        # on the tape reference, features and logits are nodes over the parameters; the targets are an array of
+        # their data, which is all build_soft_targets takes
         model = mlp(seed=4)
         features, logits = tape_reference.forward(model, np.random.default_rng(5).normal(size=(3, 6)))
         assert features.requires_grad and logits.requires_grad
-        assert isinstance(build_soft_targets(features, logits), np.ndarray)
+        assert isinstance(build_soft_targets(features.data, logits.data), np.ndarray)
 
 
 class TestInit:

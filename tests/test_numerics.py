@@ -158,7 +158,7 @@ class TestBackward:
         model = md.init(md.ModelDescriptor(2 * 14 * 14, 4, hidden=(12, 6), conv_stem=stem), seed=0)
         y = np.arange(8) % 4
         features, logits = tape_reference.forward(model, rng.normal(size=(8, 2 * 14 * 14)))
-        targets = bake.build_soft_targets(features, logits, labels=y)
+        targets = bake.build_soft_targets(features.data, logits.data, labels=y)
         loss = nm.loss_node(logits, *losses.bake_loss(logits.data, y, targets, 4.0, 1.0)[:2])
         loss.backward()
         nodes = nm._toposort(loss)

@@ -1,7 +1,7 @@
 """Pair HEAD with a parent revision on every BENCHMARK.json workload and the micro cases, and write one
 BENCH_<n>.json; or print the workloads' training fingerprint.
 
-    python3 tools/bench.py BENCH_<n>.json --against REV [--moves-bits]
+    python3 tools/bench.py BENCH_<n>.json --against REV
     python3 tools/bench.py --fingerprint [--tiny]
 
 ``export`` writes two trees with ``git archive``: REV as the parent into ``<tmp>/parent`` and HEAD as the change into
@@ -28,13 +28,9 @@ The file's sections, in the order they run:
   run does. The cases of a step (ONE_THREAD) run on one OpenBLAS thread, as ``trainer.train`` steps.
 
 A section holds each side's ``summary()`` of each name in its records and, under ``pairs``, ``pair()`` of each name
-both sides hold: the change's wins of n pairs by ``better`` (lower unless BENCHMARK.json says higher; a tie counts
-for neither), the change's median minus the parent's, the parent's IQR and the verdict, judged as a change is
-accepted: ``better`` at CLAIM_WINS or more wins of REPEATS and a difference of medians beyond the parent's IQR;
-``worse`` when an end-to-end metric's median is worse than the parent's by more than its BENCHMARK.json bound, taken
-as a fraction of the parent's median; else ``none``. A name with no bound, such as a micro case, reads ``better`` or
-``none``. A pair whose sides end at another ``final_top1`` or ``failed`` stops here, unless ``--moves-bits``
-declares that the change moves training bits.
+both sides hold, by the name's ``better`` (lower unless BENCHMARK.json says higher) and BENCHMARK.json bound, if any.
+``training_version`` holds each tree's ``stamp()``. Training bits may move exactly when the two stamps differ, so
+under one stamp (or none on either side) a pair whose sides end at another ``final_top1`` or ``failed`` stops here.
 
 ``--fingerprint`` writes no file. In one child interpreter with OPENBLAS_NUM_THREADS=1 it trains each workload at
 seeds 1-3 through ``cli.run_training(specs.config(workload, seed, tiny))`` and prints, per workload and seed, the
@@ -50,6 +46,7 @@ import json
 import math
 import os
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -62,7 +59,6 @@ ROOT = Path(__file__).resolve().parents[1]
 FINGERPRINT_SEEDS = (1, 2, 3)
 REPEATS = 10  # pairs per section
 MICRO_LOOPS = 5  # timed loops per micro case in one interpreter
-CLAIM_WINS = 9  # of REPEATS pairs: the fewest wins (or losses) a verdict of better (or worse) needs
 LOOP_S = 0.2
 # desk, bake_wide's and a CIFAR-100 encoder with the conv stem: classes K, examples per class,
 # input (an MLP's dim, or C, H, W through the conv stem), n_hat at M=1
@@ -235,14 +231,14 @@ def fingerprint(tiny, tree=ROOT):
 
 def pair(parent, change, better, bound=None):
     """One name over paired runs: the change's wins of n (ties count for neither), the change's median minus the
-    parent's, the parent's IQR and the verdict. The verdict is ``better`` at CLAIM_WINS or more wins and a difference
-    of medians beyond the parent's IQR in the direction of ``better``; ``worse`` when the change's median is worse
-    than the parent's by more than ``bound``, a fraction of the parent's median; and ``none`` otherwise."""
+    parent's, the parent's IQR and the verdict: ``better`` at wins in nine tenths of the n pairs or more (9 of 10, 5 of
+    5) and a difference of medians beyond the parent's IQR in the direction of ``better``; ``worse`` when the change's
+    median is worse than the parent's by more than ``bound``, a fraction of the parent's median; else ``none``."""
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     base = summary(parent)
     diff = statistics.median(change) - base["median"]
-    verdict = ("better" if wins >= CLAIM_WINS and sign * diff > base["iqr"] else
+    verdict = ("better" if 10 * wins >= 9 * len(parent) and sign * diff > base["iqr"] else
                "worse" if bound is not None and -sign * diff > bound * abs(base["median"]) else "none")
     return {"wins": wins, "n": len(parent), "median_diff": diff, "parent_iqr": base["iqr"], "verdict": verdict}
 
@@ -277,7 +273,7 @@ def check_pair(what, parent, change, names):
         values = [parent[name], change[name]]
         if values[0] != values[1] and not all(map(math.isnan, values)):
             raise SystemExit(f"bench: {what}: parent and change end at {name} {values}; "
-                             f"pass --moves-bits if the change moves training bits")
+                             f"bump cli.TRAINING_VERSION if the change moves training bits")
 
 
 def paired(trees, what, run, same=()):
@@ -329,43 +325,48 @@ def micro_run(tree, i):
     return {name: case["median"] for name, case in timed.items()}
 
 
-def report(trees, moves_bits):
-    """Both ``trees``' fingerprints and environments, then their paired workloads and micro cases, by the change's
-    BENCHMARK.json: the file's object."""
+def stamp(tree):
+    """The rest of the first ``TRAINING_VERSION = `` line of ``tree``'s src/bakekit/cli.py, as CI reads it; or None."""
+    cli = tree / "src" / "bakekit" / "cli.py"
+    found = cli.exists() and re.search(r"^TRAINING_VERSION = (.*)$", cli.read_text(), re.MULTILINE)
+    return found[1] if found else None
+
+
+def report(trees):
+    """Both ``trees``' stamps, fingerprints and environments, then their paired workloads and micro cases, by the
+    change's BENCHMARK.json: the file's object."""
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
-
-    def both(what, run, same=()):
-        """The section of ``run``'s pairs; one whose sides differ in a name of ``same`` stops, unless bits move."""
-        return section(paired(trees, what, run, () if moves_bits else same), metrics)
+    stamps = {side: stamp(tree) for side, tree in trees.items()}
+    same = ("final_top1", "failed") if stamps["parent"] == stamps["change"] else ()  # bits move only with the stamp
 
     print("bench: fingerprints", file=sys.stderr, flush=True)
     fingerprints = {side: fingerprint(False, tree) for side, tree in sides(0, trees)}
     env = "from workload import environment; print(json.dumps(environment()))"
     result = {
-        "moves_bits": moves_bits,
+        "training_version": stamps,
         "first": [sides(i, trees)[0][0] for i in range(REPEATS)],
         "fingerprint": {**fingerprints, "equal": fingerprints["parent"] == fingerprints["change"]},
         "env": {side: harness(tree, env) for side, tree in sides(0, trees)},
         "command": spec["command"],
         "run_seconds": spec["run_seconds"],
         "trace": 0,
-        "workloads": {name: both(f"{name} seed", partial(workload_run, spec, name), ("final_top1", "failed"))
+        "workloads": {name: section(paired(trees, f"{name} seed", partial(workload_run, spec, name), same), metrics)
                       for name in workload_names(trees["change"])},
-        "micro": {"unit": "s/call", **both("micro", micro_run)},
+        "micro": {"unit": "s/call", **section(paired(trees, "micro", micro_run), metrics)},
     }
     for side in ("parent", "change"):
         result["micro"][side]["overhead_share"] = overhead_shares(result["micro"][side])
     return result
 
 
-def main(out, rev, moves_bits):
+def main(out, rev):
     """``report()`` of ``export(rev, ...)``'s trees, written to ``out``; the trees are removed on return or exit."""
     if not Path(out).parent.is_dir():
         print(f"bench: cannot write {out}: {Path(out).parent} is not a directory", file=sys.stderr)
         sys.exit(2)
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
-        result = report(export(rev, Path(tmp)), moves_bits)
+        result = report(export(rev, Path(tmp)))
     Path(out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
 
 
@@ -373,8 +374,7 @@ if __name__ == "__main__":
     args = sys.argv[1:]
     if args[:1] == ["--fingerprint"] and args[1:] in ([], ["--tiny"]):
         print(json.dumps(fingerprint(args[1:] == ["--tiny"]), indent=1, sort_keys=True))
-    elif (len(args) in (3, 4) and not args[0].startswith("-") and args[1] == "--against"
-          and not args[2].startswith("-") and args[3:] in ([], ["--moves-bits"])):
-        main(args[0], args[2], args[3:] == ["--moves-bits"])
+    elif len(args) == 3 and not args[0].startswith("-") and args[1] == "--against" and not args[2].startswith("-"):
+        main(args[0], args[2])
     else:
         sys.exit(__doc__)
